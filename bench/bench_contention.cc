@@ -3,15 +3,13 @@
 // join keys drawn from a small pool so transactions collide on the AR's
 // clustered-index key locks.
 //
-// The sweep compares two engine modes over a key-pool x thread-count grid:
-//  - baseline: the pre-sharding write path (one lock-table shard, exclusive
-//    node latches, per-transaction WAL forces);
-//  - scalable: the contention-scalable path (sharded lock table, RW node
-//    latches, group commit).
-// Both modes charge the same simulated WAL device (force_ns), so the
-// difference isolates the concurrency structure, not the hardware model.
+// The sweep runs the engine's write path (sharded lock table, RW node
+// latches, group commit over a simulated WAL device) over a key-pool x
+// thread-count grid. The pre-sharding baseline it was once compared against
+// (one lock-table shard, exclusive latches, per-transaction WAL forces) is
+// on record in the committed BENCH_contention.json.
 //
-// Within the scalable mode three lock policies run over the same workload:
+// Three lock policies run over the same workload:
 //  - no_wait: a conflicting acquire aborts the transaction immediately and
 //    the abort is client-visible (maintain_max_attempts = 1); the client
 //    must re-submit until its transaction commits.
@@ -70,10 +68,9 @@
 // journal. Written to BENCH_contention_escrow.json.
 //
 // Usage: bench_contention [txns_per_thread] [nodes] [sweep]
-//   sweep = "full" (default): modes {baseline, scalable} x policies x
-//           key pools {1, 8, 64, 1024} x threads {1, 2, 4, 8}
-//   sweep = "ci": just the two wait-die cells CI compares (8 threads,
-//           64 keys, baseline vs scalable)
+//   sweep = "full" (default): policies x key pools {1, 8, 64, 1024} x
+//           threads {1, 2, 4, 8}
+//   sweep = "ci": just the wait-die cell CI smokes (8 threads, 64 keys)
 //   sweep = "bulk": the escalation-threshold sweep; [txns_per_thread] is
 //           reinterpreted as rows in the single bulk delta
 //   sweep = "mixed": the MVCC read/write grid, readers {1, 2, 4, 8} x
@@ -98,9 +95,8 @@
 namespace pjvm::bench {
 namespace {
 
-// The simulated WAL device: 5ms per force in BOTH modes, so the baseline
-// pays it once per commit per participant node while group commit amortizes
-// it across a leader round.
+// The simulated WAL device: 5ms per force, which group commit amortizes
+// across a leader round.
 constexpr uint64_t kForceNs = 5'000'000;
 constexpr int kWindowUs = 50;
 
@@ -113,9 +109,8 @@ struct ContentionConfig {
   bool escrow = false;
 };
 
-/// One sweep cell: an engine mode x lock policy x load shape.
+/// One sweep cell: a lock policy x load shape.
 struct Cell {
-  std::string mode;  // "baseline" or "scalable"
   LockPolicy policy = LockPolicy::kWaitDie;
   int threads = 1;
   int64_t key_pool = 1;
@@ -140,7 +135,6 @@ struct CellResult {
 CellResult RunCell(const ContentionConfig& cc, const Cell& cell) {
   CellResult result;
   result.cell = cell;
-  const bool baseline = cell.mode == "baseline";
 
   SystemConfig cfg;
   cfg.num_nodes = cc.nodes;
@@ -155,11 +149,7 @@ CellResult RunCell(const ContentionConfig& cc, const Cell& cell) {
   // abort becomes client-visible.
   cfg.maintain_max_attempts = cell.policy == LockPolicy::kNoWait ? 1 : 16;
   cfg.maintain_retry_base_us = 100;
-  // The mode switch: everything this PR added, on or off together.
-  cfg.lock_shards = baseline ? 1 : 16;
-  cfg.rw_latches = !baseline;
   cfg.wal_force_ns = kForceNs;
-  cfg.group_commit = !baseline;
   cfg.group_commit_window_us = kWindowUs;
   ParallelSystem sys(cfg);
 
@@ -253,7 +243,6 @@ CellResult RunCell(const ContentionConfig& cc, const Cell& cell) {
 std::string CellJson(const CellResult& r) {
   JsonWriter w;
   w.BeginObject()
-      .Key("mode").Str(r.cell.mode)
       .Key("policy").Str(LockPolicyToString(r.cell.policy))
       .Key("threads").Int(r.cell.threads)
       .Key("key_pool").Int(r.cell.key_pool)
@@ -300,8 +289,6 @@ BulkResult RunBulkCell(const ContentionConfig& cc, int threshold) {
   cfg.lock_wait_timeout_ms = 500;
   cfg.maintain_max_attempts = 16;
   cfg.maintain_retry_base_us = 100;
-  cfg.lock_shards = 16;
-  cfg.rw_latches = true;
   // No WAL device: the bulk cell isolates lock-table bookkeeping, so the
   // run is compute-bound rather than dominated by a simulated force.
   cfg.wal_force_ns = 0;
@@ -459,10 +446,7 @@ MixedResult RunMixedCell(const ContentionConfig& cc, const MixedCell& cell) {
   cfg.lock_wait_timeout_ms = 500;
   cfg.maintain_max_attempts = 16;
   cfg.maintain_retry_base_us = 100;
-  cfg.lock_shards = 16;
-  cfg.rw_latches = true;
   cfg.wal_force_ns = kMixedForceNs;
-  cfg.group_commit = true;
   cfg.group_commit_window_us = kWindowUs;
   cfg.mvcc_reads = cell.mvcc;
   ParallelSystem sys(cfg);
@@ -739,7 +723,7 @@ EscrowResult RunEscrowCell(const ContentionConfig& cc, int threads,
   result.escrow = escrow_on;
   result.threads = threads;
 
-  // The contention-scalable engine mode either way; the ONLY toggle between
+  // The same engine configuration either way; the ONLY toggle between
   // the paired cells is the escrow knob, so the ratio isolates V locks.
   SystemConfig cfg;
   cfg.num_nodes = cc.nodes;
@@ -749,10 +733,7 @@ EscrowResult RunEscrowCell(const ContentionConfig& cc, int threads,
   cfg.lock_wait_timeout_ms = 500;
   cfg.maintain_max_attempts = 16;
   cfg.maintain_retry_base_us = 100;
-  cfg.lock_shards = 16;
-  cfg.rw_latches = true;
   cfg.wal_force_ns = kForceNs;
-  cfg.group_commit = true;
   cfg.group_commit_window_us = kWindowUs;
   cfg.escrow_aggregates = escrow_on;
   ParallelSystem sys(cfg);
@@ -930,23 +911,17 @@ void RunEscrow(const ContentionConfig& cc) {
 std::vector<Cell> BuildSweep(const ContentionConfig& cc) {
   std::vector<Cell> cells;
   if (cc.ci_only) {
-    // The throughput claim CI enforces: scalable wait-die must beat the
-    // baseline by >= 2x at 8 threads over a 64-key pool.
-    cells.push_back({"baseline", LockPolicy::kWaitDie, 8, 64});
-    cells.push_back({"scalable", LockPolicy::kWaitDie, 8, 64});
+    // The cell CI smokes: wait-die at 8 threads over a 64-key pool.
+    cells.push_back({LockPolicy::kWaitDie, 8, 64});
     return cells;
   }
   const std::vector<int64_t> key_pools = {1, 8, 64, 1024};
   const std::vector<int> thread_counts = {1, 2, 4, 8};
   for (int64_t keys : key_pools) {
     for (int threads : thread_counts) {
-      // The baseline ran wait-die before this PR too; the policy ablation
-      // (no-wait vs wait-die vs wound-wait) only makes sense on the
-      // scalable path.
-      cells.push_back({"baseline", LockPolicy::kWaitDie, threads, keys});
       for (LockPolicy policy : {LockPolicy::kNoWait, LockPolicy::kWaitDie,
                                 LockPolicy::kWoundWait}) {
-        cells.push_back({"scalable", policy, threads, keys});
+        cells.push_back({policy, threads, keys});
       }
     }
   }
@@ -986,7 +961,7 @@ void Run(const ContentionConfig& cc) {
   sweep.BeginArray();
   for (const Cell& cell : cells) {
     CellResult r = RunCell(cc, cell);
-    std::cout << r.cell.mode << "/" << LockPolicyToString(r.cell.policy)
+    std::cout << LockPolicyToString(r.cell.policy)
               << " threads=" << r.cell.threads << " keys=" << r.cell.key_pool
               << ": committed=" << r.committed
               << " aborts=" << r.client_aborts

@@ -80,10 +80,7 @@ OpenLoopResult RunCell(const SloBenchConfig& bc, const SloCell& cell) {
   cfg.lock_wait_timeout_ms = 500;
   cfg.maintain_max_attempts = 16;
   cfg.maintain_retry_base_us = 100;
-  cfg.lock_shards = 16;
-  cfg.rw_latches = true;
   cfg.wal_force_ns = kForceNs;
-  cfg.group_commit = true;
   cfg.group_commit_window_us = kWindowUs;
   cfg.mvcc_reads = cell.mvcc;
   ParallelSystem sys(cfg);

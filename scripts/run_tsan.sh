@@ -3,8 +3,9 @@
 # build tree and runs the concurrency-sensitive suites: the executor's own
 # tests, the maintenance property tests that drive every parallel phase, the
 # lock manager (wait-die, wound-wait, sharding) + maintenance-retry tests,
-# the reader/writer node-latch and WAL group-commit suites, the network
-# queue tests, the observability suites (lock-free tracer buffers,
+# the reader/writer node-latch and WAL group-commit suites (plus the
+# overlapped 2PC prepare forces), the network accounting tests (concurrent
+# Send/Broadcast counters), the observability suites (lock-free tracer buffers,
 # concurrent histogram recording, windowed-histogram rotation, tracing-on
 # maintenance runs), the MVCC snapshot-isolation suite (readers vs.
 # parked/racing writers, version GC), the open-loop driver suite
@@ -21,7 +22,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=build-tsan
-FILTER="${1:-NodeExecutor|ParallelEquivalence|NetworkTest|Maintenance|MethodEquivalence|Tracer|LatencyHistogram|CostTracker|TraceMaintenance|WaitDie|MaintenanceRetry|LockManager|EngineLocking|LockShard|WoundWait|NodeLatch|GroupCommit|LockEscalation|SnapshotIsolation|WindowedHistogram|OpenLoopDriver|HeavyLight|MergedStorage|Escrow}"
+FILTER="${1:-NodeExecutor|ParallelEquivalence|NetworkTest|Maintenance|MethodEquivalence|Tracer|LatencyHistogram|CostTracker|TraceMaintenance|WaitDie|MaintenanceRetry|LockManager|EngineLocking|LockShard|WoundWait|NodeLatch|GroupCommit|MultiNodePrepare|LockEscalation|SnapshotIsolation|WindowedHistogram|OpenLoopDriver|HeavyLight|MergedStorage|Escrow}"
 
 cmake -B "$BUILD_DIR" -S . -G Ninja -DPJVM_SANITIZE=thread
 cmake --build "$BUILD_DIR" -j "$(nproc)" \

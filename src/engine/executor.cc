@@ -40,15 +40,10 @@ void NodeExecutor::WorkerLoop(int node) {
     lock.unlock();
     fn();
     lock.lock();
-    if (--pending_ == 0) done_cv_.notify_all();
   }
 }
 
 void NodeExecutor::SubmitToNode(int node, std::function<void()> fn) {
-  if (inline_mode_) {
-    fn();
-    return;
-  }
   // The submitter's transaction meter (if any) travels with the task: the
   // worker activates it for the task's duration, so the transaction's
   // fan-out charges land in its own meter no matter which thread runs them.
@@ -59,34 +54,8 @@ void NodeExecutor::SubmitToNode(int node, std::function<void()> fn) {
       CostTracker::MeterScope scope(meter);
       fn();
     });
-    ++pending_;
   }
   work_cv_.notify_all();
-}
-
-void NodeExecutor::SubmitToAll(const std::function<void(int)>& fn) {
-  if (inline_mode_) {
-    for (int i = 0; i < num_nodes_; ++i) fn(i);
-    return;
-  }
-  CostTracker::TxnMeter* meter = CostTracker::ActiveMeter();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (int i = 0; i < num_nodes_; ++i) {
-      queues_[i].push_back([meter, fn, i] {
-        CostTracker::MeterScope scope(meter);
-        fn(i);
-      });
-      ++pending_;
-    }
-  }
-  work_cv_.notify_all();
-}
-
-void NodeExecutor::WaitAll() {
-  if (inline_mode_) return;
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return pending_ == 0; });
 }
 
 Status NodeExecutor::RunBatch(const std::vector<int>& nodes,

@@ -35,9 +35,7 @@ namespace pjvm {
 /// blocks on another's. Tasks themselves must never submit or wait (no
 /// nesting), and must never block on transaction locks (a parked task stalls
 /// the node's whole FIFO queue — the lock manager enforces this through
-/// WorkerContext). The raw SubmitTo*/WaitAll interface keeps the legacy
-/// single-coordinator semantics: WaitAll is a global barrier over *all*
-/// outstanding tasks and is only meaningful when one thread orchestrates.
+/// WorkerContext).
 class NodeExecutor {
  public:
   explicit NodeExecutor(int num_nodes, bool inline_mode = false);
@@ -48,16 +46,6 @@ class NodeExecutor {
 
   int num_nodes() const { return num_nodes_; }
   bool inline_mode() const { return inline_mode_; }
-
-  /// Enqueues `fn` for node `node`'s worker (runs immediately when inline).
-  void SubmitToNode(int node, std::function<void()> fn);
-
-  /// Enqueues `fn(node)` for every node's worker.
-  void SubmitToAll(const std::function<void(int)>& fn);
-
-  /// Global barrier: returns once every submitted task has finished —
-  /// including tasks submitted by other threads. Single-coordinator use.
-  void WaitAll();
 
   /// Runs `fn(node)` on every node's worker and waits for *this call's*
   /// tasks. Every node runs even if another fails; the first non-OK status
@@ -84,6 +72,8 @@ class NodeExecutor {
   };
 
   void WorkerLoop(int node);
+  /// Enqueues `fn` for node `node`'s worker.
+  void SubmitToNode(int node, std::function<void()> fn);
   Status RunBatch(const std::vector<int>& nodes,
                   const std::function<Status(int)>& fn);
 
@@ -92,9 +82,7 @@ class NodeExecutor {
 
   std::mutex mu_;
   std::condition_variable work_cv_;  // signaled on submit and on shutdown
-  std::condition_variable done_cv_;  // signaled when pending_ drains to zero
   std::vector<std::deque<std::function<void()>>> queues_;
-  size_t pending_ = 0;
   bool stopping_ = false;
 
   std::vector<std::thread> workers_;

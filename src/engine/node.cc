@@ -76,10 +76,6 @@ void NodeLatch::DropSharedDepth(const NodeLatch* latch) {
 
 void NodeLatch::AcquireShared() const {
   LatchSharedCounter()->Increment();
-  if (!rw_enabled_) {
-    AcquireExclusive();
-    return;
-  }
   if (writer_.load(std::memory_order_acquire) == std::this_thread::get_id()) {
     // Exclusive subsumes shared: deepen the existing exclusive hold.
     std::lock_guard<std::mutex> lock(mu_);
@@ -103,10 +99,6 @@ void NodeLatch::AcquireShared() const {
 }
 
 void NodeLatch::ReleaseShared() const {
-  if (!rw_enabled_) {
-    ReleaseExclusive();
-    return;
-  }
   if (writer_.load(std::memory_order_acquire) == std::this_thread::get_id()) {
     ReleaseExclusive();
     return;
@@ -129,7 +121,7 @@ void NodeLatch::AcquireExclusive() const {
     ++writer_depth_;
     return;
   }
-  if (rw_enabled_ && SharedDepthOf(this) > 0) {
+  if (SharedDepthOf(this) > 0) {
     // A shared→exclusive upgrade deadlocks against a symmetric upgrader;
     // no engine call path performs one, so treat it as a programming error.
     std::fprintf(stderr,

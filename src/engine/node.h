@@ -46,10 +46,6 @@ enum class LatchMode { kShared = 0, kExclusive };
 ///  - Writers get priority: new top-level readers queue behind a waiting
 ///    writer, bounding writer wait by the current readers' critical
 ///    sections.
-///
-/// With `set_rw_enabled(false)` shared acquisitions take exclusive access,
-/// reproducing the pre-reader/writer behavior exactly (the contention
-/// bench's baseline mode).
 class NodeLatch {
  public:
   NodeLatch() = default;
@@ -60,9 +56,6 @@ class NodeLatch {
   void ReleaseShared() const;
   void AcquireExclusive() const;
   void ReleaseExclusive() const;
-
-  void set_rw_enabled(bool on) { rw_enabled_ = on; }
-  bool rw_enabled() const { return rw_enabled_; }
 
  private:
   /// This thread's shared hold depth on this latch (created at 0).
@@ -79,7 +72,6 @@ class NodeLatch {
   /// read lock-free (acquire) for the re-entrancy fast path.
   mutable std::atomic<std::thread::id> writer_{};
   mutable int writer_depth_ = 0;
-  bool rw_enabled_ = true;
 };
 
 /// \brief One data server node: its table fragments, its write-ahead log,

@@ -73,16 +73,13 @@ ParallelSystem::ParallelSystem(SystemConfig config)
   cost_.SetIoStallNanos(config_.io_stall_ns);
   locks_.set_policy(config_.lock_policy);
   locks_.set_wait_timeout_ms(config_.lock_wait_timeout_ms);
-  locks_.set_num_shards(config_.lock_shards);
   locks_.set_escalation_threshold(config_.lock_escalation_threshold);
   nodes_.reserve(config_.num_nodes);
   LockManager* locks = config_.enable_locking ? &locks_ : nullptr;
   SnapshotManager* snaps = config_.mvcc_reads ? &snapshots_ : nullptr;
   for (int i = 0; i < config_.num_nodes; ++i) {
     nodes_.push_back(std::make_unique<Node>(i, &cost_, &txns_, locks, snaps));
-    nodes_.back()->latch().set_rw_enabled(config_.rw_latches);
     nodes_.back()->wal().ConfigureForce(config_.wal_force_ns,
-                                        config_.group_commit,
                                         config_.group_commit_window_us);
   }
   executor_ = std::make_unique<NodeExecutor>(
@@ -565,12 +562,12 @@ Status ParallelSystem::Commit(uint64_t txn_id) {
   // before the prepare appends below, so each participant's prepare force
   // covers them (they precede the prepare in the same log).
   const bool hook_pending =
-      txn_hook_ != nullptr && txn_hook_->HasPending(txn_id);
+      txn_hook_ != nullptr && txn_hook_->HasState(txn_id);
   if (hook_pending) PJVM_RETURN_NOT_OK(txn_hook_->OnPrepare(txn_id));
   // Phase 1: every participant durably prepares — the prepare force covers
   // the transaction's earlier data records on that node too (they precede
-  // the prepare in the same log). With group commit, concurrent committers
-  // share one force round per node. Phase-2 commit records need no force:
+  // the prepare in the same log). Concurrent committers share one
+  // group-commit force round per node. Phase-2 commit records need no force:
   // the commit decision lives in the coordinator (presumed abort), and
   // replay is gated by TxnManager::IsCommitted, not by commit records.
   const auto participant_set = txns_.participants(txn_id);
@@ -582,11 +579,11 @@ Status ParallelSystem::Commit(uint64_t txn_id) {
     prepare_lsns.push_back(nodes_[node_id]->wal().Append(
         LogRecord{0, txn_id, LogRecordType::kPrepare, "", {}}));
   }
-  if (config_.group_commit && participants.size() > 1) {
+  if (config_.wal_force_ns > 0 && participants.size() > 1) {
     // The prepares land on independent per-node logs, so their forces can
     // overlap — the textbook parallel phase 1. Only worthwhile when forces
-    // actually wait (group-commit rounds); in per-txn-force mode the extra
-    // threads would buy nothing the device model doesn't serialize anyway.
+    // actually wait: with free forcing every Force returns at once, and a
+    // thread per participant would be pure overhead.
     std::vector<Status> statuses(participants.size(), Status::OK());
     std::vector<std::thread> forcers;
     forcers.reserve(participants.size() - 1);
@@ -720,7 +717,7 @@ Status ParallelSystem::Recover() {
 void ParallelSystem::PublishVersions(uint64_t txn_id) {
   std::vector<TxnVersionOp> ops = txns_.TakeVersionOps(txn_id);
   const bool hook_pending =
-      txn_hook_ != nullptr && txn_hook_->HasPending(txn_id);
+      txn_hook_ != nullptr && txn_hook_->HasState(txn_id);
   if (ops.empty() && !hook_pending) return;
   SpanGuard span("mvcc_publish", "txn");
   span.set_detail("txn " + std::to_string(txn_id) + ": " +

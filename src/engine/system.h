@@ -62,20 +62,11 @@ struct SystemConfig {
   /// Base backoff before attempt k+1: base * 2^(k-1) microseconds, with
   /// uniform jitter in [0, base) to break retry convoys.
   int maintain_retry_base_us = 100;
-  /// Number of independent lock-table shards (per-shard mutex + condvars).
-  /// All locks of one (node, table) fragment share a shard, so acquires and
-  /// release-wakeups on disjoint fragments never contend. 1 = the legacy
-  /// single-mutex table (the contention bench's baseline mode).
-  int lock_shards = 16;
   /// Key-lock count per (transaction, fragment) at which the lock manager
   /// escalates the transaction's key locks on that fragment to one
   /// fragment-granularity lock — bulk maintenance trades key-level
   /// concurrency for a bounded lock table. 0 disables escalation.
   int lock_escalation_threshold = 256;
-  /// Reader/writer node latches: read-only phases (probes, estimation
-  /// scans, view lookups) take shared access and overlap per node; false
-  /// restores the exclusive-only latch for baseline comparisons.
-  bool rw_latches = true;
   /// Lock-free MVCC snapshot reads. When on, every fragment keeps an
   /// epoch-versioned copy-on-write snapshot (storage/mvcc.h): writers
   /// install versions under their existing X locks and publish them
@@ -91,12 +82,9 @@ struct SystemConfig {
   /// behavior of every non-contention experiment). Wall-clock sleep only —
   /// never charged to the CostTracker.
   uint64_t wal_force_ns = 0;
-  /// Batch concurrent WAL forces behind a per-node group-commit leader
-  /// (only meaningful when wal_force_ns > 0). false = every committing
-  /// transaction pays its own serialized force.
-  bool group_commit = true;
-  /// How long a group-commit leader holds the force open so concurrent
-  /// committers' appends can join its round.
+  /// How long a per-node group-commit leader holds the force open so
+  /// concurrent committers' appends join its round (only meaningful when
+  /// wal_force_ns > 0; see Wal).
   int group_commit_window_us = 100;
   /// Heavy/light skew-adaptive maintenance (view/heavy_light.h). When on,
   /// ViewManager classifies each delta row by the estimated join fanout of
@@ -181,7 +169,7 @@ class TxnHook {
  public:
   virtual ~TxnHook() = default;
   /// True if the hook has any state for `txn_id` (gates the commit calls).
-  virtual bool HasPending(uint64_t txn_id) const = 0;
+  virtual bool HasState(uint64_t txn_id) const = 0;
   virtual Status OnPrepare(uint64_t txn_id) = 0;
   virtual std::vector<TxnVersionOp> OnCommitFold(uint64_t txn_id) = 0;
   virtual Status OnCommitFinalize(uint64_t txn_id) = 0;

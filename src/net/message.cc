@@ -14,14 +14,12 @@ const char* MessageKindToString(MessageKind kind) {
       return "RID_PROBE";
     case MessageKind::kJoinResults:
       return "JOIN_RESULTS";
-    case MessageKind::kControl:
-      return "CONTROL";
   }
   return "UNKNOWN";
 }
 
 size_t Message::ByteSize() const {
-  size_t bytes = 16 + table.size() + control.size();
+  size_t bytes = 16 + table.size();
   for (const Row& row : rows) bytes += RowByteSize(row);
   bytes += rids.size() * sizeof(LocalRowId);
   return bytes;

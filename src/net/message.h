@@ -1,7 +1,6 @@
 #ifndef PJVM_NET_MESSAGE_H_
 #define PJVM_NET_MESSAGE_H_
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -24,8 +23,6 @@ enum class MessageKind {
   kRidProbe,
   /// Join result tuples headed for the view's home node(s).
   kJoinResults,
-  /// Transaction control (prepare / commit / abort).
-  kControl,
 };
 
 const char* MessageKindToString(MessageKind kind);
@@ -44,9 +41,6 @@ struct Message {
   std::vector<Row> rows;
   /// Row ids for kRidProbe (the matches known to live at `to`).
   std::vector<LocalRowId> rids;
-  /// Control verb for kControl ("prepare", "commit", "abort").
-  std::string control;
-  uint64_t txn_id = 0;
 
   /// Approximate wire size in bytes (header + payload).
   size_t ByteSize() const;

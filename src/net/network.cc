@@ -1,7 +1,6 @@
 #include "net/network.h"
 
-#include <algorithm>
-#include <chrono>
+#include <string>
 
 #include "obs/trace.h"
 
@@ -10,149 +9,63 @@ namespace pjvm {
 Network::Network(int num_nodes, CostTracker* tracker)
     : num_nodes_(num_nodes),
       tracker_(tracker),
-      queues_(num_nodes),
-      pair_counts_(static_cast<size_t>(num_nodes) * num_nodes, 0) {}
+      pair_counts_(static_cast<size_t>(num_nodes) * num_nodes) {}
 
-Status Network::Validate(const Message& msg) const {
-  if (msg.from < 0 || msg.from >= num_nodes_) {
+void Network::Account(int from, int to, size_t bytes, bool charge) {
+  pair_counts_[from * num_nodes_ + to].fetch_add(1, std::memory_order_relaxed);
+  total_messages_.fetch_add(1, std::memory_order_relaxed);
+  total_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  if (charge && tracker_ != nullptr) tracker_->ChargeSend(from, bytes);
+  if (Tracer::Global().enabled()) {
+    TraceInstant("send", "net", from, bytes,
+                 std::to_string(from) + "->" + std::to_string(to));
+  }
+}
+
+Status Network::Send(const Message& msg) {
+  if (!ValidNode(msg.from)) {
     return Status::InvalidArgument("network: bad source node " +
                                    std::to_string(msg.from));
   }
-  if (msg.to < 0 || msg.to >= num_nodes_) {
+  if (!ValidNode(msg.to)) {
     return Status::InvalidArgument("network: bad destination node " +
                                    std::to_string(msg.to));
   }
+  Account(msg.from, msg.to, msg.ByteSize(), /*charge=*/msg.from != msg.to);
   return Status::OK();
 }
 
-void Network::EnqueueLocked(Message msg, bool charge_self) {
-  size_t bytes = msg.ByteSize();
-  pair_counts_[msg.from * num_nodes_ + msg.to] += 1;
-  total_messages_ += 1;
-  total_bytes_ += bytes;
-  if ((charge_self || msg.from != msg.to) && tracker_ != nullptr) {
-    tracker_->ChargeSend(msg.from, bytes);
-  }
-  if (Tracer::Global().enabled()) {
-    TraceInstant("send", "net", msg.from, bytes,
-                 std::to_string(msg.from) + "->" + std::to_string(msg.to));
-  }
-  queues_[msg.to].push_back(std::move(msg));
-}
-
-Status Network::Send(Message msg) {
-  PJVM_RETURN_NOT_OK(Validate(msg));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    EnqueueLocked(std::move(msg), /*charge_self=*/false);
-  }
-  arrival_cv_.notify_all();
-  return Status::OK();
-}
-
-Status Network::Broadcast(int from, Message msg) {
-  if (from < 0 || from >= num_nodes_) {
+Status Network::Broadcast(int from, const Message& msg) {
+  if (!ValidNode(from)) {
     return Status::InvalidArgument("network: bad broadcast source");
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    msg.from = from;
-    for (int to = 0; to < num_nodes_; ++to) {
-      // The paper charges the naive method L*SEND for "sending tuple to each
-      // node", i.e. the self-copy is charged too. The last destination takes
-      // the payload by move.
-      Message copy = (to == num_nodes_ - 1) ? std::move(msg) : msg;
-      copy.to = to;
-      EnqueueLocked(std::move(copy), /*charge_self=*/true);
-    }
+  // The paper charges the naive method L*SEND for "sending tuple to each
+  // node", i.e. the self-copy is charged too.
+  const size_t bytes = msg.ByteSize();
+  for (int to = 0; to < num_nodes_; ++to) {
+    Account(from, to, bytes, /*charge=*/true);
   }
-  arrival_cv_.notify_all();
   return Status::OK();
-}
-
-Result<Message> Network::SendAndDeliver(Message msg) {
-  PJVM_RETURN_NOT_OK(Validate(msg));
-  std::lock_guard<std::mutex> lock(mu_);
-  // Same accounting as EnqueueLocked, minus the queue: the hop is consumed
-  // by the calling thread at the destination.
-  size_t bytes = msg.ByteSize();
-  pair_counts_[msg.from * num_nodes_ + msg.to] += 1;
-  total_messages_ += 1;
-  total_bytes_ += bytes;
-  if (msg.from != msg.to && tracker_ != nullptr) {
-    tracker_->ChargeSend(msg.from, bytes);
-  }
-  if (Tracer::Global().enabled()) {
-    TraceInstant("send", "net", msg.from, bytes,
-                 std::to_string(msg.from) + "->" + std::to_string(msg.to));
-  }
-  return msg;
-}
-
-std::optional<Message> Network::Poll(int node) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (queues_[node].empty()) return std::nullopt;
-  Message msg = std::move(queues_[node].front());
-  queues_[node].pop_front();
-  return msg;
-}
-
-std::optional<Message> Network::PollTxn(int node, uint64_t txn_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::deque<Message>& queue = queues_[node];
-  for (auto it = queue.begin(); it != queue.end(); ++it) {
-    if (it->txn_id != txn_id) continue;
-    Message msg = std::move(*it);
-    queue.erase(it);
-    return msg;
-  }
-  return std::nullopt;
-}
-
-std::optional<Message> Network::PollWait(int node, uint64_t timeout_ms) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!arrival_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                            [&] { return !queues_[node].empty(); })) {
-    return std::nullopt;
-  }
-  Message msg = std::move(queues_[node].front());
-  queues_[node].pop_front();
-  return msg;
-}
-
-bool Network::HasPending() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& q : queues_) {
-    if (!q.empty()) return true;
-  }
-  return false;
-}
-
-size_t Network::PendingCount(int node) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queues_[node].size();
 }
 
 uint64_t Network::PairCount(int from, int to) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return pair_counts_[from * num_nodes_ + to];
+  return pair_counts_[from * num_nodes_ + to].load(std::memory_order_relaxed);
 }
 
 uint64_t Network::TotalMessages() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_messages_;
+  return total_messages_.load(std::memory_order_relaxed);
 }
 
 uint64_t Network::TotalBytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_bytes_;
+  return total_bytes_.load(std::memory_order_relaxed);
 }
 
 void Network::ResetCounters() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::fill(pair_counts_.begin(), pair_counts_.end(), 0);
-  total_messages_ = 0;
-  total_bytes_ = 0;
+  for (std::atomic<uint64_t>& count : pair_counts_) {
+    count.store(0, std::memory_order_relaxed);
+  }
+  total_messages_.store(0, std::memory_order_relaxed);
+  total_bytes_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace pjvm

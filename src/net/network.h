@@ -1,11 +1,8 @@
 #ifndef PJVM_NET_NETWORK_H_
 #define PJVM_NET_NETWORK_H_
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <mutex>
-#include <optional>
 #include <vector>
 
 #include "common/metrics.h"
@@ -14,72 +11,37 @@
 
 namespace pjvm {
 
-/// \brief The simulated shared-nothing interconnect.
+/// \brief The simulated shared-nothing interconnect: a cost device.
 ///
-/// Every cross-node data movement in the engine goes through Send(); this is
-/// what makes the paper's SEND accounting and the per-method locality claims
-/// (single-node vs few-node vs all-node) measurable and testable.
+/// Every cross-node data movement in the engine is accounted through
+/// Send()/Broadcast(); this is what makes the paper's SEND accounting and the
+/// per-method locality claims (single-node vs few-node vs all-node)
+/// measurable and testable. Nothing is queued: the sending thread itself
+/// consumes every message at its destination, so the network only charges
+/// and counts it.
 ///
 /// Semantics follow the paper's model:
 ///  - a point-to-point send where source == destination is "conceptual": the
-///    message is delivered but no SEND is charged (the dashed lines in
+///    message is counted but no SEND is charged (the dashed lines in
 ///    Figures 2/4/6);
 ///  - Broadcast() charges one SEND per destination including the sender's
 ///    own node, matching the naive method's L*SEND term.
 ///
-/// The queues and counters are guarded by one mutex (with a condition
-/// variable signaled on every enqueue), so the thread-per-node executor's
-/// workers can Send/Poll concurrently. SEND cost charges go to the atomic
-/// CostTracker, so charging a message's source from another node's worker is
-/// race-free.
+/// The counters are relaxed atomics and SEND charges go to the atomic
+/// CostTracker, so any thread may send concurrently.
 class Network {
  public:
   Network(int num_nodes, CostTracker* tracker);
 
   int num_nodes() const { return num_nodes_; }
 
-  /// Enqueues `msg` for `msg.to`, charging SEND to `msg.from` unless the
-  /// message stays on-node.
-  Status Send(Message msg);
+  /// Accounts one hop of `msg` from `msg.from` to `msg.to`, charging SEND to
+  /// the source unless the message stays on-node.
+  Status Send(const Message& msg);
 
-  /// Sends a copy of `msg` to every node (setting to/from), charging
-  /// `num_nodes` SENDs to the sender as in the paper's naive-method model.
-  /// Takes the payload by value: the last destination receives it by move,
-  /// so an rvalue broadcast deep-copies L-1 times, not L.
-  Status Broadcast(int from, Message msg);
-
-  /// Dequeues the next pending message for `node`, if any — regardless of
-  /// which transaction it belongs to. **Single-coordinator / test use
-  /// only:** no drain loop reachable while concurrent maintenance
-  /// transactions are in flight may call this (it would steal their
-  /// messages); such loops use PollTxn, and synchronous hops use
-  /// SendAndDeliver. As of the escalation PR every src/ drain loop complies
-  /// (maintainer broadcast drains poll per-txn; AR/GI/view hops are
-  /// SendAndDeliver); tests/net_test.cc pins the interleaving semantics.
-  std::optional<Message> Poll(int node);
-
-  /// Dequeues the first pending message for `node` whose txn_id matches,
-  /// skipping (and leaving queued) other transactions' messages. Concurrent
-  /// broadcast/drain loops must use this instead of Poll(): with several
-  /// maintenance transactions in flight, a plain Poll can dequeue another
-  /// transaction's message from the shared per-node queue.
-  std::optional<Message> PollTxn(int node, uint64_t txn_id);
-
-  /// A synchronous hop: charges and counts the message exactly like
-  /// Send()+Poll(msg.to) but hands the payload straight back to the caller
-  /// instead of routing it through the destination queue. Use when the
-  /// sending thread itself consumes the message at the destination — under
-  /// concurrent transactions a Send/Poll pair can dequeue *another*
-  /// transaction's message from the shared queue.
-  Result<Message> SendAndDeliver(Message msg);
-
-  /// Blocking Poll: waits until a message for `node` is available. The
-  /// deadline guards against a peer that never sends (returns nullopt).
-  std::optional<Message> PollWait(int node, uint64_t timeout_ms = 1000);
-
-  /// True if any node has undelivered messages.
-  bool HasPending() const;
-  size_t PendingCount(int node) const;
+  /// Accounts `msg` sent from `from` to every node, charging `num_nodes`
+  /// SENDs to the sender as in the paper's naive-method model.
+  Status Broadcast(int from, const Message& msg);
 
   /// Messages sent from i to j since construction/reset (self-sends are
   /// counted here even though they cost nothing).
@@ -90,19 +52,16 @@ class Network {
   void ResetCounters();
 
  private:
-  Status Validate(const Message& msg) const;
-  /// Accounting + enqueue for one already-validated hop; `mu_` must be held.
-  void EnqueueLocked(Message msg, bool charge_self);
+  bool ValidNode(int node) const { return node >= 0 && node < num_nodes_; }
+  /// Counts (and, if `charge`, charges) one hop of `bytes` from -> to.
+  void Account(int from, int to, size_t bytes, bool charge);
 
   const int num_nodes_;
   CostTracker* tracker_;
 
-  mutable std::mutex mu_;
-  std::condition_variable arrival_cv_;
-  std::vector<std::deque<Message>> queues_;
-  std::vector<uint64_t> pair_counts_;
-  uint64_t total_messages_ = 0;
-  uint64_t total_bytes_ = 0;
+  std::vector<std::atomic<uint64_t>> pair_counts_;
+  std::atomic<uint64_t> total_messages_{0};
+  std::atomic<uint64_t> total_bytes_{0};
 };
 
 }  // namespace pjvm

@@ -63,8 +63,9 @@ struct TraceSpan {
 /// either way (spans only *read* CostTracker counters).
 ///
 /// Enable/Disable/Clear are coordinator-side operations: call them while no
-/// traced work is in flight (the executor's WaitAll barrier orders worker
-/// writes before the coordinator's next step).
+/// traced work is in flight (each RunOnNodes/RunOnAllNodes call waits for its
+/// own tasks, which orders their worker writes before the coordinator's next
+/// step).
 class Tracer {
  public:
   static Tracer& Global();

@@ -48,16 +48,9 @@ std::string LockId::ToString() const {
   return out;
 }
 
-LockManager::LockManager(int num_shards) { set_num_shards(num_shards); }
-
-void LockManager::set_num_shards(int n) {
-  n = std::max(1, n);
-  for (const auto& shard : shards_) {
-    if (shard && !shard->locks.empty()) return;  // live locks: keep layout
-  }
-  shards_.clear();
-  shards_.reserve(n);
-  for (int i = 0; i < n; ++i) shards_.push_back(std::make_unique<Shard>());
+LockManager::LockManager(int num_shards) {
+  shards_.resize(std::max(1, num_shards));
+  for (auto& shard : shards_) shard = std::make_unique<Shard>();
 }
 
 const LockManager::Shard& LockManager::ShardOf(const LockId& id) const {

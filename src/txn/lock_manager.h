@@ -214,11 +214,6 @@ class LockManager {
   void set_wait_timeout_ms(int ms) { wait_timeout_ms_ = ms; }
   int wait_timeout_ms() const { return wait_timeout_ms_; }
 
-  /// Re-shards the (empty) lock table. Only legal before any lock is held;
-  /// a call while entries exist is ignored (tests re-use managers).
-  void set_num_shards(int n);
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-
   /// Key-lock count per (txn, fragment) at which the granting Acquire
   /// escalates to the fragment lock. 0 (the default here; engines configure
   /// SystemConfig::lock_escalation_threshold) disables escalation.

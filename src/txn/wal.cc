@@ -56,33 +56,6 @@ Status Wal::Force(uint64_t lsn) {
   if (lsn >= next_lsn_) lsn = next_lsn_ - 1;
   if (force_ns_ == 0 || durable_lsn_ >= lsn) return Status::OK();
 
-  // The simulated device write. Sleeps wall-clock time only — forcing is a
-  // latency model, not an I/O primitive, so it must never move the
-  // CostTracker counters (the equivalence suites compare them bit-exactly).
-  auto device_force = [this, &lock](uint64_t target) {
-    lock.unlock();
-    std::this_thread::sleep_for(std::chrono::nanoseconds(force_ns_));
-    lock.lock();
-    durable_lsn_ = std::max(durable_lsn_, target);
-  };
-
-  if (!group_commit_) {
-    // Per-txn force: every committer pays its own device write, one at a
-    // time (the contention bench's baseline mode). A committer that arrives
-    // while another force is in flight does NOT ride that round even if it
-    // covers its LSN — sharing an in-progress device write with concurrent
-    // committers is exactly the optimization group commit adds, so the
-    // ablation baseline must not get it for free.
-    while (force_in_progress_) {
-      force_cv_.wait(lock);
-    }
-    force_in_progress_ = true;
-    device_force(lsn);
-    force_in_progress_ = false;
-    force_cv_.notify_all();
-    return Status::OK();
-  }
-
   ++round_requests_;
   uint64_t wait_start_ns = 0;
   for (;;) {
@@ -115,7 +88,13 @@ Status Wal::Force(uint64_t lsn) {
   uint64_t target = next_lsn_ - 1;  // everything appended up to now
   uint64_t batch = round_requests_;
   round_requests_ = 0;
-  device_force(target);
+  // The simulated device write. Sleeps wall-clock time only — forcing is a
+  // latency model, not an I/O primitive, so it must never move the
+  // CostTracker counters (the equivalence suites compare them bit-exactly).
+  lock.unlock();
+  std::this_thread::sleep_for(std::chrono::nanoseconds(force_ns_));
+  lock.lock();
+  durable_lsn_ = std::max(durable_lsn_, target);
   batch_size->Record(batch);
   force_in_progress_ = false;
   force_cv_.notify_all();

@@ -70,14 +70,12 @@ struct LogRecord {
 /// (`ConfigureForce`) splits durability in two: Append makes a record
 /// *logged*, Force makes every record up to an LSN *durable* (advances the
 /// `durable_lsn()` watermark after sleeping the simulated device time —
-/// wall clock only, never charged to the CostTracker). With group commit
-/// enabled, concurrent Force calls elect a leader per round: the leader
-/// holds the force for `group_commit_window_us` to accumulate more appends,
-/// then forces once up to the newest LSN; followers park on the force
-/// condition variable until the leader's round covers their LSN, so N
-/// concurrent commits pay ~1 force instead of N. With group commit disabled
-/// every Force runs its own device sleep, serialized — the contention
-/// bench's per-txn-force baseline. With `force_ns == 0` (the default)
+/// wall clock only, never charged to the CostTracker). Concurrent Force
+/// calls elect a group-commit leader per round: the leader holds the force
+/// for `group_commit_window_us` to accumulate more appends, then forces once
+/// up to the newest LSN; followers park on the force condition variable
+/// until the leader's round covers their LSN, so N concurrent commits pay
+/// ~1 force instead of N. With `force_ns == 0` (the default)
 /// appends are durable immediately and Force is free, which is the
 /// pre-group-commit behavior all non-contention tests rely on.
 ///
@@ -92,13 +90,12 @@ class Wal {
   uint64_t Append(LogRecord record);
 
   /// Simulated force cost per device write (`force_ns` of wall-clock sleep,
-  /// never charged to cost counters), group-commit leader election on/off,
-  /// and the leader's accumulation window. force_ns == 0 restores
-  /// durable-on-append semantics.
-  void ConfigureForce(uint64_t force_ns, bool group_commit, int window_us) {
+  /// never charged to cost counters) and the group-commit leader's
+  /// accumulation window. force_ns == 0 restores durable-on-append
+  /// semantics.
+  void ConfigureForce(uint64_t force_ns, int window_us) {
     std::lock_guard<std::mutex> lock(mu_);
     force_ns_ = force_ns;
-    group_commit_ = group_commit;
     window_us_ = window_us;
   }
 
@@ -162,7 +159,6 @@ class Wal {
   // Force/group-commit state, all under mu_.
   uint64_t durable_lsn_ = 0;
   uint64_t force_ns_ = 0;
-  bool group_commit_ = true;
   int window_us_ = 100;
   bool force_in_progress_ = false;
   /// Force calls that joined since the current round's leader was elected;

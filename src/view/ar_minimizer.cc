@@ -200,11 +200,7 @@ Result<size_t> ArRegistry::ApplyDelta(uint64_t txn, const DeltaBatch& delta) {
           msg.to = dest;
           msg.table = entry.ar_table;
           msg.rows.push_back(ar_row);
-          msg.txn_id = txn;
-          // Synchronous hop (see Network::SendAndDeliver): a Send/Poll pair
-          // would race with concurrent maintenance transactions.
-          PJVM_RETURN_NOT_OK(
-              sys_->network().SendAndDeliver(std::move(msg)).status());
+          PJVM_RETURN_NOT_OK(sys_->network().Send(msg));
         }
         if (is_delete) {
           PJVM_RETURN_NOT_OK(

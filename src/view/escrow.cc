@@ -252,7 +252,7 @@ Status EscrowRegistry::ApplyEagerSynthetic(uint64_t txn, int node_id,
   return Status::OK();
 }
 
-bool EscrowRegistry::HasPending(uint64_t txn_id) const {
+bool EscrowRegistry::HasState(uint64_t txn_id) const {
   std::lock_guard<std::mutex> lock(mu_);
   return txn_refs_.count(txn_id) > 0 || txn_eager_.count(txn_id) > 0 ||
          stats_.count(txn_id) > 0;

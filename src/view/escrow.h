@@ -98,7 +98,7 @@ class EscrowRegistry : public TxnHook {
                      const Row& contribution, bool is_delete);
 
   // TxnHook:
-  bool HasPending(uint64_t txn_id) const override;
+  bool HasState(uint64_t txn_id) const override;
   Status OnPrepare(uint64_t txn_id) override;
   std::vector<TxnVersionOp> OnCommitFold(uint64_t txn_id) override;
   Status OnCommitFinalize(uint64_t txn_id) override;

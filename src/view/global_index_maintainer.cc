@@ -109,7 +109,7 @@ Result<std::vector<Maintainer::Partial>> GlobalIndexMaintainer::GlobalIndexStep(
       msg.to = gi_home;
       msg.table = gi_table;
       msg.rows.push_back(p.working);
-      PJVM_RETURN_NOT_OK(Ship(std::move(msg)));
+      PJVM_RETURN_NOT_OK(sys_->network().Send(msg));
     }
     at_home[gi_home].push_back(i);
   }
@@ -180,7 +180,7 @@ Result<std::vector<Maintainer::Partial>> GlobalIndexMaintainer::GlobalIndexStep(
             msg.table = target_def.name;
             msg.rows.push_back(p.working);
             msg.rids = rids;
-            PJVM_RETURN_NOT_OK(Ship(std::move(msg)));
+            PJVM_RETURN_NOT_OK(sys_->network().Send(msg));
             // The memoized rid lists are shared by later duplicates of the
             // key, so fold mode copies them into the FetchWork.
             home_work[gi_home].push_back(FetchWork{

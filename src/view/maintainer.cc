@@ -157,12 +157,6 @@ Result<std::vector<Maintainer::Partial>> Maintainer::SeedPartials(
   return seeds;
 }
 
-Status Maintainer::Ship(Message msg) {
-  // Synchronous hop (see Network::SendAndDeliver): a Send/Poll pair would
-  // race with concurrent maintenance transactions sharing the queues.
-  return sys_->network().SendAndDeliver(std::move(msg)).status();
-}
-
 Result<bool> Maintainer::ResidualOk(const PlanStep& step,
                                     const Row& working) const {
   for (const BoundEdge& edge : step.residual) {
@@ -302,19 +296,13 @@ Result<std::vector<Maintainer::Partial>> Maintainer::BroadcastStep(
   PJVM_ASSIGN_OR_RETURN(int key_idx,
                         bound().WorkingIndex(step.source_base, step.source_col));
   // Every partial is shipped to every node: the paper's L*SEND per tuple.
-  // The drain below is tagged with this transaction's id: with several
-  // maintenance transactions broadcasting concurrently, a plain Poll could
-  // dequeue another transaction's probe from the shared per-node queue.
+  Message msg;
+  msg.kind = MessageKind::kProbe;
+  msg.table = bound().base_def(step.target_base).name;
+  msg.rows.resize(1);
   for (const Partial& p : in) {
-    Message msg;
-    msg.kind = MessageKind::kProbe;
-    msg.table = bound().base_def(step.target_base).name;
-    msg.rows.push_back(p.working);
-    msg.txn_id = txn;
+    msg.rows[0] = p.working;
     PJVM_RETURN_NOT_OK(sys_->network().Broadcast(p.node, msg));
-    for (int node = 0; node < sys_->num_nodes(); ++node) {
-      sys_->network().PollTxn(node, txn);
-    }
   }
   ProbeTarget target = BaseProbeTarget(step);
   const TableDef& tdef = bound().base_def(step.target_base);
@@ -365,7 +353,7 @@ Result<std::vector<Maintainer::Partial>> Maintainer::RoutedStep(
       msg.to = dest;
       msg.table = target.table;
       msg.rows.push_back(p.working);
-      PJVM_RETURN_NOT_OK(Ship(std::move(msg)));
+      PJVM_RETURN_NOT_OK(sys_->network().Send(msg));
     }
     by_dest[dest].push_back(&p);
   }
@@ -417,7 +405,7 @@ Result<std::vector<Maintainer::Partial>> Maintainer::MergedRoutedStep(
       msg.to = dest;
       msg.table = merged->lock_table();
       msg.rows.push_back(p.working);
-      PJVM_RETURN_NOT_OK(Ship(std::move(msg)));
+      PJVM_RETURN_NOT_OK(sys_->network().Send(msg));
     }
     by_dest[dest].push_back(&p);
   }

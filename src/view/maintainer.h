@@ -180,9 +180,6 @@ class Maintainer {
                                             const std::vector<GlobalRowId>& gids,
                                             int colocate_col) const;
 
-  /// Sends `msg` and immediately delivers it (synchronous simulated hop).
-  Status Ship(Message msg);
-
   /// True iff all of the step's residual edges hold on `working`.
   Result<bool> ResidualOk(const PlanStep& step, const Row& working) const;
 

@@ -92,14 +92,9 @@ Status MaterializedView::ApplyOutputs(uint64_t txn, int source_node,
     msg.from = source_node;
     msg.to = dest;
     msg.table = table_name();
-    msg.rows = dest_rows;
-    msg.txn_id = txn;
-    // Synchronous hop: this thread consumes the message at the destination.
-    // A Send/Poll pair here could steal a concurrent transaction's message
-    // from the shared queue.
-    PJVM_ASSIGN_OR_RETURN(Message delivered,
-                          sys_->network().SendAndDeliver(std::move(msg)));
-    for (Row& row : delivered.rows) {
+    msg.rows = std::move(dest_rows);
+    PJVM_RETURN_NOT_OK(sys_->network().Send(msg));
+    for (Row& row : msg.rows) {
       if (is_delete) {
         PJVM_RETURN_NOT_OK(sys_->node(dest)->DeleteExact(txn, table_name(), row));
         if (merged_hook_) {
@@ -143,13 +138,11 @@ Status MaterializedView::ApplyAggregateContributions(uint64_t txn,
     msg.from = source_node;
     msg.to = dest;
     msg.table = table_name();
-    msg.rows = dest_rows;
-    msg.txn_id = txn;
-    PJVM_ASSIGN_OR_RETURN(Message delivered,
-                          sys_->network().SendAndDeliver(std::move(msg)));
+    msg.rows = std::move(dest_rows);
+    PJVM_RETURN_NOT_OK(sys_->network().Send(msg));
     Node* node = sys_->node(dest);
     TableFragment* frag = node->fragment(table_name());
-    for (Row& contribution : delivered.rows) {
+    for (Row& contribution : msg.rows) {
       if (escrow_hook_) {
         PJVM_ASSIGN_OR_RETURN(bool handled,
                               escrow_hook_(txn, dest, contribution, is_delete));

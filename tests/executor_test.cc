@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <sstream>
 #include <string>
@@ -28,29 +29,40 @@ TEST(NodeExecutorTest, TasksForOneNodeRunInOrderOnOneWorkerThread) {
   std::thread::id worker{};
   bool single_thread = true;
   for (int i = 0; i < 200; ++i) {
-    exec.SubmitToNode(2, [&, i] {
-      if (order.empty()) {
-        worker = std::this_thread::get_id();
-      } else if (worker != std::this_thread::get_id()) {
-        single_thread = false;
-      }
-      order.push_back(i);
-    });
+    exec.RunOnNodes({2}, [&, i](int) -> Status {
+          if (order.empty()) {
+            worker = std::this_thread::get_id();
+          } else if (worker != std::this_thread::get_id()) {
+            single_thread = false;
+          }
+          order.push_back(i);
+          return Status::OK();
+        })
+        .Check();
   }
-  exec.WaitAll();
   ASSERT_EQ(order.size(), 200u);
   for (int i = 0; i < 200; ++i) EXPECT_EQ(order[i], i);
   EXPECT_TRUE(single_thread);
   EXPECT_NE(worker, std::this_thread::get_id());
 }
 
-TEST(NodeExecutorTest, SubmitToAllReachesEveryNodeConcurrently) {
+TEST(NodeExecutorTest, RunOnNodesRunsEachNodeOnItsOwnWorker) {
   constexpr int kNodes = 6;
   NodeExecutor exec(kNodes);
-  std::vector<int> hits(kNodes, 0);  // Slot i touched only by worker i.
-  exec.SubmitToAll([&](int node) { hits[node]++; });
-  exec.WaitAll();
-  for (int i = 0; i < kNodes; ++i) EXPECT_EQ(hits[i], 1) << "node " << i;
+  // Slot i touched only by worker i.
+  std::vector<int> hits(kNodes, 0);
+  std::vector<std::thread::id> ran_on(kNodes);
+  exec.RunOnNodes({0, 1, 2, 3, 4, 5}, [&](int node) -> Status {
+        hits[node]++;
+        ran_on[node] = std::this_thread::get_id();
+        return Status::OK();
+      })
+      .Check();
+  for (int i = 0; i < kNodes; ++i) {
+    EXPECT_EQ(hits[i], 1) << "node " << i;
+    EXPECT_NE(ran_on[i], std::this_thread::get_id()) << "node " << i;
+    for (int j = 0; j < i; ++j) EXPECT_NE(ran_on[i], ran_on[j]);
+  }
 }
 
 TEST(NodeExecutorTest, RunOnAllNodesReturnsFirstErrorInNodeOrder) {
@@ -77,35 +89,27 @@ TEST(NodeExecutorTest, InlineModeRunsOnCallerThread) {
 }
 
 TEST(NodeExecutorTest, ShutdownDrainsPendingWorkAndIsIdempotent) {
+  // A client thread's batch is still running when Shutdown arrives: Shutdown
+  // must let every task finish before it joins the workers.
   NodeExecutor exec(3);
   std::vector<int> done(3, 0);
-  for (int n = 0; n < 3; ++n) {
-    exec.SubmitToNode(n, [&, n] {
+  std::atomic<int> started{0};
+  Status client_status;
+  std::thread client([&] {
+    client_status = exec.RunOnNodes({0, 1, 2}, [&](int n) -> Status {
+      started.fetch_add(1);
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
       done[n] = 1;
+      return Status::OK();
     });
-  }
+  });
+  // Every task has been submitted once every task has started.
+  while (started.load() < 3) std::this_thread::yield();
   exec.Shutdown();
   exec.Shutdown();
   for (int n = 0; n < 3; ++n) EXPECT_EQ(done[n], 1) << "node " << n;
-}
-
-TEST(NetworkTest, PollWaitReceivesCrossThreadSend) {
-  CostTracker cost(2);
-  Network net(2, &cost);
-  std::thread sender([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    Message m;
-    m.kind = MessageKind::kProbe;
-    m.from = 0;
-    m.to = 1;
-    net.Send(std::move(m)).Check();
-  });
-  std::optional<Message> got = net.PollWait(1, /*timeout_ms=*/5000);
-  sender.join();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->from, 0);
-  EXPECT_EQ(got->to, 1);
+  client.join();
+  EXPECT_TRUE(client_status.ok()) << client_status.ToString();
 }
 
 // ---------------------------------------------------------------------------

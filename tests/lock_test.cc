@@ -427,18 +427,6 @@ TEST(LockShardTest, TableCoverageStaysWithinOneShard) {
   }
 }
 
-TEST(LockShardTest, ReshardIgnoredWhileLocksHeld) {
-  LockManager lm(4);
-  EXPECT_EQ(lm.num_shards(), 4);
-  ASSERT_TRUE(
-      lm.Acquire(1, LockId::Key(0, "T", Value{1}), LockMode::kShared).ok());
-  lm.set_num_shards(8);  // must not strand the held lock
-  EXPECT_EQ(lm.num_shards(), 4);
-  lm.ReleaseAll(1);
-  lm.set_num_shards(8);
-  EXPECT_EQ(lm.num_shards(), 8);
-}
-
 TEST(LockShardTest, MultiThreadStressAcrossShards) {
   // The wait-die stress spread over many fragments, so acquires and
   // release-wakeups genuinely run on different shards concurrently.
@@ -1063,26 +1051,6 @@ TEST(NodeLatchTest, NestedSharedSkipsWaitingWriterGate) {
   latch.ReleaseShared();
   writer.join();
   EXPECT_TRUE(writer_in.load());
-}
-
-TEST(NodeLatchTest, RwDisabledMakesSharedExclusive) {
-  // Baseline mode: shared degrades to the old exclusive recursive latch.
-  NodeLatch latch;
-  latch.set_rw_enabled(false);
-  latch.AcquireShared();
-  latch.AcquireShared();  // recursive, must not self-deadlock
-  std::atomic<bool> other_in{false};
-  std::thread other([&] {
-    latch.AcquireShared();
-    other_in.store(true);
-    latch.ReleaseShared();
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(other_in.load());  // "shared" excludes in baseline mode
-  latch.ReleaseShared();
-  latch.ReleaseShared();
-  other.join();
-  EXPECT_TRUE(other_in.load());
 }
 
 TEST(EngineLockingTest, CrashClearsLockTable) {

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/metrics.h"
 #include "net/message.h"
@@ -24,30 +24,19 @@ TEST(MessageTest, KindNames) {
   EXPECT_STREQ(MessageKindToString(MessageKind::kRidProbe), "RID_PROBE");
 }
 
-TEST(NetworkTest, SendDeliversToDestinationQueue) {
-  CostTracker cost(4);
-  Network net(4, &cost);
-  Message msg;
-  msg.from = 0;
-  msg.to = 2;
-  msg.table = "t";
-  ASSERT_TRUE(net.Send(msg).ok());
-  EXPECT_FALSE(net.Poll(1).has_value());
-  auto got = net.Poll(2);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->table, "t");
-  EXPECT_FALSE(net.Poll(2).has_value());
-}
-
 TEST(NetworkTest, CrossNodeSendChargesSender) {
   CostTracker cost(4);
   Network net(4, &cost);
   Message msg;
   msg.from = 1;
   msg.to = 3;
+  msg.table = "t";
   ASSERT_TRUE(net.Send(msg).ok());
   EXPECT_EQ(cost.node(1).sends, 1u);
+  EXPECT_EQ(cost.node(1).bytes_sent, msg.ByteSize());
   EXPECT_EQ(cost.node(3).sends, 0u);
+  EXPECT_EQ(net.PairCount(1, 3), 1u);
+  EXPECT_EQ(net.TotalBytes(), msg.ByteSize());
 }
 
 TEST(NetworkTest, SelfSendIsConceptualAndFree) {
@@ -59,8 +48,10 @@ TEST(NetworkTest, SelfSendIsConceptualAndFree) {
   msg.to = 2;
   ASSERT_TRUE(net.Send(msg).ok());
   EXPECT_EQ(cost.node(2).sends, 0u);
-  EXPECT_TRUE(net.Poll(2).has_value());  // But it is still delivered.
-  EXPECT_EQ(net.PairCount(2, 2), 1u);    // And counted as a message.
+  EXPECT_EQ(cost.node(2).bytes_sent, 0u);
+  EXPECT_EQ(net.PairCount(2, 2), 1u);  // But counted as a message.
+  EXPECT_EQ(net.TotalMessages(), 1u);
+  EXPECT_EQ(net.TotalBytes(), msg.ByteSize());
 }
 
 TEST(NetworkTest, BroadcastChargesLSends) {
@@ -68,11 +59,20 @@ TEST(NetworkTest, BroadcastChargesLSends) {
   CostTracker cost(8);
   Network net(8, &cost);
   Message msg;
+  msg.kind = MessageKind::kProbe;
+  msg.table = "b";
+  msg.rows.push_back({Value{7}});
   ASSERT_TRUE(net.Broadcast(3, msg).ok());
   EXPECT_EQ(cost.node(3).sends, 8u);
+  EXPECT_EQ(cost.node(3).bytes_sent, 8 * msg.ByteSize());
   for (int i = 0; i < 8; ++i) {
-    EXPECT_TRUE(net.Poll(i).has_value()) << "node " << i;
+    EXPECT_EQ(net.PairCount(3, i), 1u) << "node " << i;
+    if (i != 3) {
+      EXPECT_EQ(cost.node(i).sends, 0u) << "node " << i;
+    }
   }
+  EXPECT_EQ(net.TotalMessages(), 8u);
+  EXPECT_EQ(net.TotalBytes(), 8 * msg.ByteSize());
 }
 
 TEST(NetworkTest, RejectsBadNodes) {
@@ -86,6 +86,10 @@ TEST(NetworkTest, RejectsBadNodes) {
   msg.to = 5;
   EXPECT_FALSE(net.Send(msg).ok());
   EXPECT_FALSE(net.Broadcast(9, Message{}).ok());
+  EXPECT_FALSE(net.Broadcast(-1, Message{}).ok());
+  // A rejected hop is neither charged nor counted.
+  EXPECT_EQ(net.TotalMessages(), 0u);
+  EXPECT_EQ(cost.TotalSends(), 0u);
 }
 
 TEST(NetworkTest, PairCountsAndTotals) {
@@ -102,156 +106,57 @@ TEST(NetworkTest, PairCountsAndTotals) {
   EXPECT_EQ(net.PairCount(0, 2), 1u);
   EXPECT_EQ(net.PairCount(1, 0), 0u);
   EXPECT_EQ(net.TotalMessages(), 3u);
-  EXPECT_GT(net.TotalBytes(), 0u);
+  EXPECT_EQ(net.TotalBytes(), 3 * msg.ByteSize());
   net.ResetCounters();
   EXPECT_EQ(net.TotalMessages(), 0u);
+  EXPECT_EQ(net.TotalBytes(), 0u);
   EXPECT_EQ(net.PairCount(0, 1), 0u);
 }
 
-TEST(NetworkTest, HasPendingTracksQueues) {
-  CostTracker cost(2);
-  Network net(2, &cost);
-  EXPECT_FALSE(net.HasPending());
-  Message msg;
-  msg.from = 0;
-  msg.to = 1;
-  ASSERT_TRUE(net.Send(msg).ok());
-  EXPECT_TRUE(net.HasPending());
-  net.Poll(1);
-  EXPECT_FALSE(net.HasPending());
-}
-
-TEST(NetworkTest, PollTxnSkipsOtherTransactionsMessages) {
-  // Regression for the broadcast/drain stale-queue hazard: with several
-  // maintenance transactions in flight, a plain Poll() can dequeue another
-  // transaction's message. PollTxn must pluck only its own, leaving the
-  // rest queued in order.
-  CostTracker cost(2);
-  Network net(2, &cost);
-  for (uint64_t txn : {7u, 9u, 7u, 9u}) {
-    Message msg;
-    msg.from = 0;
-    msg.to = 1;
-    msg.txn_id = txn;
-    ASSERT_TRUE(net.Send(msg).ok());
-  }
-  auto got = net.PollTxn(1, 9);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->txn_id, 9u);
-  // Txn 7's messages were not disturbed and stay FIFO.
-  got = net.PollTxn(1, 7);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->txn_id, 7u);
-  EXPECT_EQ(net.PendingCount(1), 2u);
-  EXPECT_FALSE(net.PollTxn(1, 5).has_value());  // absent txn: nothing taken
-  EXPECT_EQ(net.PendingCount(1), 2u);
-}
-
-TEST(NetworkTest, InterleavedBroadcastDrainsSeeOnlyOwnTxn) {
-  // Two broadcast rounds interleave in the shared per-node queues; each
-  // drain loop must retrieve exactly its own copies and leave the queues
-  // empty overall.
-  CostTracker cost(3);
-  Network net(3, &cost);
-  Message a;
-  a.txn_id = 1;
-  ASSERT_TRUE(net.Broadcast(0, a).ok());
-  Message b;
-  b.txn_id = 2;
-  ASSERT_TRUE(net.Broadcast(1, b).ok());
-  for (int node = 0; node < 3; ++node) {
-    auto got = net.PollTxn(node, 2);  // drain txn 2 first despite FIFO order
-    ASSERT_TRUE(got.has_value()) << "node " << node;
-    EXPECT_EQ(got->txn_id, 2u);
-    EXPECT_EQ(got->from, 1);
-  }
-  for (int node = 0; node < 3; ++node) {
-    auto got = net.PollTxn(node, 1);
-    ASSERT_TRUE(got.has_value()) << "node " << node;
-    EXPECT_EQ(got->txn_id, 1u);
-    EXPECT_EQ(got->from, 0);
-  }
-  EXPECT_FALSE(net.HasPending());
-}
-
-TEST(NetworkTest, ConcurrentPerTxnDrainsNeverCrossTransactions) {
-  // The live version of the interleaving hazard: two transactions run
-  // broadcast+drain rounds from different threads against the same per-node
-  // queues. A drain loop built on plain Poll() dequeues whichever message is
-  // at the head — including the other transaction's; PollTxn must hand each
-  // thread exactly its own copies, in its own FIFO order, every round.
+TEST(NetworkTest, ConcurrentSendsAccountExactly) {
+  // Every maintenance thread accounts its own hops: the counters and the
+  // SEND charges must sum exactly however the threads interleave.
   constexpr int kNodes = 4;
-  constexpr int kRounds = 200;
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 500;
   CostTracker cost(kNodes);
   Network net(kNodes, &cost);
-  auto driver = [&](uint64_t txn, int from) {
-    for (int r = 0; r < kRounds; ++r) {
-      Message msg;
-      msg.txn_id = txn;
-      msg.table = std::to_string(txn) + ":" + std::to_string(r);
-      EXPECT_TRUE(net.Broadcast(from, msg).ok());
-      for (int node = 0; node < kNodes; ++node) {
-        std::optional<Message> got = net.PollTxn(node, txn);
-        ASSERT_TRUE(got.has_value()) << "txn " << txn << " round " << r
-                                     << " node " << node;
-        EXPECT_EQ(got->txn_id, txn);
-        EXPECT_EQ(got->table, msg.table);
-        EXPECT_EQ(got->from, from);
+  Message payload;
+  payload.table = "t";
+  payload.rows.push_back({Value{1}, Value{"xyz"}});
+  const uint64_t bytes = payload.ByteSize();
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const int from = t % kNodes;
+      for (int r = 0; r < kRounds; ++r) {
+        if (r % 2 == 0) {
+          Message msg = payload;
+          msg.from = from;
+          msg.to = (from + 1) % kNodes;
+          EXPECT_TRUE(net.Send(msg).ok());
+        } else {
+          EXPECT_TRUE(net.Broadcast(from, payload).ok());
+        }
       }
-    }
-  };
-  std::thread t1([&] { driver(1, 0); });
-  std::thread t2([&] { driver(2, 1); });
-  t1.join();
-  t2.join();
-  EXPECT_FALSE(net.HasPending());
-}
-
-TEST(NetworkTest, SendAndDeliverBypassesStaleQueuedMessages) {
-  // A stale message is already queued at the destination; a synchronous hop
-  // must hand back its own payload, not the queued one, and must not
-  // disturb the queue.
-  CostTracker cost(2);
-  Network net(2, &cost);
-  Message stale;
-  stale.from = 0;
-  stale.to = 1;
-  stale.txn_id = 42;
-  stale.table = "stale";
-  ASSERT_TRUE(net.Send(stale).ok());
-  Message mine;
-  mine.from = 0;
-  mine.to = 1;
-  mine.txn_id = 99;
-  mine.table = "mine";
-  auto got = net.SendAndDeliver(mine);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got->txn_id, 99u);
-  EXPECT_EQ(got->table, "mine");
-  // The hop was charged and counted like a real send...
-  EXPECT_EQ(cost.node(0).sends, 2u);
-  EXPECT_EQ(net.PairCount(0, 1), 2u);
-  // ...but the stale message is still the only thing queued.
-  EXPECT_EQ(net.PendingCount(1), 1u);
-  auto queued = net.Poll(1);
-  ASSERT_TRUE(queued.has_value());
-  EXPECT_EQ(queued->table, "stale");
-}
-
-TEST(NetworkTest, FifoPerDestination) {
-  CostTracker cost(2);
-  Network net(2, &cost);
-  for (int i = 0; i < 3; ++i) {
-    Message msg;
-    msg.from = 0;
-    msg.to = 1;
-    msg.txn_id = static_cast<uint64_t>(i);
-    ASSERT_TRUE(net.Send(msg).ok());
+    });
   }
-  for (uint64_t i = 0; i < 3; ++i) {
-    auto got = net.Poll(1);
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->txn_id, i);
+  for (std::thread& th : threads) th.join();
+  // Per thread: kRounds/2 point sends (1 message each) and kRounds/2
+  // broadcasts (kNodes messages each).
+  const uint64_t per_thread = kRounds / 2 + (kRounds / 2) * kNodes;
+  EXPECT_EQ(net.TotalMessages(), kThreads * per_thread);
+  EXPECT_EQ(net.TotalBytes(), kThreads * per_thread * bytes);
+  EXPECT_EQ(cost.TotalSends(), kThreads * per_thread);
+  const uint64_t threads_per_node = kThreads / kNodes;
+  for (int from = 0; from < kNodes; ++from) {
+    for (int to = 0; to < kNodes; ++to) {
+      uint64_t expected = threads_per_node * (kRounds / 2);  // broadcasts
+      if (to == (from + 1) % kNodes) expected += threads_per_node * (kRounds / 2);
+      EXPECT_EQ(net.PairCount(from, to), expected) << from << "->" << to;
+    }
+    EXPECT_EQ(cost.node(from).sends, threads_per_node * per_thread);
   }
 }
 

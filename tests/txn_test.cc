@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -96,8 +98,7 @@ TEST(GroupCommitTest, LeaderBatchesConcurrentForces) {
   // Serialized per-txn forces would cost ~160ms; group commit amortizes the
   // device writes across one or two leader rounds.
   Wal wal;
-  wal.ConfigureForce(/*force_ns=*/20'000'000, /*group_commit=*/true,
-                     /*window_us=*/5000);
+  wal.ConfigureForce(/*force_ns=*/20'000'000, /*window_us=*/5000);
   LatencyHistogram* batches = MetricsRegistry::Global().histogram(
       "pjvm_group_commit_batch_size");
   const HistogramData before = batches->Snapshot();
@@ -140,8 +141,7 @@ TEST(GroupCommitTest, WindowFlushCoversAppendsThatJoinTheRound) {
   // 1-core host, where the leader may finish its round before this thread
   // is ever scheduled again.
   Wal wal;
-  wal.ConfigureForce(/*force_ns=*/1'000'000, /*group_commit=*/true,
-                     /*window_us=*/0);
+  wal.ConfigureForce(/*force_ns=*/1'000'000, /*window_us=*/0);
   LatencyHistogram* batches = MetricsRegistry::Global().histogram(
       "pjvm_group_commit_batch_size");
   const HistogramData before = batches->Snapshot();
@@ -160,31 +160,9 @@ TEST(GroupCommitTest, WindowFlushCoversAppendsThatJoinTheRound) {
   EXPECT_EQ(after.count - before.count, 1u);  // one round forced everything
 }
 
-TEST(GroupCommitTest, PerTxnForceModeSerializesButCompletes) {
-  // group_commit=false is the contention bench's baseline: every force pays
-  // the device, one at a time, and still reaches full durability.
-  Wal wal;
-  wal.ConfigureForce(/*force_ns=*/1'000'000, /*group_commit=*/false,
-                     /*window_us=*/0);
-  constexpr int kThreads = 4;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      uint64_t lsn = wal.Append(
-          {0, static_cast<uint64_t>(t + 1), LogRecordType::kPrepare, "", {}});
-      EXPECT_TRUE(wal.Force(lsn).ok());
-      EXPECT_GE(wal.durable_lsn(), lsn);
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(wal.durable_lsn(), wal.next_lsn() - 1);
-}
-
 TEST(GroupCommitTest, LsnsMonotonicAcrossClearAndDiscard) {
   Wal wal;
-  wal.ConfigureForce(/*force_ns=*/100'000, /*group_commit=*/true,
-                     /*window_us=*/0);
+  wal.ConfigureForce(/*force_ns=*/100'000, /*window_us=*/0);
   uint64_t a = wal.Append({0, 1, LogRecordType::kInsert, "T", {Value{1}}});
   ASSERT_TRUE(wal.Force(a).ok());
   wal.Clear();  // checkpoint truncation: durable by definition
@@ -209,7 +187,6 @@ TEST(GroupCommitTest, CrashReplayOfPartiallyForcedBatch) {
   // exactly up to the durable watermark.
   SystemConfig cfg = SmallConfig(2);
   cfg.wal_force_ns = 100'000;  // 0.1ms: forcing is real but fast
-  cfg.group_commit = true;
   cfg.group_commit_window_us = 0;
   ParallelSystem sys(cfg);
   ASSERT_TRUE(sys.CreateTable(HashTableDef("T", "a")).ok());
@@ -238,8 +215,7 @@ TEST(GroupCommitTest, CheckpointForcesUnforcedTailBeforeTruncation) {
   // the next DiscardUnforced "crash" silently kept rows that should be lost.
   // Clear() must pay one real device write for an unforced tail.
   Wal wal;
-  wal.ConfigureForce(/*force_ns=*/1'000'000, /*group_commit=*/true,
-                     /*window_us=*/0);
+  wal.ConfigureForce(/*force_ns=*/1'000'000, /*window_us=*/0);
   Counter* forces =
       MetricsRegistry::Global().counter("pjvm_wal_checkpoint_forces");
   const uint64_t before = forces->value();
@@ -270,8 +246,7 @@ TEST(GroupCommitTest, CheckpointRidesOutInFlightForceRound) {
   // its target after the accumulation window, so the round also covers an
   // append made mid-window — the checkpoint then truncates for free.
   Wal wal;
-  wal.ConfigureForce(/*force_ns=*/1'000'000, /*group_commit=*/true,
-                     /*window_us=*/0);
+  wal.ConfigureForce(/*force_ns=*/1'000'000, /*window_us=*/0);
   Counter* forces =
       MetricsRegistry::Global().counter("pjvm_wal_checkpoint_forces");
   const uint64_t before = forces->value();
@@ -417,6 +392,39 @@ TEST(SystemTxnTest, CommitMakesChangesDurable) {
   sys.Crash();
   ASSERT_TRUE(sys.Recover().ok());
   EXPECT_EQ(sys.RowCount("A"), 8u);
+}
+
+TEST(SystemTxnTest, MultiNodePrepareForcesOverlap) {
+  // When forces wait on the device, phase 1 forces every participant's
+  // prepare on its own thread, the caller taking one of them. Each node's
+  // window hook runs on the thread leading that node's force round, so the
+  // set of hook threads is the set of forcing threads — no timing involved.
+  SystemConfig cfg = SmallConfig(4);
+  cfg.wal_force_ns = 100'000;  // 0.1ms: forcing is real but fast
+  cfg.group_commit_window_us = 0;
+  ParallelSystem sys(cfg);
+  ASSERT_TRUE(sys.CreateTable(HashTableDef("A", "a")).ok());
+  uint64_t t = sys.Begin();
+  std::set<int> homes;
+  for (int64_t k = 0; homes.size() < 4; ++k) {
+    ASSERT_LT(k, 1000);
+    ASSERT_TRUE(sys.Insert("A", {Value{k}, Value{k}}, t).ok());
+    homes.insert(sys.HomeNodeForKey(Value{k}));
+  }
+  std::mutex mu;
+  std::vector<std::thread::id> forcers;
+  for (int i = 0; i < 4; ++i) {
+    sys.node(i)->wal().set_window_hook([&] {
+      std::lock_guard<std::mutex> lock(mu);
+      forcers.push_back(std::this_thread::get_id());
+    });
+  }
+  ASSERT_TRUE(sys.Commit(t).ok());
+  for (int i = 0; i < 4; ++i) sys.node(i)->wal().set_window_hook(nullptr);
+  ASSERT_EQ(forcers.size(), 4u);
+  std::set<std::thread::id> distinct(forcers.begin(), forcers.end());
+  EXPECT_EQ(distinct.size(), 4u);
+  EXPECT_EQ(distinct.count(std::this_thread::get_id()), 1u);
 }
 
 TEST(SystemTxnTest, AbortRollsBackInserts) {
