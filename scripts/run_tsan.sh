@@ -13,22 +13,24 @@
 # and the heavy/light suites (deferred-delta folds racing a wait-die
 # blocker on another thread), and the merged co-clustered storage suite
 # (concurrent maintenance transactions editing shared per-node trees under
-# fragment-range locks, with abort rollback), and the escrow value-lock
+# fragment-range locks, with abort rollback), the escrow value-lock
 # suite (V-lock group increments, V->X upgrade deadlocks, and journal
-# rollback racing across writer threads).
+# rollback racing across writer threads), and the deferred-refresh suite
+# (a refresh retrying past an older lock holder released from another
+# thread).
 #
 # Usage: scripts/run_tsan.sh [extra ctest -R regex]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=build-tsan
-FILTER="${1:-NodeExecutor|ParallelEquivalence|NetworkTest|Maintenance|MethodEquivalence|Tracer|LatencyHistogram|CostTracker|TraceMaintenance|WaitDie|MaintenanceRetry|LockManager|EngineLocking|LockShard|WoundWait|NodeLatch|GroupCommit|MultiNodePrepare|LockEscalation|SnapshotIsolation|WindowedHistogram|OpenLoopDriver|HeavyLight|MergedStorage|Escrow}"
+FILTER="${1:-NodeExecutor|ParallelEquivalence|NetworkTest|Maintenance|MethodEquivalence|Tracer|LatencyHistogram|CostTracker|TraceMaintenance|WaitDie|MaintenanceRetry|LockManager|EngineLocking|LockShard|WoundWait|NodeLatch|GroupCommit|MultiNodePrepare|LockEscalation|SnapshotIsolation|WindowedHistogram|OpenLoopDriver|HeavyLight|MergedStorage|Escrow|DeferredView}"
 
 cmake -B "$BUILD_DIR" -S . -G Ninja -DPJVM_SANITIZE=thread
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target executor_test maintenance_test obs_test trace_maintenance_test \
   lock_test txn_test net_test snapshot_isolation_test openloop_test \
-  heavy_light_test merged_storage_test escrow_view_test
+  heavy_light_test merged_storage_test escrow_view_test deferred_test
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   ctest --test-dir "$BUILD_DIR" -R "$FILTER" --output-on-failure
 echo "TSan run clean."

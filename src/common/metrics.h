@@ -1,6 +1,7 @@
 #ifndef PJVM_COMMON_METRICS_H_
 #define PJVM_COMMON_METRICS_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -152,8 +153,23 @@ class CostTracker {
   /// submitting thread's active meter to the worker for the duration of each
   /// task, so a transaction's fan-out work is captured on whichever thread
   /// performs it. Global counters are unaffected.
+  ///
+  /// The meter is the transaction's single ledger: beside the per-node I/O
+  /// slots it keeps event tallies that the interconnect (Network), the lock
+  /// manager and the escrow journal add to the meter active on their thread
+  /// (ActiveMeter()), each alongside its own global counter.
   class TxnMeter {
    public:
+    enum Tally {
+      kMessages = 0,         ///< Interconnect hops, self-sends included.
+      kBytesSent,            ///< Bytes of those hops.
+      kEscalations,          ///< Key-lock → fragment-lock escalations.
+      kLockEntriesReclaimed, ///< Key-lock entries the escalations replaced.
+      kEscrowOps,            ///< Group increments applied under V locks.
+      kVlockUpgrades,        ///< V→X upgrades at group birth/death.
+      kNumTallies,
+    };
+
     explicit TxnMeter(int num_nodes) : nodes_(num_nodes) {}
     std::vector<NodeCounters> Snapshot() const {
       std::vector<NodeCounters> out;
@@ -161,10 +177,17 @@ class CostTracker {
       for (const AtomicCounters& c : nodes_) out.push_back(c.Load());
       return out;
     }
+    void Add(Tally tally, uint64_t n = 1) {
+      tallies_[tally].fetch_add(n, std::memory_order_relaxed);
+    }
+    uint64_t Get(Tally tally) const {
+      return tallies_[tally].load(std::memory_order_relaxed);
+    }
 
    private:
     friend class CostTracker;
     std::vector<AtomicCounters> nodes_;
+    std::array<std::atomic<uint64_t>, kNumTallies> tallies_{};
   };
 
   /// RAII thread-local activation of a TxnMeter (restores the previous one,

@@ -151,7 +151,7 @@ struct SystemConfig {
 ///
 /// The system invokes the hook from every commit and abort path, so an
 /// implementation is covered no matter which caller drives the transaction
-/// (the ViewManager retry loop, deferred folds, recompute-and-diff):
+/// (the ViewManager's maintenance-transaction runner or a direct caller):
 ///
 ///  - OnPrepare: inside Commit, right after the transaction enters
 ///    kPreparing and before the participants' prepare records are forced —

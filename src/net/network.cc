@@ -15,6 +15,10 @@ void Network::Account(int from, int to, size_t bytes, bool charge) {
   pair_counts_[from * num_nodes_ + to].fetch_add(1, std::memory_order_relaxed);
   total_messages_.fetch_add(1, std::memory_order_relaxed);
   total_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  if (CostTracker::TxnMeter* meter = CostTracker::ActiveMeter()) {
+    meter->Add(CostTracker::TxnMeter::kMessages);
+    meter->Add(CostTracker::TxnMeter::kBytesSent, bytes);
+  }
   if (charge && tracker_ != nullptr) tracker_->ChargeSend(from, bytes);
   if (Tracer::Global().enabled()) {
     TraceInstant("send", "net", from, bytes,

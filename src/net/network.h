@@ -53,7 +53,8 @@ class Network {
 
  private:
   bool ValidNode(int node) const { return node >= 0 && node < num_nodes_; }
-  /// Counts (and, if `charge`, charges) one hop of `bytes` from -> to.
+  /// Counts (and, if `charge`, charges) one hop of `bytes` from -> to, in
+  /// the global counters and in the calling thread's active TxnMeter.
   void Account(int from, int to, size_t bytes, bool charge);
 
   const int num_nodes_;

@@ -8,6 +8,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/worker_context.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
@@ -423,11 +424,9 @@ Status LockManager::MaybeEscalateLocked(std::unique_lock<std::mutex>& lock,
 
   escalations->Increment();
   reclaimed_total->Increment(reclaimed);
-  {
-    std::lock_guard<std::mutex> eg(esc_mu_);
-    TxnEscalationStats& stats = esc_stats_[txn_id];
-    ++stats.escalations;
-    stats.entries_reclaimed += reclaimed;
+  if (CostTracker::TxnMeter* meter = CostTracker::ActiveMeter()) {
+    meter->Add(CostTracker::TxnMeter::kEscalations);
+    meter->Add(CostTracker::TxnMeter::kLockEntriesReclaimed, reclaimed);
   }
   return Status::OK();
 }
@@ -473,10 +472,6 @@ void LockManager::ReleaseAll(uint64_t txn_id) {
     wounded_.erase(txn_id);
     parked_.erase(txn_id);
   }
-  {
-    std::lock_guard<std::mutex> eg(esc_mu_);
-    esc_stats_.erase(txn_id);
-  }
   std::lock_guard<std::mutex> ag(age_mu_);
   ages_.erase(txn_id);
 }
@@ -498,10 +493,6 @@ void LockManager::Clear() {
   {
     std::lock_guard<std::mutex> wg(wound_mu_);
     wounded_.clear();
-  }
-  {
-    std::lock_guard<std::mutex> eg(esc_mu_);
-    esc_stats_.clear();
   }
   std::lock_guard<std::mutex> ag(age_mu_);
   ages_.clear();
@@ -563,13 +554,6 @@ void LockManager::ResetPeakEntries() {
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.peak_entry_holders = shard.entry_holders;
   }
-}
-
-LockManager::TxnEscalationStats LockManager::EscalationStatsOf(
-    uint64_t txn_id) const {
-  std::lock_guard<std::mutex> lock(esc_mu_);
-  auto it = esc_stats_.find(txn_id);
-  return it == esc_stats_.end() ? TxnEscalationStats{} : it->second;
 }
 
 }  // namespace pjvm

@@ -155,8 +155,9 @@ struct LockId {
 /// Acquire that triggered escalation returns Aborted and the caller's
 /// abort-and-retry path — e.g. the ViewManager maintenance retry loop, which
 /// keeps lineage ages across attempts — resolves it. Escalations are counted
-/// in `pjvm_lock_escalations` / `pjvm_lock_entries_reclaimed` and reported
-/// per transaction (EXPLAIN ANALYZE) via EscalationStatsOf.
+/// in `pjvm_lock_escalations` / `pjvm_lock_entries_reclaimed` and in the
+/// escalating thread's active CostTracker::TxnMeter, which is how EXPLAIN
+/// ANALYZE reports them per transaction.
 class LockManager {
  public:
   explicit LockManager(int num_shards = kDefaultShards);
@@ -187,14 +188,6 @@ class LockManager {
   /// tracks its row count; with it, roughly the threshold.
   size_t PeakShardEntries() const;
   void ResetPeakEntries();
-
-  /// Per-transaction escalation tally, for EXPLAIN ANALYZE. Valid while the
-  /// transaction still holds locks (read it before ReleaseAll clears it).
-  struct TxnEscalationStats {
-    uint64_t escalations = 0;
-    uint64_t entries_reclaimed = 0;
-  };
-  TxnEscalationStats EscalationStatsOf(uint64_t txn_id) const;
 
   /// Drops every lock (crash recovery: all in-flight txns are aborted) and
   /// wakes all waiters; their conflicts are gone, so they acquire.
@@ -311,11 +304,6 @@ class LockManager {
   LockPolicy policy_ = LockPolicy::kNoWait;
   int wait_timeout_ms_ = 500;
   int escalation_threshold_ = 0;
-
-  /// Per-transaction escalation tallies (EXPLAIN ANALYZE). Leaf mutex like
-  /// age_mu_: taken under shard mutexes, never the reverse.
-  mutable std::mutex esc_mu_;
-  std::map<uint64_t, TxnEscalationStats> esc_stats_;
 
   /// Wound-wait victim state. Ordered strictly after any shard mutex; never
   /// held while taking a shard mutex.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/metrics.h"
 #include "engine/node.h"
 #include "obs/metrics_registry.h"
 #include "txn/txn_manager.h"
@@ -74,7 +75,9 @@ Status EscrowRegistry::RewriteHeapLocked(const std::string& view,
 void EscrowRegistry::MarkExclusiveLocked(uint64_t txn, const std::string& view,
                                          const GroupKey& key) {
   txn_eager_[txn].insert({view, key});
-  ++stats_[txn].vlock_upgrades;
+  if (CostTracker::TxnMeter* meter = CostTracker::ActiveMeter()) {
+    meter->Add(CostTracker::TxnMeter::kVlockUpgrades);
+  }
 }
 
 Result<bool> EscrowRegistry::Apply(uint64_t txn, int node_id,
@@ -180,8 +183,10 @@ Result<bool> EscrowRegistry::Apply(uint64_t txn, int node_id,
       } else {
         PJVM_RETURN_NOT_OK(RewriteHeapLocked(view, vs, key, gs));
         txn_refs_[txn].insert({view, key});
-        ++stats_[txn].escrow_ops;
         EscrowOpsCounter()->Increment();
+        if (CostTracker::TxnMeter* meter = CostTracker::ActiveMeter()) {
+          meter->Add(CostTracker::TxnMeter::kEscrowOps);
+        }
         return true;
       }
     }
@@ -254,8 +259,7 @@ Status EscrowRegistry::ApplyEagerSynthetic(uint64_t txn, int node_id,
 
 bool EscrowRegistry::HasState(uint64_t txn_id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return txn_refs_.count(txn_id) > 0 || txn_eager_.count(txn_id) > 0 ||
-         stats_.count(txn_id) > 0;
+  return txn_refs_.count(txn_id) > 0 || txn_eager_.count(txn_id) > 0;
 }
 
 Status EscrowRegistry::OnPrepare(uint64_t txn_id) {
@@ -360,9 +364,7 @@ void EscrowRegistry::OnAbort(uint64_t txn_id) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto rit = txn_refs_.find(txn_id);
-    const bool any = rit != txn_refs_.end() || txn_eager_.count(txn_id) > 0 ||
-                     stats_.count(txn_id) > 0;
-    if (!any) return;
+    if (rit == txn_refs_.end() && txn_eager_.count(txn_id) == 0) return;
     if (rit != txn_refs_.end()) {
       refs.assign(rit->second.begin(), rit->second.end());
     }
@@ -391,7 +393,6 @@ void EscrowRegistry::OnAbort(uint64_t txn_id) {
 void EscrowRegistry::ClearTxnLocked(uint64_t txn_id) {
   txn_refs_.erase(txn_id);
   txn_eager_.erase(txn_id);
-  stats_.erase(txn_id);
 }
 
 void EscrowRegistry::Reset() {
@@ -402,7 +403,6 @@ void EscrowRegistry::Reset() {
   }
   txn_refs_.clear();
   txn_eager_.clear();
-  stats_.clear();
 }
 
 Status EscrowRegistry::CheckConsistent() const {
@@ -420,12 +420,6 @@ Status EscrowRegistry::CheckConsistent() const {
         "escrow journal holds per-transaction state at a quiescent point");
   }
   return Status::OK();
-}
-
-EscrowRegistry::TxnStats EscrowRegistry::StatsOf(uint64_t txn_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = stats_.find(txn_id);
-  return it == stats_.end() ? TxnStats{} : it->second;
 }
 
 }  // namespace pjvm

@@ -115,14 +115,6 @@ class EscrowRegistry : public TxnHook {
   /// before the from-scratch oracle compares contents byte-for-byte).
   Status CheckConsistent() const;
 
-  /// Per-transaction tallies for EXPLAIN ANALYZE; read before Commit (the
-  /// commit epilogue clears them).
-  struct TxnStats {
-    uint64_t escrow_ops = 0;
-    uint64_t vlock_upgrades = 0;
-  };
-  TxnStats StatsOf(uint64_t txn_id) const;
-
  private:
   /// (node, group-prefix values) — one journaled group row.
   using GroupKey = std::pair<int, Row>;
@@ -161,7 +153,7 @@ class EscrowRegistry : public TxnHook {
   Status RewriteHeapLocked(const std::string& view, ViewState& vs,
                            const GroupKey& key, GroupState& gs);
   /// V→X escalation epilogue: marks the (txn, group) eager and tallies the
-  /// upgrade. `mu_` held.
+  /// upgrade in the active TxnMeter. `mu_` held.
   void MarkExclusiveLocked(uint64_t txn, const std::string& view,
                            const GroupKey& key);
   /// Replays a transaction's accumulated (signed) delta through the eager
@@ -169,7 +161,7 @@ class EscrowRegistry : public TxnHook {
   Status ApplyEagerSynthetic(uint64_t txn, int node_id,
                              const std::string& view, const BoundView& bound,
                              const Row& synthetic);
-  /// Drops every per-transaction record (refs, eager marks, stats).
+  /// Drops every per-transaction record (refs and eager marks).
   void ClearTxnLocked(uint64_t txn_id);
 
   ParallelSystem* sys_;
@@ -183,7 +175,6 @@ class EscrowRegistry : public TxnHook {
   /// Groups a transaction handles eagerly (post-escalation): Apply answers
   /// false for these so the caller's eager fold runs under the held X lock.
   std::map<uint64_t, std::set<GroupRef>> txn_eager_;
-  std::map<uint64_t, TxnStats> stats_;
 };
 
 }  // namespace pjvm

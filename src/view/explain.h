@@ -13,14 +13,11 @@ namespace pjvm {
 /// went, node by node.
 ///
 /// Filled by ViewManager::ApplyDelta from a per-transaction
-/// CostTracker::TxnMeter, so every I/O number is charged by this
-/// transaction alone even when other maintenance transactions run
-/// concurrently — the per-transaction analogue of the paper's Section 3.3
-/// measurement, which isolates one maintenance step rather than reading
-/// aggregate totals. (Only `messages`/`bytes_sent` are still global
-/// interconnect diffs over the transaction's bracket, because self-node
-/// deliveries never reach the cost meter; under concurrency they can
-/// include another transaction's traffic.) `nodes_touched` is the
+/// CostTracker::TxnMeter, so every I/O number, message and byte count,
+/// escalation and escrow op is this transaction's alone even when other
+/// maintenance transactions run concurrently — the per-transaction analogue
+/// of the paper's Section 3.3 measurement, which isolates one maintenance
+/// step rather than reading aggregate totals. `nodes_touched` is the
 /// per-transaction count the paper's locality claims are about: all L nodes
 /// for the naive method, a small constant for auxiliary relations, 1 + K
 /// for global indexes.

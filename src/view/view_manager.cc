@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -383,18 +384,6 @@ Result<MaintenanceReport> ViewManager::ApplyDelta(DeltaBatch delta,
     }
   }
 
-  // Per-transaction metering: when an analysis is requested, a TxnMeter is
-  // activated around each attempt, so every I/O charge this transaction
-  // makes — on this thread or on executor workers running its tasks — lands
-  // in the meter's own slots, unpolluted by concurrent maintenance
-  // transactions (global Snapshot() diffs would attribute *everything the
-  // system did meanwhile* to this transaction). The meter only mirrors
-  // charges, so the global counters are identical whether or not anyone is
-  // watching. messages/bytes remain global interconnect diffs over the
-  // bracket; see the caveat in explain.h.
-  const uint64_t msgs_before = sys_->network().TotalMessages();
-  const uint64_t bytes_before = sys_->network().TotalBytes();
-  std::unique_ptr<CostTracker::TxnMeter> meter;
   const uint64_t t0 = Tracer::NowNs();
 
   // Ambient multi-tenant attribution: when a driver tagged this thread
@@ -418,10 +407,15 @@ Result<MaintenanceReport> ViewManager::ApplyDelta(DeltaBatch delta,
     GlobalRowId gid;
   };
   std::vector<StagedRow> staged;
+  MaintenanceReport total;
 
-  auto run = [&](uint64_t txn) -> Result<MaintenanceReport> {
-    MaintenanceReport total;
+  auto body = [&](uint64_t txn) -> Status {
+    total = MaintenanceReport{};
     staged.clear();
+    // The runner's per-attempt meter when an analysis is requested; the
+    // per-view phases below diff it.
+    const CostTracker::TxnMeter* meter =
+        analysis != nullptr ? CostTracker::ActiveMeter() : nullptr;
     {
       // 1. Update the base relation, capturing each row's global row id.
       //    Deletes must be located before removal (GIs reference their rids).
@@ -514,7 +508,7 @@ Result<MaintenanceReport> ViewManager::ApplyDelta(DeltaBatch delta,
       }
       const char* method_str = MaintenanceMethodToString(reg.method);
       std::vector<NodeCounters> view_before;
-      if (analysis != nullptr) view_before = meter->Snapshot();
+      if (meter != nullptr) view_before = meter->Snapshot();
       const uint64_t view_t0 = Tracer::NowNs();
       SpanGuard view_span("maintain_view", "view", -1, nullptr, method_str);
       view_span.set_detail(name);
@@ -537,7 +531,7 @@ Result<MaintenanceReport> ViewManager::ApplyDelta(DeltaBatch delta,
                         {"view", name}})
             ->Record(view_ns);
       }
-      if (analysis != nullptr) {
+      if (meter != nullptr) {
         std::vector<NodeCounters> view_after = meter->Snapshot();
         for (size_t i = 0; i < view_after.size(); ++i) {
           view_after[i] = view_after[i] - view_before[i];
@@ -554,98 +548,11 @@ Result<MaintenanceReport> ViewManager::ApplyDelta(DeltaBatch delta,
       }
       total += report;
     }
-    return total;
+    return Status::OK();
   };
-  // Bounded retry: under wait-die a maintenance transaction can be chosen as
-  // the deadlock-avoidance victim (or time out waiting) and surface an
-  // Aborted status from some lock acquisition. The victim's locks are all
-  // released by Abort; it backs off (exponentially, with jitter so repeat
-  // offenders don't re-collide in lockstep) and re-runs the whole transaction
-  // under a fresh Begin(). Only Aborted statuses retry — real errors surface
-  // immediately — and the loop is bounded by maintain_max_attempts, after
-  // which the Aborted status reaches the caller.
-  static Counter* retries_counter =
-      MetricsRegistry::Global().counter("pjvm_maintain_retries");
-  const int max_attempts = std::max(1, sys_->config().maintain_max_attempts);
-  const int base_us = sys_->config().maintain_retry_base_us;
-  Result<MaintenanceReport> result =
-      Status::Internal("maintenance: no attempt ran");
-  if (analysis != nullptr) {
-    analysis->attempts = 1;
-    analysis->backoff_ns = 0;
-    analysis->attempt_aborts.clear();
-  }
-  uint64_t lineage = 0;
-  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-    uint64_t txn = sys_->Begin();
-    if (lineage == 0) {
-      lineage = txn;
-    } else {
-      // A restart keeps the lineage's original timestamp (the classic
-      // wait-die/wound-wait anti-starvation rule): each retry runs under a
-      // fresh txn id — reusing the id would confuse WAL replay — but is
-      // never again the youngest transaction in every conflict it meets.
-      sys_->locks().SetAge(txn, lineage);
-    }
-    // Per-view phases (and the meter's charges) from a killed attempt would
-    // double-count; each attempt meters from zero.
-    if (analysis != nullptr) {
-      analysis->views.clear();
-      analysis->attempts = attempt;
-      meter = std::make_unique<CostTracker::TxnMeter>(sys_->num_nodes());
-    }
-    std::optional<CostTracker::MeterScope> meter_scope;
-    if (meter != nullptr) meter_scope.emplace(meter.get());
-    result = run(txn);
-    if (result.ok()) {
-      if (analysis != nullptr) {
-        // Read before Commit: ReleaseAll clears the per-txn tally.
-        const LockManager::TxnEscalationStats esc =
-            sys_->locks().EscalationStatsOf(txn);
-        analysis->escalations = esc.escalations;
-        analysis->lock_entries_reclaimed = esc.entries_reclaimed;
-        if (escrow_ != nullptr) {
-          // Same timing rule: the commit epilogue clears the journal's tally.
-          const EscrowRegistry::TxnStats est = escrow_->StatsOf(txn);
-          analysis->escrow_ops = est.escrow_ops;
-          analysis->vlock_upgrades = est.vlock_upgrades;
-        }
-      }
-      // A commit failure (e.g. an injected crash mid-2PC) is not retryable:
-      // the system needs Recover(), not another attempt.
-      PJVM_RETURN_NOT_OK(sys_->Commit(txn));
-      for (auto& [name, store] : merged_) store->OnCommit(txn);
-      break;
-    }
-    meter_scope.reset();
-    // Roll the merged trees back before the locks go: once ReleaseAll runs,
-    // a successor can descend into the ranges this attempt edited.
-    for (auto& [name, store] : merged_) store->OnAbort(txn);
-    sys_->Abort(txn).Check();
-    MetricsRegistry::Global().counter("pjvm_maintain_txns_aborted")->Increment();
-    if (analysis != nullptr) {
-      analysis->attempt_aborts.push_back(result.status().ToString());
-    }
-    if (!result.status().IsAborted() || attempt == max_attempts) return result;
-    retries_counter->Increment();
-    if (base_us > 0) {
-      // Delay uniformly in [step, 2*step) where step = base * 2^(attempt-1).
-      // The exponent is capped: blockers hold their locks for at most a
-      // commit's worth of WAL forces, so sleeping far past that scale (an
-      // uncapped 2^15 step is seconds) only throttles the retrier without
-      // reducing conflicts.
-      Rng jitter(txn * 0x9e3779b97f4a7c15ULL + static_cast<uint64_t>(attempt));
-      int64_t step = static_cast<int64_t>(base_us)
-                     << std::min(attempt - 1, 6);
-      int64_t delay = step + jitter.UniformInt(0, step - 1);
-      std::this_thread::sleep_for(std::chrono::microseconds(delay));
-      if (analysis != nullptr) {
-        analysis->backoff_ns += static_cast<uint64_t>(delay) * 1000;
-      }
-    }
-  }
+  PJVM_RETURN_NOT_OK(RunMaintenanceTxn(body, analysis));
 
-  if (hl && result.ok()) {
+  if (hl) {
     // The transaction committed: flush its staged rows into the deferred
     // buffers (Append cancels opposite-sign churn), account the stream
     // against the planner statistics, and fold any buffer that crossed the
@@ -686,22 +593,128 @@ Result<MaintenanceReport> ViewManager::ApplyDelta(DeltaBatch delta,
     analysis->table = delta.table;
     analysis->base_inserts = delta.inserts.size();
     analysis->base_deletes = delta.deletes.size();
-    analysis->weights = sys_->cost().weights();
-    analysis->per_node = meter->Snapshot();
-    analysis->total_workload = 0.0;
-    analysis->response_time = 0.0;
-    for (const NodeCounters& c : analysis->per_node) {
-      double io = c.IO(analysis->weights);
-      analysis->total_workload += io;
-      analysis->response_time = std::max(analysis->response_time, io);
-    }
-    analysis->messages = sys_->network().TotalMessages() - msgs_before;
-    analysis->bytes_sent = sys_->network().TotalBytes() - bytes_before;
-    analysis->nodes_touched = CountTouchedNodes(analysis->per_node);
     analysis->wall_ms = static_cast<double>(txn_ns) / 1e6;
-    analysis->report = *result;
+    analysis->report = total;
   }
-  return result;
+  return total;
+}
+
+Status ViewManager::RunMaintenanceTxn(
+    const std::function<Status(uint64_t txn)>& body,
+    MaintenanceAnalysis* analysis) {
+  // Bounded retry: under wait-die a maintenance transaction can be chosen as
+  // the deadlock-avoidance victim (or time out waiting) and surface an
+  // Aborted status from some lock acquisition. The victim's locks are all
+  // released by Abort; it backs off (exponentially, with jitter so repeat
+  // offenders don't re-collide in lockstep) and re-runs the whole body
+  // under a fresh Begin(). Only Aborted statuses retry — real errors surface
+  // immediately — and the loop is bounded by maintain_max_attempts, after
+  // which the Aborted status reaches the caller. Every failed attempt is
+  // aborted, so no exit leaves a transaction in flight.
+  static Counter* retries_counter =
+      MetricsRegistry::Global().counter("pjvm_maintain_retries");
+  static Counter* aborted_counter =
+      MetricsRegistry::Global().counter("pjvm_maintain_txns_aborted");
+  const int max_attempts = std::max(1, sys_->config().maintain_max_attempts);
+  const int base_us = sys_->config().maintain_retry_base_us;
+  if (analysis != nullptr) {
+    analysis->backoff_ns = 0;
+    analysis->attempt_aborts.clear();
+  }
+  uint64_t lineage = 0;
+  for (int attempt = 1;; ++attempt) {
+    const uint64_t txn = sys_->Begin();
+    if (lineage == 0) {
+      lineage = txn;
+    } else {
+      // A restart keeps the lineage's original timestamp (the classic
+      // wait-die/wound-wait anti-starvation rule): each retry runs under a
+      // fresh txn id — reusing the id would confuse WAL replay — but is
+      // never again the youngest transaction in every conflict it meets.
+      sys_->locks().SetAge(txn, lineage);
+    }
+    // Per-transaction metering: when an analysis is requested, a TxnMeter is
+    // active around each attempt, so every I/O charge, interconnect hop,
+    // lock escalation and escrow op this transaction makes — on this thread
+    // or on executor workers running its tasks — lands in the meter, not
+    // polluted by concurrent transactions. The meter only mirrors charges,
+    // so the global counters are identical whether or not anyone watches.
+    // Each attempt meters from zero: a killed attempt's work (and its
+    // per-view phases) would double-count.
+    std::optional<CostTracker::TxnMeter> meter;
+    std::optional<CostTracker::MeterScope> meter_scope;
+    if (analysis != nullptr) {
+      analysis->views.clear();
+      analysis->attempts = attempt;
+      meter.emplace(sys_->num_nodes());
+      meter_scope.emplace(&*meter);
+    }
+    Status st = body(txn);
+    if (st.ok()) {
+      // A commit failure (e.g. an injected crash mid-2PC) is not retryable:
+      // the system needs Recover(), not another attempt.
+      PJVM_RETURN_NOT_OK(sys_->Commit(txn));
+      for (auto& [name, store] : merged_) store->OnCommit(txn);
+      if (analysis != nullptr) {
+        using Tally = CostTracker::TxnMeter::Tally;
+        analysis->weights = sys_->cost().weights();
+        analysis->per_node = meter->Snapshot();
+        analysis->total_workload = 0.0;
+        analysis->response_time = 0.0;
+        for (const NodeCounters& c : analysis->per_node) {
+          double io = c.IO(analysis->weights);
+          analysis->total_workload += io;
+          analysis->response_time = std::max(analysis->response_time, io);
+        }
+        analysis->nodes_touched = CountTouchedNodes(analysis->per_node);
+        analysis->messages = meter->Get(Tally::kMessages);
+        analysis->bytes_sent = meter->Get(Tally::kBytesSent);
+        analysis->escalations = meter->Get(Tally::kEscalations);
+        analysis->lock_entries_reclaimed =
+            meter->Get(Tally::kLockEntriesReclaimed);
+        analysis->escrow_ops = meter->Get(Tally::kEscrowOps);
+        analysis->vlock_upgrades = meter->Get(Tally::kVlockUpgrades);
+      }
+      return Status::OK();
+    }
+    meter_scope.reset();
+    // Roll the merged trees back before the locks go: once ReleaseAll runs,
+    // a successor can descend into the ranges this attempt edited.
+    for (auto& [name, store] : merged_) store->OnAbort(txn);
+    sys_->Abort(txn).Check();
+    aborted_counter->Increment();
+    if (analysis != nullptr) analysis->attempt_aborts.push_back(st.ToString());
+    if (!st.IsAborted() || attempt == max_attempts) return st;
+    retries_counter->Increment();
+    if (base_us > 0) {
+      // Delay uniformly in [step, 2*step) where step = base * 2^(attempt-1).
+      // The exponent is capped: blockers hold their locks for at most a
+      // commit's worth of WAL forces, so sleeping far past that scale (an
+      // uncapped 2^15 step is seconds) only throttles the retrier without
+      // reducing conflicts.
+      Rng jitter(txn * 0x9e3779b97f4a7c15ULL + static_cast<uint64_t>(attempt));
+      int64_t step = static_cast<int64_t>(base_us)
+                     << std::min(attempt - 1, 6);
+      int64_t delay = step + jitter.UniformInt(0, step - 1);
+      std::this_thread::sleep_for(std::chrono::microseconds(delay));
+      if (analysis != nullptr) {
+        analysis->backoff_ns += static_cast<uint64_t>(delay) * 1000;
+      }
+    }
+  }
+}
+
+Status ViewManager::LockViewFragments(uint64_t txn, const std::string& view) {
+  if (!sys_->config().enable_locking) return Status::OK();
+  // One fragment-granularity X lock per node on the view table up front: a
+  // fold or refresh rewrites many rows of the view, so per-key locks would
+  // flood the table and escalate anyway; taking the fragment lock first
+  // lets the coverage fast path answer every per-row acquire below it.
+  for (int n = 0; n < sys_->num_nodes(); ++n) {
+    PJVM_RETURN_NOT_OK(sys_->locks().Acquire(txn, LockId::Table(n, view),
+                                             LockMode::kExclusive));
+  }
+  return Status::OK();
 }
 
 Status ViewManager::UnregisterView(const std::string& name) {
@@ -758,43 +771,49 @@ Status ViewManager::RefreshView(const std::string& name) {
 
 Status ViewManager::RecomputeAndDiff(const std::string& name,
                                      ViewRegistration& reg) {
-  // Charge what the recomputation reads: a full scan of every base
-  // relation's fragments (sort/hash join passes are subsumed by the
-  // engine's memory budget at these scales; a refresh is scan-dominated).
-  for (int i = 0; i < reg.bound.num_bases(); ++i) {
-    const std::string& table = reg.bound.base_def(i).name;
-    for (int n = 0; n < sys_->num_nodes(); ++n) {
-      const TableFragment* frag = sys_->node(n)->fragment(table);
-      if (frag != nullptr) sys_->cost().ChargeIOPages(n, frag->num_pages());
+  return RunMaintenanceTxn([&](uint64_t txn) -> Status {
+    // Recompute and diff inside the attempt, under the view's fragment X
+    // locks: no other transaction writes the view between the diff and its
+    // application, and a retried attempt diffs afresh instead of applying
+    // the difference a killed attempt computed.
+    PJVM_RETURN_NOT_OK(LockViewFragments(txn, name));
+    // Charge what the recomputation reads: a full scan of every base
+    // relation's fragments (sort/hash join passes are subsumed by the
+    // engine's memory budget at these scales; a refresh is scan-dominated).
+    for (int i = 0; i < reg.bound.num_bases(); ++i) {
+      const std::string& table = reg.bound.base_def(i).name;
+      for (int n = 0; n < sys_->num_nodes(); ++n) {
+        const TableFragment* frag = sys_->node(n)->fragment(table);
+        if (frag != nullptr) sys_->cost().ChargeIOPages(n, frag->num_pages());
+      }
     }
-  }
-  PJVM_ASSIGN_OR_RETURN(std::vector<Row> expected,
-                        EvaluateViewFromScratch(sys_, reg.bound));
-  // Diff against stored contents (bag semantics) and apply the difference.
-  std::map<std::string, std::pair<int, Row>> delta;  // rendered -> (count, row)
-  for (Row& row : expected) {
-    auto [entry, inserted] =
-        delta.try_emplace(RowToString(row), 0, std::move(row));
-    entry->second.first += 1;
-    (void)inserted;
-  }
-  for (Row& row : sys_->ScanAll(name)) {
-    auto [entry, inserted] =
-        delta.try_emplace(RowToString(row), 0, std::move(row));
-    entry->second.first -= 1;
-    (void)inserted;
-  }
-  uint64_t txn = sys_->Begin();
-  for (auto& [key, counted] : delta) {
-    auto& [count, row] = counted;
-    for (; count > 0; --count) {
-      PJVM_RETURN_NOT_OK(sys_->Insert(name, row, txn));
+    PJVM_ASSIGN_OR_RETURN(std::vector<Row> expected,
+                          EvaluateViewFromScratch(sys_, reg.bound));
+    // Diff against stored contents (bag semantics) and apply the difference.
+    std::map<std::string, std::pair<int, Row>> delta;  // rendered -> (count, row)
+    for (Row& row : expected) {
+      auto [entry, inserted] =
+          delta.try_emplace(RowToString(row), 0, std::move(row));
+      entry->second.first += 1;
+      (void)inserted;
     }
-    for (; count < 0; ++count) {
-      PJVM_RETURN_NOT_OK(sys_->DeleteExact(name, row, txn));
+    for (Row& row : sys_->ScanAll(name)) {
+      auto [entry, inserted] =
+          delta.try_emplace(RowToString(row), 0, std::move(row));
+      entry->second.first -= 1;
+      (void)inserted;
     }
-  }
-  return sys_->Commit(txn);
+    for (auto& [key, counted] : delta) {
+      auto& [count, row] = counted;
+      for (; count > 0; --count) {
+        PJVM_RETURN_NOT_OK(sys_->Insert(name, row, txn));
+      }
+      for (; count < 0; ++count) {
+        PJVM_RETURN_NOT_OK(sys_->DeleteExact(name, row, txn));
+      }
+    }
+    return Status::OK();
+  });
 }
 
 Status ViewManager::RefreshAllViews() {
@@ -841,8 +860,6 @@ Status ViewManager::FoldViewLocked(const std::string& name,
   if (buf == nullptr || buf->rows() == 0) return Status::OK();
   static Counter* folds =
       MetricsRegistry::Global().counter("pjvm_deferred_folds");
-  static Counter* retries_counter =
-      MetricsRegistry::Global().counter("pjvm_maintain_retries");
   SpanGuard span("deferred_fold", "view", -1, nullptr,
                  MaintenanceMethodToString(reg.method));
   span.set_detail(name + " rows=" + std::to_string(buf->rows()));
@@ -858,64 +875,25 @@ Status ViewManager::FoldViewLocked(const std::string& name,
   batch.delete_gids = buf->delete_gids;
   const int updated_base = buf->base_idx;
 
-  // Same bounded-retry shape as ApplyDelta: a fold can be the wait-die
-  // victim of a concurrent reader/writer and must back off and re-run under
-  // a fresh transaction id with its lineage's age.
-  const int max_attempts = std::max(1, sys_->config().maintain_max_attempts);
-  const int base_us = sys_->config().maintain_retry_base_us;
-  uint64_t lineage = 0;
-  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-    uint64_t txn = sys_->Begin();
-    if (lineage == 0) {
-      lineage = txn;
-    } else {
-      sys_->locks().SetAge(txn, lineage);
-    }
-    Status st = Status::OK();
-    if (sys_->config().enable_locking) {
-      // One fragment-granularity X lock per node on the view table up
-      // front: the fold rewrites many rows of a few hot keys, so per-key
-      // locks would flood the table and escalate anyway (PR 5); taking the
-      // fragment lock first lets the coverage fast path answer every
-      // per-row acquire below it.
-      for (int n = 0; n < sys_->num_nodes() && st.ok(); ++n) {
-        st = sys_->locks().Acquire(txn, LockId::Table(n, name),
-                                   LockMode::kExclusive);
-      }
-    }
-    if (st.ok()) {
-      reg.maintainer->set_fold_mode(true);
-      Result<MaintenanceReport> rep =
-          reg.maintainer->ApplyDelta(txn, updated_base, batch);
-      reg.maintainer->set_fold_mode(false);
-      st = rep.status();
-    }
-    if (st.ok()) {
-      // A commit failure (e.g. an injected crash mid-2PC) is not retryable;
-      // the buffer stays intact for RecoverViews to reconcile.
-      PJVM_RETURN_NOT_OK(sys_->Commit(txn));
-      for (auto& [mname, store] : merged_) store->OnCommit(txn);
-      // Only a durably committed fold empties the buffer: a wait-die victim
-      // retries with every buffered row intact, and a success never
-      // re-applies one.
-      deferred_.Clear(name);
-      UpdateDeferredGauge();
-      folds->Increment();
-      return Status::OK();
-    }
-    for (auto& [mname, store] : merged_) store->OnAbort(txn);
-    sys_->Abort(txn).Check();
-    MetricsRegistry::Global().counter("pjvm_maintain_txns_aborted")->Increment();
-    if (!st.IsAborted() || attempt == max_attempts) return st;
-    retries_counter->Increment();
-    if (base_us > 0) {
-      Rng jitter(txn * 0x9e3779b97f4a7c15ULL + static_cast<uint64_t>(attempt));
-      int64_t step = static_cast<int64_t>(base_us) << std::min(attempt - 1, 6);
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(step + jitter.UniformInt(0, step - 1)));
-    }
-  }
-  return Status::Internal("deferred fold: no attempt ran");
+  // A fold can be the wait-die victim of a concurrent reader/writer; the
+  // runner backs off and re-runs it under a fresh transaction id with its
+  // lineage's age.
+  auto body = [&](uint64_t txn) -> Status {
+    PJVM_RETURN_NOT_OK(LockViewFragments(txn, name));
+    reg.maintainer->set_fold_mode(true);
+    Result<MaintenanceReport> rep =
+        reg.maintainer->ApplyDelta(txn, updated_base, batch);
+    reg.maintainer->set_fold_mode(false);
+    return rep.status();
+  };
+  PJVM_RETURN_NOT_OK(RunMaintenanceTxn(body));
+  // Only a durably committed fold empties the buffer: a wait-die victim
+  // retries with every buffered row intact, a success never re-applies one,
+  // and after a failed commit the buffer stays for RecoverViews to reconcile.
+  deferred_.Clear(name);
+  UpdateDeferredGauge();
+  folds->Increment();
+  return Status::OK();
 }
 
 Status ViewManager::FoldView(const std::string& name) {

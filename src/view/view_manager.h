@@ -1,6 +1,7 @@
 #ifndef PJVM_VIEW_VIEW_MANAGER_H_
 #define PJVM_VIEW_VIEW_MANAGER_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -105,6 +106,10 @@ struct ViewRegistration {
 ///     update auxiliary relations / global indexes;   (method-dependent)
 ///     update join views;
 ///   end transaction   (two-phase commit over the touched nodes)
+///
+/// Deferred folds and refreshes are maintenance transactions too: all three
+/// run through one private runner (RunMaintenanceTxn) that owns the
+/// transaction lifecycle, the bounded retry and the per-attempt meter.
 class ViewManager : public StructureResolver {
  public:
   explicit ViewManager(ParallelSystem* sys)
@@ -138,7 +143,9 @@ class ViewManager : public StructureResolver {
 
   /// Brings a deferred view current: recomputes the join from scratch
   /// (charging a scan of every base fragment) and applies the difference to
-  /// the stored contents. No-op when the view is already fresh.
+  /// the stored contents, in a maintenance transaction that X-locks the
+  /// view's fragments and retries like ApplyDelta. No-op when the view is
+  /// already fresh.
   Status RefreshView(const std::string& name);
   /// Refreshes every stale deferred view.
   Status RefreshAllViews();
@@ -251,9 +258,23 @@ class ViewManager : public StructureResolver {
   /// Index of `table` within `reg`'s bases, or -1.
   static int BaseIndexOf(const ViewRegistration& reg, const std::string& table);
 
+  /// Runs `body` as one maintenance transaction: the only place this class
+  /// begins, ages, commits and aborts transactions. Each attempt runs the
+  /// body under a fresh txn id carrying its lineage's age; an attempt that
+  /// fails is rolled back (merged trees, then the system transaction) and,
+  /// if the failure was Aborted, retried after a capped, jittered backoff,
+  /// up to SystemConfig::maintain_max_attempts. When `analysis` is non-null
+  /// each attempt runs under its own TxnMeter, and the committed attempt's
+  /// ledger (per-node I/O, messages, escalations, escrow ops) and the retry
+  /// history are written to it.
+  Status RunMaintenanceTxn(const std::function<Status(uint64_t txn)>& body,
+                           MaintenanceAnalysis* analysis = nullptr);
+  /// X-locks every node's fragment of `view` for `txn` (no-op without
+  /// locking): the whole-view footprint of folds and refreshes.
+  Status LockViewFragments(uint64_t txn, const std::string& view);
   /// Recomputes `name` from scratch and applies the bag difference to the
-  /// stored contents in one transaction (the deferred-refresh / recovery
-  /// reconciliation primitive).
+  /// stored contents in one maintenance transaction (the deferred-refresh /
+  /// recovery reconciliation primitive).
   Status RecomputeAndDiff(const std::string& name, ViewRegistration& reg);
   /// FoldView body; requires hl_mu_ held.
   Status FoldViewLocked(const std::string& name, ViewRegistration& reg);

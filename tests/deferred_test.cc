@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
+#include "obs/metrics_registry.h"
 #include "tests/view_test_util.h"
 #include "view/view_manager.h"
 
@@ -137,6 +141,85 @@ TEST(DeferredViewTest, AggregateViewsRefreshToo) {
   ASSERT_TRUE(fx.manager->CheckAllConsistent().ok())
       << fx.manager->CheckAllConsistent();
   EXPECT_EQ(fx.manager->view("AGG")->RowCount(), 3u);
+}
+
+// ------------------------------------------------ refresh under contention
+
+/// A locking wait-die system with a stale deferred AR view "JV" and an older
+/// transaction X-locking every node's fragment of it, so every refresh
+/// attempt is the wait-die victim until that holder finishes.
+struct BlockedRefresh {
+  TwoTableFixture fx;
+  uint64_t holder = 0;
+
+  explicit BlockedRefresh(const SystemConfig& cfg) : fx(cfg, 8, 2) {
+    fx.manager
+        ->RegisterView(fx.MakeView("JV"), MaintenanceMethod::kAuxRelation,
+                       MaintenanceTiming::kDeferred)
+        .Check();
+    fx.manager->InsertRow("A", fx.NextARow(3)).status().Check();
+    holder = fx.sys->Begin();
+    for (int n = 0; n < fx.sys->num_nodes(); ++n) {
+      fx.sys->locks()
+          .Acquire(holder, LockId::Table(n, "JV"), LockMode::kExclusive)
+          .Check();
+    }
+  }
+
+  static SystemConfig Config() {
+    SystemConfig cfg = TwoTableFixture::Config(4);
+    cfg.enable_locking = true;
+    cfg.lock_policy = LockPolicy::kWaitDie;
+    return cfg;
+  }
+};
+
+TEST(DeferredViewTest, KilledRefreshLeavesNoTransactionInFlight) {
+  // Regression: the refresh used to Begin, write and Commit with no Abort on
+  // its error path, so a refresh killed by wait-die stayed active forever
+  // and every later Checkpoint was refused.
+  SystemConfig cfg = BlockedRefresh::Config();
+  cfg.maintain_max_attempts = 1;
+  BlockedRefresh blocked(cfg);
+  ParallelSystem& sys = *blocked.fx.sys;
+  ViewManager& manager = *blocked.fx.manager;
+
+  Status st = manager.RefreshView("JV");
+  EXPECT_TRUE(st.IsAborted()) << st;
+  EXPECT_TRUE(manager.IsStale("JV"));
+  ASSERT_TRUE(sys.Abort(blocked.holder).ok());
+  EXPECT_FALSE(sys.txns().HasActive());
+  EXPECT_TRUE(sys.Checkpoint().ok());
+  // With the holder gone the refresh goes through.
+  ASSERT_TRUE(manager.RefreshView("JV").ok());
+  EXPECT_EQ(manager.view("JV")->RowCount(), 2u);
+  ASSERT_TRUE(manager.CheckAllConsistent().ok())
+      << manager.CheckAllConsistent();
+}
+
+TEST(DeferredViewTest, RefreshRetriesUntilTheOlderHolderReleases) {
+  SystemConfig cfg = BlockedRefresh::Config();
+  // Backoff well above the holder's delay, so the default attempt budget
+  // outlasts it with a wide margin on a loaded host.
+  cfg.maintain_retry_base_us = 2000;
+  BlockedRefresh blocked(cfg);
+  ParallelSystem& sys = *blocked.fx.sys;
+  ViewManager& manager = *blocked.fx.manager;
+
+  Counter* retries = MetricsRegistry::Global().counter("pjvm_maintain_retries");
+  const uint64_t retries_before = retries->value();
+  std::thread release([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    sys.Abort(blocked.holder).Check();
+  });
+  Status st = manager.RefreshView("JV");
+  release.join();
+  ASSERT_TRUE(st.ok()) << st;
+  EXPECT_GT(retries->value(), retries_before);  // at least one killed attempt
+  EXPECT_FALSE(manager.IsStale("JV"));
+  EXPECT_FALSE(sys.txns().HasActive());
+  ASSERT_TRUE(manager.CheckAllConsistent().ok())
+      << manager.CheckAllConsistent();
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/worker_context.h"
 #include "engine/node.h"
@@ -612,6 +614,10 @@ TEST(LockEscalationTest, KeyLocksCollapseIntoFragmentLock) {
       MetricsRegistry::Global().counter("pjvm_lock_entries_reclaimed");
   const uint64_t esc0 = escalations->value();
   const uint64_t rec0 = reclaimed->value();
+  // The transaction's ledger: escalations land in the meter active on the
+  // acquiring thread.
+  CostTracker::TxnMeter meter(1);
+  std::optional<CostTracker::MeterScope> scope(std::in_place, &meter);
   for (int64_t k = 0; k < 3; ++k) {
     ASSERT_TRUE(
         lm.Acquire(1, LockId::Key(0, "T", Value{k}), LockMode::kExclusive)
@@ -636,26 +642,32 @@ TEST(LockEscalationTest, KeyLocksCollapseIntoFragmentLock) {
   EXPECT_EQ(lm.TotalLocks(), 1u);
   EXPECT_EQ(escalations->value() - esc0, 1u);
   EXPECT_EQ(reclaimed->value() - rec0, 4u);
-  LockManager::TxnEscalationStats stats = lm.EscalationStatsOf(1);
-  EXPECT_EQ(stats.escalations, 1u);
-  EXPECT_EQ(stats.entries_reclaimed, 4u);
+  EXPECT_EQ(meter.Get(CostTracker::TxnMeter::kEscalations), 1u);
+  EXPECT_EQ(meter.Get(CostTracker::TxnMeter::kLockEntriesReclaimed), 4u);
   lm.ReleaseAll(1);
+  scope.reset();
   EXPECT_EQ(lm.TotalLocks(), 0u);
-  EXPECT_EQ(lm.EscalationStatsOf(1).escalations, 0u);  // gone with the txn
-  // The fragment is free again for others.
+  // The fragment is free again for others, and their own (fresh) meter
+  // carries none of txn 1's tally.
+  CostTracker::TxnMeter fresh(1);
+  CostTracker::MeterScope fresh_scope(&fresh);
   EXPECT_TRUE(
       lm.Acquire(2, LockId::Key(0, "T", Value{0}), LockMode::kExclusive).ok());
+  EXPECT_EQ(fresh.Get(CostTracker::TxnMeter::kEscalations), 0u);
+  EXPECT_EQ(fresh.Get(CostTracker::TxnMeter::kLockEntriesReclaimed), 0u);
 }
 
 TEST(LockEscalationTest, ThresholdZeroDisablesEscalation) {
   LockManager lm;  // default threshold: 0 (off)
+  CostTracker::TxnMeter meter(1);
+  CostTracker::MeterScope scope(&meter);
   for (int64_t k = 0; k < 32; ++k) {
     ASSERT_TRUE(
         lm.Acquire(1, LockId::Key(0, "T", Value{k}), LockMode::kExclusive)
             .ok());
   }
   EXPECT_EQ(lm.TotalLocks(), 32u);
-  EXPECT_EQ(lm.EscalationStatsOf(1).escalations, 0u);
+  EXPECT_EQ(meter.Get(CostTracker::TxnMeter::kEscalations), 0u);
   lm.ReleaseAll(1);
   EXPECT_EQ(lm.TotalLocks(), 0u);
 }
@@ -665,13 +677,15 @@ TEST(LockEscalationTest, ReacquisitionDoesNotInflateTheCount) {
   // only distinct key entries fill the lock table.
   LockManager lm;
   lm.set_escalation_threshold(4);
+  CostTracker::TxnMeter meter(1);
+  CostTracker::MeterScope scope(&meter);
   for (int i = 0; i < 16; ++i) {
     ASSERT_TRUE(
         lm.Acquire(1, LockId::Key(0, "T", Value{0}), LockMode::kExclusive)
             .ok());
   }
   EXPECT_EQ(lm.TotalLocks(), 1u);
-  EXPECT_EQ(lm.EscalationStatsOf(1).escalations, 0u);
+  EXPECT_EQ(meter.Get(CostTracker::TxnMeter::kEscalations), 0u);
   lm.ReleaseAll(1);
 }
 
@@ -745,6 +759,8 @@ TEST(LockEscalationTest, FailedEscalationAbortsTriggeringAcquire) {
   lm.set_escalation_threshold(4);
   ASSERT_TRUE(
       lm.Acquire(2, LockId::Key(0, "T", Value{99}), LockMode::kShared).ok());
+  CostTracker::TxnMeter meter(1);
+  CostTracker::MeterScope scope(&meter);
   for (int64_t k = 0; k < 3; ++k) {
     ASSERT_TRUE(
         lm.Acquire(1, LockId::Key(0, "T", Value{k}), LockMode::kExclusive)
@@ -752,7 +768,7 @@ TEST(LockEscalationTest, FailedEscalationAbortsTriggeringAcquire) {
   }
   Status st = lm.Acquire(1, LockId::Key(0, "T", Value{3}), LockMode::kExclusive);
   EXPECT_TRUE(st.IsAborted()) << st;
-  EXPECT_EQ(lm.EscalationStatsOf(1).escalations, 0u);
+  EXPECT_EQ(meter.Get(CostTracker::TxnMeter::kEscalations), 0u);
   // The key locks (including the just-granted trigger) stay intact until the
   // caller rolls back — the transaction never loses coverage mid-flight.
   EXPECT_EQ(lm.HeldCount(1), 4u);
@@ -772,6 +788,8 @@ TEST(LockEscalationTest, EscalationDegradesToAbortWhenItMustNotBlock) {
   lm.set_escalation_threshold(4);
   ASSERT_TRUE(
       lm.Acquire(2, LockId::Key(0, "T", Value{99}), LockMode::kExclusive).ok());
+  CostTracker::TxnMeter meter(1);
+  CostTracker::MeterScope scope(&meter);
   for (int64_t k = 0; k < 3; ++k) {
     ASSERT_TRUE(
         lm.Acquire(1, LockId::Key(0, "T", Value{k}), LockMode::kExclusive)
@@ -783,7 +801,7 @@ TEST(LockEscalationTest, EscalationDegradesToAbortWhenItMustNotBlock) {
   WorkerContext::is_executor_worker = false;
   EXPECT_TRUE(st.IsAborted()) << st;
   EXPECT_NE(st.ToString().find("non-blocking"), std::string::npos) << st;
-  EXPECT_EQ(lm.EscalationStatsOf(1).escalations, 0u);
+  EXPECT_EQ(meter.Get(CostTracker::TxnMeter::kEscalations), 0u);
   lm.ReleaseAll(1);
   lm.ReleaseAll(2);
   EXPECT_EQ(lm.TotalLocks(), 0u);
@@ -808,12 +826,16 @@ TEST(LockEscalationTest, WaitDieReclaimWakesParkedWaiterOntoFragmentLock) {
   // txn 2 crosses the threshold and escalates. The reclaim wakes the parked
   // waiter, which re-evaluates, now conflicts with the fragment lock, and
   // parks again (it is older than the holder, so wait-die lets it wait).
-  for (int64_t k = 1; k < 4; ++k) {
-    ASSERT_TRUE(
-        lm.Acquire(2, LockId::Key(0, "T", Value{k}), LockMode::kExclusive)
-            .ok());
+  CostTracker::TxnMeter meter(1);
+  {
+    CostTracker::MeterScope scope(&meter);
+    for (int64_t k = 1; k < 4; ++k) {
+      ASSERT_TRUE(
+          lm.Acquire(2, LockId::Key(0, "T", Value{k}), LockMode::kExclusive)
+              .ok());
+    }
   }
-  EXPECT_EQ(lm.EscalationStatsOf(2).escalations, 1u);
+  EXPECT_EQ(meter.Get(CostTracker::TxnMeter::kEscalations), 1u);
   EXPECT_TRUE(lm.Holds(2, LockId::Table(0, "T"), LockMode::kExclusive));
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(granted.load());
@@ -841,7 +863,9 @@ TEST(LockEscalationTest, WoundWaitEscalationWoundsYoungerKeyHolder) {
   // The older txn 1 crosses the threshold: the escalated fragment acquire
   // wounds the younger key holder and parks until it releases.
   std::atomic<bool> escalated{false};
+  CostTracker::TxnMeter meter(1);
   std::thread older([&] {
+    CostTracker::MeterScope scope(&meter);
     Status st =
         lm.Acquire(1, LockId::Key(0, "T", Value{3}), LockMode::kExclusive);
     EXPECT_TRUE(st.ok()) << st;
@@ -859,8 +883,8 @@ TEST(LockEscalationTest, WoundWaitEscalationWoundsYoungerKeyHolder) {
   older.join();
   EXPECT_TRUE(escalated.load());
   EXPECT_TRUE(lm.Holds(1, LockId::Table(0, "T"), LockMode::kExclusive));
-  EXPECT_EQ(lm.EscalationStatsOf(1).escalations, 1u);
-  EXPECT_EQ(lm.EscalationStatsOf(1).entries_reclaimed, 4u);
+  EXPECT_EQ(meter.Get(CostTracker::TxnMeter::kEscalations), 1u);
+  EXPECT_EQ(meter.Get(CostTracker::TxnMeter::kLockEntriesReclaimed), 4u);
   EXPECT_EQ(lm.TotalLocks(), 1u);
   lm.ReleaseAll(1);
   EXPECT_EQ(lm.TotalLocks(), 0u);

@@ -210,8 +210,9 @@ TEST_F(TraceMaintenanceTest, AnalysisUnpollutedByConcurrentTransactions) {
   // Regression: per-node attribution used to diff global CostTracker
   // snapshots around the transaction, so anything a *concurrent* maintenance
   // transaction did meanwhile was attributed to the bracketed one. The
-  // per-txn meter must report the same per-node I/O for the same delta
-  // whether the system is otherwise idle or busy on unrelated tables.
+  // per-txn meter must report the same per-node I/O, messages and bytes for
+  // the same delta whether the system is otherwise idle or busy on
+  // unrelated tables.
   SystemConfig cfg;
   cfg.num_nodes = 4;
   cfg.rows_per_page = 4;
@@ -253,9 +254,16 @@ TEST_F(TraceMaintenanceTest, AnalysisUnpollutedByConcurrentTransactions) {
   manager.DeleteRow("A", probe).status().Check();
 
   MaintenanceAnalysis solo;
+  const uint64_t msgs_before = sys.network().TotalMessages();
+  const uint64_t bytes_before = sys.network().TotalBytes();
   manager.ApplyDelta(DeltaBatch::Inserts("A", {probe}), &solo)
       .status()
       .Check();
+  // Run solo, the transaction's metered traffic is exactly the interconnect's
+  // global traffic over the call.
+  EXPECT_GT(solo.messages, 0u);
+  EXPECT_EQ(solo.messages, sys.network().TotalMessages() - msgs_before);
+  EXPECT_EQ(solo.bytes_sent, sys.network().TotalBytes() - bytes_before);
   manager.DeleteRow("A", probe).status().Check();
 
   // Noise: a second thread hammers the unrelated C/D view while we measure.
@@ -290,6 +298,10 @@ TEST_F(TraceMaintenanceTest, AnalysisUnpollutedByConcurrentTransactions) {
         << "node " << n;
     EXPECT_EQ(conc.per_node[n].sends, solo.per_node[n].sends) << "node " << n;
   }
+  // Messages and bytes come from the same per-transaction meter, so the noise
+  // thread's traffic is not attributed to this transaction either.
+  EXPECT_EQ(conc.messages, solo.messages);
+  EXPECT_EQ(conc.bytes_sent, solo.bytes_sent);
   manager.CheckAllConsistent().Check();
 }
 

@@ -60,10 +60,13 @@ struct TwoTableFixture {
 
   explicit TwoTableFixture(int num_nodes, int64_t b_keys = 20,
                            int64_t fanout = 2, int rows_per_page = 4,
-                           bool b_clustered_on_d = false) {
-    SystemConfig cfg;
-    cfg.num_nodes = num_nodes;
-    cfg.rows_per_page = rows_per_page;
+                           bool b_clustered_on_d = false)
+      : TwoTableFixture(Config(num_nodes, rows_per_page), b_keys, fanout,
+                        b_clustered_on_d) {}
+
+  /// The same tables on a system built from `cfg` (locking, policies, ...).
+  TwoTableFixture(const SystemConfig& cfg, int64_t b_keys, int64_t fanout,
+                  bool b_clustered_on_d = false) {
     sys = std::make_unique<ParallelSystem>(cfg);
     TableDef a = MakeTableDef("A", ASchema(), "a");
     TableDef b = MakeTableDef("B", BSchema(), "b");
@@ -78,6 +81,13 @@ struct TwoTableFixture {
       }
     }
     manager = std::make_unique<ViewManager>(sys.get());
+  }
+
+  static SystemConfig Config(int num_nodes, int rows_per_page = 4) {
+    SystemConfig cfg;
+    cfg.num_nodes = num_nodes;
+    cfg.rows_per_page = rows_per_page;
+    return cfg;
   }
 
   /// A view over A join B on c = d.
