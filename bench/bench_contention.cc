@@ -9,19 +9,17 @@
 // (one lock-table shard, exclusive latches, per-transaction WAL forces) is
 // on record in the committed BENCH_contention.json.
 //
-// Three lock policies run over the same workload:
-//  - no_wait: a conflicting acquire aborts the transaction immediately and
-//    the abort is client-visible (maintain_max_attempts = 1); the client
-//    must re-submit until its transaction commits.
-//  - wait_die: conflicting acquires park (older waits, younger dies) and
-//    the ViewManager absorbs deadlock-avoidance kills in its bounded retry
-//    loop, so the client sees no aborts at all.
-//  - wound_wait: the mirror-image policy (older wounds younger holders);
-//    same client-invisible contract as wait_die, different victim choice.
+// Conflicting acquires resolve by wait-die (older waits, younger dies) and
+// the ViewManager absorbs the deadlock-avoidance kills in its bounded retry
+// loop, so the client should see no aborts at all; a client-visible abort
+// means the client re-submits until its transaction commits. The two other
+// conflict policies this sweep once compared — no-wait, and the mirror image
+// of wait-die where an older requester aborts the younger holders — are on
+// record in the committed BENCH_contention_policies.json.
 //
 // Reported per cell: committed throughput, client-visible latency
 // (p50/p95/p99 over the full submit-to-commit interval, retries included),
-// client-visible aborts, deadlock kills, wounds, lock waits, shard-mutex
+// client-visible aborts, deadlock kills, lock waits, shard-mutex
 // contention, group-commit rounds, and internal maintenance retries. Each
 // cell ends with the from-scratch consistency oracle: whatever the
 // interleaving, the view must match its bases exactly.
@@ -68,9 +66,9 @@
 // journal. Written to BENCH_contention_escrow.json.
 //
 // Usage: bench_contention [txns_per_thread] [nodes] [sweep]
-//   sweep = "full" (default): policies x key pools {1, 8, 64, 1024} x
-//           threads {1, 2, 4, 8}
-//   sweep = "ci": just the wait-die cell CI smokes (8 threads, 64 keys)
+//   sweep = "full" (default): key pools {1, 8, 64, 1024} x threads
+//           {1, 2, 4, 8}
+//   sweep = "ci": just the cell CI smokes (8 threads, 64 keys)
 //   sweep = "bulk": the escalation-threshold sweep; [txns_per_thread] is
 //           reinterpreted as rows in the single bulk delta
 //   sweep = "mixed": the MVCC read/write grid, readers {1, 2, 4, 8} x
@@ -109,9 +107,8 @@ struct ContentionConfig {
   bool escrow = false;
 };
 
-/// One sweep cell: a lock policy x load shape.
+/// One sweep cell: a load shape.
 struct Cell {
-  LockPolicy policy = LockPolicy::kWaitDie;
   int threads = 1;
   int64_t key_pool = 1;
 };
@@ -123,7 +120,6 @@ struct CellResult {
   double wall_ms = 0.0;
   double committed_per_sec = 0.0;
   uint64_t deadlock_kills = 0;
-  uint64_t wounds = 0;
   uint64_t lock_waits = 0;
   uint64_t lock_wait_timeouts = 0;
   uint64_t shard_contention = 0;
@@ -140,14 +136,11 @@ CellResult RunCell(const ContentionConfig& cc, const Cell& cell) {
   cfg.num_nodes = cc.nodes;
   cfg.rows_per_page = 8;
   cfg.enable_locking = true;
-  cfg.lock_policy = cell.policy;
   cfg.lock_wait_timeout_ms = 500;
-  // Under no-wait every conflict surfaces to the client; under the blocking
-  // policies the maintenance retry loop absorbs them.
   // Commits hold their locks across multi-millisecond forces, so blocked
   // maintenance needs a deeper retry budget than the default before the
   // abort becomes client-visible.
-  cfg.maintain_max_attempts = cell.policy == LockPolicy::kNoWait ? 1 : 16;
+  cfg.maintain_max_attempts = 16;
   cfg.maintain_retry_base_us = 100;
   cfg.wal_force_ns = kForceNs;
   cfg.group_commit_window_us = kWindowUs;
@@ -165,7 +158,6 @@ CellResult RunCell(const ContentionConfig& cc, const Cell& cell) {
 
   MetricsRegistry& metrics = MetricsRegistry::Global();
   const uint64_t kills0 = metrics.counter("pjvm_lock_deadlock_kills")->value();
-  const uint64_t wounds0 = metrics.counter("pjvm_lock_wounds")->value();
   const uint64_t waits0 = metrics.counter("pjvm_lock_waits")->value();
   const uint64_t touts0 = metrics.counter("pjvm_lock_wait_timeouts")->value();
   const uint64_t shard0 =
@@ -218,7 +210,6 @@ CellResult RunCell(const ContentionConfig& cc, const Cell& cell) {
       result.wall_ms > 0.0 ? 1000.0 * result.committed / result.wall_ms : 0.0;
   result.deadlock_kills =
       metrics.counter("pjvm_lock_deadlock_kills")->value() - kills0;
-  result.wounds = metrics.counter("pjvm_lock_wounds")->value() - wounds0;
   result.lock_waits = metrics.counter("pjvm_lock_waits")->value() - waits0;
   result.lock_wait_timeouts =
       metrics.counter("pjvm_lock_wait_timeouts")->value() - touts0;
@@ -243,7 +234,6 @@ CellResult RunCell(const ContentionConfig& cc, const Cell& cell) {
 std::string CellJson(const CellResult& r) {
   JsonWriter w;
   w.BeginObject()
-      .Key("policy").Str(LockPolicyToString(r.cell.policy))
       .Key("threads").Int(r.cell.threads)
       .Key("key_pool").Int(r.cell.key_pool)
       .Key("committed").Uint(r.committed)
@@ -251,7 +241,6 @@ std::string CellJson(const CellResult& r) {
       .Key("wall_ms").Num(r.wall_ms)
       .Key("committed_per_sec").Num(r.committed_per_sec)
       .Key("deadlock_kills").Uint(r.deadlock_kills)
-      .Key("wounds").Uint(r.wounds)
       .Key("lock_waits").Uint(r.lock_waits)
       .Key("lock_wait_timeouts").Uint(r.lock_wait_timeouts)
       .Key("shard_contention").Uint(r.shard_contention)
@@ -285,7 +274,6 @@ BulkResult RunBulkCell(const ContentionConfig& cc, int threshold) {
   cfg.num_nodes = cc.nodes;
   cfg.rows_per_page = 8;
   cfg.enable_locking = true;
-  cfg.lock_policy = LockPolicy::kWaitDie;
   cfg.lock_wait_timeout_ms = 500;
   cfg.maintain_max_attempts = 16;
   cfg.maintain_retry_base_us = 100;
@@ -442,7 +430,6 @@ MixedResult RunMixedCell(const ContentionConfig& cc, const MixedCell& cell) {
   cfg.num_nodes = cc.nodes;
   cfg.rows_per_page = 8;
   cfg.enable_locking = true;
-  cfg.lock_policy = LockPolicy::kWaitDie;
   cfg.lock_wait_timeout_ms = 500;
   cfg.maintain_max_attempts = 16;
   cfg.maintain_retry_base_us = 100;
@@ -729,7 +716,6 @@ EscrowResult RunEscrowCell(const ContentionConfig& cc, int threads,
   cfg.num_nodes = cc.nodes;
   cfg.rows_per_page = 8;
   cfg.enable_locking = true;
-  cfg.lock_policy = LockPolicy::kWaitDie;
   cfg.lock_wait_timeout_ms = 500;
   cfg.maintain_max_attempts = 16;
   cfg.maintain_retry_base_us = 100;
@@ -911,19 +897,14 @@ void RunEscrow(const ContentionConfig& cc) {
 std::vector<Cell> BuildSweep(const ContentionConfig& cc) {
   std::vector<Cell> cells;
   if (cc.ci_only) {
-    // The cell CI smokes: wait-die at 8 threads over a 64-key pool.
-    cells.push_back({LockPolicy::kWaitDie, 8, 64});
+    // The cell CI smokes: 8 threads over a 64-key pool.
+    cells.push_back({8, 64});
     return cells;
   }
   const std::vector<int64_t> key_pools = {1, 8, 64, 1024};
   const std::vector<int> thread_counts = {1, 2, 4, 8};
   for (int64_t keys : key_pools) {
-    for (int threads : thread_counts) {
-      for (LockPolicy policy : {LockPolicy::kNoWait, LockPolicy::kWaitDie,
-                                LockPolicy::kWoundWait}) {
-        cells.push_back({policy, threads, keys});
-      }
-    }
+    for (int threads : thread_counts) cells.push_back({threads, keys});
   }
   return cells;
 }
@@ -961,13 +942,12 @@ void Run(const ContentionConfig& cc) {
   sweep.BeginArray();
   for (const Cell& cell : cells) {
     CellResult r = RunCell(cc, cell);
-    std::cout << LockPolicyToString(r.cell.policy)
-              << " threads=" << r.cell.threads << " keys=" << r.cell.key_pool
+    std::cout << "threads=" << r.cell.threads << " keys=" << r.cell.key_pool
               << ": committed=" << r.committed
               << " aborts=" << r.client_aborts
               << " throughput=" << r.committed_per_sec << "/s"
               << " p95=" << r.latency.P95() / 1e6 << "ms"
-              << " kills=" << r.deadlock_kills << " wounds=" << r.wounds
+              << " kills=" << r.deadlock_kills
               << " waits=" << r.lock_waits
               << " retries=" << r.maintain_retries
               << " gc_rounds=" << r.group_commit_rounds << "\n";

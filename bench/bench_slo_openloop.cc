@@ -76,7 +76,6 @@ OpenLoopResult RunCell(const SloBenchConfig& bc, const SloCell& cell) {
   cfg.num_nodes = bc.nodes;
   cfg.rows_per_page = 8;
   cfg.enable_locking = true;
-  cfg.lock_policy = LockPolicy::kWaitDie;
   cfg.lock_wait_timeout_ms = 500;
   cfg.maintain_max_attempts = 16;
   cfg.maintain_retry_base_us = 100;

@@ -2,7 +2,7 @@
 # Builds the repo under ThreadSanitizer (PJVM_SANITIZE=thread) in a separate
 # build tree and runs the concurrency-sensitive suites: the executor's own
 # tests, the maintenance property tests that drive every parallel phase, the
-# lock manager (wait-die, wound-wait, sharding) + maintenance-retry tests,
+# lock manager (wait-die, sharding) + maintenance-retry tests,
 # the reader/writer node-latch and WAL group-commit suites (plus the
 # overlapped 2PC prepare forces), the network accounting tests (concurrent
 # Send/Broadcast counters), the observability suites (lock-free tracer buffers,
@@ -24,7 +24,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=build-tsan
-FILTER="${1:-NodeExecutor|ParallelEquivalence|NetworkTest|Maintenance|MethodEquivalence|Tracer|LatencyHistogram|CostTracker|TraceMaintenance|WaitDie|MaintenanceRetry|LockManager|EngineLocking|LockShard|WoundWait|NodeLatch|GroupCommit|MultiNodePrepare|LockEscalation|SnapshotIsolation|WindowedHistogram|OpenLoopDriver|HeavyLight|MergedStorage|Escrow|DeferredView}"
+FILTER="${1:-NodeExecutor|ParallelEquivalence|NetworkTest|Maintenance|MethodEquivalence|Tracer|LatencyHistogram|CostTracker|TraceMaintenance|WaitDie|MaintenanceRetry|LockManager|EngineLocking|LockShard|NodeLatch|GroupCommit|MultiNodePrepare|LockEscalation|SnapshotIsolation|WindowedHistogram|OpenLoopDriver|HeavyLight|MergedStorage|Escrow|DeferredView}"
 
 cmake -B "$BUILD_DIR" -S . -G Ninja -DPJVM_SANITIZE=thread
 cmake --build "$BUILD_DIR" -j "$(nproc)" \

@@ -17,8 +17,9 @@ namespace pjvm {
 ///    progress toward its release.
 ///
 /// In these contexts a would-wait decision degrades to an immediate
-/// Aborted (the classic no-wait outcome), which the maintenance retry loop
-/// absorbs. Client threads outside any latch may block normally.
+/// Aborted (as every conflict does when the lock wait timeout is 0), which
+/// the maintenance retry loop absorbs. Client threads outside any latch may
+/// block normally.
 struct WorkerContext {
   /// Set for the lifetime of a NodeExecutor worker thread.
   static inline thread_local bool is_executor_worker = false;

@@ -45,7 +45,6 @@ class NodeExecutor {
   NodeExecutor& operator=(const NodeExecutor&) = delete;
 
   int num_nodes() const { return num_nodes_; }
-  bool inline_mode() const { return inline_mode_; }
 
   /// Runs `fn(node)` on every node's worker and waits for *this call's*
   /// tasks. Every node runs even if another fails; the first non-OK status

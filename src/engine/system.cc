@@ -71,7 +71,6 @@ ParallelSystem::ParallelSystem(SystemConfig config)
     Tracer::Global().SetCurrentThreadName("coordinator");
   }
   cost_.SetIoStallNanos(config_.io_stall_ns);
-  locks_.set_policy(config_.lock_policy);
   locks_.set_wait_timeout_ms(config_.lock_wait_timeout_ms);
   locks_.set_escalation_threshold(config_.lock_escalation_threshold);
   nodes_.reserve(config_.num_nodes);

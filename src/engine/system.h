@@ -45,19 +45,15 @@ struct SystemConfig {
   /// released at commit/abort. Autocommit operations are not locked (they
   /// are atomic by themselves).
   bool enable_locking = false;
-  /// Conflict handling when locking is enabled. kWaitDie (default) parks an
-  /// older requester until the conflict clears and kills a younger one;
-  /// kNoWait is the legacy abort-on-conflict policy (kept for comparison —
-  /// see bench_contention).
-  LockPolicy lock_policy = LockPolicy::kWaitDie;
-  /// Upper bound on one blocking lock wait under kWaitDie; expiry aborts
-  /// the requester. Values <= 0 disable waiting (wait-die degenerates to
-  /// no-wait with ordered kills).
+  /// Upper bound on one blocking lock wait. Conflicts resolve by wait-die:
+  /// an older requester parks until the conflict clears or this expires
+  /// (then aborts), a younger one aborts at once. 0 gives no-wait behaviour:
+  /// every conflict aborts the requester immediately.
   int lock_wait_timeout_ms = 500;
   /// Maximum attempts for one maintenance transaction in
   /// ViewManager::ApplyDelta (>= 1): aborted attempts (wait-die kills,
-  /// timeouts, no-wait conflicts) are retried with exponential backoff
-  /// until this budget is exhausted.
+  /// timeouts) are retried with exponential backoff until this budget is
+  /// exhausted.
   int maintain_max_attempts = 8;
   /// Base backoff before attempt k+1: base * 2^(k-1) microseconds, with
   /// uniform jitter in [0, base) to break retry convoys.

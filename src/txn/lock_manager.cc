@@ -27,18 +27,6 @@ const char* LockModeToString(LockMode mode) {
   return "?";
 }
 
-const char* LockPolicyToString(LockPolicy policy) {
-  switch (policy) {
-    case LockPolicy::kNoWait:
-      return "no_wait";
-    case LockPolicy::kWaitDie:
-      return "wait_die";
-    case LockPolicy::kWoundWait:
-      return "wound_wait";
-  }
-  return "?";
-}
-
 std::string LockId::ToString() const {
   std::string out = "node" + std::to_string(node) + "/" + table;
   if (whole_table) {
@@ -49,18 +37,13 @@ std::string LockId::ToString() const {
   return out;
 }
 
-LockManager::LockManager(int num_shards) {
-  shards_.resize(std::max(1, num_shards));
-  for (auto& shard : shards_) shard = std::make_unique<Shard>();
-}
-
 const LockManager::Shard& LockManager::ShardOf(const LockId& id) const {
   // Fragment-granular: every lock of one (node, table) pair maps to the same
   // shard, so table↔key coverage checks and release-wakeups stay single-shard.
   uint64_t h = std::hash<std::string>{}(id.table);
   h = h * 1099511628211ULL ^
       (static_cast<uint64_t>(id.node) * 0x9e3779b97f4a7c15ULL);
-  return *shards_[h % shards_.size()];
+  return shards_[h % shards_.size()];
 }
 
 void LockManager::CollectConflicts(const Shard& shard, uint64_t txn_id,
@@ -142,44 +125,9 @@ uint64_t LockManager::AgeOf(uint64_t txn_id) const {
   return it == ages_.end() ? txn_id : it->second;
 }
 
-bool LockManager::IsWounded(uint64_t txn_id) const {
-  std::lock_guard<std::mutex> lock(wound_mu_);
-  return wounded_.count(txn_id) > 0;
-}
-
-void LockManager::WoundYoungerHolders(uint64_t txn_id,
-                                      const std::set<uint64_t>& holders) {
-  static Counter* wounds =
-      MetricsRegistry::Global().counter("pjvm_lock_wounds");
-  const uint64_t my_age = AgeOf(txn_id);
-  std::lock_guard<std::mutex> lock(wound_mu_);
-  for (uint64_t holder : holders) {
-    if (AgeOf(holder) <= my_age) continue;
-    if (wounded_.insert(holder).second) wounds->Increment();
-    // Wake a parked victim so it re-checks its wound flag. If it registered
-    // but has not reached wait() yet, the notify is lost and the wait
-    // timeout backstops — a bounded stall, never a missed abort.
-    auto parked = parked_.find(holder);
-    if (parked != parked_.end() && parked->second) {
-      parked->second->notify_all();
-    }
-  }
-}
-
 Status LockManager::Acquire(uint64_t txn_id, const LockId& id, LockMode mode) {
-  static Counter* kills =
-      MetricsRegistry::Global().counter("pjvm_lock_deadlock_kills");
   static Counter* shard_contention =
       MetricsRegistry::Global().counter("pjvm_lock_shard_contention");
-
-  // A wounded transaction aborts at its next lock request even if that
-  // request would have been grantable: the older wounder is waiting for us.
-  if (policy_ == LockPolicy::kWoundWait && IsWounded(txn_id)) {
-    kills->Increment();
-    return Status::Aborted("lock conflict on " + id.ToString() + ": txn " +
-                           std::to_string(txn_id) +
-                           " wounded by an older transaction (wound-wait)");
-  }
 
   Shard& shard = ShardOf(id);
   std::unique_lock<std::mutex> lock(shard.mu, std::try_to_lock);
@@ -230,23 +178,15 @@ Status LockManager::AcquireLocked(std::unique_lock<std::mutex>& lock,
   static LatencyHistogram* wait_ns =
       MetricsRegistry::Global().histogram("pjvm_lock_wait_ns");
 
-  auto wounded_abort = [&]() {
-    kills->Increment();
-    return Status::Aborted("lock conflict on " + id.ToString() + ": txn " +
-                           std::to_string(txn_id) +
-                           " wounded by an older transaction (wound-wait)");
-  };
-
-  const bool may_block = (policy_ == LockPolicy::kWaitDie ||
-                          policy_ == LockPolicy::kWoundWait) &&
-                         wait_timeout_ms_ > 0 && !WorkerContext::MustNotBlock();
+  const bool may_block =
+      wait_timeout_ms_ > 0 && !WorkerContext::MustNotBlock();
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(wait_timeout_ms_);
   std::optional<SpanGuard> wait_span;
   uint64_t wait_start_ns = 0;
   bool waited = false;
 
-  auto finish_wait = [&](bool /*granted*/) {
+  auto finish_wait = [&]() {
     if (!waited) return;
     wait_ns->Record(Tracer::NowNs() - wait_start_ns);
     wait_span.reset();
@@ -258,33 +198,23 @@ Status LockManager::AcquireLocked(std::unique_lock<std::mutex>& lock,
     CollectConflicts(shard, txn_id, id, mode, &conflicts);
     if (conflicts.empty()) {
       Grant(shard, txn_id, id, mode);
-      finish_wait(true);
+      finish_wait();
       return Status::OK();
     }
-    if (policy_ == LockPolicy::kNoWait) {
-      return ConflictAborted(txn_id, id, mode, conflicts, "no-wait");
-    }
     uint64_t oldest_conflict = UINT64_MAX;
-    if (policy_ != LockPolicy::kNoWait) {
-      for (uint64_t holder : conflicts) {
-        oldest_conflict = std::min(oldest_conflict, AgeOf(holder));
-      }
+    for (uint64_t holder : conflicts) {
+      oldest_conflict = std::min(oldest_conflict, AgeOf(holder));
     }
-    if (policy_ == LockPolicy::kWaitDie && oldest_conflict < AgeOf(txn_id)) {
+    if (oldest_conflict < AgeOf(txn_id)) {
       // Wait-die: die if ANY conflicting holder is older (by lineage age,
       // see SetAge) — the re-check after each wakeup means a newly arrived
       // older holder kills a sleeping waiter too.
       kills->Increment();
-      finish_wait(false);
+      finish_wait();
       return ConflictAborted(txn_id, id, mode, conflicts, "wait-die kill");
     }
-    if (policy_ == LockPolicy::kWoundWait) {
-      // Wound every younger conflicting holder, then wait for the conflict
-      // to clear (the requester never dies under wound-wait).
-      WoundYoungerHolders(txn_id, conflicts);
-    }
     if (!may_block) {
-      finish_wait(false);
+      finish_wait();
       return ConflictAborted(txn_id, id, mode, conflicts,
                              "would-wait in non-blocking context");
     }
@@ -306,15 +236,7 @@ Status LockManager::AcquireLocked(std::unique_lock<std::mutex>& lock,
     }
     std::shared_ptr<std::condition_variable> cv = entry.waiters;
     ++entry.waiter_count;
-    if (policy_ == LockPolicy::kWoundWait) {
-      std::lock_guard<std::mutex> wg(wound_mu_);
-      parked_[txn_id] = cv;
-    }
     std::cv_status wake = cv->wait_until(lock, deadline);
-    if (policy_ == LockPolicy::kWoundWait) {
-      std::lock_guard<std::mutex> wg(wound_mu_);
-      parked_.erase(txn_id);
-    }
     // The map may have changed while parked; re-find before bookkeeping.
     auto it2 = shard.locks.find(id);
     if (it2 != shard.locks.end() && it2->second.waiters == cv) {
@@ -323,20 +245,16 @@ Status LockManager::AcquireLocked(std::unique_lock<std::mutex>& lock,
         shard.locks.erase(it2);
       }
     }
-    if (policy_ == LockPolicy::kWoundWait && IsWounded(txn_id)) {
-      finish_wait(false);
-      return wounded_abort();
-    }
     if (wake == std::cv_status::timeout) {
       conflicts.clear();
       CollectConflicts(shard, txn_id, id, mode, &conflicts);
       if (conflicts.empty()) {
         Grant(shard, txn_id, id, mode);
-        finish_wait(true);
+        finish_wait();
         return Status::OK();
       }
       timeouts->Increment();
-      finish_wait(false);
+      finish_wait();
       return ConflictAborted(txn_id, id, mode, conflicts, "wait timeout");
     }
   }
@@ -383,10 +301,10 @@ Status LockManager::MaybeEscalateLocked(std::unique_lock<std::mutex>& lock,
   }
   const LockMode mode = folded.value_or(LockMode::kShared);
 
-  // The fragment acquire runs the full policy loop and may park (it keeps
+  // The fragment acquire runs the full wait-die loop and may park (it keeps
   // the key locks while waiting, so the transaction never loses coverage).
-  // A kill, wound, timeout, or non-blocking would-wait aborts the Acquire
-  // that triggered escalation; the caller's abort-and-retry path takes over.
+  // A kill, timeout, or non-blocking would-wait aborts the Acquire that
+  // triggered escalation; the caller's abort-and-retry path takes over.
   Status st =
       AcquireLocked(lock, shard, txn_id, LockId::Table(id.node, id.table),
                     mode);
@@ -394,7 +312,7 @@ Status LockManager::MaybeEscalateLocked(std::unique_lock<std::mutex>& lock,
 
   // Swap: drop the key entries the fragment lock now covers, waking their
   // waiters so they re-evaluate (they will now conflict with the fragment
-  // lock and re-park / die per policy).
+  // lock and re-park or die).
   size_t reclaimed = 0;
   for (const LockId& key : keys) {
     auto entry = shard.locks.find(key);
@@ -432,8 +350,7 @@ Status LockManager::MaybeEscalateLocked(std::unique_lock<std::mutex>& lock,
 }
 
 void LockManager::ReleaseAll(uint64_t txn_id) {
-  for (const auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
+  for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.by_txn.find(txn_id);
     if (it == shard.by_txn.end()) continue;
@@ -464,21 +381,12 @@ void LockManager::ReleaseAll(uint64_t txn_id) {
         shard.key_counts.lower_bound(
             FragKey{txn_id + 1, std::numeric_limits<int>::min(), ""}));
   }
-  // The transaction is finished (commit or abort); its wound flag, if any,
-  // is moot. Txn ids are never reused, so clearing after release is safe —
-  // any Acquire that observed the flag has already aborted.
-  {
-    std::lock_guard<std::mutex> wg(wound_mu_);
-    wounded_.erase(txn_id);
-    parked_.erase(txn_id);
-  }
   std::lock_guard<std::mutex> ag(age_mu_);
   ages_.erase(txn_id);
 }
 
 void LockManager::Clear() {
-  for (const auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
+  for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     for (auto& [id, entry] : shard.locks) {
       if (entry.waiter_count > 0 && entry.waiters) {
@@ -490,18 +398,13 @@ void LockManager::Clear() {
     shard.key_counts.clear();
     shard.entry_holders = 0;
   }
-  {
-    std::lock_guard<std::mutex> wg(wound_mu_);
-    wounded_.clear();
-  }
   std::lock_guard<std::mutex> ag(age_mu_);
   ages_.clear();
 }
 
 size_t LockManager::HeldCount(uint64_t txn_id) const {
   size_t count = 0;
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
+  for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.by_txn.find(txn_id);
     if (it != shard.by_txn.end()) count += it->second.size();
@@ -528,8 +431,7 @@ bool LockManager::Holds(uint64_t txn_id, const LockId& id,
 
 size_t LockManager::TotalLocks() const {
   size_t count = 0;
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
+  for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     for (const auto& [id, entry] : shard.locks) {
       count += entry.holders.size();
@@ -540,8 +442,7 @@ size_t LockManager::TotalLocks() const {
 
 size_t LockManager::PeakShardEntries() const {
   size_t peak = 0;
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
+  for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     peak = std::max(peak, shard.peak_entry_holders);
   }
@@ -549,8 +450,7 @@ size_t LockManager::PeakShardEntries() const {
 }
 
 void LockManager::ResetPeakEntries() {
-  for (const auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
+  for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.peak_entry_holders = shard.entry_holders;
   }

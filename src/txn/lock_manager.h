@@ -2,6 +2,7 @@
 #define PJVM_TXN_LOCK_MANAGER_H_
 
 #include <algorithm>
+#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
@@ -10,7 +11,6 @@
 #include <set>
 #include <string>
 #include <tuple>
-#include <vector>
 
 #include "common/status.h"
 #include "common/value.h"
@@ -23,27 +23,6 @@ namespace pjvm {
 enum class LockMode { kShared = 0, kExclusive, kValue };
 
 const char* LockModeToString(LockMode mode);
-
-/// \brief How a conflicting Acquire is resolved.
-enum class LockPolicy {
-  /// Conflicts fail immediately with Aborted; the caller rolls back and
-  /// retries. Deadlock-free by construction, but every conflict is a
-  /// client-visible abort.
-  kNoWait = 0,
-  /// Wait-die deadlock avoidance: an *older* requester (smaller txn id)
-  /// parks on the entry's condition variable until the conflict clears or
-  /// a timeout fires; a *younger* requester dies (Aborted) immediately.
-  kWaitDie,
-  /// Wound-wait deadlock avoidance: an *older* requester wounds every
-  /// younger conflicting holder (they abort at their next Acquire or
-  /// wakeup) and then parks until the conflict clears; a *younger*
-  /// requester parks behind the older holder. Waits-for edges point
-  /// young -> old and wounded transactions always release, so cycles
-  /// cannot persist.
-  kWoundWait,
-};
-
-const char* LockPolicyToString(LockPolicy policy);
 
 /// \brief Identity of a lockable resource: a key of a table's fragment at
 /// one node, or the whole fragment (key_hash absent).
@@ -75,28 +54,23 @@ struct LockId {
   std::string ToString() const;
 };
 
-/// \brief Strict two-phase locking with a configurable conflict policy.
+/// \brief Strict two-phase locking with wait-die deadlock avoidance.
 ///
-/// Under the default **wait-die** policy a conflicting Acquire blocks when
-/// the requester is older (smaller txn id) than every conflicting holder —
-/// it parks on the contended entry's condition variable until ReleaseAll
-/// wakes it or `wait_timeout_ms` fires — and dies with Aborted when any
-/// conflicting holder is older. Because a transaction only ever waits for
-/// younger transactions, every waits-for edge points old → young and cycles
-/// are impossible; no waits-for graph is needed. Timeouts also return
-/// Aborted, so the caller's abort-and-retry path handles both uniformly.
-/// **Wound-wait** inverts the victim choice: an older requester wounds the
-/// younger holders (they observe the wound and abort at their next Acquire
-/// or wakeup) and waits for them to release; a younger requester simply
-/// waits behind the older holder. The legacy **no-wait** policy (every
-/// conflict aborts instantly) remains available for comparison runs —
-/// bench_contention measures all three.
+/// A conflicting Acquire blocks when the requester is older (smaller txn id,
+/// or lineage age — see SetAge) than every conflicting holder — it parks on
+/// the contended entry's condition variable until ReleaseAll wakes it or
+/// `wait_timeout_ms` fires — and dies with Aborted when any conflicting
+/// holder is older. Because a transaction only ever waits for younger
+/// transactions, every waits-for edge points old → young and cycles are
+/// impossible; no waits-for graph is needed. Timeouts also return Aborted,
+/// so the caller's abort-and-retry path handles both uniformly. A wait
+/// timeout of 0 turns every conflict into an immediate Aborted (no-wait).
 ///
-/// Two execution contexts must never block regardless of policy (see
-/// common/worker_context.h): node-executor workers, whose FIFO queues would
-/// suffer head-of-line scheduling deadlocks, and threads holding a node
-/// latch, which the lock holder may need to make progress. For them a
-/// would-wait decision degrades to an immediate Aborted.
+/// Two execution contexts must never block (see common/worker_context.h):
+/// node-executor workers, whose FIFO queues would suffer head-of-line
+/// scheduling deadlocks, and threads holding a node latch, which the lock
+/// holder may need to make progress. For them a would-wait decision
+/// degrades to an immediate Aborted.
 ///
 /// Locks are held until ReleaseAll at commit/abort (strictness). A
 /// transaction's own locks never conflict with it, and a shared lock it
@@ -117,7 +91,7 @@ struct LockId {
 /// both hold V on its index key and proceed in parallel; a reader's S probe
 /// or a writer's X still conflicts, so snapshots stay consistent. A V→X
 /// upgrade (group birth/death — the non-commutative edges) goes through the
-/// normal conflict loop: it waits for (or kills, per policy) the other V
+/// normal conflict loop: it waits for (or dies behind) the other V
 /// holders, and its grant therefore implies the upgrader is the sole
 /// holder. V grants and V→X upgrades are counted in `pjvm_vlock_grants` /
 /// `pjvm_vlock_upgrades`.
@@ -126,11 +100,11 @@ struct LockId {
 /// sort-merge scan can take one fragment lock instead of thousands of key
 /// locks.
 ///
-/// **Sharding.** The lock table is split into `num_shards` shards, each with
-/// its own mutex and entry map, so acquires, parks, and release-wakeups on
-/// disjoint fragments never contend on a common mutex. The shard key is the
-/// (node, table) pair — not the full lock id — because correctness requires
-/// two whole-fragment operations to be atomic within one shard:
+/// **Sharding.** The lock table is split into `kDefaultShards` shards, each
+/// with its own mutex and entry map, so acquires, parks, and release-wakeups
+/// on disjoint fragments never contend on a common mutex. The shard key is
+/// the (node, table) pair — not the full lock id — because correctness
+/// requires two whole-fragment operations to be atomic within one shard:
 /// CollectConflicts checks table-lock ↔ key-lock coverage across every entry
 /// of the fragment, and ReleaseAll wakes waiters parked anywhere on the
 /// released fragment. Failed shard try-locks are counted in
@@ -142,34 +116,30 @@ struct LockId {
 /// transaction's key-lock count on one (node, table) fragment crosses it, the
 /// granting Acquire escalates in place: it acquires the fragment-granularity
 /// lock (exclusive if any of the key locks is exclusive, shared otherwise)
-/// through the normal conflict loop — so all three policies, lineage ages,
-/// and `WorkerContext::MustNotBlock` apply exactly as for any other acquire —
+/// through the normal conflict loop — so wait-die, lineage ages, and
+/// `WorkerContext::MustNotBlock` apply exactly as for any other acquire —
 /// and then releases the transaction's key entries the fragment lock now
 /// covers, waking their waiters so they re-evaluate against the fragment
 /// lock. Because the fragment and its keys share a shard, the swap is atomic
 /// under one shard mutex: no moment exists where the transaction holds
 /// neither the keys nor the fragment. Later key acquires on the escalated
 /// fragment are answered by the coverage fast path without creating entries.
-/// If the fragment lock cannot be granted (no-wait conflict, wait-die kill,
-/// a wound, a timeout, or a would-wait in a non-blocking context), the
-/// Acquire that triggered escalation returns Aborted and the caller's
-/// abort-and-retry path — e.g. the ViewManager maintenance retry loop, which
-/// keeps lineage ages across attempts — resolves it. Escalations are counted
-/// in `pjvm_lock_escalations` / `pjvm_lock_entries_reclaimed` and in the
+/// If the fragment lock cannot be granted (a wait-die kill, a timeout, or a
+/// would-wait in a non-blocking context), the Acquire that triggered
+/// escalation returns Aborted and the caller's abort-and-retry path — e.g.
+/// the ViewManager maintenance retry loop, which keeps lineage ages across
+/// attempts — resolves it. Escalations are counted in
+/// `pjvm_lock_escalations` / `pjvm_lock_entries_reclaimed` and in the
 /// escalating thread's active CostTracker::TxnMeter, which is how EXPLAIN
 /// ANALYZE reports them per transaction.
 class LockManager {
  public:
-  explicit LockManager(int num_shards = kDefaultShards);
-
-  /// Acquires (or upgrades) a lock. Aborted when the conflict policy kills
-  /// the request (no-wait conflict, wait-die death, a wound, a wait
-  /// timeout, or a would-wait in a context that must not block).
+  /// Acquires (or upgrades) a lock. Aborted on a wait-die death, a wait
+  /// timeout, or a would-wait in a context that must not block.
   Status Acquire(uint64_t txn_id, const LockId& id, LockMode mode);
 
-  /// Releases everything the transaction holds (commit or abort), wakes
-  /// waiters parked on the released entries, and clears any wound flag —
-  /// the transaction is finished either way.
+  /// Releases everything the transaction holds (commit or abort) and wakes
+  /// waiters parked on the released entries.
   void ReleaseAll(uint64_t txn_id);
 
   /// Number of distinct resources the transaction holds locks on.
@@ -194,24 +164,21 @@ class LockManager {
   void Clear();
 
   /// Registers a priority timestamp for `txn_id` that differs from its id.
-  /// Wait-die and wound-wait order transactions by age; a retry loop that
+  /// Wait-die orders transactions by age; a retry loop that
   /// restarts an aborted transaction under a fresh id passes the lineage's
   /// FIRST id here so the restart keeps its original timestamp — the
   /// textbook anti-starvation rule (a restarted transaction is never again
   /// the youngest). Cleared by ReleaseAll/Clear.
   void SetAge(uint64_t txn_id, uint64_t age);
 
-  LockPolicy policy() const { return policy_; }
-  void set_policy(LockPolicy policy) { policy_ = policy; }
-  /// Upper bound on one blocking wait; expiry returns Aborted.
+  /// Upper bound on one blocking wait; expiry returns Aborted. Values <= 0
+  /// never wait: every conflict returns Aborted at once.
   void set_wait_timeout_ms(int ms) { wait_timeout_ms_ = ms; }
-  int wait_timeout_ms() const { return wait_timeout_ms_; }
 
   /// Key-lock count per (txn, fragment) at which the granting Acquire
   /// escalates to the fragment lock. 0 (the default here; engines configure
   /// SystemConfig::lock_escalation_threshold) disables escalation.
   void set_escalation_threshold(int n) { escalation_threshold_ = std::max(0, n); }
-  int escalation_threshold() const { return escalation_threshold_; }
 
   static constexpr int kDefaultShards = 16;
 
@@ -263,10 +230,10 @@ class LockManager {
   static void Grant(Shard& shard, uint64_t txn_id, const LockId& id,
                     LockMode mode);
 
-  /// The conflict / policy / park loop of Acquire, entered with `lock` (on
+  /// The conflict / wait-die / park loop of Acquire, entered with `lock` (on
   /// `shard.mu`) held; may release and re-take it while parked. Both the
   /// client-visible Acquire and the escalation path run through it, so
-  /// policy semantics are identical for the two.
+  /// wait-die semantics are identical for the two.
   Status AcquireLocked(std::unique_lock<std::mutex>& lock, Shard& shard,
                        uint64_t txn_id, const LockId& id, LockMode mode);
 
@@ -290,31 +257,16 @@ class LockManager {
     return a == b ? a : LockMode::kExclusive;
   }
 
-  /// The priority timestamp wait-die/wound-wait compare: the registered
-  /// age if SetAge was called for this transaction, its id otherwise.
+  /// The priority timestamp wait-die compares: the registered age if SetAge
+  /// was called for this transaction, its id otherwise.
   uint64_t AgeOf(uint64_t txn_id) const;
 
-  /// True if `txn_id` has been wounded (and should abort).
-  bool IsWounded(uint64_t txn_id) const;
-  /// Wounds every conflicting holder younger than `txn_id`; wakes any that
-  /// are parked. Called with a shard mutex held (lock order: shard → wound).
-  void WoundYoungerHolders(uint64_t txn_id, const std::set<uint64_t>& holders);
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  LockPolicy policy_ = LockPolicy::kNoWait;
+  std::array<Shard, kDefaultShards> shards_;
   int wait_timeout_ms_ = 500;
   int escalation_threshold_ = 0;
 
-  /// Wound-wait victim state. Ordered strictly after any shard mutex; never
-  /// held while taking a shard mutex.
-  mutable std::mutex wound_mu_;
-  std::set<uint64_t> wounded_;
-  /// Where each parked transaction sleeps, so a wound can wake its victim
-  /// promptly (the victim re-checks its wound flag on every wakeup).
-  std::map<uint64_t, std::shared_ptr<std::condition_variable>> parked_;
-
-  /// Retry-lineage timestamps (SetAge). Leaf mutex: taken under shard or
-  /// wound mutexes, never the reverse.
+  /// Retry-lineage timestamps (SetAge). Leaf mutex: taken under a shard
+  /// mutex, never the reverse.
   mutable std::mutex age_mu_;
   std::map<uint64_t, uint64_t> ages_;
 };

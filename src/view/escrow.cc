@@ -107,7 +107,7 @@ Result<bool> EscrowRegistry::Apply(uint64_t txn, int node_id,
 
   // The escrow lock. Blocking is allowed here (no latch held): concurrent
   // incrementers hold compatible V locks and proceed; an eager writer's X
-  // or a reader's S parks us per the configured policy.
+  // or a reader's S parks us (or kills us, by wait-die).
   const LockId lid = LockId::IndexKey(node_id, view, pcol, contribution[pcol]);
   PJVM_RETURN_NOT_OK(sys_->locks().Acquire(txn, lid, LockMode::kValue));
   sys_->txns().AddParticipant(txn, node_id);
@@ -192,10 +192,11 @@ Result<bool> EscrowRegistry::Apply(uint64_t txn, int node_id,
     }
   }  // latch and journal mutex released before the blocking upgrade
 
-  // V→X escalation: the upgrade waits out (or kills, per policy) every
-  // other V holder, so its grant implies sole ownership — their commit and
-  // abort epilogues have run, the journal state for this group is settled
-  // and dropped, and the heap row carries exactly the committed image.
+  // V→X escalation: the upgrade waits out (or dies behind, by wait-die)
+  // every other V holder, so its grant implies sole ownership — their commit
+  // and abort epilogues have run, the journal state for this group is
+  // settled and dropped, and the heap row carries exactly the committed
+  // image.
   PJVM_RETURN_NOT_OK(sys_->locks().Acquire(txn, lid, LockMode::kExclusive));
   {
     std::lock_guard<std::mutex> lock(mu_);

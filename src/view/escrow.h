@@ -48,7 +48,7 @@ namespace pjvm {
 ///  - **Group birth and death are the non-commutative edges.** A
 ///    contribution for a missing group, or one that would drive the
 ///    transaction's own accumulated count negative, escalates V→X: the
-///    upgrade waits out (or kills, per the lock policy) every other V
+///    upgrade waits out (or, under wait-die, dies behind) every other V
 ///    holder, and its grant therefore implies sole ownership with the
 ///    journal settled — the transaction then replays its accumulated delta
 ///    through the eager delete+insert path and stays eager on that group

@@ -48,12 +48,6 @@ Result<MaintenanceReport> Maintainer::ApplyDelta(uint64_t txn, int updated_base,
   return report;
 }
 
-Result<MaintenancePlan> Maintainer::Plan(int updated_base) const {
-  return PlanMaintenance(bound(), updated_base, [this](int base, int col) {
-    return EstimateFanout(base, col);
-  });
-}
-
 Result<MaintenancePlan> Maintainer::PlanForRows(
     int updated_base, const std::vector<Row>& rows) const {
   return PlanMaintenanceForDelta(

@@ -156,10 +156,6 @@ class Maintainer {
     int node;
   };
 
-  /// Computes the plan (join order over the remaining bases) for this delta
-  /// using live statistics.
-  Result<MaintenancePlan> Plan(int updated_base) const;
-
   /// Delta-aware plan: first-step candidates are scored by the actual key
   /// values in `rows` (exact per-key match counts where an index exists),
   /// so skewed batches order their joins by what they will really touch.

@@ -628,7 +628,7 @@ Status ViewManager::RunMaintenanceTxn(
       lineage = txn;
     } else {
       // A restart keeps the lineage's original timestamp (the classic
-      // wait-die/wound-wait anti-starvation rule): each retry runs under a
+      // wait-die anti-starvation rule): each retry runs under a
       // fresh txn id — reusing the id would confuse WAL replay — but is
       // never again the youngest transaction in every conflict it meets.
       sys_->locks().SetAge(txn, lineage);

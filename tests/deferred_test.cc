@@ -169,7 +169,6 @@ struct BlockedRefresh {
   static SystemConfig Config() {
     SystemConfig cfg = TwoTableFixture::Config(4);
     cfg.enable_locking = true;
-    cfg.lock_policy = LockPolicy::kWaitDie;
     return cfg;
   }
 };

@@ -28,14 +28,12 @@ struct EscrowFixture {
   std::unique_ptr<ViewManager> manager;
   int64_t next_a_key = 0;
 
-  EscrowFixture(int num_nodes, bool escrow, bool mvcc,
-                LockPolicy policy = LockPolicy::kWaitDie, int64_t b_keys = 6,
+  EscrowFixture(int num_nodes, bool escrow, bool mvcc, int64_t b_keys = 6,
                 int64_t fanout = 2) {
     SystemConfig cfg;
     cfg.num_nodes = num_nodes;
     cfg.rows_per_page = 4;
     cfg.enable_locking = true;
-    cfg.lock_policy = policy;
     cfg.mvcc_reads = mvcc;
     cfg.escrow_aggregates = escrow;
     sys = std::make_unique<ParallelSystem>(cfg);
@@ -195,62 +193,58 @@ TEST(EscrowGroupLifecycleTest, GroupsVanishAtZeroCountAndAreReborn) {
 
 // The group-death race: concurrent increments and decrements drive a hot
 // group's COUNT(*) through zero while several transactions hold V locks.
-// Two holders that both need the V->X upgrade deadlock unless the policy
+// Two holders that both need the V->X upgrade deadlock unless wait-die
 // kills one; the killed attempt must roll its journal entries back before
 // the bounded retry re-requests locks. Asserts: every client call commits
 // (retries absorb the kills), the view matches the oracle, no resurrection
 // of a dead group, and neither locks nor journal entries leak.
-TEST(EscrowGroupDeathRaceTest, UpgradeDeadlocksResolveUnderBothPolicies) {
-  for (LockPolicy policy : {LockPolicy::kWaitDie, LockPolicy::kWoundWait}) {
-    SCOPED_TRACE(LockPolicyToString(policy));
-    EscrowFixture fx(2, /*escrow=*/true, /*mvcc=*/false, policy,
-                     /*b_keys=*/4, /*fanout=*/1);
-    ASSERT_TRUE(fx.manager
-                    ->RegisterView(CountSumView(),
-                                   MaintenanceMethod::kAuxRelation)
-                    .ok());
-    constexpr int kThreads = 4;
-    constexpr int kRounds = 10;
-    // Pre-generate each thread's rows single-threaded; all share join key 3
-    // so every transaction fights over one group.
-    std::vector<std::vector<Row>> rows(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      for (int r = 0; r < kRounds; ++r) rows[t].push_back(fx.NextARow(3));
-    }
-    std::atomic<int> failures{0};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&fx, &rows, &failures, t] {
-        for (const Row& row : rows[t]) {
-          // Insert-then-delete swings the group's count through zero from
-          // this thread's perspective; interleaved with the other threads
-          // the group is born and dies many times.
-          if (!fx.manager->InsertRow("A", row).ok()) ++failures;
-          if (!fx.manager->DeleteRow("A", row).ok()) ++failures;
-        }
-      });
-    }
-    for (std::thread& th : threads) th.join();
-    EXPECT_EQ(failures.load(), 0);
-    // Every insert was deleted: the group must be gone, not resurrected at
-    // count zero by a late V-lock increment.
-    EXPECT_EQ(fx.manager->view("AGG")->RowCount(), 0u);
-    ASSERT_TRUE(fx.manager->CheckAllConsistent().ok())
-        << fx.manager->CheckAllConsistent();
-    // Retry lineage: killed attempts released their V locks and rolled
-    // their journal entries back — nothing outlives the storm.
-    ASSERT_TRUE(fx.manager->escrow()->CheckConsistent().ok())
-        << fx.manager->escrow()->CheckConsistent();
-    EXPECT_EQ(fx.sys->locks().TotalLocks(), 0u);
+TEST(EscrowGroupDeathRaceTest, UpgradeDeadlocksResolveUnderWaitDie) {
+  EscrowFixture fx(2, /*escrow=*/true, /*mvcc=*/false, /*b_keys=*/4,
+                   /*fanout=*/1);
+  ASSERT_TRUE(
+      fx.manager->RegisterView(CountSumView(), MaintenanceMethod::kAuxRelation)
+          .ok());
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 10;
+  // Pre-generate each thread's rows single-threaded; all share join key 3
+  // so every transaction fights over one group.
+  std::vector<std::vector<Row>> rows(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    for (int r = 0; r < kRounds; ++r) rows[t].push_back(fx.NextARow(3));
   }
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&fx, &rows, &failures, t] {
+      for (const Row& row : rows[t]) {
+        // Insert-then-delete swings the group's count through zero from
+        // this thread's perspective; interleaved with the other threads
+        // the group is born and dies many times.
+        if (!fx.manager->InsertRow("A", row).ok()) ++failures;
+        if (!fx.manager->DeleteRow("A", row).ok()) ++failures;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  // Every insert was deleted: the group must be gone, not resurrected at
+  // count zero by a late V-lock increment.
+  EXPECT_EQ(fx.manager->view("AGG")->RowCount(), 0u);
+  ASSERT_TRUE(fx.manager->CheckAllConsistent().ok())
+      << fx.manager->CheckAllConsistent();
+  // Retry lineage: killed attempts released their V locks and rolled
+  // their journal entries back — nothing outlives the storm.
+  ASSERT_TRUE(fx.manager->escrow()->CheckConsistent().ok())
+      << fx.manager->escrow()->CheckConsistent();
+  EXPECT_EQ(fx.sys->locks().TotalLocks(), 0u);
 }
 
 // Sustained mixed load on several hot groups (no full deaths): the pure
 // escrow fast path under real thread interleavings, checked against the
 // from-scratch oracle at the end.
 TEST(EscrowGroupDeathRaceTest, ConcurrentIncrementsMatchOracle) {
-  EscrowFixture fx(2, /*escrow=*/true, /*mvcc=*/false, LockPolicy::kWaitDie,
-                   /*b_keys=*/4, /*fanout=*/2);
+  EscrowFixture fx(2, /*escrow=*/true, /*mvcc=*/false, /*b_keys=*/4,
+                   /*fanout=*/2);
   ASSERT_TRUE(
       fx.manager->RegisterView(CountSumView(), MaintenanceMethod::kAuxRelation)
           .ok());

@@ -57,7 +57,8 @@ TEST(LockManagerTest, UpgradeBlockedByOtherReaders) {
   LockId id = LockId::Key(0, "T", Value{5});
   ASSERT_TRUE(lm.Acquire(1, id, LockMode::kShared).ok());
   ASSERT_TRUE(lm.Acquire(2, id, LockMode::kShared).ok());
-  EXPECT_TRUE(lm.Acquire(1, id, LockMode::kExclusive).IsAborted());
+  // The younger reader's upgrade conflicts with the older reader: it dies.
+  EXPECT_TRUE(lm.Acquire(2, id, LockMode::kExclusive).IsAborted());
 }
 
 TEST(LockManagerTest, ReleaseAllFreesEverything) {
@@ -81,11 +82,11 @@ TEST(LockManagerTest, TableLockCoversKeys) {
   ASSERT_TRUE(lm.Acquire(1, key, LockMode::kExclusive).ok());
   EXPECT_TRUE(lm.Acquire(2, table, LockMode::kShared).IsAborted());
   lm.ReleaseAll(1);
-  // Scanner holds the table; a writer's key-X conflicts.
+  // Scanner holds the table; a (younger) writer's key-X conflicts.
   ASSERT_TRUE(lm.Acquire(2, table, LockMode::kShared).ok());
-  EXPECT_TRUE(lm.Acquire(1, key, LockMode::kExclusive).IsAborted());
+  EXPECT_TRUE(lm.Acquire(3, key, LockMode::kExclusive).IsAborted());
   // But a reading probe is compatible with the table-S lock.
-  EXPECT_TRUE(lm.Acquire(1, key, LockMode::kShared).ok());
+  EXPECT_TRUE(lm.Acquire(3, key, LockMode::kShared).ok());
 }
 
 TEST(LockManagerTest, DifferentTablesAndNodesIndependent) {
@@ -148,7 +149,7 @@ TEST(EngineLockingTest, ReaderBlocksWriterOnSameIndexKey) {
   ASSERT_TRUE(sys.node(home)->IndexProbe("T", 0, Value{7}, reader).ok());
   uint64_t writer = sys.Begin();
   EXPECT_TRUE(sys.Insert("T", {Value{7}, Value{2}}, writer).IsAborted());
-  // No-wait policy: the refused transaction rolls back (releasing any locks
+  // Wait-die killed the younger writer: it rolls back (releasing any locks
   // it picked up before the conflict).
   ASSERT_TRUE(sys.Abort(writer).ok());
   // Readers of the same key coexist.
@@ -213,7 +214,6 @@ TEST(EngineLockingTest, MaintenanceTransactionsSerializeOnConflicts) {
 
 TEST(WaitDieTest, YoungerRequesterDiesImmediately) {
   LockManager lm;
-  lm.set_policy(LockPolicy::kWaitDie);
   lm.set_wait_timeout_ms(5000);
   LockId id = LockId::Key(0, "T", Value{5});
   ASSERT_TRUE(lm.Acquire(1, id, LockMode::kExclusive).ok());
@@ -225,7 +225,6 @@ TEST(WaitDieTest, YoungerRequesterDiesImmediately) {
 
 TEST(WaitDieTest, OlderRequesterWaitsUntilRelease) {
   LockManager lm;
-  lm.set_policy(LockPolicy::kWaitDie);
   lm.set_wait_timeout_ms(10000);
   LockId id = LockId::Key(0, "T", Value{5});
   ASSERT_TRUE(lm.Acquire(2, id, LockMode::kExclusive).ok());
@@ -247,7 +246,6 @@ TEST(WaitDieTest, OlderRequesterWaitsUntilRelease) {
 
 TEST(WaitDieTest, WaitTimesOutWhenHolderNeverReleases) {
   LockManager lm;
-  lm.set_policy(LockPolicy::kWaitDie);
   lm.set_wait_timeout_ms(30);
   LockId id = LockId::Key(0, "T", Value{5});
   ASSERT_TRUE(lm.Acquire(2, id, LockMode::kExclusive).ok());
@@ -256,12 +254,30 @@ TEST(WaitDieTest, WaitTimesOutWhenHolderNeverReleases) {
   EXPECT_FALSE(lm.Holds(1, id, LockMode::kExclusive));
 }
 
+TEST(WaitDieTest, ZeroTimeoutAbortsOlderRequesterImmediately) {
+  // A zero wait timeout is the no-wait configuration: even an older
+  // requester, which wait-die would park, aborts at once without waiting.
+  LockManager lm;
+  lm.set_wait_timeout_ms(0);
+  LockId id = LockId::Key(0, "T", Value{5});
+  ASSERT_TRUE(lm.Acquire(2, id, LockMode::kExclusive).ok());
+  Counter* waits = MetricsRegistry::Global().counter("pjvm_lock_waits");
+  const uint64_t waits_before = waits->value();
+  const auto t0 = std::chrono::steady_clock::now();
+  Status st = lm.Acquire(1, id, LockMode::kExclusive);
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_TRUE(st.IsAborted()) << st;
+  EXPECT_EQ(waits->value(), waits_before);
+  // A small fraction of the default 500 ms timeout.
+  EXPECT_LT(elapsed, std::chrono::milliseconds(50));
+  EXPECT_FALSE(lm.Holds(1, id, LockMode::kExclusive));
+}
+
 TEST(WaitDieTest, OppositeOrderAcquisitionTerminates) {
   // txn 1 (older) holds a, txn 2 (younger) holds b; each then requests the
   // other's lock. Plain blocking 2PL deadlocks here; wait-die must kill the
   // younger and let the older proceed, in bounded time.
   LockManager lm;
-  lm.set_policy(LockPolicy::kWaitDie);
   lm.set_wait_timeout_ms(10000);
   LockId a = LockId::Key(0, "T", Value{1});
   LockId b = LockId::Key(0, "T", Value{2});
@@ -286,7 +302,6 @@ TEST(WaitDieTest, OppositeOrderAcquisitionTerminates) {
 
 TEST(WaitDieTest, MultiThreadStressTerminatesAndReleases) {
   LockManager lm;
-  lm.set_policy(LockPolicy::kWaitDie);
   lm.set_wait_timeout_ms(1000);
   constexpr int kThreads = 8;
   constexpr int kItersPerThread = 100;
@@ -324,7 +339,6 @@ SystemConfig WaitDieConfig(int max_attempts, int base_us) {
   cfg.num_nodes = 4;
   cfg.rows_per_page = 4;
   cfg.enable_locking = true;
-  cfg.lock_policy = LockPolicy::kWaitDie;
   cfg.lock_wait_timeout_ms = 200;
   cfg.maintain_max_attempts = max_attempts;
   cfg.maintain_retry_base_us = base_us;
@@ -394,7 +408,7 @@ TEST(MaintenanceRetryTest, ExhaustedRetriesSurfaceAborted) {
 TEST(LockShardTest, BookkeepingSpansShards) {
   // One transaction locking many (node, table) fragments lands in several
   // shards; the aggregate views and ReleaseAll must stitch them together.
-  LockManager lm(/*num_shards=*/16);
+  LockManager lm;
   uint64_t txn = 1;
   const char* tables[] = {"A", "B", "C", "D"};
   for (int node = 0; node < 8; ++node) {
@@ -413,27 +427,24 @@ TEST(LockShardTest, BookkeepingSpansShards) {
 }
 
 TEST(LockShardTest, TableCoverageStaysWithinOneShard) {
-  // Table-lock ↔ key-lock conflicts are detected across shard layouts: all
+  // Table-lock ↔ key-lock conflicts are detected in the sharded table: all
   // locks of one (node, table) fragment share a shard by construction.
-  for (int shards : {1, 3, 16}) {
-    LockManager lm(shards);
-    ASSERT_TRUE(
-        lm.Acquire(1, LockId::Key(0, "T", Value{7}), LockMode::kExclusive).ok());
-    EXPECT_TRUE(lm.Acquire(2, LockId::Table(0, "T"), LockMode::kExclusive)
-                    .IsAborted());
-    EXPECT_TRUE(
-        lm.Acquire(2, LockId::Key(1, "T", Value{7}), LockMode::kExclusive).ok());
-    lm.ReleaseAll(1);
-    lm.ReleaseAll(2);
-    EXPECT_EQ(lm.TotalLocks(), 0u);
-  }
+  LockManager lm;
+  ASSERT_TRUE(
+      lm.Acquire(1, LockId::Key(0, "T", Value{7}), LockMode::kExclusive).ok());
+  EXPECT_TRUE(
+      lm.Acquire(2, LockId::Table(0, "T"), LockMode::kExclusive).IsAborted());
+  EXPECT_TRUE(
+      lm.Acquire(2, LockId::Key(1, "T", Value{7}), LockMode::kExclusive).ok());
+  lm.ReleaseAll(1);
+  lm.ReleaseAll(2);
+  EXPECT_EQ(lm.TotalLocks(), 0u);
 }
 
 TEST(LockShardTest, MultiThreadStressAcrossShards) {
   // The wait-die stress spread over many fragments, so acquires and
   // release-wakeups genuinely run on different shards concurrently.
-  LockManager lm(16);
-  lm.set_policy(LockPolicy::kWaitDie);
+  LockManager lm;
   lm.set_wait_timeout_ms(1000);
   constexpr int kThreads = 8;
   constexpr int kItersPerThread = 100;
@@ -465,142 +476,6 @@ TEST(LockShardTest, MultiThreadStressAcrossShards) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(lm.TotalLocks(), 0u);
   EXPECT_GT(commits.load(), 0u);
-}
-
-// ------------------------------------------------------------- Wound-wait
-
-TEST(WoundWaitTest, YoungerRequesterWaitsForOlderHolder) {
-  // Under wound-wait nobody self-dies: the younger requester parks behind
-  // the older holder and acquires once it releases.
-  LockManager lm;
-  lm.set_policy(LockPolicy::kWoundWait);
-  lm.set_wait_timeout_ms(1000);
-  LockId id = LockId::Key(0, "T", Value{1});
-  ASSERT_TRUE(lm.Acquire(1, id, LockMode::kExclusive).ok());
-  std::atomic<bool> granted{false};
-  std::thread younger([&] {
-    EXPECT_TRUE(lm.Acquire(2, id, LockMode::kExclusive).ok());
-    granted.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(granted.load());
-  lm.ReleaseAll(1);
-  younger.join();
-  EXPECT_TRUE(granted.load());
-  lm.ReleaseAll(2);
-  EXPECT_EQ(lm.TotalLocks(), 0u);
-}
-
-TEST(WoundWaitTest, OlderRequesterWoundsRunningHolder) {
-  // The older requester wounds the younger holder and waits; the victim's
-  // next Acquire aborts (even on a free resource), it releases, and the
-  // older transaction is granted.
-  LockManager lm;
-  lm.set_policy(LockPolicy::kWoundWait);
-  lm.set_wait_timeout_ms(1000);
-  LockId contested = LockId::Key(0, "T", Value{1});
-  LockId unrelated = LockId::Key(0, "T", Value{99});
-  ASSERT_TRUE(lm.Acquire(2, contested, LockMode::kExclusive).ok());
-  std::atomic<bool> older_granted{false};
-  std::thread older([&] {
-    EXPECT_TRUE(lm.Acquire(1, contested, LockMode::kExclusive).ok());
-    older_granted.store(true);
-  });
-  // Wait until the wound lands, then act as the victim: abort and release.
-  Status victim = Status::OK();
-  for (int i = 0; i < 200 && victim.ok(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    victim = lm.Acquire(2, unrelated, LockMode::kShared);
-  }
-  EXPECT_TRUE(victim.IsAborted()) << victim;
-  EXPECT_NE(victim.ToString().find("wounded"), std::string::npos) << victim;
-  EXPECT_FALSE(older_granted.load());
-  lm.ReleaseAll(2);
-  older.join();
-  EXPECT_TRUE(older_granted.load());
-  lm.ReleaseAll(1);
-  EXPECT_EQ(lm.TotalLocks(), 0u);
-}
-
-TEST(WoundWaitTest, ParkedVictimIsWokenByWound) {
-  // Deadlock shape: txn1 holds B, txn2 holds A and parks on B; txn1 then
-  // requests A, wounding the parked txn2, which wakes Aborted and releases —
-  // so txn1 completes instead of deadlocking.
-  LockManager lm;
-  lm.set_policy(LockPolicy::kWoundWait);
-  lm.set_wait_timeout_ms(2000);
-  LockId a = LockId::Key(0, "T", Value{1});
-  LockId b = LockId::Key(0, "T", Value{2});
-  ASSERT_TRUE(lm.Acquire(1, b, LockMode::kExclusive).ok());
-  ASSERT_TRUE(lm.Acquire(2, a, LockMode::kExclusive).ok());
-  std::thread victim([&] {
-    Status st = lm.Acquire(2, b, LockMode::kExclusive);
-    EXPECT_TRUE(st.IsAborted()) << st;
-    EXPECT_NE(st.ToString().find("wounded"), std::string::npos) << st;
-    lm.ReleaseAll(2);
-  });
-  // Let txn2 park on B before txn1 closes the cycle.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_TRUE(lm.Acquire(1, a, LockMode::kExclusive).ok());
-  victim.join();
-  lm.ReleaseAll(1);
-  EXPECT_EQ(lm.TotalLocks(), 0u);
-}
-
-TEST(WoundWaitTest, MultiThreadStressTerminatesAndReleases) {
-  LockManager lm;
-  lm.set_policy(LockPolicy::kWoundWait);
-  lm.set_wait_timeout_ms(1000);
-  constexpr int kThreads = 8;
-  constexpr int kItersPerThread = 100;
-  constexpr int64_t kKeys = 4;  // small key space: plenty of conflicts
-  std::atomic<uint64_t> next_txn{1};
-  std::atomic<uint64_t> commits{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      Rng rng(0x5eed + static_cast<uint64_t>(t));
-      for (int i = 0; i < kItersPerThread; ++i) {
-        uint64_t txn = next_txn.fetch_add(1);
-        bool ok = true;
-        for (int j = 0; j < 2 && ok; ++j) {
-          LockId id = LockId::Key(0, "T", Value{rng.UniformInt(0, kKeys - 1)});
-          LockMode mode =
-              rng.Bernoulli(0.5) ? LockMode::kShared : LockMode::kExclusive;
-          ok = lm.Acquire(txn, id, mode).ok();
-        }
-        if (ok) commits.fetch_add(1);
-        lm.ReleaseAll(txn);  // commit and abort both release everything
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(lm.TotalLocks(), 0u);
-  EXPECT_GT(commits.load(), 0u);
-}
-
-TEST(WoundWaitTest, EngineMaintenanceCommitsUnderContention) {
-  // Same scenario as MaintenanceRetryTest.RetriesUntilConflictClears, under
-  // wound-wait: the maintenance transaction is younger than the blocker, so
-  // it parks (instead of dying) and proceeds when the blocker aborts.
-  SystemConfig cfg = WaitDieConfig(/*max_attempts=*/8, /*base_us=*/1000);
-  cfg.lock_policy = LockPolicy::kWoundWait;
-  ParallelSystem sys(cfg);
-  ViewManager manager(&sys);
-  RegisterSimpleView(sys, manager);
-  Row contested = {Value{100}, Value{1}, Value{1}};
-  uint64_t blocker = sys.Begin();
-  ASSERT_TRUE(sys.Insert("A", contested, blocker).ok());
-  std::thread releaser([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    sys.Abort(blocker).Check();
-  });
-  Result<MaintenanceReport> result = manager.InsertRow("A", contested);
-  releaser.join();
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(sys.locks().TotalLocks(), 0u);
-  ASSERT_TRUE(manager.CheckAllConsistent().ok());
 }
 
 // --------------------------------------------------------- Lock escalation
@@ -752,29 +627,30 @@ TEST(LockEscalationTest, FragmentsCountIndependently) {
 }
 
 TEST(LockEscalationTest, FailedEscalationAbortsTriggeringAcquire) {
-  // Another transaction's key lock on the fragment blocks the escalated
-  // fragment lock; under no-wait the threshold-crossing Acquire surfaces
-  // Aborted, and the caller's rollback releases the keys it did get.
+  // An older transaction's key lock on the fragment blocks the escalated
+  // fragment lock; wait-die kills the younger escalator, so the
+  // threshold-crossing Acquire surfaces Aborted, and the caller's rollback
+  // releases the keys it did get.
   LockManager lm;
   lm.set_escalation_threshold(4);
   ASSERT_TRUE(
-      lm.Acquire(2, LockId::Key(0, "T", Value{99}), LockMode::kShared).ok());
+      lm.Acquire(1, LockId::Key(0, "T", Value{99}), LockMode::kShared).ok());
   CostTracker::TxnMeter meter(1);
   CostTracker::MeterScope scope(&meter);
   for (int64_t k = 0; k < 3; ++k) {
     ASSERT_TRUE(
-        lm.Acquire(1, LockId::Key(0, "T", Value{k}), LockMode::kExclusive)
+        lm.Acquire(2, LockId::Key(0, "T", Value{k}), LockMode::kExclusive)
             .ok());
   }
-  Status st = lm.Acquire(1, LockId::Key(0, "T", Value{3}), LockMode::kExclusive);
+  Status st = lm.Acquire(2, LockId::Key(0, "T", Value{3}), LockMode::kExclusive);
   EXPECT_TRUE(st.IsAborted()) << st;
   EXPECT_EQ(meter.Get(CostTracker::TxnMeter::kEscalations), 0u);
   // The key locks (including the just-granted trigger) stay intact until the
   // caller rolls back — the transaction never loses coverage mid-flight.
-  EXPECT_EQ(lm.HeldCount(1), 4u);
-  lm.ReleaseAll(1);
-  EXPECT_TRUE(lm.Holds(2, LockId::Key(0, "T", Value{99}), LockMode::kShared));
+  EXPECT_EQ(lm.HeldCount(2), 4u);
   lm.ReleaseAll(2);
+  EXPECT_TRUE(lm.Holds(1, LockId::Key(0, "T", Value{99}), LockMode::kShared));
+  lm.ReleaseAll(1);
   EXPECT_EQ(lm.TotalLocks(), 0u);
 }
 
@@ -783,7 +659,6 @@ TEST(LockEscalationTest, EscalationDegradesToAbortWhenItMustNotBlock) {
   // lock would require waiting, the threshold-crossing Acquire aborts
   // instead — the same contract as any other would-wait in that context.
   LockManager lm;
-  lm.set_policy(LockPolicy::kWaitDie);
   lm.set_wait_timeout_ms(10000);  // would hang the test if it parked
   lm.set_escalation_threshold(4);
   ASSERT_TRUE(
@@ -809,7 +684,6 @@ TEST(LockEscalationTest, EscalationDegradesToAbortWhenItMustNotBlock) {
 
 TEST(LockEscalationTest, WaitDieReclaimWakesParkedWaiterOntoFragmentLock) {
   LockManager lm;
-  lm.set_policy(LockPolicy::kWaitDie);
   lm.set_wait_timeout_ms(10000);
   lm.set_escalation_threshold(4);
   LockId contested = LockId::Key(0, "T", Value{0});
@@ -848,50 +722,8 @@ TEST(LockEscalationTest, WaitDieReclaimWakesParkedWaiterOntoFragmentLock) {
   EXPECT_EQ(lm.TotalLocks(), 0u);
 }
 
-TEST(LockEscalationTest, WoundWaitEscalationWoundsYoungerKeyHolder) {
-  LockManager lm;
-  lm.set_policy(LockPolicy::kWoundWait);
-  lm.set_wait_timeout_ms(2000);
-  lm.set_escalation_threshold(4);
-  ASSERT_TRUE(
-      lm.Acquire(5, LockId::Key(0, "T", Value{99}), LockMode::kExclusive).ok());
-  for (int64_t k = 0; k < 3; ++k) {
-    ASSERT_TRUE(
-        lm.Acquire(1, LockId::Key(0, "T", Value{k}), LockMode::kExclusive)
-            .ok());
-  }
-  // The older txn 1 crosses the threshold: the escalated fragment acquire
-  // wounds the younger key holder and parks until it releases.
-  std::atomic<bool> escalated{false};
-  CostTracker::TxnMeter meter(1);
-  std::thread older([&] {
-    CostTracker::MeterScope scope(&meter);
-    Status st =
-        lm.Acquire(1, LockId::Key(0, "T", Value{3}), LockMode::kExclusive);
-    EXPECT_TRUE(st.ok()) << st;
-    escalated.store(true);
-  });
-  // Act as the victim: its next acquire observes the wound and aborts.
-  Status victim = Status::OK();
-  for (int i = 0; i < 200 && victim.ok(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    victim = lm.Acquire(5, LockId::Key(1, "T", Value{0}), LockMode::kShared);
-  }
-  EXPECT_TRUE(victim.IsAborted()) << victim;
-  EXPECT_NE(victim.ToString().find("wounded"), std::string::npos) << victim;
-  lm.ReleaseAll(5);
-  older.join();
-  EXPECT_TRUE(escalated.load());
-  EXPECT_TRUE(lm.Holds(1, LockId::Table(0, "T"), LockMode::kExclusive));
-  EXPECT_EQ(meter.Get(CostTracker::TxnMeter::kEscalations), 1u);
-  EXPECT_EQ(meter.Get(CostTracker::TxnMeter::kLockEntriesReclaimed), 4u);
-  EXPECT_EQ(lm.TotalLocks(), 1u);
-  lm.ReleaseAll(1);
-  EXPECT_EQ(lm.TotalLocks(), 0u);
-}
-
 TEST(LockEscalationTest, PeakShardEntriesTracksHighWaterMark) {
-  LockManager lm(/*num_shards=*/1);
+  LockManager lm;  // one fragment: every entry lands in the same shard
   for (int64_t k = 0; k < 10; ++k) {
     ASSERT_TRUE(
         lm.Acquire(1, LockId::Key(0, "T", Value{k}), LockMode::kExclusive)
@@ -919,7 +751,6 @@ SystemConfig EscalationConfig(int threshold) {
   cfg.num_nodes = 4;
   cfg.rows_per_page = 8;
   cfg.enable_locking = true;
-  cfg.lock_policy = LockPolicy::kWaitDie;
   cfg.lock_wait_timeout_ms = 500;
   cfg.maintain_max_attempts = 8;
   cfg.maintain_retry_base_us = 1000;

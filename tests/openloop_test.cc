@@ -114,7 +114,6 @@ struct OpenLoopFixture {
     SystemConfig cfg;
     cfg.num_nodes = 2;
     cfg.enable_locking = true;
-    cfg.lock_policy = LockPolicy::kWaitDie;
     sys = std::make_unique<ParallelSystem>(cfg);
     TwoTableConfig tt;
     tt.b_join_keys = 16;

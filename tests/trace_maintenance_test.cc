@@ -127,7 +127,6 @@ TEST_F(TraceMaintenanceTest, ExplainAnalyzeShowsRetryAttempts) {
   cfg.num_nodes = 4;
   cfg.rows_per_page = 4;
   cfg.enable_locking = true;
-  cfg.lock_policy = LockPolicy::kWaitDie;
   cfg.lock_wait_timeout_ms = 200;
   cfg.maintain_max_attempts = 8;
   cfg.maintain_retry_base_us = 1000;
@@ -217,7 +216,6 @@ TEST_F(TraceMaintenanceTest, AnalysisUnpollutedByConcurrentTransactions) {
   cfg.num_nodes = 4;
   cfg.rows_per_page = 4;
   cfg.enable_locking = true;
-  cfg.lock_policy = LockPolicy::kWaitDie;
   cfg.lock_wait_timeout_ms = 500;
   ParallelSystem sys(cfg);
   ViewManager manager(&sys);
