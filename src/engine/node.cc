@@ -353,6 +353,127 @@ Status Node::AcquireTableShared(uint64_t txn_id, const std::string& table) {
   return locks_->Acquire(txn_id, LockId::Table(id_, table), LockMode::kShared);
 }
 
+Status Node::SelectEq(const ReadEpoch& epoch, uint64_t txn_id,
+                      const std::string& table, int column, const Value& key,
+                      std::vector<Row>* out) {
+  const TableFragment* frag = fragment(table);
+  std::vector<Row> rows;
+  if (!epoch.live()) {
+    std::shared_ptr<const MvccState> state = frag->MvccHead();
+    const MvccIndexMeta* index = MvccFindIndex(*state, column);
+    if (index != nullptr) {
+      tracker_->ChargeSearch(id_);
+      tracker_->ChargeDescent(id_);
+    } else {
+      tracker_->ChargeIOPages(id_, MvccNumPages(*state, epoch.value()));
+    }
+    rows = MvccProbe(*state, epoch.value(), column, key).rows;
+    if (index != nullptr && !index->clustered) {
+      tracker_->ChargeFetch(id_, rows.size());
+    }
+  } else if (frag->HasIndexOn(column)) {
+    PJVM_ASSIGN_OR_RETURN(ProbeResult r, IndexProbe(table, column, key, txn_id));
+    rows = std::move(r.rows);
+  } else {
+    // Lock before latch: the fragment S lock may block (see IndexProbe).
+    PJVM_RETURN_NOT_OK(AcquireTableShared(txn_id, table));
+    NodeLatchGuard latch(*this, LatchMode::kShared);
+    tracker_->ChargeIOPages(id_, frag->num_pages());
+    rows = frag->ScanEq(column, key).rows;
+  }
+  out->insert(out->end(), std::make_move_iterator(rows.begin()),
+              std::make_move_iterator(rows.end()));
+  return Status::OK();
+}
+
+Status Node::SelectRange(const ReadEpoch& epoch, uint64_t txn_id,
+                         const std::string& table, int column, const Value& lo,
+                         const Value& hi, std::vector<Row>* out) {
+  const TableFragment* frag = fragment(table);
+  if (!epoch.live()) {
+    std::shared_ptr<const MvccState> state = frag->MvccHead();
+    if (MvccFindIndex(*state, column) != nullptr) {
+      tracker_->ChargeSearch(id_);  // One seek to the range's start.
+      tracker_->ChargeFetch(
+          id_, MvccScanRange(*state, epoch.value(), column, lo, hi, out));
+    } else {
+      tracker_->ChargeIOPages(id_, MvccNumPages(*state, epoch.value()));
+      MvccScanRange(*state, epoch.value(), column, lo, hi, out);
+    }
+    return Status::OK();
+  }
+  // Lock before latch: the fragment S lock covers the whole range
+  // (phantom-safe) and may block, which is illegal under the latch.
+  PJVM_RETURN_NOT_OK(AcquireTableShared(txn_id, table));
+  NodeLatchGuard latch(*this, LatchMode::kShared);
+  const LocalIndex* index = frag->FindIndex(column);
+  if (index != nullptr) {
+    tracker_->ChargeSearch(id_);  // One seek to the range's start.
+    size_t delivered = 0;
+    index->tree.ScanRange(lo, hi, [&](const Value&, const LocalRowId& lrid) {
+      out->push_back(*frag->Get(lrid));
+      ++delivered;
+      return true;
+    });
+    tracker_->ChargeFetch(id_, delivered);
+  } else {
+    tracker_->ChargeIOPages(id_, frag->num_pages());
+    frag->ForEach([&](LocalRowId, const Row& row) {
+      if (lo <= row[column] && row[column] <= hi) out->push_back(row);
+      return true;
+    });
+  }
+  return Status::OK();
+}
+
+std::vector<Row> Node::AllRows(const ReadEpoch& epoch,
+                               const std::string& table) const {
+  const TableFragment* frag = fragment(table);
+  if (frag == nullptr) return {};
+  if (!epoch.live()) return MvccAllRows(*frag->MvccHead(), epoch.value());
+  NodeLatchGuard latch(*this, LatchMode::kShared);
+  return frag->AllRows();
+}
+
+size_t Node::RowCount(const ReadEpoch& epoch, const std::string& table) const {
+  const TableFragment* frag = fragment(table);
+  if (frag == nullptr) return 0;
+  if (!epoch.live()) return MvccNumRows(*frag->MvccHead(), epoch.value());
+  NodeLatchGuard latch(*this, LatchMode::kShared);
+  return frag->num_rows();
+}
+
+std::optional<size_t> Node::CountMatches(const ReadEpoch& epoch,
+                                         const std::string& table, int column,
+                                         const Value& key) const {
+  const TableFragment* frag = fragment(table);
+  if (frag == nullptr) return std::nullopt;
+  if (!epoch.live()) {
+    std::shared_ptr<const MvccState> state = frag->MvccHead();
+    if (MvccFindIndex(*state, column) == nullptr) return std::nullopt;
+    return MvccProbeCount(*state, epoch.value(), column, key);
+  }
+  NodeLatchGuard latch(*this, LatchMode::kShared);
+  const LocalIndex* index = frag->FindIndex(column);
+  if (index == nullptr) return std::nullopt;
+  const auto* list = index->tree.Find(key);
+  return list == nullptr ? 0 : list->size();
+}
+
+ColumnStats Node::ColumnStatsOf(const ReadEpoch& epoch,
+                                const std::string& table, int column) const {
+  const TableFragment* frag = fragment(table);
+  if (frag == nullptr) return {};
+  if (!epoch.live()) {
+    std::vector<Row> rows = MvccAllRows(*frag->MvccHead(), epoch.value());
+    return ScanColumnStats(column, [&](const auto& visit) {
+      for (const Row& row : rows) visit(row);
+    });
+  }
+  NodeLatchGuard latch(*this, LatchMode::kShared);
+  return ComputeColumnStats(*frag, column);
+}
+
 Status Node::ApplyUndo(const UndoOp& op) {
   TableFragment* frag = fragment(op.table);
   if (frag == nullptr) {

@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -17,6 +18,7 @@
 #include "common/status.h"
 #include "common/worker_context.h"
 #include "engine/catalog.h"
+#include "storage/stats.h"
 #include "storage/table_fragment.h"
 #include "txn/lock_manager.h"
 #include "txn/snapshot_manager.h"
@@ -84,8 +86,8 @@ class NodeLatch {
 ///
 /// **Physical latch.** The node's worker thread is the common writer of its
 /// fragments, but concurrent client transactions also read and write them
-/// directly (LocateExact, undo application, the maintainers' estimation
-/// scans). All fragment and index access therefore goes through the node's
+/// directly (LocateExact, undo application, the heavy/light statistics
+/// builds). All fragment and index access therefore goes through the node's
 /// reader/writer latch — the Node methods take it themselves (shared for
 /// probes, exclusive for mutations); external callers touching
 /// `fragment(...)` directly must hold a NodeLatchGuard in the matching
@@ -142,6 +144,45 @@ class Node {
   /// S-locks this node's whole fragment of `table` for a scanning read
   /// (sort-merge joins). No-op without locking or for autocommit.
   Status AcquireTableShared(uint64_t txn_id, const std::string& table);
+
+  // --- Read primitives (client reads, planning estimates) ---
+  //
+  // Each reads the image `epoch` chose: the fragment's MVCC snapshot at the
+  // pinned epoch (wait-free: no locks, no latch, `txn_id` ignored), or the
+  // live fragment under the shared latch, after the S lock an explicit
+  // transaction takes first. Both images charge the same primitives.
+
+  /// The snapshot manager when mvcc_reads is on, else nullptr — what a
+  /// ReadEpoch built for this node's reads is constructed from.
+  SnapshotManager* snapshots() const { return snaps_; }
+
+  /// Appends rows with `column` = `key`. An indexed column costs one SEARCH
+  /// and one descent, plus one FETCH per row unless the index is clustered;
+  /// live, an explicit transaction S-locks the probed key (see IndexProbe).
+  /// Otherwise a full scan costs one FETCH per page; live, an explicit
+  /// transaction S-locks the fragment.
+  Status SelectEq(const ReadEpoch& epoch, uint64_t txn_id,
+                  const std::string& table, int column, const Value& key,
+                  std::vector<Row>* out);
+  /// Appends rows with lo <= `column` <= hi: an index range scan (one
+  /// SEARCH to seek, one FETCH per row delivered) or a full scan (one FETCH
+  /// per page). Live, an explicit transaction S-locks the whole fragment —
+  /// coarse, but phantom-safe.
+  Status SelectRange(const ReadEpoch& epoch, uint64_t txn_id,
+                     const std::string& table, int column, const Value& lo,
+                     const Value& hi, std::vector<Row>* out);
+  /// All rows of `table` here (uncharged; empty without a fragment).
+  std::vector<Row> AllRows(const ReadEpoch& epoch,
+                           const std::string& table) const;
+  size_t RowCount(const ReadEpoch& epoch, const std::string& table) const;
+  /// Rows whose `column` equals `key`, counted from the index without
+  /// copying a row; nullopt when `column` has no index here. Uncharged.
+  std::optional<size_t> CountMatches(const ReadEpoch& epoch,
+                                     const std::string& table, int column,
+                                     const Value& key) const;
+  /// Exact stats of `column` in this node's fragment. Uncharged.
+  ColumnStats ColumnStatsOf(const ReadEpoch& epoch, const std::string& table,
+                            int column) const;
 
   /// Applies one compensating action during transaction rollback: mutates
   /// the fragment under the latch without logging or cost charging (the

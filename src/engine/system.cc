@@ -27,28 +27,14 @@ Counter* GcReclaimedCounter() {
   return c;
 }
 
-/// Epoch pin for one read entry point: reuses the innermost SnapshotScope's
-/// epoch when the caller opened one (one logical statement reads one
-/// consistent epoch across operators), otherwise pins a fresh epoch for the
-/// duration of this call.
-class ReadEpoch {
- public:
-  explicit ReadEpoch(SnapshotManager* mgr) {
-    SnapshotScope* active = SnapshotScope::Active();
-    if (active != nullptr && active->manager() == mgr) {
-      epoch_ = active->epoch();
-    } else {
-      scope_.emplace(mgr);
-      epoch_ = scope_->epoch();
-    }
+std::vector<Row> ConcatInNodeOrder(std::vector<std::vector<Row>>& per_node) {
+  std::vector<Row> rows;
+  for (std::vector<Row>& part : per_node) {
+    rows.insert(rows.end(), std::make_move_iterator(part.begin()),
+                std::make_move_iterator(part.end()));
   }
-
-  uint64_t value() const { return epoch_; }
-
- private:
-  std::optional<SnapshotScope> scope_;
-  uint64_t epoch_ = 0;
-};
+  return rows;
+}
 
 }  // namespace
 
@@ -240,51 +226,72 @@ Status ParallelSystem::DeleteExact(const std::string& table, const Row& row,
                           "' on any node: " + RowToString(row));
 }
 
+ReadEpoch ParallelSystem::PinReadEpoch() const {
+  return ReadEpoch(nodes_.front()->snapshots());
+}
+
+Status ParallelSystem::FanOutRead(const ReadEpoch& epoch, uint64_t txn_id,
+                                  const char* op,
+                                  const std::function<Status(int)>& read) {
+  if (epoch.live() && txn_id != kAutoCommitTxnId) {
+    // Blocking S-lock acquires are only legal on the client thread, so a
+    // live read in an explicit transaction runs inline in node order
+    // (charges are identical to the worker fan-out — see ParallelEquivalence).
+    for (int i = 0; i < config_.num_nodes; ++i) {
+      SpanGuard span(op, "task", i, &cost_);
+      PJVM_RETURN_NOT_OK(read(i));
+    }
+    return Status::OK();
+  }
+  // Fan-out: every node reads its fragment on its own worker; callers
+  // concatenate in node order, matching the sequential loop exactly.
+  return executor_->RunOnAllNodes([&](int i) {
+    SpanGuard span(op, "task", i, &cost_);
+    return read(i);
+  });
+}
+
 std::vector<Row> ParallelSystem::ScanAll(const std::string& table) const {
+  ReadEpoch epoch = PinReadEpoch();
   std::vector<std::vector<Row>> per_node(config_.num_nodes);
-  if (config_.mvcc_reads) {
-    ReadEpoch epoch(&snapshots_);
-    executor_->RunOnAllNodes([&](int i) -> Status {
-      const TableFragment* frag = nodes_[i]->fragment(table);
-      if (frag != nullptr && frag->mvcc_enabled()) {
-        per_node[i] = MvccAllRows(*frag->MvccHead(), epoch.value());
-      }
-      return Status::OK();
-    }).Check();
-  } else {
-    executor_->RunOnAllNodes([&](int i) -> Status {
-      NodeLatchGuard latch(*nodes_[i], LatchMode::kShared);
-      const TableFragment* frag = nodes_[i]->fragment(table);
-      if (frag != nullptr) per_node[i] = frag->AllRows();
-      return Status::OK();
-    }).Check();
-  }
-  std::vector<Row> rows;
-  for (std::vector<Row>& part : per_node) {
-    rows.insert(rows.end(), std::make_move_iterator(part.begin()),
-                std::make_move_iterator(part.end()));
-  }
-  return rows;
+  executor_->RunOnAllNodes([&](int i) {
+    per_node[i] = nodes_[i]->AllRows(epoch, table);
+    return Status::OK();
+  }).Check();
+  return ConcatInNodeOrder(per_node);
 }
 
 size_t ParallelSystem::RowCount(const std::string& table) const {
+  ReadEpoch epoch = PinReadEpoch();
   size_t count = 0;
-  if (config_.mvcc_reads) {
-    ReadEpoch epoch(&snapshots_);
-    for (const auto& node : nodes_) {
-      const TableFragment* frag = node->fragment(table);
-      if (frag != nullptr && frag->mvcc_enabled()) {
-        count += MvccNumRows(*frag->MvccHead(), epoch.value());
-      }
-    }
-    return count;
-  }
-  for (const auto& node : nodes_) {
-    NodeLatchGuard latch(*node, LatchMode::kShared);
-    const TableFragment* frag = node->fragment(table);
-    if (frag != nullptr) count += frag->num_rows();
-  }
+  for (const auto& node : nodes_) count += node->RowCount(epoch, table);
   return count;
+}
+
+double ParallelSystem::EstimateFanout(const std::string& table,
+                                      int column) const {
+  ReadEpoch epoch = PinReadEpoch();
+  ColumnStats stats;
+  for (const auto& node : nodes_) {
+    stats += node->ColumnStatsOf(epoch, table, column);
+  }
+  double fanout = stats.AvgFanout();
+  return fanout > 0.0 ? fanout : 1.0;
+}
+
+double ParallelSystem::EstimateKeyFanout(const std::string& table, int column,
+                                         const Value& key) const {
+  ReadEpoch epoch = PinReadEpoch();
+  double total = 0.0;
+  bool any_index = false;
+  for (const auto& node : nodes_) {
+    std::optional<size_t> matches =
+        node->CountMatches(epoch, table, column, key);
+    if (!matches.has_value()) continue;
+    any_index = true;
+    total += static_cast<double>(*matches);
+  }
+  return any_index ? total : EstimateFanout(table, column);
 }
 
 size_t ParallelSystem::TableBytes(const std::string& table) const {
@@ -346,111 +353,18 @@ Result<std::vector<Row>> ParallelSystem::SelectEq(const std::string& table,
   }
   PJVM_ASSIGN_OR_RETURN(const TableDef* def, catalog_.Get(table));
   PJVM_ASSIGN_OR_RETURN(int col, def->schema.ColumnIndex(column));
-  const bool routed =
-      def->partition.is_hash() && def->partition.column == column;
-  if (config_.mvcc_reads) {
-    // Snapshot path: one wait-free load per fragment, no locks, no latches.
-    // Charges mirror the live path exactly (SEARCH + per-row FETCH on a
-    // non-clustered probe; per-page I/O on a scan).
-    ReadEpoch epoch(&snapshots_);
-    auto snap_node = [&](int i, std::vector<Row>* out) -> Status {
-      const TableFragment* frag = nodes_[i]->fragment(table);
-      std::shared_ptr<const MvccState> state = frag->MvccHead();
-      const MvccIndexMeta* meta = MvccFindIndex(*state, col);
-      MvccProbeOut r;
-      if (meta != nullptr) {
-        cost_.ChargeSearch(i);
-        r = MvccProbe(*state, epoch.value(), col, key);
-        if (!meta->clustered) cost_.ChargeFetch(i, r.rows.size());
-      } else {
-        cost_.ChargeIOPages(i, MvccNumPages(*state, epoch.value()));
-        r = MvccProbe(*state, epoch.value(), col, key);
-      }
-      out->insert(out->end(), std::make_move_iterator(r.rows.begin()),
-                  std::make_move_iterator(r.rows.end()));
-      return Status::OK();
-    };
-    if (routed) {
-      std::vector<Row> out;
-      PJVM_RETURN_NOT_OK(snap_node(HomeNodeForKey(key), &out));
-      return out;
-    }
-    std::vector<std::vector<Row>> per_node(config_.num_nodes);
-    PJVM_RETURN_NOT_OK(executor_->RunOnAllNodes([&](int i) {
-      SpanGuard span("select_eq", "task", i, &cost_);
-      return snap_node(i, &per_node[i]);
-    }));
+  ReadEpoch epoch = PinReadEpoch();
+  if (def->partition.is_hash() && def->partition.column == column) {
     std::vector<Row> out;
-    for (std::vector<Row>& part : per_node) {
-      out.insert(out.end(), std::make_move_iterator(part.begin()),
-                 std::make_move_iterator(part.end()));
-    }
-    return out;
-  }
-  auto probe_node = [&](int i, std::vector<Row>* out) -> Status {
-    if (txn_id != kAutoCommitTxnId) {
-      // Explicit transaction: S locks first — lock acquires may block and
-      // must never happen under the latch. An index probe locks the probed
-      // key inside IndexProbe; a full scan S-locks the whole fragment.
-      TableFragment* frag = nodes_[i]->fragment(table);
-      if (frag->HasIndexOn(col)) {
-        PJVM_ASSIGN_OR_RETURN(
-            ProbeResult r, nodes_[i]->IndexProbe(table, col, key, txn_id));
-        out->insert(out->end(), std::make_move_iterator(r.rows.begin()),
-                    std::make_move_iterator(r.rows.end()));
-      } else {
-        PJVM_RETURN_NOT_OK(nodes_[i]->AcquireTableShared(txn_id, table));
-        NodeLatchGuard latch(*nodes_[i], LatchMode::kShared);
-        cost_.ChargeIOPages(i, frag->num_pages());
-        ProbeResult r = frag->ScanEq(col, key);
-        out->insert(out->end(), std::make_move_iterator(r.rows.begin()),
-                    std::make_move_iterator(r.rows.end()));
-      }
-      return Status::OK();
-    }
-    NodeLatchGuard latch(*nodes_[i], LatchMode::kShared);
-    TableFragment* frag = nodes_[i]->fragment(table);
-    if (frag->HasIndexOn(col)) {
-      PJVM_ASSIGN_OR_RETURN(ProbeResult r, nodes_[i]->IndexProbe(table, col, key));
-      out->insert(out->end(), std::make_move_iterator(r.rows.begin()),
-                  std::make_move_iterator(r.rows.end()));
-    } else {
-      // Full scan: charge one fetch per page read.
-      cost_.ChargeIOPages(i, frag->num_pages());
-      ProbeResult r = frag->ScanEq(col, key);
-      out->insert(out->end(), std::make_move_iterator(r.rows.begin()),
-                  std::make_move_iterator(r.rows.end()));
-    }
-    return Status::OK();
-  };
-  if (routed) {
-    std::vector<Row> out;
-    PJVM_RETURN_NOT_OK(probe_node(HomeNodeForKey(key), &out));
+    PJVM_RETURN_NOT_OK(nodes_[HomeNodeForKey(key)]->SelectEq(
+        epoch, txn_id, table, col, key, &out));
     return out;
   }
   std::vector<std::vector<Row>> per_node(config_.num_nodes);
-  if (txn_id != kAutoCommitTxnId) {
-    // Blocking S-lock acquires are only legal on the client thread, so an
-    // explicit transaction's fan-out runs inline in node order (charges are
-    // identical to the worker fan-out — see ParallelEquivalence).
-    for (int i = 0; i < config_.num_nodes; ++i) {
-      SpanGuard span("select_eq", "task", i, &cost_);
-      PJVM_RETURN_NOT_OK(probe_node(i, &per_node[i]));
-    }
-  } else {
-    // Fan-out: every node probes its fragment on its own worker; results are
-    // concatenated in node order, matching the sequential loop exactly.
-    PJVM_RETURN_NOT_OK(executor_->RunOnAllNodes([&](int i) {
-      SpanGuard span("select_eq", "task", i, &cost_);
-      return probe_node(i, &per_node[i]);
-    }));
-  }
-  std::vector<Row> out;
-  for (std::vector<Row>& part : per_node) {
-    out.insert(out.end(), std::make_move_iterator(part.begin()),
-               std::make_move_iterator(part.end()));
-  }
-  return out;
+  PJVM_RETURN_NOT_OK(FanOutRead(epoch, txn_id, "select_eq", [&](int i) {
+    return nodes_[i]->SelectEq(epoch, txn_id, table, col, key, &per_node[i]);
+  }));
+  return ConcatInNodeOrder(per_node);
 }
 
 Result<std::vector<Row>> ParallelSystem::SelectRange(const std::string& table,
@@ -470,82 +384,16 @@ Result<std::vector<Row>> ParallelSystem::SelectRange(const std::string& table,
   }
   PJVM_ASSIGN_OR_RETURN(const TableDef* def, catalog_.Get(table));
   PJVM_ASSIGN_OR_RETURN(int col, def->schema.ColumnIndex(column));
-  std::vector<Row> out;
-  if (hi < lo) return out;
+  if (hi < lo) return std::vector<Row>{};
+  // Hash partitioning cannot route a range: every node scans its own
+  // fragment.
+  ReadEpoch epoch = PinReadEpoch();
   std::vector<std::vector<Row>> per_node(config_.num_nodes);
-  if (config_.mvcc_reads) {
-    // Snapshot path: same per-node charges as the live scan below, against
-    // the pinned epoch's image. No locks, no latches.
-    ReadEpoch epoch(&snapshots_);
-    PJVM_RETURN_NOT_OK(executor_->RunOnAllNodes([&](int i) -> Status {
-      SpanGuard span("select_range", "task", i, &cost_);
-      std::vector<Row>& local = per_node[i];
-      const TableFragment* frag = nodes_[i]->fragment(table);
-      std::shared_ptr<const MvccState> state = frag->MvccHead();
-      if (MvccFindIndex(*state, col) != nullptr) {
-        cost_.ChargeSearch(i);  // One seek to the range's start.
-        size_t delivered =
-            MvccScanRange(*state, epoch.value(), col, lo, hi, &local);
-        cost_.ChargeFetch(i, delivered);
-      } else {
-        cost_.ChargeIOPages(i, MvccNumPages(*state, epoch.value()));
-        MvccScanRange(*state, epoch.value(), col, lo, hi, &local);
-      }
-      return Status::OK();
-    }));
-    for (std::vector<Row>& part : per_node) {
-      out.insert(out.end(), std::make_move_iterator(part.begin()),
-                 std::make_move_iterator(part.end()));
-    }
-    return out;
-  }
-  // Hash partitioning cannot route a range: every node range-scans its own
-  // fragment on its worker thread (inline on the client thread for an
-  // explicit transaction, whose fragment S-lock acquires may block).
-  auto scan_node = [&](int i) -> Status {
-    std::vector<Row>& local = per_node[i];
-    TableFragment* frag = nodes_[i]->fragment(table);
-    if (txn_id != kAutoCommitTxnId) {
-      // Coarse fragment S lock before the latch: covers the whole range
-      // (phantom-safe) and may block, which is illegal under the latch.
-      PJVM_RETURN_NOT_OK(nodes_[i]->AcquireTableShared(txn_id, table));
-    }
-    NodeLatchGuard latch(*nodes_[i], LatchMode::kShared);
-    const LocalIndex* index = frag->FindIndex(col);
-    if (index != nullptr) {
-      cost_.ChargeSearch(i);  // One seek to the range's start.
-      size_t delivered = 0;
-      index->tree.ScanRange(lo, hi, [&](const Value&, const LocalRowId& lrid) {
-        local.push_back(*frag->Get(lrid));
-        ++delivered;
-        return true;
-      });
-      cost_.ChargeFetch(i, delivered);
-    } else {
-      cost_.ChargeIOPages(i, frag->num_pages());
-      frag->ForEach([&](LocalRowId, const Row& row) {
-        if (lo <= row[col] && row[col] <= hi) local.push_back(row);
-        return true;
-      });
-    }
-    return Status::OK();
-  };
-  if (txn_id != kAutoCommitTxnId) {
-    for (int i = 0; i < config_.num_nodes; ++i) {
-      SpanGuard span("select_range", "task", i, &cost_);
-      PJVM_RETURN_NOT_OK(scan_node(i));
-    }
-  } else {
-    PJVM_RETURN_NOT_OK(executor_->RunOnAllNodes([&](int i) -> Status {
-      SpanGuard span("select_range", "task", i, &cost_);
-      return scan_node(i);
-    }));
-  }
-  for (std::vector<Row>& part : per_node) {
-    out.insert(out.end(), std::make_move_iterator(part.begin()),
-               std::make_move_iterator(part.end()));
-  }
-  return out;
+  PJVM_RETURN_NOT_OK(FanOutRead(epoch, txn_id, "select_range", [&](int i) {
+    return nodes_[i]->SelectRange(epoch, txn_id, table, col, lo, hi,
+                                  &per_node[i]);
+  }));
+  return ConcatInNodeOrder(per_node);
 }
 
 Status ParallelSystem::Commit(uint64_t txn_id) {

@@ -68,10 +68,11 @@ struct SystemConfig {
   /// install versions under their existing X locks and publish them
   /// atomically at commit epoch, and the client read operators (SelectEq /
   /// SelectRange / ScanAll / RowCount, MaterializedView::Contents, the
-  /// maintainers' planning estimates) read the snapshot at a pinned epoch —
-  /// zero key locks, zero node latches, wait-free. Off (the default) is
-  /// today's latch/lock read path, kept as the A/B baseline; single-threaded
-  /// runs charge bit-identical costs either way.
+  /// planning estimates of the maintainers and SQL EXPLAIN) read the
+  /// snapshot at a pinned epoch — zero key locks, zero node latches,
+  /// wait-free. Off (the default) is today's latch/lock read path, kept as
+  /// the A/B baseline; single-threaded runs charge bit-identical costs
+  /// either way.
   bool mvcc_reads = false;
   /// Simulated WAL force (fsync) latency in nanoseconds; 0 = forcing is
   /// free and appends are durable immediately (the default, and the
@@ -93,12 +94,6 @@ struct SystemConfig {
   /// Routing and folds are serialized per ViewManager; the scalable
   /// concurrent write path is heavy_light = off.
   bool heavy_light = false;
-  /// Promotion threshold for the classifier: a delta row is heavy when some
-  /// incident join edge's neighbour column matches the row's key with
-  /// estimated fanout >= heavy_key_threshold x that column's average fanout.
-  /// Demotion happens at half this ratio (hysteresis), so a key oscillating
-  /// at the boundary does not thrash between regimes.
-  double heavy_key_threshold = 4.0;
   /// Buffered heavy-delta rows per view at which a fold is triggered
   /// automatically (checked after each maintenance transaction commits).
   /// Folds also run when a delta arrives on a *different* base of the view
@@ -250,6 +245,11 @@ class ParallelSystem {
   Status DeleteExact(const std::string& table, const Row& row,
                      uint64_t txn_id = kAutoCommitTxnId);
 
+  // Read operators. Each pins one ReadEpoch for its whole call, so every
+  // node it touches reads the same image: the snapshot at one epoch with
+  // mvcc_reads on, the live latched fragments otherwise (Node's read
+  // primitives hold both images' work and charges).
+
   /// All rows of `table` across all nodes (no cost charged; test utility).
   std::vector<Row> ScanAll(const std::string& table) const;
   size_t RowCount(const std::string& table) const;
@@ -276,6 +276,7 @@ class ParallelSystem {
   /// `txn_id` takes the paper's S locks (index-key locks on a probe, a
   /// fragment S lock on a scan) and the fan-out runs inline on the calling
   /// thread so those acquires may block (executor workers must not).
+  /// Every other read fans out on the executor.
   Result<std::vector<Row>> SelectEq(const std::string& table,
                                     const std::string& column,
                                     const Value& key,
@@ -291,6 +292,16 @@ class ParallelSystem {
                                        const std::string& column,
                                        const Value& lo, const Value& hi,
                                        uint64_t txn_id = kAutoCommitTxnId);
+
+  /// Planning estimate: average rows per distinct `column` value of
+  /// `table` across all nodes (1 when empty). Uncharged; reads the same
+  /// image as the read operators, without copying rows when live.
+  double EstimateFanout(const std::string& table, int column) const;
+  /// Planning estimate: rows of `table` with `column` = `key`, exact from
+  /// the index posting lists where `column` is indexed, EstimateFanout
+  /// otherwise. Uncharged; allocation-free when live.
+  double EstimateKeyFanout(const std::string& table, int column,
+                           const Value& key) const;
 
   // --- Transactions (two-phase commit over the touched nodes) ---
 
@@ -330,6 +341,16 @@ class ParallelSystem {
   TxnHook* txn_hook() const { return txn_hook_; }
 
  private:
+  /// Pins the image this call's reads see on every node (see ReadEpoch):
+  /// the nodes hold the snapshot manager exactly when mvcc_reads is on.
+  ReadEpoch PinReadEpoch() const;
+  /// Runs `read(node)` for every node: inline in node order for a live read
+  /// in an explicit transaction (its S-lock acquires may block, which
+  /// executor workers must not), on the executor otherwise. Each node's
+  /// read is an `op` task span.
+  Status FanOutRead(const ReadEpoch& epoch, uint64_t txn_id, const char* op,
+                    const std::function<Status(int)>& read);
+
   /// Publishes a committed transaction's buffered version ops (one delta
   /// per written fragment, all at one epoch) and piggybacks version GC.
   void PublishVersions(uint64_t txn_id);
@@ -342,7 +363,8 @@ class ParallelSystem {
   CostTracker cost_;
   TxnManager txns_;
   LockManager locks_;
-  // Mutable: const read entry points (ScanAll, RowCount) pin read epochs.
+  // Mutable: snapshots() hands it out from const contexts so a client can
+  // pin a SnapshotScope around several reads.
   mutable SnapshotManager snapshots_;
   Network network_;
   std::vector<std::unique_ptr<Node>> nodes_;

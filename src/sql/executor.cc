@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "storage/stats.h"
 #include "view/planner.h"
 
 namespace pjvm::sql {
@@ -145,16 +144,7 @@ Status Executor::Run(const ParsedStatement& stmt, std::ostream& os) {
         if (updated_base < 0) continue;
         any = true;
         FanoutFn fanout = [&](int base, int col) {
-          const std::string& table = reg->bound.base_def(base).name;
-          std::vector<ColumnStats> parts;
-          for (int n = 0; n < sys->num_nodes(); ++n) {
-            const TableFragment* frag = sys->node(n)->fragment(table);
-            if (frag != nullptr) {
-              parts.push_back(ComputeColumnStats(*frag, col));
-            }
-          }
-          double f = MergeColumnStats(parts).AvgFanout();
-          return f > 0.0 ? f : 1.0;
+          return sys->EstimateFanout(reg->bound.base_def(base).name, col);
         };
         PJVM_ASSIGN_OR_RETURN(MaintenancePlan plan,
                               PlanMaintenance(reg->bound, updated_base, fanout));

@@ -1,7 +1,5 @@
 #include "storage/stats.h"
 
-#include <unordered_set>
-
 #include "common/value.h"
 
 namespace pjvm {
@@ -15,35 +13,12 @@ ColumnStats ComputeColumnStats(const TableFragment& fragment, int column) {
     stats.distinct_count = index->tree.num_keys();
     return stats;
   }
-  std::unordered_set<uint64_t> seen;
-  fragment.ForEach([&](LocalRowId, const Row& row) {
-    ++stats.row_count;
-    seen.insert(row[column].Hash());
-    return true;
+  return ScanColumnStats(column, [&](const auto& visit) {
+    fragment.ForEach([&](LocalRowId, const Row& row) {
+      visit(row);
+      return true;
+    });
   });
-  stats.distinct_count = seen.size();
-  return stats;
-}
-
-ColumnStats ComputeColumnStats(const MvccState& state, uint64_t epoch,
-                               int column) {
-  ColumnStats stats;
-  std::unordered_set<uint64_t> seen;
-  for (const Row& row : MvccAllRows(state, epoch)) {
-    ++stats.row_count;
-    seen.insert(row[column].Hash());
-  }
-  stats.distinct_count = seen.size();
-  return stats;
-}
-
-ColumnStats MergeColumnStats(const std::vector<ColumnStats>& parts) {
-  ColumnStats out;
-  for (const ColumnStats& p : parts) {
-    out.row_count += p.row_count;
-    out.distinct_count += p.distinct_count;
-  }
-  return out;
 }
 
 }  // namespace pjvm

@@ -79,6 +79,14 @@ SnapshotScope::~SnapshotScope() {
   mgr_->ReleaseRead(epoch_);
 }
 
-SnapshotScope* SnapshotScope::Active() { return tl_active_scope; }
+ReadEpoch::ReadEpoch(SnapshotManager* mgr) : live_(mgr == nullptr) {
+  if (live_) return;
+  if (tl_active_scope != nullptr && tl_active_scope->manager() == mgr) {
+    epoch_ = tl_active_scope->epoch();
+  } else {
+    scope_.emplace(mgr);
+    epoch_ = scope_->epoch();
+  }
+}
 
 }  // namespace pjvm

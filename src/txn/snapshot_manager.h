@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <set>
 
 #include "obs/trace.h"
@@ -91,14 +92,36 @@ class SnapshotScope {
   uint64_t epoch() const { return epoch_; }
   SnapshotManager* manager() const { return mgr_; }
 
-  /// Innermost scope open on this thread, or nullptr.
-  static SnapshotScope* Active();
-
  private:
   SnapshotManager* mgr_;
   uint64_t epoch_;
   SnapshotScope* prev_;
   SpanGuard span_;
+};
+
+/// \brief The image one read operator sees on every node it touches.
+///
+/// With a snapshot manager (mvcc_reads on) it is the snapshot at one epoch:
+/// the innermost SnapshotScope's when the caller opened one on `mgr` (one
+/// logical statement reads one consistent epoch across operators), else a
+/// fresh pin held for this object's lifetime. With none (mvcc_reads off) it
+/// is the live, latched fragments, and constructing it pins and allocates
+/// nothing. Node's read primitives take it to choose their image.
+class ReadEpoch {
+ public:
+  explicit ReadEpoch(SnapshotManager* mgr);
+
+  ReadEpoch(const ReadEpoch&) = delete;
+  ReadEpoch& operator=(const ReadEpoch&) = delete;
+
+  bool live() const { return live_; }
+  /// The pinned epoch; meaningless when live().
+  uint64_t value() const { return epoch_; }
+
+ private:
+  std::optional<SnapshotScope> scope_;
+  uint64_t epoch_ = 0;
+  bool live_;
 };
 
 }  // namespace pjvm

@@ -15,6 +15,10 @@ namespace {
 /// reasonable at bench scales.
 constexpr int kHistogramBuckets = 16;
 
+/// A key is promoted heavy at this multiple of its column's average fanout
+/// and demoted at half of it (hysteresis).
+constexpr double kPromoteRatio = 4.0;
+
 std::string HeavyKeyId(const std::string& table, int col, const Value& key) {
   return table + "#" + std::to_string(col) + "#" + key.ToString();
 }
@@ -33,20 +37,21 @@ HeavyLightClassifier::ColumnStatsEntry& HeavyLightClassifier::StatsFor(
     Node* node = sys_->node(n);
     const TableFragment* frag = node->fragment(table);
     if (frag == nullptr) continue;
-    // Statistics read the live fragment like every other planning-time
-    // estimate; the shared latch keeps concurrent page writers out.
+    // Statistics read the live fragment; the shared latch keeps concurrent
+    // page writers out.
     NodeLatchGuard latch(*node, LatchMode::kShared);
     entry.fragments.push_back(
         BuildFragmentHistogram(*frag, col, kHistogramBuckets));
     parts.push_back(ComputeColumnStats(*frag, col));
   }
-  // Table-level average fanout. MergeColumnStats sums per-fragment distinct
-  // counts — an upper bound that is 1x..F x inflated when the table is NOT
-  // partitioned on `col` (every fragment sees most keys), which deflates the
-  // average and over-classifies uniform keys heavy. Classification instead
-  // uses the max fragment distinct count: exact in that common case, and a
-  // conservative under-count (fewer heavy keys, never a wrong view) when the
-  // table IS partitioned on the join column.
+  // Table-level average fanout. Summing per-fragment distinct counts (as
+  // ColumnStats::operator+= does) gives an upper bound that is 1x..F x
+  // inflated when the table is NOT partitioned on `col` (every fragment sees
+  // most keys), which deflates the average and over-classifies uniform keys
+  // heavy. Classification instead uses the max fragment distinct count:
+  // exact in that common case, and a conservative under-count (fewer heavy
+  // keys, never a wrong view) when the table IS partitioned on the join
+  // column.
   size_t rows = 0;
   size_t distinct = 0;
   for (const ColumnStats& p : parts) {
@@ -110,7 +115,7 @@ bool HeavyLightClassifier::HeavyKey(const std::string& table, int col,
   // Hysteresis: promote at the full ratio, demote at half of it, so a key
   // sitting exactly on the boundary keeps its regime.
   bool now_heavy =
-      was_heavy ? ratio >= promote_ratio_ / 2 : ratio >= promote_ratio_;
+      was_heavy ? ratio >= kPromoteRatio / 2 : ratio >= kPromoteRatio;
   if (now_heavy != was_heavy) {
     if (now_heavy) {
       heavy_.insert(id);

@@ -20,14 +20,14 @@ namespace pjvm {
 ///
 /// A delta row is *heavy* for a view when some incident join edge's
 /// neighbour column matches the row's key value with estimated fanout at
-/// least `promote_ratio` times that column's average fanout — i.e. the row
+/// least kPromoteRatio (4) times that column's average fanout — i.e. the row
 /// will touch a disproportionate share of the join, so per-tuple eager
 /// maintenance pays the hot-key lock-and-probe cost over and over.
 /// Estimates come from per-fragment equi-depth histograms (exact for hot
 /// keys: Build never splits a value across buckets), merged per column.
 ///
 /// Classification is *hysteretic*: a key already heavy stays heavy until its
-/// ratio drops below promote_ratio / 2, so a key oscillating at the boundary
+/// ratio drops below kPromoteRatio / 2, so a key oscillating at the boundary
 /// does not thrash between regimes (the state lives per (table, column,
 /// key) and is advisory — either classification maintains correctly).
 ///
@@ -37,15 +37,12 @@ namespace pjvm {
 /// the pre-fix behaviour, which left a sustained Zipf stream scored against
 /// yesterday's distribution).
 ///
-/// Thread safety: internally locked; histogram builds take shared node
-/// latches like any other planning-time statistics read.
+/// Thread safety: internally locked; histogram builds read the live
+/// fragments under shared node latches.
 class HeavyLightClassifier {
  public:
-  HeavyLightClassifier(ParallelSystem* sys, double promote_ratio,
-                       int stats_refresh_ops)
-      : sys_(sys),
-        promote_ratio_(promote_ratio),
-        stats_refresh_ops_(stats_refresh_ops) {}
+  HeavyLightClassifier(ParallelSystem* sys, int stats_refresh_ops)
+      : sys_(sys), stats_refresh_ops_(stats_refresh_ops) {}
 
   /// Records `ops` maintenance rows applied to `table`; crossing the
   /// refresh threshold drops the table's cached statistics (rebuilt lazily).
@@ -80,7 +77,6 @@ class HeavyLightClassifier {
 
   mutable std::mutex mu_;
   ParallelSystem* sys_;
-  double promote_ratio_;
   int stats_refresh_ops_;
   std::map<std::pair<std::string, int>, ColumnStatsEntry> stats_;
   std::map<std::string, size_t> ops_since_build_;

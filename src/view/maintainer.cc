@@ -6,8 +6,6 @@
 #include "exec/join_chooser.h"
 #include "exec/local_join.h"
 #include "obs/trace.h"
-#include "storage/stats.h"
-#include "txn/snapshot_manager.h"
 #include "view/merged_storage.h"
 
 namespace pjvm {
@@ -50,74 +48,21 @@ Result<MaintenanceReport> Maintainer::ApplyDelta(uint64_t txn, int updated_base,
 
 Result<MaintenancePlan> Maintainer::PlanForRows(
     int updated_base, const std::vector<Row>& rows) const {
+  // With mvcc_reads on the estimates read the last committed snapshot, so
+  // this transaction's own unpublished writes are invisible to them. That
+  // only matters for a self-join view probing the table it just updated
+  // (the estimate is then one row stale); plans for the paper's views are
+  // unaffected.
   return PlanMaintenanceForDelta(
       bound(), updated_base, rows,
       [this](int base, int col) { return EstimateFanout(base, col); },
       [this](int base, int col, const Value& key) {
-        return EstimateKeyFanout(base, col, key);
+        return sys_->EstimateKeyFanout(bound().base_def(base).name, col, key);
       });
 }
 
-double Maintainer::EstimateKeyFanout(int base, int full_col,
-                                     const Value& key) const {
-  const std::string& table = bound().base_def(base).name;
-  double total = 0.0;
-  bool any_index = false;
-  if (sys_->config().mvcc_reads) {
-    // Planning estimates read the last committed snapshot — no latches, so
-    // estimation never stalls behind a writer. The in-flight maintenance
-    // transaction's own unpublished writes are invisible here, which only
-    // matters for a self-join view probing the table it just updated (the
-    // estimate is then one row stale; plans for the paper's views are
-    // unaffected).
-    SnapshotScope scope(&sys_->snapshots());
-    for (int i = 0; i < sys_->num_nodes(); ++i) {
-      const TableFragment* frag = sys_->node(i)->fragment(table);
-      if (frag == nullptr || !frag->mvcc_enabled()) continue;
-      std::shared_ptr<const MvccState> state = frag->MvccHead();
-      if (MvccFindIndex(*state, full_col) == nullptr) continue;
-      any_index = true;
-      total += static_cast<double>(
-          MvccProbeCount(*state, scope.epoch(), full_col, key));
-    }
-    if (!any_index) return EstimateFanout(base, full_col);
-    return total;
-  }
-  for (int i = 0; i < sys_->num_nodes(); ++i) {
-    NodeLatchGuard latch(*sys_->node(i), LatchMode::kShared);
-    const TableFragment* frag = sys_->node(i)->fragment(table);
-    if (frag == nullptr) continue;
-    const LocalIndex* index = frag->FindIndex(full_col);
-    if (index == nullptr) continue;
-    any_index = true;
-    const auto* list = index->tree.Find(key);
-    if (list != nullptr) total += static_cast<double>(list->size());
-  }
-  if (!any_index) return EstimateFanout(base, full_col);
-  return total;
-}
-
 double Maintainer::EstimateFanout(int base, int full_col) const {
-  const std::string& table = bound().base_def(base).name;
-  std::vector<ColumnStats> parts;
-  if (sys_->config().mvcc_reads) {
-    SnapshotScope scope(&sys_->snapshots());
-    for (int i = 0; i < sys_->num_nodes(); ++i) {
-      const TableFragment* frag = sys_->node(i)->fragment(table);
-      if (frag == nullptr || !frag->mvcc_enabled()) continue;
-      parts.push_back(
-          ComputeColumnStats(*frag->MvccHead(), scope.epoch(), full_col));
-    }
-  } else {
-    for (int i = 0; i < sys_->num_nodes(); ++i) {
-      NodeLatchGuard latch(*sys_->node(i), LatchMode::kShared);
-      const TableFragment* frag = sys_->node(i)->fragment(table);
-      if (frag != nullptr) parts.push_back(ComputeColumnStats(*frag, full_col));
-    }
-  }
-  ColumnStats merged = MergeColumnStats(parts);
-  double fanout = merged.AvgFanout();
-  return fanout > 0.0 ? fanout : 1.0;
+  return sys_->EstimateFanout(bound().base_def(base).name, full_col);
 }
 
 Result<std::vector<Maintainer::Partial>> Maintainer::SeedPartials(

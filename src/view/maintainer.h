@@ -146,7 +146,6 @@ class Maintainer {
   /// GI rid-list fetch) serves every duplicate. Off by default; eager
   /// maintenance keeps its per-tuple cost accounting bit-exact.
   void set_fold_mode(bool on) { fold_mode_ = on; }
-  bool fold_mode() const { return fold_mode_; }
 
  protected:
   /// A partial join result: a working row with the bases joined so far
@@ -161,10 +160,6 @@ class Maintainer {
   /// so skewed batches order their joins by what they will really touch.
   Result<MaintenancePlan> PlanForRows(int updated_base,
                                       const std::vector<Row>& rows) const;
-
-  /// Expected matches for one key in (base, full column): exact via the
-  /// index posting lists when available, the average fanout otherwise.
-  double EstimateKeyFanout(int base, int full_col, const Value& key) const;
 
   /// Builds seed partials from delta rows: applies the updated base's
   /// selections, projects to needed columns, and places each seed at its
@@ -189,7 +184,8 @@ class Maintainer {
   Status EmitToView(uint64_t txn, const std::vector<Partial>& completed,
                     bool is_delete, MaintenanceReport* report);
 
-  /// Live average fanout of (base, full column) from table statistics.
+  /// Average fanout of (base, full column) from table statistics (see
+  /// ParallelSystem::EstimateFanout).
   double EstimateFanout(int base, int full_col) const;
 
   /// Per-sign processing implemented by each method: runs the plan's steps

@@ -4,20 +4,8 @@
 #include <unordered_map>
 
 #include "net/message.h"
-#include "txn/snapshot_manager.h"
 
 namespace pjvm {
-
-std::vector<Row> MaterializedView::Contents() const {
-  if (sys_->config().mvcc_reads) {
-    // One snapshot scope around the scan: every node is read at the same
-    // commit epoch, so a concurrent ApplyDelta is either fully visible or
-    // fully invisible.
-    SnapshotScope scope(&sys_->snapshots());
-    return sys_->ScanAll(table_name());
-  }
-  return sys_->ScanAll(table_name());
-}
 
 Result<MaterializedView> MaterializedView::Create(ParallelSystem* sys,
                                                   BoundView bound,

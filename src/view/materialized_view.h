@@ -43,12 +43,9 @@ class MaterializedView {
                       bool is_delete, size_t* applied);
 
   /// All output rows of the view (test/inspection utility; uncharged).
-  /// With `mvcc_reads` on, the scan runs inside one snapshot scope, so the
-  /// result is the view's state at a single commit epoch across all nodes —
-  /// never a torn mid-maintenance mixture. (Previously this was a bare
-  /// ScanAll outside any transaction or snapshot: each node's fragment was
-  /// read under its own latch at a different instant.)
-  std::vector<Row> Contents() const;
+  /// With `mvcc_reads` on, ScanAll reads every node at one commit epoch, so
+  /// the result is never a torn mid-maintenance mixture.
+  std::vector<Row> Contents() const { return sys_->ScanAll(table_name()); }
   size_t RowCount() const { return sys_->RowCount(table_name()); }
 
   /// Mirror callback for the merged layout: invoked once per applied view

@@ -116,8 +116,7 @@ class ViewManager : public StructureResolver {
       : sys_(sys), ars_(sys), gis_(sys) {
     if (sys->config().heavy_light) {
       classifier_ = std::make_unique<HeavyLightClassifier>(
-          sys, sys->config().heavy_key_threshold,
-          sys->config().stats_refresh_ops);
+          sys, sys->config().stats_refresh_ops);
     }
     // Escrow needs the V/X lock protocol to mean anything: without locking
     // there is no eager X serialization to relax, and the byte-for-byte

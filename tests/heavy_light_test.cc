@@ -87,7 +87,7 @@ TEST(HeavyLightClassifierTest, HysteresisPromotesAtThresholdDemotesAtHalf) {
     ++bkey;
   }
 
-  HeavyLightClassifier cls(&sys, /*promote_ratio=*/4.0, /*stats_refresh_ops=*/1);
+  HeavyLightClassifier cls(&sys, /*stats_refresh_ops=*/1);
   EXPECT_TRUE(cls.HeavyKey("B", 1, Value{int64_t{0}}));
   EXPECT_FALSE(cls.HeavyKey("B", 1, Value{int64_t{3}}));
   EXPECT_EQ(cls.heavy_keys_live(), 1u);
@@ -102,7 +102,7 @@ TEST(HeavyLightClassifierTest, HysteresisPromotesAtThresholdDemotesAtHalf) {
   }
   cls.RecordOps("B", 1);  // crosses stats_refresh_ops -> rebuild on next use
   EXPECT_TRUE(cls.HeavyKey("B", 1, Value{int64_t{0}}));
-  HeavyLightClassifier fresh(&sys, 4.0, 1);
+  HeavyLightClassifier fresh(&sys, /*stats_refresh_ops=*/1);
   EXPECT_FALSE(fresh.HeavyKey("B", 1, Value{int64_t{0}}));
 
   // Below half the threshold the promoted key demotes: key 0 x2 gives
@@ -138,8 +138,8 @@ TEST(HeavyLightClassifierTest, StatsRefreshFollowsHotKeyDrift) {
     ++bkey;
   }
 
-  HeavyLightClassifier refreshing(&sys, 4.0, /*stats_refresh_ops=*/8);
-  HeavyLightClassifier stale(&sys, 4.0, /*stats_refresh_ops=*/0);
+  HeavyLightClassifier refreshing(&sys, /*stats_refresh_ops=*/8);
+  HeavyLightClassifier stale(&sys, /*stats_refresh_ops=*/0);
   const Value key0{int64_t{0}};
   const Value key5{int64_t{5}};
   EXPECT_TRUE(refreshing.HeavyKey("B", 1, key0));

@@ -286,9 +286,11 @@ TEST(SnapshotIsolationTest, GcNeverReclaimsVisibleVersions) {
   EXPECT_EQ(fx.sys->RowCount("A"), 111u);
 }
 
-// The same single-threaded workload charges bit-identical cost counters with
-// mvcc_reads on and off — the snapshot read path mirrors the locked path's
-// cost formulas exactly, so paper-figure experiments are unaffected.
+// The same single-threaded workload charges bit-identical cost counters —
+// every NodeCounters field, descents included — with mvcc_reads on and off,
+// for autocommit and explicit-transaction reads alike: the snapshot read
+// path mirrors the locked path's cost formulas exactly, so paper-figure
+// experiments are unaffected.
 TEST(SnapshotIsolationTest, CostParityMvccOnOff) {
   auto run = [](bool mvcc) {
     MvccFixture fx(mvcc, /*locking=*/true, /*num_nodes=*/2, /*b_keys=*/8,
@@ -314,6 +316,20 @@ TEST(SnapshotIsolationTest, CostParityMvccOnOff) {
         .Check();
     fx.sys->ScanAll("JV");
     fx.sys->RowCount("A");
+    // The same reads inside an explicit transaction: with mvcc_reads off
+    // they take S locks and run inline on this thread, with it on they read
+    // the snapshot — the charges must not differ.
+    uint64_t txn = fx.sys->Begin();
+    fx.sys->SelectEq("B", "d", Value{int64_t{3}}, txn).status().Check();
+    fx.sys->SelectEq("A", "c", Value{int64_t{2}}, txn).status().Check();
+    fx.sys->SelectEq("A", "a", Value{int64_t{5}}, txn).status().Check();
+    fx.sys->SelectRange("B", "d", Value{int64_t{1}}, Value{int64_t{5}}, txn)
+        .status()
+        .Check();
+    fx.sys->SelectRange("A", "e", Value{int64_t{0}}, Value{int64_t{700}}, txn)
+        .status()
+        .Check();
+    fx.sys->Commit(txn).Check();
     fx.manager->CheckAllConsistent().Check();
     return fx.sys->cost().Snapshot();
   };
@@ -329,6 +345,7 @@ TEST(SnapshotIsolationTest, CostParityMvccOnOff) {
     EXPECT_EQ(off[i].base_writes, on[i].base_writes) << "node " << i;
     EXPECT_EQ(off[i].structure_writes, on[i].structure_writes) << "node " << i;
     EXPECT_EQ(off[i].view_writes, on[i].view_writes) << "node " << i;
+    EXPECT_EQ(off[i].descents, on[i].descents) << "node " << i;
   }
 }
 

@@ -246,9 +246,8 @@ TEST(StatsTest, ComputeByScanWithoutIndex) {
 }
 
 TEST(StatsTest, MergeSums) {
-  ColumnStats a{10, 5};
-  ColumnStats b{20, 10};
-  ColumnStats merged = MergeColumnStats({a, b});
+  ColumnStats merged{10, 5};
+  merged += ColumnStats{20, 10};
   EXPECT_EQ(merged.row_count, 30u);
   EXPECT_EQ(merged.distinct_count, 15u);
   EXPECT_DOUBLE_EQ(merged.AvgFanout(), 2.0);
