@@ -10,10 +10,11 @@
 # maintenance runs), the MVCC snapshot-isolation suite (readers vs.
 # parked/racing writers, version GC), the open-loop driver suite
 # (scheduler/worker/writer thread handoff, cross-thread telemetry merges),
-# and the heavy/light suites (deferred-delta folds racing a wait-die
-# blocker on another thread), and the merged co-clustered storage suite
-# (concurrent maintenance transactions editing shared per-node trees under
-# fragment-range locks, with abort rollback), the escrow value-lock
+# the heavy/light suites (deferred-delta folds racing a wait-die
+# blocker on another thread), the GI stale-entry race (global-index
+# fetches racing concurrent base deletes), the merged co-clustered storage
+# suite (concurrent maintenance transactions editing shared per-node trees
+# under fragment-range locks, with abort rollback), the escrow value-lock
 # suite (V-lock group increments, V->X upgrade deadlocks, and journal
 # rollback racing across writer threads), and the deferred-refresh suite
 # (a refresh retrying past an older lock holder released from another
@@ -24,7 +25,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=build-tsan
-FILTER="${1:-NodeExecutor|ParallelEquivalence|NetworkTest|Maintenance|MethodEquivalence|Tracer|LatencyHistogram|CostTracker|TraceMaintenance|WaitDie|MaintenanceRetry|LockManager|EngineLocking|LockShard|NodeLatch|GroupCommit|MultiNodePrepare|LockEscalation|SnapshotIsolation|WindowedHistogram|OpenLoopDriver|HeavyLight|MergedStorage|Escrow|DeferredView}"
+FILTER="${1:-NodeExecutor|ParallelEquivalence|NetworkTest|Maintenance|MethodEquivalence|Tracer|LatencyHistogram|CostTracker|TraceMaintenance|WaitDie|MaintenanceRetry|LockManager|EngineLocking|LockShard|NodeLatch|GroupCommit|MultiNodePrepare|LockEscalation|SnapshotIsolation|WindowedHistogram|OpenLoopDriver|HeavyLight|MergedStorage|Escrow|DeferredView|GiStaleEntryRace}"
 
 cmake -B "$BUILD_DIR" -S . -G Ninja -DPJVM_SANITIZE=thread
 cmake --build "$BUILD_DIR" -j "$(nproc)" \

@@ -25,19 +25,6 @@ Counter* LatchExclusiveCounter() {
   return c;
 }
 
-// MVCC version bookkeeping: live chain deltas across all fragments, and
-// deltas reclaimed by folds.
-Gauge* VersionsLiveGauge() {
-  static Gauge* g = MetricsRegistry::Global().gauge("pjvm_mvcc_versions_live");
-  return g;
-}
-
-Counter* GcReclaimedCounter() {
-  static Counter* c =
-      MetricsRegistry::Global().counter("pjvm_mvcc_gc_reclaimed");
-  return c;
-}
-
 struct SharedDepthEntry {
   const NodeLatch* latch;
   int depth;
@@ -48,6 +35,21 @@ struct SharedDepthEntry {
 thread_local std::vector<SharedDepthEntry> tls_shared_depths;
 
 }  // namespace
+
+Gauge* MvccVersionsLiveGauge() {
+  static Gauge* g = MetricsRegistry::Global().gauge("pjvm_mvcc_versions_live");
+  return g;
+}
+
+void MvccFoldBelowWatermark(TableFragment* frag, uint64_t watermark) {
+  static Counter* reclaimed =
+      MetricsRegistry::Global().counter("pjvm_mvcc_gc_reclaimed");
+  size_t folded = frag->MvccMaybeFold(watermark);
+  if (folded > 0) {
+    MvccVersionsLiveGauge()->Add(-static_cast<double>(folded));
+    reclaimed->Increment(folded);
+  }
+}
 
 int& NodeLatch::SharedDepth(const NodeLatch* latch) {
   for (SharedDepthEntry& e : tls_shared_depths) {
@@ -195,14 +197,9 @@ void Node::RecordVersionOp(uint64_t txn_id, const std::string& table,
   ops.push_back(std::move(op));
   snaps_->Publish(
       [&](uint64_t epoch) { frag->MvccPublish(epoch, std::move(ops)); });
-  VersionsLiveGauge()->Add(1.0);
-  snaps_->Fold([&](uint64_t watermark) {
-    size_t folded = frag->MvccMaybeFold(watermark);
-    if (folded > 0) {
-      VersionsLiveGauge()->Add(-static_cast<double>(folded));
-      GcReclaimedCounter()->Increment(folded);
-    }
-  });
+  MvccVersionsLiveGauge()->Add(1.0);
+  snaps_->Fold(
+      [&](uint64_t watermark) { MvccFoldBelowWatermark(frag, watermark); });
 }
 
 Status Node::DropFragment(const std::string& table) {
@@ -210,7 +207,9 @@ Status Node::DropFragment(const std::string& table) {
   auto it = fragments_.find(table);
   if (it != fragments_.end() && snaps_ != nullptr) {
     size_t dropped = it->second->MvccChainDeltas();
-    if (dropped > 0) VersionsLiveGauge()->Add(-static_cast<double>(dropped));
+    if (dropped > 0) {
+      MvccVersionsLiveGauge()->Add(-static_cast<double>(dropped));
+    }
   }
   if (fragments_.erase(table) == 0) {
     return Status::NotFound("node " + std::to_string(id_) +
@@ -582,7 +581,7 @@ void Node::WipeFragments() {
     for (const auto& [name, frag] : fragments_) {
       dropped += static_cast<double>(frag->MvccChainDeltas());
     }
-    if (dropped > 0) VersionsLiveGauge()->Add(-dropped);
+    if (dropped > 0) MvccVersionsLiveGauge()->Add(-dropped);
   }
   fragments_.clear();
   // Reservations described slots in the heaps that just vanished; recovery

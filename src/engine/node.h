@@ -306,6 +306,18 @@ class NodeLatchGuard {
   LatchDepthScope depth_;
 };
 
+class Gauge;
+
+/// \brief The process-wide `pjvm_mvcc_versions_live` gauge: live MVCC chain
+/// deltas across every fragment, moved by autocommit publishes (Node) and
+/// 2PC commits (ParallelSystem) alike.
+Gauge* MvccVersionsLiveGauge();
+
+/// Folds `frag`'s version chain when it lies entirely below `watermark`,
+/// moving the reclaimed deltas from the live gauge to the
+/// `pjvm_mvcc_gc_reclaimed` counter.
+void MvccFoldBelowWatermark(TableFragment* frag, uint64_t watermark);
+
 }  // namespace pjvm
 
 #endif  // PJVM_ENGINE_NODE_H_

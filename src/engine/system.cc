@@ -14,19 +14,6 @@ namespace pjvm {
 
 namespace {
 
-// Shared with node.cc's version bookkeeping: same names resolve to the same
-// registry handles.
-Gauge* VersionsLiveGauge() {
-  static Gauge* g = MetricsRegistry::Global().gauge("pjvm_mvcc_versions_live");
-  return g;
-}
-
-Counter* GcReclaimedCounter() {
-  static Counter* c =
-      MetricsRegistry::Global().counter("pjvm_mvcc_gc_reclaimed");
-  return c;
-}
-
 std::vector<Row> ConcatInNodeOrder(std::vector<std::vector<Row>>& per_node) {
   std::vector<Row> rows;
   for (std::vector<Row>& part : per_node) {
@@ -593,19 +580,14 @@ void ParallelSystem::PublishVersions(uint64_t txn_id) {
       published += 1.0;
     }
   });
-  if (published > 0) VersionsLiveGauge()->Add(published);
+  if (published > 0) MvccVersionsLiveGauge()->Add(published);
   // Piggybacked GC: fold any written fragment whose chain is both long
   // enough and entirely below the minimum active read epoch.
   snapshots_.Fold([&](uint64_t watermark) {
     for (const auto& [where, frag_ops] : by_frag) {
       (void)frag_ops;
       TableFragment* frag = nodes_[where.first]->fragment(where.second);
-      if (frag == nullptr) continue;
-      size_t folded = frag->MvccMaybeFold(watermark);
-      if (folded > 0) {
-        VersionsLiveGauge()->Add(-static_cast<double>(folded));
-        GcReclaimedCounter()->Increment(folded);
-      }
+      if (frag != nullptr) MvccFoldBelowWatermark(frag, watermark);
     }
   });
 }
@@ -622,7 +604,7 @@ void ParallelSystem::ResetSnapshots(const std::vector<std::string>& tables) {
       }
     }
   });
-  if (dropped > 0) VersionsLiveGauge()->Add(-dropped);
+  if (dropped > 0) MvccVersionsLiveGauge()->Add(-dropped);
 }
 
 Status ParallelSystem::CheckInvariants() const {

@@ -3,16 +3,21 @@
 #include <string>
 
 #include "obs/trace.h"
+#include "storage/row_id.h"
 
 namespace pjvm {
 
+size_t HopBytes(std::string_view table, std::span<const Row> rows,
+                size_t rids) {
+  size_t bytes = 16 + table.size() + rids * sizeof(LocalRowId);
+  for (const Row& row : rows) bytes += RowByteSize(row);
+  return bytes;
+}
+
 Network::Network(int num_nodes, CostTracker* tracker)
-    : num_nodes_(num_nodes),
-      tracker_(tracker),
-      pair_counts_(static_cast<size_t>(num_nodes) * num_nodes) {}
+    : num_nodes_(num_nodes), tracker_(tracker) {}
 
 void Network::Account(int from, int to, size_t bytes, bool charge) {
-  pair_counts_[from * num_nodes_ + to].fetch_add(1, std::memory_order_relaxed);
   total_messages_.fetch_add(1, std::memory_order_relaxed);
   total_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   if (CostTracker::TxnMeter* meter = CostTracker::ActiveMeter()) {
@@ -26,34 +31,29 @@ void Network::Account(int from, int to, size_t bytes, bool charge) {
   }
 }
 
-Status Network::Send(const Message& msg) {
-  if (!ValidNode(msg.from)) {
+Status Network::Send(int from, int to, size_t bytes) {
+  if (!ValidNode(from)) {
     return Status::InvalidArgument("network: bad source node " +
-                                   std::to_string(msg.from));
+                                   std::to_string(from));
   }
-  if (!ValidNode(msg.to)) {
+  if (!ValidNode(to)) {
     return Status::InvalidArgument("network: bad destination node " +
-                                   std::to_string(msg.to));
+                                   std::to_string(to));
   }
-  Account(msg.from, msg.to, msg.ByteSize(), /*charge=*/msg.from != msg.to);
+  Account(from, to, bytes, /*charge=*/from != to);
   return Status::OK();
 }
 
-Status Network::Broadcast(int from, const Message& msg) {
+Status Network::Broadcast(int from, size_t bytes) {
   if (!ValidNode(from)) {
     return Status::InvalidArgument("network: bad broadcast source");
   }
   // The paper charges the naive method L*SEND for "sending tuple to each
   // node", i.e. the self-copy is charged too.
-  const size_t bytes = msg.ByteSize();
   for (int to = 0; to < num_nodes_; ++to) {
     Account(from, to, bytes, /*charge=*/true);
   }
   return Status::OK();
-}
-
-uint64_t Network::PairCount(int from, int to) const {
-  return pair_counts_[from * num_nodes_ + to].load(std::memory_order_relaxed);
 }
 
 uint64_t Network::TotalMessages() const {
@@ -62,14 +62,6 @@ uint64_t Network::TotalMessages() const {
 
 uint64_t Network::TotalBytes() const {
   return total_bytes_.load(std::memory_order_relaxed);
-}
-
-void Network::ResetCounters() {
-  for (std::atomic<uint64_t>& count : pair_counts_) {
-    count.store(0, std::memory_order_relaxed);
-  }
-  total_messages_.store(0, std::memory_order_relaxed);
-  total_bytes_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace pjvm

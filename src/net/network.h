@@ -2,27 +2,35 @@
 #define PJVM_NET_NETWORK_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <span>
+#include <string_view>
 
 #include "common/metrics.h"
+#include "common/row.h"
 #include "common/status.h"
-#include "net/message.h"
 
 namespace pjvm {
+
+/// \brief Wire size in bytes of one hop: a 16-byte header, the destination
+/// table's name, the carried rows and `rids` local row ids (the GI method's
+/// "tuple + global row ids" probe).
+size_t HopBytes(std::string_view table, std::span<const Row> rows,
+                size_t rids = 0);
 
 /// \brief The simulated shared-nothing interconnect: a cost device.
 ///
 /// Every cross-node data movement in the engine is accounted through
 /// Send()/Broadcast(); this is what makes the paper's SEND accounting and the
 /// per-method locality claims (single-node vs few-node vs all-node)
-/// measurable and testable. Nothing is queued: the sending thread itself
-/// consumes every message at its destination, so the network only charges
-/// and counts it.
+/// measurable and testable. A hop is only its byte count (HopBytes): the
+/// sending thread itself consumes the data at its destination, so the
+/// network only charges and counts it.
 ///
 /// Semantics follow the paper's model:
 ///  - a point-to-point send where source == destination is "conceptual": the
-///    message is counted but no SEND is charged (the dashed lines in
+///    hop is counted but no SEND is charged (the dashed lines in
 ///    Figures 2/4/6);
 ///  - Broadcast() charges one SEND per destination including the sender's
 ///    own node, matching the naive method's L*SEND term.
@@ -33,23 +41,17 @@ class Network {
  public:
   Network(int num_nodes, CostTracker* tracker);
 
-  int num_nodes() const { return num_nodes_; }
+  /// Accounts one hop of `bytes` from `from` to `to`, charging SEND to the
+  /// source unless the hop stays on-node.
+  Status Send(int from, int to, size_t bytes);
 
-  /// Accounts one hop of `msg` from `msg.from` to `msg.to`, charging SEND to
-  /// the source unless the message stays on-node.
-  Status Send(const Message& msg);
-
-  /// Accounts `msg` sent from `from` to every node, charging `num_nodes`
+  /// Accounts `bytes` sent from `from` to every node, charging `num_nodes`
   /// SENDs to the sender as in the paper's naive-method model.
-  Status Broadcast(int from, const Message& msg);
+  Status Broadcast(int from, size_t bytes);
 
-  /// Messages sent from i to j since construction/reset (self-sends are
-  /// counted here even though they cost nothing).
-  uint64_t PairCount(int from, int to) const;
+  /// Hops (self-sends included) and their bytes since construction.
   uint64_t TotalMessages() const;
   uint64_t TotalBytes() const;
-
-  void ResetCounters();
 
  private:
   bool ValidNode(int node) const { return node >= 0 && node < num_nodes_; }
@@ -60,7 +62,6 @@ class Network {
   const int num_nodes_;
   CostTracker* tracker_;
 
-  std::vector<std::atomic<uint64_t>> pair_counts_;
   std::atomic<uint64_t> total_messages_{0};
   std::atomic<uint64_t> total_bytes_{0};
 };

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <map>
 
-#include "net/message.h"
+#include "net/network.h"
 
 namespace pjvm {
 
@@ -180,42 +180,54 @@ Result<ArAccess> ArRegistry::Access(const std::string& table, int col,
   return access;
 }
 
+Result<size_t> ShipStructureDelta(ParallelSystem* sys, uint64_t txn,
+                                  const DeltaBatch& delta,
+                                  const std::string& table, int key_col,
+                                  const StructureRowFn& make) {
+  size_t writes = 0;
+  auto apply = [&](const std::vector<Row>& rows,
+                   const std::vector<GlobalRowId>& gids,
+                   bool is_delete) -> Status {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const GlobalRowId gid = i < gids.size() ? gids[i] : GlobalRowId{};
+      std::optional<Row> row = make(rows[i], gid);
+      if (!row.has_value()) continue;
+      int dest = sys->HomeNodeForKey(rows[i][key_col]);
+      int from = gid.node >= 0 ? gid.node : dest;
+      if (from != dest) {
+        PJVM_RETURN_NOT_OK(
+            sys->network().Send(from, dest, HopBytes(table, {&*row, 1})));
+      }
+      Node* node = sys->node(dest);
+      if (is_delete) {
+        PJVM_RETURN_NOT_OK(node->DeleteExact(txn, table, *row));
+      } else {
+        PJVM_RETURN_NOT_OK(node->Insert(txn, table, std::move(*row)).status());
+      }
+      ++writes;
+    }
+    return Status::OK();
+  };
+  PJVM_RETURN_NOT_OK(apply(delta.deletes, delta.delete_gids, true));
+  PJVM_RETURN_NOT_OK(apply(delta.inserts, delta.insert_gids, false));
+  return writes;
+}
+
 Result<size_t> ArRegistry::ApplyDelta(uint64_t txn, const DeltaBatch& delta) {
   size_t writes = 0;
   for (auto& [key, entry] : entries_) {
     if (entry.base_table != delta.table) continue;
-    auto apply = [&](const std::vector<Row>& rows,
-                     const std::vector<GlobalRowId>& gids,
-                     bool is_delete) -> Status {
-      for (size_t i = 0; i < rows.size(); ++i) {
-        const Row& row = rows[i];
-        if (entry.filtered && !PassesPreds(row, entry.preds)) continue;
-        Row ar_row = ProjectRow(row, entry.cols);
-        int dest = sys_->HomeNodeForKey(row[entry.col]);
-        int from = i < gids.size() && gids[i].node >= 0 ? gids[i].node : dest;
-        if (from != dest) {
-          Message msg;
-          msg.kind = is_delete ? MessageKind::kDeleteTuples : MessageKind::kTuples;
-          msg.from = from;
-          msg.to = dest;
-          msg.table = entry.ar_table;
-          msg.rows.push_back(ar_row);
-          PJVM_RETURN_NOT_OK(sys_->network().Send(msg));
-        }
-        if (is_delete) {
-          PJVM_RETURN_NOT_OK(
-              sys_->node(dest)->DeleteExact(txn, entry.ar_table, ar_row));
-        } else {
-          PJVM_RETURN_NOT_OK(
-              sys_->node(dest)->Insert(txn, entry.ar_table, std::move(ar_row))
-                  .status());
-        }
-        ++writes;
-      }
-      return Status::OK();
-    };
-    PJVM_RETURN_NOT_OK(apply(delta.deletes, delta.delete_gids, true));
-    PJVM_RETURN_NOT_OK(apply(delta.inserts, delta.insert_gids, false));
+    PJVM_ASSIGN_OR_RETURN(
+        size_t n,
+        ShipStructureDelta(
+            sys_, txn, delta, entry.ar_table, entry.col,
+            [&entry](const Row& row, GlobalRowId) -> std::optional<Row> {
+              if (entry.filtered && !PassesPreds(row, entry.preds)) {
+                return std::nullopt;
+              }
+              return ProjectRow(row, entry.cols);
+            }));
+    writes += n;
   }
   return writes;
 }

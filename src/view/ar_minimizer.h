@@ -1,7 +1,9 @@
 #ifndef PJVM_VIEW_AR_MINIMIZER_H_
 #define PJVM_VIEW_AR_MINIMIZER_H_
 
+#include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -11,6 +13,21 @@
 #include "view/view_def.h"
 
 namespace pjvm {
+
+/// Maps a base delta row and its (node, local rid) to the structure row it
+/// writes, or nullopt when the structure does not hold it.
+using StructureRowFn =
+    std::function<std::optional<Row>(const Row& base_row, GlobalRowId gid)>;
+
+/// \brief Applies `delta` to the structure table `table` (an auxiliary
+/// relation or a global index), deletes first. Each structure row ships from
+/// its base row's node (the key's home when the gid is unknown) to the hash
+/// home of the base row's `key_col` — one SEND unless already there — and is
+/// deleted or inserted there. Returns the number of structure writes.
+Result<size_t> ShipStructureDelta(ParallelSystem* sys, uint64_t txn,
+                                  const DeltaBatch& delta,
+                                  const std::string& table, int key_col,
+                                  const StructureRowFn& make);
 
 /// \brief Registry of auxiliary relations with the paper's storage
 /// minimization (Section 2.1.2).

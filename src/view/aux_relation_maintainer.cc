@@ -33,20 +33,17 @@ Status AuxRelationMaintainer::ProcessSign(uint64_t txn, int updated_base,
                         SeedPartials(updated_base, rows, gids, colocate_col));
   MergedViewStorage* merged = resolver_->MergedFor(view_->table_name());
   for (const PlanStep& step : plan.steps) {
-    // Merged co-clustered layout: a step targeting a cluster member probes
-    // the view's merged tree — one range descent instead of an AR index
-    // search per tuple. Non-member targets keep the AR path below.
-    if (merged != nullptr &&
-        merged->CoversBase(step.target_base, step.target_col)) {
-      PJVM_ASSIGN_OR_RETURN(
-          partials, MergedRoutedStep(txn, step, merged, partials, report));
-      if (partials.empty()) return Status::OK();
-      continue;
-    }
     const TableDef& target_def = bound().base_def(step.target_base);
     ProbeTarget target;
-    if (target_def.partition.is_hash() &&
-        target_def.PartitionColumn() == step.target_col) {
+    if (merged != nullptr &&
+        merged->CoversBase(step.target_base, step.target_col)) {
+      // Merged co-clustered layout: a step targeting a cluster member probes
+      // the view's merged tree — one range descent instead of an AR index
+      // search per tuple. Non-member targets keep the AR path below.
+      target.table = merged->lock_table();
+      target.merged = merged;
+    } else if (target_def.partition.is_hash() &&
+               target_def.PartitionColumn() == step.target_col) {
       // "If some base relation is partitioned on the join attribute, the
       // auxiliary relation for that base relation is unnecessary."
       target = BaseProbeTarget(step);

@@ -7,6 +7,7 @@
 #include <set>
 #include <tuple>
 
+#include "net/network.h"
 #include "obs/trace.h"
 
 namespace pjvm {
@@ -95,24 +96,9 @@ Result<std::vector<Maintainer::Partial>> GlobalIndexMaintainer::GlobalIndexStep(
   bool dist_clustered = target_def.HasClusteredIndexOn(col_name);
 
   // Phase 0 (coordinator): route each partial to its key's global-index home
-  // node. Ships stay on the caller thread so their SEND charges accrue to the
-  // producing nodes in batch order, exactly as before.
-  std::vector<std::vector<size_t>> at_home(sys_->num_nodes());
-  for (size_t i = 0; i < in.size(); ++i) {
-    const Partial& p = in[i];
-    const Value& key = p.working[key_idx];
-    int gi_home = sys_->HomeNodeForKey(key);
-    if (gi_home != p.node) {
-      Message msg;
-      msg.kind = MessageKind::kProbe;
-      msg.from = p.node;
-      msg.to = gi_home;
-      msg.table = gi_table;
-      msg.rows.push_back(p.working);
-      PJVM_RETURN_NOT_OK(sys_->network().Send(msg));
-    }
-    at_home[gi_home].push_back(i);
-  }
+  // node.
+  PJVM_ASSIGN_OR_RETURN(std::vector<std::vector<size_t>> at_home,
+                        RouteToKeyHome(in, key_idx, gi_table));
 
   // A pending remote fetch: partial `partial_idx` matched `rids` at `owner`.
   struct FetchWork {
@@ -173,14 +159,9 @@ Result<std::vector<Maintainer::Partial>> GlobalIndexMaintainer::GlobalIndexStep(
           for (auto& [owner, rids] : *grouped) {
             // "With the global row ids of those tuples residing at that node,
             // the tuple is sent there."
-            Message msg;
-            msg.kind = MessageKind::kRidProbe;
-            msg.from = gi_home;
-            msg.to = owner;
-            msg.table = target_def.name;
-            msg.rows.push_back(p.working);
-            msg.rids = rids;
-            PJVM_RETURN_NOT_OK(sys_->network().Send(msg));
+            PJVM_RETURN_NOT_OK(sys_->network().Send(
+                gi_home, owner,
+                HopBytes(target_def.name, {&p.working, 1}, rids.size())));
             // The memoized rid lists are shared by later duplicates of the
             // key, so fold mode copies them into the FetchWork.
             home_work[gi_home].push_back(FetchWork{
@@ -218,7 +199,11 @@ Result<std::vector<Maintainer::Partial>> GlobalIndexMaintainer::GlobalIndexStep(
       sys_->executor().RunOnNodes(owners, [&](int owner) -> Status {
         SpanGuard span("gi_fetch_node", "task", owner, &sys_->cost(),
                        MaintenanceMethodToString(method()));
-        TableFragment* frag = sys_->node(owner)->fragment(target_def.name);
+        // The fetches read the heap directly, racing client writes to the
+        // same node: hold its latch shared, as ProbeGroupAtNode does.
+        Node* n = sys_->node(owner);
+        NodeLatchGuard latch(*n, LatchMode::kShared);
+        TableFragment* frag = n->fragment(target_def.name);
         if (frag == nullptr) {
           return Status::NotFound("GI step: missing fragment '" +
                                   target_def.name + "'");
@@ -240,9 +225,16 @@ Result<std::vector<Maintainer::Partial>> GlobalIndexMaintainer::GlobalIndexStep(
             for (LocalRowId rid : w->rids) {
               const Row* row = frag->Get(rid);
               if (row == nullptr || !((*row)[step.target_col] == key)) {
-                return Status::Internal("GI step: stale global index entry " +
-                                        GlobalRowId{owner, rid}.ToString() +
-                                        " for key " + key.ToString());
+                // Under locking, a concurrent transaction deleted or moved
+                // the row after our GI probe read its entry: a conflict the
+                // retry loop resolves, not a broken index.
+                std::string what = "GI step: stale global index entry " +
+                                   GlobalRowId{owner, rid}.ToString() +
+                                   " for key " + key.ToString();
+                if (sys_->config().enable_locking) {
+                  return Status::Aborted(std::move(what));
+                }
+                return Status::Internal(std::move(what));
               }
               ++fetched_rows;
               // Global indexes cover all rows; selections apply post-fetch.

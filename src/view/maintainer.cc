@@ -5,6 +5,7 @@
 
 #include "exec/join_chooser.h"
 #include "exec/local_join.h"
+#include "net/network.h"
 #include "obs/trace.h"
 #include "view/merged_storage.h"
 
@@ -227,23 +228,18 @@ Status Maintainer::ProbeGroupAtNode(uint64_t txn, const PlanStep& step,
 Result<std::vector<Maintainer::Partial>> Maintainer::BroadcastStep(
     uint64_t txn, const PlanStep& step, const std::vector<Partial>& in,
     MaintenanceReport* report) {
-  std::vector<Partial> out;
-  if (in.empty()) return out;
+  if (in.empty()) return std::vector<Partial>{};
+  ProbeTarget target = BaseProbeTarget(step);
   SpanGuard phase_span("broadcast_step", "phase", -1, nullptr,
                        MaintenanceMethodToString(method()));
-  phase_span.set_detail(bound().base_def(step.target_base).name);
+  phase_span.set_detail(target.table);
   PJVM_ASSIGN_OR_RETURN(int key_idx,
                         bound().WorkingIndex(step.source_base, step.source_col));
   // Every partial is shipped to every node: the paper's L*SEND per tuple.
-  Message msg;
-  msg.kind = MessageKind::kProbe;
-  msg.table = bound().base_def(step.target_base).name;
-  msg.rows.resize(1);
   for (const Partial& p : in) {
-    msg.rows[0] = p.working;
-    PJVM_RETURN_NOT_OK(sys_->network().Broadcast(p.node, msg));
+    PJVM_RETURN_NOT_OK(sys_->network().Broadcast(
+        p.node, HopBytes(target.table, {&p.working, 1})));
   }
-  ProbeTarget target = BaseProbeTarget(step);
   const TableDef& tdef = bound().base_def(step.target_base);
   const std::string& col_name = tdef.schema.column(step.target_col).name;
   bool clustered = tdef.HasClusteredIndexOn(col_name);
@@ -253,124 +249,95 @@ Result<std::vector<Maintainer::Partial>> Maintainer::BroadcastStep(
   std::vector<const Partial*> group;
   group.reserve(in.size());
   for (const Partial& p : in) group.push_back(&p);
-  // Every node probes its own fragment on its worker thread. Outputs and
-  // probe counts land in per-node buffers and merge in node order, so the
-  // result is identical to the former sequential node loop.
-  std::vector<std::vector<Partial>> node_out(sys_->num_nodes());
-  std::vector<MaintenanceReport> node_rep(sys_->num_nodes());
-  PJVM_RETURN_NOT_OK(sys_->executor().RunOnAllNodes([&](int node) {
-    SpanGuard span("probe_node", "task", node, &sys_->cost(),
-                   MaintenanceMethodToString(method()));
-    return ProbeGroupAtNode(txn, step, target, node, group, key_idx, per_tuple,
-                            &node_rep[node], &node_out[node]);
-  }));
-  for (int node = 0; node < sys_->num_nodes(); ++node) {
-    *report += node_rep[node];
-    out.insert(out.end(), std::make_move_iterator(node_out[node].begin()),
-               std::make_move_iterator(node_out[node].end()));
-  }
-  return out;
+  std::vector<int> nodes(sys_->num_nodes());
+  for (int node = 0; node < sys_->num_nodes(); ++node) nodes[node] = node;
+  return ProbeOnNodes(
+      nodes,
+      [&](int node, MaintenanceReport* rep, std::vector<Partial>* out) {
+        return ProbeGroupAtNode(txn, step, target, node, group, key_idx,
+                                per_tuple, rep, out);
+      },
+      report);
 }
 
 Result<std::vector<Maintainer::Partial>> Maintainer::RoutedStep(
     uint64_t txn, const PlanStep& step, const ProbeTarget& target,
     const std::vector<Partial>& in, MaintenanceReport* report) {
-  std::vector<Partial> out;
-  if (in.empty()) return out;
-  SpanGuard phase_span("routed_step", "phase", -1, nullptr,
-                       MaintenanceMethodToString(method()));
+  if (in.empty()) return std::vector<Partial>{};
+  SpanGuard phase_span(
+      target.merged != nullptr ? "merged_routed_step" : "routed_step", "phase",
+      -1, nullptr, MaintenanceMethodToString(method()));
   phase_span.set_detail(target.table);
   PJVM_ASSIGN_OR_RETURN(int key_idx,
                         bound().WorkingIndex(step.source_base, step.source_col));
-  std::map<int, std::vector<const Partial*>> by_dest;
-  for (const Partial& p : in) {
-    int dest = sys_->HomeNodeForKey(p.working[key_idx]);
-    if (dest != p.node) {
-      Message msg;
-      msg.kind = MessageKind::kProbe;
-      msg.from = p.node;
-      msg.to = dest;
-      msg.table = target.table;
-      msg.rows.push_back(p.working);
-      PJVM_RETURN_NOT_OK(sys_->network().Send(msg));
-    }
-    by_dest[dest].push_back(&p);
-  }
+  PJVM_ASSIGN_OR_RETURN(std::vector<std::vector<size_t>> at_home,
+                        RouteToKeyHome(in, key_idx, target.table));
   std::vector<int> dests;
-  dests.reserve(by_dest.size());
-  for (const auto& [dest, group] : by_dest) dests.push_back(dest);
-  // Each destination probes its fragment on its own worker. The probed
-  // structure is partitioned (and clustered) on the join attribute: one
-  // search per tuple, no extra fetches. Merging in ascending destination
-  // order reproduces the former map-iteration loop.
-  std::vector<std::vector<Partial>> dest_out(sys_->num_nodes());
-  std::vector<MaintenanceReport> dest_rep(sys_->num_nodes());
-  PJVM_RETURN_NOT_OK(sys_->executor().RunOnNodes(dests, [&](int dest) {
-    SpanGuard span("probe_node", "task", dest, &sys_->cost(),
-                   MaintenanceMethodToString(method()));
-    return ProbeGroupAtNode(txn, step, target, dest,
-                            std::move(by_dest.find(dest)->second), key_idx,
-                            /*per_tuple_index_io=*/1.0, &dest_rep[dest],
-                            &dest_out[dest]);
-  }));
-  for (int dest : dests) {
-    *report += dest_rep[dest];
-    out.insert(out.end(), std::make_move_iterator(dest_out[dest].begin()),
-               std::make_move_iterator(dest_out[dest].end()));
+  for (int n = 0; n < sys_->num_nodes(); ++n) {
+    if (!at_home[n].empty()) dests.push_back(n);
   }
-  return out;
+  // The probed structure is partitioned (and clustered) on the join
+  // attribute: one search per tuple, no extra fetches. The merged tree holds
+  // every cluster member's rows for the key at its home, so its probe never
+  // leaves the key's range.
+  return ProbeOnNodes(
+      dests,
+      [&](int dest, MaintenanceReport* rep, std::vector<Partial>* out) {
+        std::vector<const Partial*> group;
+        group.reserve(at_home[dest].size());
+        for (size_t i : at_home[dest]) group.push_back(&in[i]);
+        if (target.merged == nullptr) {
+          return ProbeGroupAtNode(txn, step, target, dest, std::move(group),
+                                  key_idx, /*per_tuple_index_io=*/1.0, rep,
+                                  out);
+        }
+        for (const Partial* partial : group) {
+          ++rep->probes;
+          PJVM_RETURN_NOT_OK(target.merged->ProbeMember(
+              txn, dest, step.target_base, step.target_col,
+              partial->working[key_idx], [&](const Row& needed) {
+                return Extend(step, *partial, needed, dest, out);
+              }));
+        }
+        return Status::OK();
+      },
+      report);
 }
 
-Result<std::vector<Maintainer::Partial>> Maintainer::MergedRoutedStep(
-    uint64_t txn, const PlanStep& step, MergedViewStorage* merged,
-    const std::vector<Partial>& in, MaintenanceReport* report) {
-  std::vector<Partial> out;
-  if (in.empty()) return out;
-  SpanGuard phase_span("merged_routed_step", "phase", -1, nullptr,
-                       MaintenanceMethodToString(method()));
-  phase_span.set_detail(merged->lock_table());
-  PJVM_ASSIGN_OR_RETURN(int key_idx,
-                        bound().WorkingIndex(step.source_base, step.source_col));
-  // Same routing as RoutedStep: one SEND per partial not already at its
-  // key's hash home. The merged tree holds every cluster member's rows for
-  // that key at that node, so the probe itself never leaves the range.
-  std::map<int, std::vector<const Partial*>> by_dest;
-  for (const Partial& p : in) {
-    int dest = sys_->HomeNodeForKey(p.working[key_idx]);
-    if (dest != p.node) {
-      Message msg;
-      msg.kind = MessageKind::kProbe;
-      msg.from = p.node;
-      msg.to = dest;
-      msg.table = merged->lock_table();
-      msg.rows.push_back(p.working);
-      PJVM_RETURN_NOT_OK(sys_->network().Send(msg));
+Result<std::vector<std::vector<size_t>>> Maintainer::RouteToKeyHome(
+    const std::vector<Partial>& in, int key_idx, const std::string& table) {
+  // Ships stay on the caller thread, so their SEND charges accrue to the
+  // producing nodes in batch order.
+  std::vector<std::vector<size_t>> at_home(sys_->num_nodes());
+  for (size_t i = 0; i < in.size(); ++i) {
+    const Partial& p = in[i];
+    int home = sys_->HomeNodeForKey(p.working[key_idx]);
+    if (home != p.node) {
+      PJVM_RETURN_NOT_OK(sys_->network().Send(
+          p.node, home, HopBytes(table, {&p.working, 1})));
     }
-    by_dest[dest].push_back(&p);
+    at_home[home].push_back(i);
   }
-  std::vector<int> dests;
-  dests.reserve(by_dest.size());
-  for (const auto& [dest, group] : by_dest) dests.push_back(dest);
-  std::vector<std::vector<Partial>> dest_out(sys_->num_nodes());
-  std::vector<MaintenanceReport> dest_rep(sys_->num_nodes());
-  PJVM_RETURN_NOT_OK(sys_->executor().RunOnNodes(dests, [&](int dest) {
-    SpanGuard span("probe_node", "task", dest, &sys_->cost(),
+  return at_home;
+}
+
+Result<std::vector<Maintainer::Partial>> Maintainer::ProbeOnNodes(
+    const std::vector<int>& nodes, const NodeProbe& probe,
+    MaintenanceReport* report) {
+  // Outputs and probe counts land in per-node buffers and merge in the
+  // listed order, so the result is identical to a sequential node loop.
+  std::vector<std::vector<Partial>> node_out(sys_->num_nodes());
+  std::vector<MaintenanceReport> node_rep(sys_->num_nodes());
+  PJVM_RETURN_NOT_OK(sys_->executor().RunOnNodes(nodes, [&](int node) {
+    SpanGuard span("probe_node", "task", node, &sys_->cost(),
                    MaintenanceMethodToString(method()));
-    for (const Partial* partial : by_dest.find(dest)->second) {
-      ++dest_rep[dest].probes;
-      PJVM_RETURN_NOT_OK(merged->ProbeMember(
-          txn, dest, step.target_base, step.target_col,
-          partial->working[key_idx],
-          [&](const Row& needed) {
-            return Extend(step, *partial, needed, dest, &dest_out[dest]);
-          }));
-    }
-    return Status::OK();
+    return probe(node, &node_rep[node], &node_out[node]);
   }));
-  for (int dest : dests) {
-    *report += dest_rep[dest];
-    out.insert(out.end(), std::make_move_iterator(dest_out[dest].begin()),
-               std::make_move_iterator(dest_out[dest].end()));
+  std::vector<Partial> out;
+  for (int node : nodes) {
+    *report += node_rep[node];
+    out.insert(out.end(), std::make_move_iterator(node_out[node].begin()),
+               std::make_move_iterator(node_out[node].end()));
   }
   return out;
 }

@@ -1,6 +1,7 @@
 #ifndef PJVM_VIEW_MAINTAINER_H_
 #define PJVM_VIEW_MAINTAINER_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -209,6 +210,10 @@ class Maintainer {
     /// Selection predicates to apply to probed rows; column indices are
     /// positions within the probed row.
     std::vector<BoundPred> preds;
+    /// When set, the step probes the view's merged co-clustered tree (named
+    /// `table`) instead: one range descent per (txn, node, key), every
+    /// further in-range operation free, zero per-row fetches.
+    MergedViewStorage* merged = nullptr;
   };
 
   /// ProbeTarget for the raw base table of `step.target_base`.
@@ -231,24 +236,31 @@ class Maintainer {
                                              const std::vector<Partial>& in,
                                              MaintenanceReport* report);
 
-  /// Single-node step: routes each partial to the hash home of its key in
-  /// `target` (one SEND per partial unless already there) and joins there.
-  /// Used for co-partitioned bases (naive case 1) and auxiliary relations.
+  /// Single-node step: routes each partial to the hash home of its key (one
+  /// SEND per partial unless already there) and joins there against
+  /// `target`. Used for co-partitioned bases (naive case 1), auxiliary
+  /// relations and the merged co-clustered layout.
   Result<std::vector<Partial>> RoutedStep(uint64_t txn, const PlanStep& step,
                                           const ProbeTarget& target,
                                           const std::vector<Partial>& in,
                                           MaintenanceReport* report);
 
-  /// RoutedStep's merged-layout twin: routes each partial to its key's hash
-  /// home and probes the view's merged co-clustered tree there instead of
-  /// the AR's index — one range descent per (txn, node, key), every
-  /// subsequent in-range operation free, zero per-row fetches (the member
-  /// rows are clustered within the key range by construction).
-  Result<std::vector<Partial>> MergedRoutedStep(uint64_t txn,
-                                                const PlanStep& step,
-                                                MergedViewStorage* merged,
-                                                const std::vector<Partial>& in,
-                                                MaintenanceReport* report);
+  /// Ships each partial to the hash home of its working column `key_idx`
+  /// (one SEND of a `table` hop unless it is already there). Returns, per
+  /// node, the indices of the partials now there, in input order.
+  Result<std::vector<std::vector<size_t>>> RouteToKeyHome(
+      const std::vector<Partial>& in, int key_idx, const std::string& table);
+
+  /// Work one node does for a step: extends its matches into `out` at that
+  /// node and counts its probes in `report`.
+  using NodeProbe = std::function<Status(int node, MaintenanceReport* report,
+                                         std::vector<Partial>* out)>;
+
+  /// Runs `probe` for each of `nodes` on that node's worker and merges the
+  /// outputs and reports in the listed order.
+  Result<std::vector<Partial>> ProbeOnNodes(const std::vector<int>& nodes,
+                                            const NodeProbe& probe,
+                                            MaintenanceReport* report);
 
   const BoundView& bound() const { return view_->bound(); }
 

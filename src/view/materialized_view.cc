@@ -3,7 +3,7 @@
 #include <map>
 #include <unordered_map>
 
-#include "net/message.h"
+#include "net/network.h"
 
 namespace pjvm {
 
@@ -75,14 +75,9 @@ Status MaterializedView::ApplyOutputs(uint64_t txn, int source_node,
     }
   }
   for (auto& [dest, dest_rows] : by_dest) {
-    Message msg;
-    msg.kind = is_delete ? MessageKind::kDeleteTuples : MessageKind::kJoinResults;
-    msg.from = source_node;
-    msg.to = dest;
-    msg.table = table_name();
-    msg.rows = std::move(dest_rows);
-    PJVM_RETURN_NOT_OK(sys_->network().Send(msg));
-    for (Row& row : msg.rows) {
+    PJVM_RETURN_NOT_OK(sys_->network().Send(
+        source_node, dest, HopBytes(table_name(), dest_rows)));
+    for (Row& row : dest_rows) {
       if (is_delete) {
         PJVM_RETURN_NOT_OK(sys_->node(dest)->DeleteExact(txn, table_name(), row));
         if (merged_hook_) {
@@ -121,16 +116,11 @@ Status MaterializedView::ApplyAggregateContributions(uint64_t txn,
   std::map<int, std::vector<Row>> by_dest;
   for (Row& row : rows) by_dest[DestinationOf(row)].push_back(std::move(row));
   for (auto& [dest, dest_rows] : by_dest) {
-    Message msg;
-    msg.kind = is_delete ? MessageKind::kDeleteTuples : MessageKind::kJoinResults;
-    msg.from = source_node;
-    msg.to = dest;
-    msg.table = table_name();
-    msg.rows = std::move(dest_rows);
-    PJVM_RETURN_NOT_OK(sys_->network().Send(msg));
+    PJVM_RETURN_NOT_OK(sys_->network().Send(
+        source_node, dest, HopBytes(table_name(), dest_rows)));
     Node* node = sys_->node(dest);
     TableFragment* frag = node->fragment(table_name());
-    for (Row& contribution : msg.rows) {
+    for (Row& contribution : dest_rows) {
       if (escrow_hook_) {
         PJVM_ASSIGN_OR_RETURN(bool handled,
                               escrow_hook_(txn, dest, contribution, is_delete));

@@ -10,7 +10,6 @@
 
 #include "common/rng.h"
 
-#include "net/message.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
 #include "view/aux_relation_maintainer.h"
@@ -103,41 +102,19 @@ Result<size_t> GiRegistry::ApplyDelta(uint64_t txn, const DeltaBatch& delta) {
   size_t writes = 0;
   for (auto& [key, entry] : entries_) {
     if (entry.base_table != delta.table) continue;
-    auto apply = [&](const std::vector<Row>& rows,
-                     const std::vector<GlobalRowId>& gids,
-                     bool is_delete) -> Status {
-      if (rows.size() != gids.size()) {
-        return Status::InvalidArgument(
-            "global index maintenance requires one gid per delta row");
-      }
-      for (size_t i = 0; i < rows.size(); ++i) {
-        const Value& k = rows[i][entry.col];
-        Row entry_row = EntryRow(k, gids[i]);
-        int dest = sys_->HomeNodeForKey(k);
-        int from = gids[i].node;
-        if (from != dest) {
-          Message msg;
-          msg.kind = is_delete ? MessageKind::kDeleteTuples : MessageKind::kTuples;
-          msg.from = from;
-          msg.to = dest;
-          msg.table = entry.gi_table;
-          msg.rows.push_back(entry_row);
-          PJVM_RETURN_NOT_OK(sys_->network().Send(msg));
-        }
-        if (is_delete) {
-          PJVM_RETURN_NOT_OK(
-              sys_->node(dest)->DeleteExact(txn, entry.gi_table, entry_row));
-        } else {
-          PJVM_RETURN_NOT_OK(
-              sys_->node(dest)->Insert(txn, entry.gi_table, std::move(entry_row))
-                  .status());
-        }
-        ++writes;
-      }
-      return Status::OK();
-    };
-    PJVM_RETURN_NOT_OK(apply(delta.deletes, delta.delete_gids, true));
-    PJVM_RETURN_NOT_OK(apply(delta.inserts, delta.insert_gids, false));
+    if (delta.deletes.size() != delta.delete_gids.size() ||
+        delta.inserts.size() != delta.insert_gids.size()) {
+      return Status::InvalidArgument(
+          "global index maintenance requires one gid per delta row");
+    }
+    PJVM_ASSIGN_OR_RETURN(
+        size_t n, ShipStructureDelta(sys_, txn, delta, entry.gi_table,
+                                     entry.col,
+                                     [&entry](const Row& row, GlobalRowId gid)
+                                         -> std::optional<Row> {
+                                       return EntryRow(row[entry.col], gid);
+                                     }));
+    writes += n;
   }
   return writes;
 }

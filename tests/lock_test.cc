@@ -921,5 +921,58 @@ TEST(EngineLockingTest, CrashClearsLockTable) {
   ASSERT_TRUE(sys.Commit(t2).ok());
 }
 
+// ------------------------------------------------ GI stale-entry race
+
+// Client threads insert A rows (half of them on the hot join key 0) while
+// the same threads delete B rows on that key. A global-index step whose
+// fetch finds a B row that a concurrent delete removed must surface as a
+// retried Aborted, never as an Internal error the client sees.
+TEST(GiStaleEntryRaceTest, ConcurrentDeletesNeverSurfaceInternal) {
+  constexpr int kThreads = 4;
+  constexpr int kOps = 100;
+  constexpr int kDeleteWindow = 50;
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    SystemConfig cfg = TwoTableFixture::Config(4, /*rows_per_page=*/8);
+    cfg.enable_locking = true;
+    TwoTableFixture f(cfg, /*b_keys=*/20, /*fanout=*/200);
+    ASSERT_TRUE(f.manager
+                    ->RegisterView(f.MakeView("JV"),
+                                   MaintenanceMethod::kGlobalIndex)
+                    .ok());
+    std::atomic<int64_t> next_a{0};
+    std::vector<std::vector<Status>> statuses(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        Rng rng(seed * 1000 + t);
+        // Thread t owns the distinct key-0 B rows t*kDeleteWindow onwards.
+        int64_t next_b = t * kDeleteWindow;
+        for (int op = 0; op < kOps; ++op) {
+          if (op < kDeleteWindow && rng.Bernoulli(0.5)) {
+            const int64_t b = next_b++;
+            statuses[t].push_back(
+                f.manager->DeleteRow("B", {Value{b}, Value{0}, Value{b * 10}})
+                    .status());
+            continue;
+          }
+          const int64_t key = rng.Bernoulli(0.5) ? 0 : rng.UniformInt(0, 19);
+          const int64_t a = next_a.fetch_add(1);
+          statuses[t].push_back(
+              f.manager->InsertRow("A", {Value{a}, Value{key}, Value{a * 100}})
+                  .status());
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    for (const std::vector<Status>& per_thread : statuses) {
+      for (const Status& st : per_thread) {
+        EXPECT_TRUE(st.ok() || st.IsAborted()) << "seed " << seed << ": " << st;
+      }
+    }
+    Status consistent = f.manager->CheckAllConsistent();
+    ASSERT_TRUE(consistent.ok()) << "seed " << seed << ": " << consistent;
+  }
+}
+
 }  // namespace
 }  // namespace pjvm
