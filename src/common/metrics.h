@@ -92,7 +92,7 @@ struct NodeCounters {
 ///  - ResponseTime()  — the max per-node work, i.e. the makespan when all
 ///    nodes proceed in parallel.
 ///
-/// Counters are lock-free atomics so the thread-per-node executor's workers
+/// Counters are lock-free atomics so the per-node executor's workers
 /// can charge concurrently. Each worker only ever charges its own node, but
 /// the relaxed atomics also make cross-node charges (e.g. a SEND charged to
 /// the message source from another node's worker) race-free. All aggregates

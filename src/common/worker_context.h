@@ -8,10 +8,11 @@ namespace pjvm {
 ///
 /// Two kinds of threads must never park on a transaction lock:
 ///
-///  * **Node-executor workers.** Each node runs one worker draining a FIFO
+///  * **Node-executor tasks.** Each node runs one worker draining a FIFO
 ///    queue; a parked task blocks every queued task behind it, including
 ///    tasks of the very transaction that holds the contended lock — a
-///    scheduling deadlock the wait-die order cannot see.
+///    scheduling deadlock the wait-die order cannot see. A batch's first
+///    node, which its calling thread runs itself, follows the same rule.
 ///  * **Any thread holding a node latch.** The physical latch serialises
 ///    fragment/WAL access; the lock holder may need that latch to make
 ///    progress toward its release.
@@ -21,7 +22,8 @@ namespace pjvm {
 /// the maintenance retry loop absorbs. Client threads outside any latch may
 /// block normally.
 struct WorkerContext {
-  /// Set for the lifetime of a NodeExecutor worker thread.
+  /// Set for the lifetime of a NodeExecutor worker thread, and on a calling
+  /// thread while it runs its batch's first node.
   static inline thread_local bool is_executor_worker = false;
   /// Number of node latches currently held by this thread.
   static inline thread_local int latch_depth = 0;

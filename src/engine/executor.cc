@@ -1,16 +1,15 @@
 #include "engine/executor.h"
 
-#include "common/metrics.h"
 #include "common/worker_context.h"
 #include "obs/trace.h"
 
 namespace pjvm {
 
-NodeExecutor::NodeExecutor(int num_nodes, bool inline_mode)
-    : num_nodes_(num_nodes), inline_mode_(inline_mode), queues_(num_nodes) {
-  if (inline_mode_) return;
-  workers_.reserve(num_nodes_);
-  for (int i = 0; i < num_nodes_; ++i) {
+NodeExecutor::NodeExecutor(int num_nodes) {
+  for (int i = 0; i < num_nodes; ++i) {
+    queues_.push_back(std::make_unique<Queue>());
+  }
+  for (int i = 0; i < num_nodes; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
@@ -27,60 +26,53 @@ void NodeExecutor::WorkerLoop(int node) {
     Tracer::Global().SetCurrentThreadName("node-" + std::to_string(node) +
                                           " worker");
   }
-  std::unique_lock<std::mutex> lock(mu_);
+  Queue& q = *queues_[node];
+  std::unique_lock<std::mutex> lock(q.mu);
   for (;;) {
-    work_cv_.wait(lock,
-                  [&] { return stopping_ || !queues_[node].empty(); });
-    if (queues_[node].empty()) {
-      if (stopping_) return;  // Drained: safe to exit.
-      continue;
-    }
-    std::function<void()> fn = std::move(queues_[node].front());
-    queues_[node].pop_front();
+    q.cv.wait(lock, [&] { return q.stopping || !q.tasks.empty(); });
+    if (q.tasks.empty()) return;  // Stopping and drained: safe to exit.
+    Task task = q.tasks.front();
+    q.tasks.pop_front();
     lock.unlock();
-    fn();
+    {
+      CostTracker::MeterScope scope(task.meter);
+      *task.status = (*task.fn)(node);
+    }
+    {
+      // Signal under the batch mutex: the waiting caller cannot return and
+      // free the batch until this thread has let go of it.
+      std::lock_guard<std::mutex> batch_lock(task.batch->mu);
+      if (--task.batch->remaining == 0) task.batch->cv.notify_one();
+    }
     lock.lock();
   }
 }
 
-void NodeExecutor::SubmitToNode(int node, std::function<void()> fn) {
-  // The submitter's transaction meter (if any) travels with the task: the
-  // worker activates it for the task's duration, so the transaction's
-  // fan-out charges land in its own meter no matter which thread runs them.
-  CostTracker::TxnMeter* meter = CostTracker::ActiveMeter();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queues_[node].push_back([meter, fn = std::move(fn)] {
-      CostTracker::MeterScope scope(meter);
-      fn();
-    });
-  }
-  work_cv_.notify_all();
-}
-
-Status NodeExecutor::RunBatch(const std::vector<int>& nodes,
-                              const std::function<Status(int)>& fn) {
+Status NodeExecutor::RunOnNodes(const std::vector<int>& nodes,
+                                const std::function<Status(int)>& fn) {
+  if (nodes.empty()) return Status::OK();
   std::vector<Status> statuses(nodes.size(), Status::OK());
-  if (inline_mode_) {
-    for (size_t i = 0; i < nodes.size(); ++i) statuses[i] = fn(nodes[i]);
-  } else {
-    // Shared with the worker-side wrappers: the batch must outlive this
-    // frame if a worker is still finishing its decrement when we wake.
-    auto batch = std::make_shared<Batch>();
-    batch->remaining = nodes.size();
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      int node = nodes[i];
-      SubmitToNode(node, [&statuses, &fn, batch, node, i] {
-        statuses[i] = fn(node);
-        {
-          std::lock_guard<std::mutex> lock(batch->mu);
-          --batch->remaining;
-        }
-        batch->cv.notify_one();
-      });
+  Batch batch;
+  batch.remaining = nodes.size() - 1;
+  CostTracker::TxnMeter* meter = CostTracker::ActiveMeter();
+  for (size_t i = 1; i < nodes.size(); ++i) {
+    Queue& q = *queues_[nodes[i]];
+    {
+      std::lock_guard<std::mutex> lock(q.mu);
+      q.tasks.push_back(Task{&fn, &statuses[i], meter, &batch});
     }
-    std::unique_lock<std::mutex> lock(batch->mu);
-    batch->cv.wait(lock, [&] { return batch->remaining == 0; });
+    q.cv.notify_one();  // wakes this node's worker only
+  }
+  // The caller runs the first node itself, under the same never-park rule
+  // as a worker (restored even when the task fails); its own meter is
+  // already active.
+  const bool was_worker = WorkerContext::is_executor_worker;
+  WorkerContext::is_executor_worker = true;
+  statuses[0] = fn(nodes[0]);
+  WorkerContext::is_executor_worker = was_worker;
+  {
+    std::unique_lock<std::mutex> lock(batch.mu);
+    batch.cv.wait(lock, [&] { return batch.remaining == 0; });
   }
   for (Status& st : statuses) {
     if (!st.ok()) return std::move(st);
@@ -89,24 +81,21 @@ Status NodeExecutor::RunBatch(const std::vector<int>& nodes,
 }
 
 Status NodeExecutor::RunOnAllNodes(const std::function<Status(int)>& fn) {
-  std::vector<int> nodes(num_nodes_);
-  for (int i = 0; i < num_nodes_; ++i) nodes[i] = i;
-  return RunBatch(nodes, fn);
-}
-
-Status NodeExecutor::RunOnNodes(const std::vector<int>& nodes,
-                                const std::function<Status(int)>& fn) {
-  return RunBatch(nodes, fn);
+  std::vector<int> nodes(queues_.size());
+  for (size_t i = 0; i < nodes.size(); ++i) nodes[i] = static_cast<int>(i);
+  return RunOnNodes(nodes, fn);
 }
 
 void NodeExecutor::Shutdown() {
-  if (inline_mode_) return;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) return;
-    stopping_ = true;
+  // Idempotent without a guard: a repeat call re-flags drained queues and
+  // joins nothing.
+  for (auto& q : queues_) {
+    {
+      std::lock_guard<std::mutex> lock(q->mu);
+      q->stopping = true;
+    }
+    q->cv.notify_one();
   }
-  work_cv_.notify_all();
   for (std::thread& t : workers_) {
     if (t.joinable()) t.join();
   }

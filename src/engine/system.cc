@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -54,8 +53,7 @@ ParallelSystem::ParallelSystem(SystemConfig config)
     nodes_.back()->wal().ConfigureForce(config_.wal_force_ns,
                                         config_.group_commit_window_us);
   }
-  executor_ = std::make_unique<NodeExecutor>(
-      config_.num_nodes, /*inline_mode=*/!config_.parallel_execution);
+  executor_ = std::make_unique<NodeExecutor>(config_.num_nodes);
 }
 
 ParallelSystem::~ParallelSystem() {
@@ -178,9 +176,9 @@ Result<std::vector<GlobalRowId>> ParallelSystem::InsertManyReturningIds(
   for (int n = 0; n < config_.num_nodes; ++n) {
     if (!by_node[n].empty()) targets.push_back(n);
   }
-  // One task per home node; each worker inserts its rows in batch order, so
-  // per-node local row ids, WAL contents, and cost charges are identical to
-  // the sequential run.
+  // One task per home node; each task inserts its rows in batch order, so
+  // per-node local row ids, WAL contents, and cost charges do not depend on
+  // which thread runs it.
   std::vector<GlobalRowId> gids(rows.size());
   Status st = executor_->RunOnNodes(targets, [&](int n) -> Status {
     SpanGuard span("insert_batch", "task", n, &cost_);
@@ -230,8 +228,8 @@ Status ParallelSystem::FanOutRead(const ReadEpoch& epoch, uint64_t txn_id,
     }
     return Status::OK();
   }
-  // Fan-out: every node reads its fragment on its own worker; callers
-  // concatenate in node order, matching the sequential loop exactly.
+  // Fan-out: node 0 reads on the caller and every other node on its own
+  // worker; callers concatenate in node order, matching a node loop exactly.
   return executor_->RunOnAllNodes([&](int i) {
     SpanGuard span(op, "task", i, &cost_);
     return read(i);
@@ -407,32 +405,22 @@ Status ParallelSystem::Commit(uint64_t txn_id) {
   const auto participant_set = txns_.participants(txn_id);
   const std::vector<int> participants(participant_set.begin(),
                                       participant_set.end());
-  std::vector<uint64_t> prepare_lsns;
-  prepare_lsns.reserve(participants.size());
+  std::vector<uint64_t> prepare_lsns(config_.num_nodes, 0);
   for (int node_id : participants) {
-    prepare_lsns.push_back(nodes_[node_id]->wal().Append(
-        LogRecord{0, txn_id, LogRecordType::kPrepare, "", {}}));
+    prepare_lsns[node_id] = nodes_[node_id]->wal().Append(
+        LogRecord{0, txn_id, LogRecordType::kPrepare, "", {}});
   }
-  if (config_.wal_force_ns > 0 && participants.size() > 1) {
+  auto force = [&](int node_id) {
+    return nodes_[node_id]->wal().Force(prepare_lsns[node_id]);
+  };
+  if (config_.wal_force_ns > 0) {
     // The prepares land on independent per-node logs, so their forces can
-    // overlap — the textbook parallel phase 1. Only worthwhile when forces
-    // actually wait: with free forcing every Force returns at once, and a
-    // thread per participant would be pure overhead.
-    std::vector<Status> statuses(participants.size(), Status::OK());
-    std::vector<std::thread> forcers;
-    forcers.reserve(participants.size() - 1);
-    for (size_t i = 1; i < participants.size(); ++i) {
-      forcers.emplace_back([this, &participants, &prepare_lsns, &statuses, i] {
-        statuses[i] = nodes_[participants[i]]->wal().Force(prepare_lsns[i]);
-      });
-    }
-    statuses[0] = nodes_[participants[0]]->wal().Force(prepare_lsns[0]);
-    for (auto& th : forcers) th.join();
-    for (const Status& st : statuses) PJVM_RETURN_NOT_OK(st);
+    // overlap — the textbook parallel phase 1: the caller forces the first
+    // participant and the node workers force the rest.
+    PJVM_RETURN_NOT_OK(executor_->RunOnNodes(participants, force));
   } else {
-    for (size_t i = 0; i < participants.size(); ++i) {
-      PJVM_RETURN_NOT_OK(nodes_[participants[i]]->wal().Force(prepare_lsns[i]));
-    }
+    // Free forcing returns at once; a worker handoff would be pure overhead.
+    for (int node_id : participants) PJVM_RETURN_NOT_OK(force(node_id));
   }
   if (txns_.ShouldFailAt(FailurePoint::kAfterPrepare)) {
     Crash();

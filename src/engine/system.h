@@ -30,13 +30,6 @@ struct SystemConfig {
   CostWeights weights;
   /// Memory budget in pages for external sorts (the paper's M).
   int sort_memory_pages = 100;
-  /// Run fan-out phases (SelectEq/SelectRange/ScanAll broadcasts, InsertMany,
-  /// the maintainers' probe phases) on one worker thread per node, so
-  /// per-node work proceeds in real parallelism and wall-clock time tracks
-  /// the paper's response time (max over nodes) rather than TW. When false
-  /// the same code paths run inline in the caller's thread, in node order —
-  /// cost accounting and results are identical either way (tested).
-  bool parallel_execution = true;
   /// Simulated device latency in nanoseconds per weighted I/O unit charged
   /// (0 = off). See CostTracker::SetIoStallNanos.
   uint64_t io_stall_ns = 0;
@@ -194,7 +187,7 @@ class ParallelSystem {
   SnapshotManager& snapshots() const { return snapshots_; }
   Node* node(int i) { return nodes_[i].get(); }
   const Node* node(int i) const { return nodes_[i].get(); }
-  /// The thread-per-node executor running this system's fan-out phases.
+  /// The per-node executor running this system's fan-out phases.
   NodeExecutor& executor() const { return *executor_; }
 
   /// Registers a table and creates its (empty) fragment on every node.
@@ -222,7 +215,7 @@ class ParallelSystem {
                 uint64_t txn_id = kAutoCommitTxnId);
   /// Batch insert: rows are validated and assigned their home nodes up
   /// front (so round-robin placement matches per-row Insert calls exactly),
-  /// then each node's rows are inserted by that node's worker, in batch
+  /// then each node's rows are inserted by one executor task, in batch
   /// order. On any failure nothing further is guaranteed beyond per-node
   /// prefix application; the first failing node's (in node order) status is
   /// returned.

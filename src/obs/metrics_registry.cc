@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <sstream>
+#include <thread>
 
 namespace pjvm {
 
@@ -144,13 +145,21 @@ void WindowedHistogram::Record(uint64_t v, uint64_t now_ns) {
   Slot& slot = *slots_[epoch % slots_.size()];
   uint64_t cur = slot.epoch.load(std::memory_order_acquire);
   while (cur != epoch) {
+    if (cur == kClaimed) {  // another recorder is resetting the slot
+      std::this_thread::yield();
+      cur = slot.epoch.load(std::memory_order_acquire);
+      continue;
+    }
     // The ring only moves forward: a late recorder whose slot was already
     // claimed by a newer epoch records into that newer window rather than
     // resurrecting the old one.
     if (cur != kEmpty && cur > epoch) break;
-    if (slot.epoch.compare_exchange_weak(cur, epoch,
+    // Claim, reset, then publish: a recorder that sees the new epoch can
+    // never have its record wiped by the reset.
+    if (slot.epoch.compare_exchange_weak(cur, kClaimed,
                                          std::memory_order_acq_rel)) {
       slot.hist.Reset();
+      slot.epoch.store(epoch, std::memory_order_release);
       break;
     }
   }
@@ -162,7 +171,7 @@ std::vector<WindowedHistogram::Window> WindowedHistogram::Windows() const {
   std::vector<Window> out;
   for (const auto& slot : slots_) {
     uint64_t epoch = slot->epoch.load(std::memory_order_acquire);
-    if (epoch == kEmpty) continue;
+    if (epoch == kEmpty || epoch == kClaimed) continue;
     Window w;
     w.index = epoch;
     w.start_ns = epoch * window_ns_;

@@ -124,11 +124,13 @@ class WindowedHistogram {
 
  private:
   struct Slot {
-    /// Grid index currently stored here; kEmpty when never used.
+    /// Grid index currently stored here; kEmpty when never used, kClaimed
+    /// while a recorder resets it for a new epoch.
     std::atomic<uint64_t> epoch{kEmpty};
     LatencyHistogram hist;
   };
   static constexpr uint64_t kEmpty = ~uint64_t{0};
+  static constexpr uint64_t kClaimed = kEmpty - 1;
 
   uint64_t window_ns_;
   std::vector<std::unique_ptr<Slot>> slots_;

@@ -256,8 +256,9 @@ class Maintainer {
   using NodeProbe = std::function<Status(int node, MaintenanceReport* report,
                                          std::vector<Partial>* out)>;
 
-  /// Runs `probe` for each of `nodes` on that node's worker and merges the
-  /// outputs and reports in the listed order.
+  /// Runs `probe` for each of `nodes` through the executor (the first on the
+  /// caller, the rest on their workers) and merges the outputs and reports
+  /// in the listed order.
   Result<std::vector<Partial>> ProbeOnNodes(const std::vector<int>& nodes,
                                             const NodeProbe& probe,
                                             MaintenanceReport* report);

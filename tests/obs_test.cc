@@ -304,6 +304,33 @@ TEST(WindowedHistogramTest, ResetClearsWindowsAndCumulative) {
   EXPECT_EQ(wh.Windows()[0].index, 2u);
 }
 
+TEST(WindowedHistogramTest, ConcurrentOpenersOfAWindowLoseNoRecord) {
+  // Several recorders open each fresh window at once. The one that claims
+  // the slot resets it; a record another thread adds in the meantime must
+  // survive that reset.
+  constexpr int kThreads = 4;
+  constexpr int kWindows = 1024;
+  WindowedHistogram wh(/*window_ns=*/100, kWindows);
+  // A spinning barrier per window keeps the threads in lockstep, so every
+  // window's first records race.
+  std::atomic<int> arrived{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int w = 0; w < kWindows; ++w) {
+        arrived.fetch_add(1);
+        while (arrived.load() < (w + 1) * kThreads) std::this_thread::yield();
+        wh.Record(1, static_cast<uint64_t>(w) * 100);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  uint64_t windowed = 0;
+  for (const auto& w : wh.Windows()) windowed += w.data.count;
+  EXPECT_EQ(windowed, uint64_t{kThreads} * kWindows);
+  EXPECT_EQ(wh.Cumulative().count, uint64_t{kThreads} * kWindows);
+}
+
 // ------------------------------------------------- Label escaping and names
 
 TEST(LabeledNameTest, EscapesBackslashQuoteAndNewline) {
