@@ -66,6 +66,10 @@ struct TableDef {
 
   /// Index (into the schema) of the hash-partitioning column, or -1.
   int PartitionColumn() const;
+  /// True iff the table is hash-partitioned on schema column `col`.
+  bool PartitionedOn(int col) const {
+    return col >= 0 && PartitionColumn() == col;
+  }
   bool HasIndexOn(const std::string& column) const;
   bool HasClusteredIndexOn(const std::string& column) const;
 

@@ -228,7 +228,6 @@ class Node {
   void Checkpoint();
   /// Loads the last checkpoint's rows into the (recreated) fragments.
   Status RestoreCheckpoint();
-  bool HasCheckpoint() const { return has_checkpoint_; }
 
   Status CheckInvariants() const;
 

@@ -102,18 +102,10 @@ int ParallelSystem::HomeNodeForRow(const TableDef& def, const Row& row) {
 
 Status ParallelSystem::Insert(const std::string& table, Row row,
                               uint64_t txn_id) {
-  return InsertReturningId(table, std::move(row), txn_id).status();
-}
-
-Result<GlobalRowId> ParallelSystem::InsertReturningId(const std::string& table,
-                                                      Row row,
-                                                      uint64_t txn_id) {
   PJVM_ASSIGN_OR_RETURN(const TableDef* def, catalog_.Get(table));
   PJVM_RETURN_NOT_OK(def->schema.ValidateRow(row));
   int target = HomeNodeForRow(*def, row);
-  PJVM_ASSIGN_OR_RETURN(LocalRowId lrid,
-                        nodes_[target]->Insert(txn_id, table, std::move(row)));
-  return GlobalRowId{target, lrid};
+  return nodes_[target]->Insert(txn_id, table, std::move(row)).status();
 }
 
 Result<GlobalRowId> ParallelSystem::LocateExact(const std::string& table,

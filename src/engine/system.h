@@ -61,7 +61,7 @@ struct SystemConfig {
   /// install versions under their existing X locks and publish them
   /// atomically at commit epoch, and the client read operators (SelectEq /
   /// SelectRange / ScanAll / RowCount, MaterializedView::Contents, the
-  /// planning estimates of the maintainers and SQL EXPLAIN) read the
+  /// planning estimates of the maintainer and SQL EXPLAIN) read the
   /// snapshot at a pinned epoch — zero key locks, zero node latches,
   /// wait-free. Off (the default) is today's latch/lock read path, kept as
   /// the A/B baseline; single-threaded runs charge bit-identical costs
@@ -225,9 +225,6 @@ class ParallelSystem {
   Result<std::vector<GlobalRowId>> InsertManyReturningIds(
       const std::string& table, const std::vector<Row>& rows,
       uint64_t txn_id = kAutoCommitTxnId);
-  /// Insert that reports where the row landed — the paper's global row id.
-  Result<GlobalRowId> InsertReturningId(const std::string& table, Row row,
-                                        uint64_t txn_id = kAutoCommitTxnId);
 
   /// Global row id of one row equal to `row`, without modifying anything
   /// (charges one SEARCH at each probed node).
@@ -243,7 +240,7 @@ class ParallelSystem {
   // mvcc_reads on, the live latched fragments otherwise (Node's read
   // primitives hold both images' work and charges).
 
-  /// All rows of `table` across all nodes (no cost charged; test utility).
+  /// All rows of `table` across all nodes, uncharged.
   std::vector<Row> ScanAll(const std::string& table) const;
   size_t RowCount(const std::string& table) const;
   /// Heap bytes of `table` plus any storage overlays registered against it

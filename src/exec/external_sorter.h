@@ -8,6 +8,12 @@
 
 namespace pjvm {
 
+/// Number of passes over the data to sort `pages` pages with `memory_pages`
+/// pages of memory: ceil(log_M pages), and at least 1 (fitting in memory is
+/// still one read), matching the paper's convention that sorting costs
+/// pages * ceil(log_M pages) >= pages.
+uint64_t SortPasses(uint64_t pages, int memory_pages);
+
 /// \brief Sorts rows by one key column under a memory budget of M pages,
 /// reporting the page I/O a disk-based external sort would incur.
 ///
@@ -21,12 +27,7 @@ class ExternalSorter {
   ExternalSorter(int memory_pages, int rows_per_page)
       : memory_pages_(memory_pages), rows_per_page_(rows_per_page) {}
 
-  /// Number of passes over the data to sort `pages` pages with the budget:
-  /// 0 when it fits in memory is still 1 pass (read once), matching the
-  /// paper's convention that sorting costs pages * ceil(log_M pages) >= pages.
-  uint64_t SortPasses(uint64_t pages) const;
-
-  /// Page I/Os charged to sort `pages` pages: pages * SortPasses(pages).
+  /// Page I/Os charged to sort `pages` pages: pages * SortPasses(pages, M).
   uint64_t SortCostPages(uint64_t pages) const;
 
   /// Sorts rows by `key_col` and returns the charged page I/Os for a dataset

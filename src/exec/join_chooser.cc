@@ -1,6 +1,6 @@
 #include "exec/join_chooser.h"
 
-#include <cmath>
+#include "exec/external_sorter.h"
 
 namespace pjvm {
 
@@ -13,18 +13,6 @@ const char* JoinAlgorithmToString(JoinAlgorithm algorithm) {
   }
   return "UNKNOWN";
 }
-
-namespace {
-
-uint64_t SortPasses(uint64_t pages, int memory_pages) {
-  if (pages <= 1) return 1;
-  double raw = std::log(static_cast<double>(pages)) /
-               std::log(static_cast<double>(memory_pages));
-  uint64_t passes = static_cast<uint64_t>(std::ceil(raw - 1e-9));
-  return passes < 1 ? 1 : passes;
-}
-
-}  // namespace
 
 JoinChoice ChooseLocalJoin(const JoinChoiceInput& input) {
   JoinChoice choice;

@@ -85,8 +85,6 @@ class BPlusTree {
     return &leaf->lists[pos];
   }
 
-  bool Contains(const Value& key) const { return Find(key) != nullptr; }
-
   /// Visits every (key, item) pair with key in [lo, hi], in key order.
   /// Returning false from the callback stops the scan.
   void ScanRange(const Value& lo, const Value& hi,
@@ -210,7 +208,6 @@ class BPlusTree {
     }
     return static_cast<Leaf*>(n);
   }
-  const Leaf* FindLeafConst(const Value& key) const { return FindLeaf(key); }
 
   // Inserts into the subtree rooted at `n`; the caller handles a root split.
   void InsertRec(NodeBase* n, const Value& key, const T& item) {

@@ -29,6 +29,23 @@ Result<size_t> ShipStructureDelta(ParallelSystem* sys, uint64_t txn,
                                   const std::string& table, int key_col,
                                   const StructureRowFn& make);
 
+/// \brief Access descriptor for probing an auxiliary relation.
+struct ArAccess {
+  /// Name of the AR table ("partitioned on the join attribute, with a
+  /// clustered index on it").
+  std::string table;
+  /// Position of the join attribute inside the AR's schema.
+  int probe_col = -1;
+  /// For each needed column of the underlying base (in needed order), its
+  /// position in the AR's schema. ARs may be wider than one view needs when
+  /// shared across views (Section 2.1.2).
+  std::vector<int> needed_pos;
+  /// Selection predicates the consumer must still apply to probed AR rows
+  /// (column indices are positions in the AR's schema). Empty when the AR
+  /// itself stores exactly the consumer's sigma-filtered rows.
+  std::vector<BoundPred> residual_preds;
+};
+
 /// \brief Registry of auxiliary relations with the paper's storage
 /// minimization (Section 2.1.2).
 ///
@@ -55,7 +72,9 @@ class ArRegistry {
   /// removed once no registered view needs it. NotFound if absent.
   Status Release(const std::string& table, int col);
 
-  /// Access descriptor for a consumer (see StructureResolver::ArFor).
+  /// Access descriptor for a consumer that needs `needed_cols` of the base
+  /// and applies `preds` (full-schema columns) to it. NotFound if no AR
+  /// exists (e.g. the base is already partitioned on `col`).
   Result<ArAccess> Access(const std::string& table, int col,
                           const std::vector<int>& needed_cols,
                           const std::vector<BoundPred>& preds) const;

@@ -1,5 +1,7 @@
 #include "view/maintainer.h"
 
+#include <algorithm>
+#include <cmath>
 #include <iterator>
 #include <map>
 
@@ -7,7 +9,9 @@
 #include "exec/local_join.h"
 #include "net/network.h"
 #include "obs/trace.h"
+#include "view/ar_minimizer.h"
 #include "view/merged_storage.h"
+#include "view/view_manager.h"
 
 namespace pjvm {
 
@@ -45,6 +49,126 @@ Result<MaintenanceReport> Maintainer::ApplyDelta(uint64_t txn, int updated_base,
                                    &report));
   }
   return report;
+}
+
+Status Maintainer::ProcessSign(uint64_t txn, int updated_base,
+                               const MaintenancePlan& plan,
+                               const std::vector<Row>& rows,
+                               const std::vector<GlobalRowId>& gids,
+                               bool is_delete, MaintenanceReport* report) {
+  // AR and GI: if the updated base has the method's structure on the first
+  // step's join attribute (or is itself partitioned on it), the
+  // structure-maintenance phase already shipped each delta tuple to that
+  // attribute's hash home; seed there so the first probe is local, matching
+  // the paper's single "send to node j". Naive seeds at the arrival node.
+  int colocate_col = -1;
+  if (method_ != MaintenanceMethod::kNaive && !plan.steps.empty()) {
+    int col = plan.steps.front().source_col;
+    const TableDef& def = bound().base_def(updated_base);
+    bool has_structure =
+        def.PartitionedOn(col) ||
+        (method_ == MaintenanceMethod::kAuxRelation
+             ? ars_->Access(def.name, col, bound().needed_cols(updated_base),
+                            bound().base_preds(updated_base))
+                   .ok()
+             : gis_->Access(def.name, col).ok());
+    if (has_structure) colocate_col = col;
+  }
+  PJVM_ASSIGN_OR_RETURN(std::vector<Partial> partials,
+                        SeedPartials(updated_base, rows, gids, colocate_col));
+  for (const PlanStep& step : plan.steps) {
+    PJVM_ASSIGN_OR_RETURN(partials, StepFor(txn, step, partials, report));
+    if (partials.empty()) return Status::OK();
+  }
+  return EmitToView(txn, partials, is_delete, report);
+}
+
+Result<std::vector<Maintainer::Partial>> Maintainer::StepFor(
+    uint64_t txn, const PlanStep& step, const std::vector<Partial>& in,
+    MaintenanceReport* report) {
+  const TableDef& target_def = bound().base_def(step.target_base);
+  if (merged_ != nullptr &&
+      merged_->CoversBase(step.target_base, step.target_col)) {
+    // Merged co-clustered layout (AR views only): a step targeting a cluster
+    // member probes the view's merged tree — one range descent instead of an
+    // AR index search per tuple. Non-member targets take the paths below.
+    ProbeTarget target;
+    target.table = merged_->lock_table();
+    target.merged = merged_;
+    return RoutedStep(txn, step, target, in, report);
+  }
+  if (target_def.PartitionedOn(step.target_col)) {
+    // The matching tuples live at one known node per key: naive's case 1,
+    // and for AR/GI "if some base relation is partitioned on the join
+    // attribute, the auxiliary relation for that base relation is
+    // unnecessary".
+    return RoutedStep(txn, step, BaseProbeTarget(step), in, report);
+  }
+  switch (method_) {
+    case MaintenanceMethod::kNaive:
+      // The naive method (Section 2.1.1), case 2: the matching tuples could
+      // be anywhere, so each partial is broadcast to all L nodes — the
+      // expensive all-node operation the other methods avoid. No extra
+      // storage is used.
+      return BroadcastStep(txn, step, in, report);
+    case MaintenanceMethod::kAuxRelation: {
+      // The auxiliary relation method (Section 2.1.2): the step probes the
+      // target's AR — a selection/projection of the base re-partitioned on
+      // the join attribute with a clustered index — so each partial travels
+      // to exactly one node, the single-node operation that makes this the
+      // cheapest method for small updates.
+      PJVM_ASSIGN_OR_RETURN(
+          ArAccess ar, ars_->Access(target_def.name, step.target_col,
+                                    bound().needed_cols(step.target_base),
+                                    bound().base_preds(step.target_base)));
+      ProbeTarget target;
+      target.table = ar.table;
+      target.probe_col = ar.probe_col;
+      target.needed_map = ar.needed_pos;
+      target.preds = ar.residual_preds;
+      return RoutedStep(txn, step, target, in, report);
+    }
+    case MaintenanceMethod::kGlobalIndex: {
+      // The global index method (Section 2.1.3): the target's global index
+      // — a distributed table of (join-attribute value, global row ids)
+      // entries partitioned on the value — tells which K <= min(N, L) nodes
+      // hold matching tuples, and the partial plus its row ids goes to just
+      // those nodes, which fetch the matches by row id and join. The fetches
+      // cost one page per node when the base is clustered on the join
+      // attribute ("distributed clustered") and one I/O per matching row
+      // otherwise.
+      PJVM_ASSIGN_OR_RETURN(std::string gi_table,
+                            gis_->Access(target_def.name, step.target_col));
+      // Large-batch crossover: when per-node scan beats the few-node index
+      // plan, fall back to the broadcast sort-merge join (Figure 11's
+      // plateau).
+      const std::string& col_name =
+          target_def.schema.column(step.target_col).name;
+      bool dist_clustered = target_def.HasClusteredIndexOn(col_name);
+      double fan = EstimateFanout(step.target_base, step.target_col);
+      double k_nodes = std::min<double>(fan, sys_->num_nodes());
+      double inner_pages_per_node =
+          static_cast<double>(sys_->TablePages(target_def.name)) /
+          sys_->num_nodes();
+      double inl_per_node = static_cast<double>(in.size()) *
+                            (1.0 + (dist_clustered ? k_nodes : fan)) /
+                            sys_->num_nodes();
+      double smj_per_node =
+          dist_clustered
+              ? inner_pages_per_node
+              : inner_pages_per_node *
+                    std::max(1.0,
+                             std::ceil(std::log(std::max(inner_pages_per_node,
+                                                         2.0)) /
+                                       std::log(static_cast<double>(
+                                           sys_->config().sort_memory_pages))));
+      if (smj_per_node < inl_per_node) {
+        return BroadcastStep(txn, step, in, report);
+      }
+      return GlobalIndexStep(txn, step, gi_table, in, report);
+    }
+  }
+  return Status::InvalidArgument("maintainer: unknown method");
 }
 
 Result<MaintenancePlan> Maintainer::PlanForRows(

@@ -78,61 +78,33 @@ struct MaintenanceReport {
   }
 };
 
-/// \brief Access descriptor for probing an auxiliary relation.
-struct ArAccess {
-  /// Name of the AR table ("partitioned on the join attribute, with a
-  /// clustered index on it").
-  std::string table;
-  /// Position of the join attribute inside the AR's schema.
-  int probe_col = -1;
-  /// For each needed column of the underlying base (in needed order), its
-  /// position in the AR's schema. ARs may be wider than one view needs when
-  /// shared across views (Section 2.1.2).
-  std::vector<int> needed_pos;
-  /// Selection predicates the consumer must still apply to probed AR rows
-  /// (column indices are positions in the AR's schema). Empty when the AR
-  /// itself stores exactly the consumer's sigma-filtered rows.
-  std::vector<BoundPred> residual_preds;
-};
-
+class ArRegistry;
+class GiRegistry;
 class MergedViewStorage;
 
-/// \brief How maintainers discover the auxiliary structures ViewManager
-/// maintains (implemented by ViewManager).
-class StructureResolver {
- public:
-  virtual ~StructureResolver() = default;
-
-  /// AR for probing into `table` on full column `col`, shaped for a consumer
-  /// that needs `needed_cols` of the base and applies `preds` (full-schema
-  /// columns) to it. NotFound if no AR exists (e.g. the base is already
-  /// partitioned on `col`).
-  virtual Result<ArAccess> ArFor(const std::string& table, int col,
-                                 const std::vector<int>& needed_cols,
-                                 const std::vector<BoundPred>& preds) const = 0;
-
-  /// Global-index table for `table` on full column `col`; NotFound if none.
-  virtual Result<std::string> GiFor(const std::string& table, int col) const = 0;
-
-  /// Merged co-clustered storage of view `view`, or nullptr when the view
-  /// uses the separate layout (see view/merged_storage.h).
-  virtual MergedViewStorage* MergedFor(const std::string& /*view*/) const {
-    return nullptr;
-  }
-};
-
-/// \brief Base class of the three maintenance strategies. Owns the shared
-/// dataflow machinery: seeding partial tuples at the update's arrival node,
-/// shipping data between nodes through the interconnect, verifying residual
-/// join edges, and emitting finished tuples to the view.
+/// \brief Maintains one view by one of the paper's three methods.
+///
+/// All three run the same delta dataflow: seed partial tuples from the
+/// delta, join them one plan step at a time, and ship the finished tuples to
+/// the view. They differ only in the structure a step reaches, which StepFor
+/// alone decides: the base table (naive), the auxiliary relation at the
+/// key's home (AR), or the global index and then the K owning nodes (GI).
 class Maintainer {
  public:
+  /// `ars` and `gis` are the shared structure registries; `merged` is the
+  /// view's merged co-clustered storage, or nullptr for the separate layout
+  /// (see view/merged_storage.h).
   Maintainer(ParallelSystem* sys, MaterializedView* view,
-             const StructureResolver* resolver)
-      : sys_(sys), view_(view), resolver_(resolver) {}
-  virtual ~Maintainer() = default;
+             MaintenanceMethod method, const ArRegistry* ars,
+             const GiRegistry* gis, MergedViewStorage* merged)
+      : sys_(sys),
+        view_(view),
+        method_(method),
+        ars_(ars),
+        gis_(gis),
+        merged_(merged) {}
 
-  virtual MaintenanceMethod method() const = 0;
+  MaintenanceMethod method() const { return method_; }
 
   /// Computes and applies the view change for `delta` (whose base update has
   /// already been applied, and whose structures — ARs/GIs — have already
@@ -148,7 +120,7 @@ class Maintainer {
   /// maintenance keeps its per-tuple cost accounting bit-exact.
   void set_fold_mode(bool on) { fold_mode_ = on; }
 
- protected:
+ private:
   /// A partial join result: a working row with the bases joined so far
   /// filled in, currently materialized at `node`.
   struct Partial {
@@ -189,13 +161,18 @@ class Maintainer {
   /// ParallelSystem::EstimateFanout).
   double EstimateFanout(int base, int full_col) const;
 
-  /// Per-sign processing implemented by each method: runs the plan's steps
-  /// over the seeds and emits to the view.
-  virtual Status ProcessSign(uint64_t txn, int updated_base,
-                             const MaintenancePlan& plan,
-                             const std::vector<Row>& rows,
-                             const std::vector<GlobalRowId>& gids,
-                             bool is_delete, MaintenanceReport* report) = 0;
+  /// Processes one sign of a delta: seeds the partials, runs the plan's
+  /// steps over them (StepFor) and emits the finished tuples to the view.
+  Status ProcessSign(uint64_t txn, int updated_base,
+                     const MaintenancePlan& plan, const std::vector<Row>& rows,
+                     const std::vector<GlobalRowId>& gids, bool is_delete,
+                     MaintenanceReport* report);
+
+  /// Runs one plan step over `in`: the only place the method decides which
+  /// structure the step probes and how partials reach it.
+  Result<std::vector<Partial>> StepFor(uint64_t txn, const PlanStep& step,
+                                       const std::vector<Partial>& in,
+                                       MaintenanceReport* report);
 
   /// Describes what a plan step probes at a node: which table, which of its
   /// columns, and how a probed row maps to the target base's needed tuple.
@@ -245,6 +222,15 @@ class Maintainer {
                                           const std::vector<Partial>& in,
                                           MaintenanceReport* report);
 
+  /// The global index method's step (view/global_index_step.cc): routes each
+  /// partial to the GI home of its key, looks up the global row ids there,
+  /// and fans the probe out to the K owning nodes.
+  Result<std::vector<Partial>> GlobalIndexStep(uint64_t txn,
+                                               const PlanStep& step,
+                                               const std::string& gi_table,
+                                               const std::vector<Partial>& in,
+                                               MaintenanceReport* report);
+
   /// Ships each partial to the hash home of its working column `key_idx`
   /// (one SEND of a `table` hop unless it is already there). Returns, per
   /// node, the indices of the partials now there, in input order.
@@ -267,7 +253,10 @@ class Maintainer {
 
   ParallelSystem* sys_;
   MaterializedView* view_;
-  const StructureResolver* resolver_;
+  const MaintenanceMethod method_;
+  const ArRegistry* ars_;
+  const GiRegistry* gis_;
+  MergedViewStorage* merged_;
   bool fold_mode_ = false;
 };
 

@@ -521,14 +521,4 @@ std::vector<Row> BoundView::FoldAggregates(const std::vector<Row>& rows) const {
   return out;
 }
 
-std::vector<int> BoundView::EdgesIncidentTo(int base) const {
-  std::vector<int> out;
-  for (size_t i = 0; i < bound_edges_.size(); ++i) {
-    if (bound_edges_[i].left_base == base || bound_edges_[i].right_base == base) {
-      out.push_back(static_cast<int>(i));
-    }
-  }
-  return out;
-}
-
 }  // namespace pjvm

@@ -176,9 +176,6 @@ class BoundView {
   /// when the view is round-robin.
   int output_partition_col() const { return output_partition_col_; }
 
-  /// Bound edges with one endpoint at base i.
-  std::vector<int> EdgesIncidentTo(int base) const;
-
   // --- Aggregate join views -------------------------------------------
 
   bool is_aggregate() const { return def_.is_aggregate(); }
@@ -200,7 +197,6 @@ class BoundView {
     return static_cast<int>(group_indices_.size());
   }
   int StoredCountIndex() const { return StoredGroupWidth(); }
-  int StoredAggIndex(int agg) const { return StoredGroupWidth() + 1 + agg; }
 
   /// Folds delta-join output rows (contribution rows produced by
   /// OutputRow) into stored aggregate rows — the from-scratch evaluation of

@@ -12,9 +12,6 @@
 
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
-#include "view/aux_relation_maintainer.h"
-#include "view/global_index_maintainer.h"
-#include "view/naive_maintainer.h"
 
 namespace pjvm {
 
@@ -212,8 +209,7 @@ Status ViewManager::CreateStructures(const BoundView& bound,
   for (const auto& [base, col] : ProbeColumns(bound)) {
     const TableDef& def = bound.base_def(base);
     const std::string& col_name = def.schema.column(col).name;
-    bool co_partitioned =
-        def.partition.is_hash() && def.PartitionColumn() == col;
+    bool co_partitioned = def.PartitionedOn(col);
     // Any method may probe the raw base when it is co-partitioned (and the
     // naive method always does), which needs a local index on the attribute.
     if (method == MaintenanceMethod::kNaive || co_partitioned) {
@@ -264,20 +260,8 @@ Status ViewManager::RegisterView(const JoinViewDef& def,
   reg.method = method;
   reg.timing = timing;
   reg.view = std::make_unique<MaterializedView>(std::move(mv));
-  switch (method) {
-    case MaintenanceMethod::kNaive:
-      reg.maintainer =
-          std::make_unique<NaiveMaintainer>(sys_, reg.view.get(), this);
-      break;
-    case MaintenanceMethod::kAuxRelation:
-      reg.maintainer =
-          std::make_unique<AuxRelationMaintainer>(sys_, reg.view.get(), this);
-      break;
-    case MaintenanceMethod::kGlobalIndex:
-      reg.maintainer =
-          std::make_unique<GlobalIndexMaintainer>(sys_, reg.view.get(), this);
-      break;
-  }
+  reg.maintainer = std::make_unique<Maintainer>(
+      sys_, reg.view.get(), method, &ars_, &gis_, store.get());
 
   // Backfill the view from the current base contents.
   PJVM_ASSIGN_OR_RETURN(std::vector<Row> rows,
@@ -708,9 +692,7 @@ Status ViewManager::UnregisterView(const std::string& name) {
   const ViewRegistration& reg = it->second;
   for (const auto& [base, col] : ProbeColumns(reg.bound)) {
     const TableDef& def = reg.bound.base_def(base);
-    bool co_partitioned =
-        def.partition.is_hash() && def.PartitionColumn() == col;
-    if (co_partitioned) continue;
+    if (def.PartitionedOn(col)) continue;
     switch (reg.method) {
       case MaintenanceMethod::kNaive:
         break;

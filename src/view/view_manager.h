@@ -110,7 +110,7 @@ struct ViewRegistration {
 /// Deferred folds and refreshes are maintenance transactions too: all three
 /// run through one private runner (RunMaintenanceTxn) that owns the
 /// transaction lifecycle, the bounded retry and the per-attempt meter.
-class ViewManager : public StructureResolver {
+class ViewManager {
  public:
   explicit ViewManager(ParallelSystem* sys)
       : sys_(sys), ars_(sys), gis_(sys) {
@@ -232,20 +232,6 @@ class ViewManager : public StructureResolver {
   /// layout (SystemConfig::merged_ar_storage off or the view ineligible).
   MergedViewStorage* merged_storage(const std::string& name) {
     auto it = merged_.find(name);
-    return it == merged_.end() ? nullptr : it->second.get();
-  }
-
-  // StructureResolver:
-  Result<ArAccess> ArFor(const std::string& table, int col,
-                         const std::vector<int>& needed_cols,
-                         const std::vector<BoundPred>& preds) const override {
-    return ars_.Access(table, col, needed_cols, preds);
-  }
-  Result<std::string> GiFor(const std::string& table, int col) const override {
-    return gis_.Access(table, col);
-  }
-  MergedViewStorage* MergedFor(const std::string& view) const override {
-    auto it = merged_.find(view);
     return it == merged_.end() ? nullptr : it->second.get();
   }
 

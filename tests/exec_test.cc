@@ -29,13 +29,13 @@ TEST(ExternalSorterTest, StableForEqualKeys) {
 }
 
 TEST(ExternalSorterTest, PassCountMatchesLogFormula) {
-  ExternalSorter sorter(/*memory_pages=*/100, /*rows_per_page=*/64);
-  EXPECT_EQ(sorter.SortPasses(1), 1u);
-  EXPECT_EQ(sorter.SortPasses(100), 1u);   // log_100(100) = 1
-  EXPECT_EQ(sorter.SortPasses(101), 2u);   // just over one pass
-  EXPECT_EQ(sorter.SortPasses(6400), 2u);  // the paper's |B| with M=100
-  EXPECT_EQ(sorter.SortPasses(10000), 2u);
-  EXPECT_EQ(sorter.SortPasses(10001), 3u);
+  const int kMemoryPages = 100;
+  EXPECT_EQ(SortPasses(1, kMemoryPages), 1u);
+  EXPECT_EQ(SortPasses(100, kMemoryPages), 1u);   // log_100(100) = 1
+  EXPECT_EQ(SortPasses(101, kMemoryPages), 2u);   // just over one pass
+  EXPECT_EQ(SortPasses(6400, kMemoryPages), 2u);  // the paper's |B| with M=100
+  EXPECT_EQ(SortPasses(10000, kMemoryPages), 2u);
+  EXPECT_EQ(SortPasses(10001, kMemoryPages), 3u);
 }
 
 TEST(ExternalSorterTest, CostIsPagesTimesPasses) {

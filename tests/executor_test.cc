@@ -210,24 +210,6 @@ TEST(NodeExecutorTest, ShutdownDrainsPendingWorkAndIsIdempotent) {
 // unless a change says why the paper's counters do.
 // ---------------------------------------------------------------------------
 
-void FingerprintCounters(ParallelSystem& sys, std::ostringstream* os) {
-  const CostTracker& cost = sys.cost();
-  for (int i = 0; i < sys.num_nodes(); ++i) {
-    NodeCounters c = cost.node(i);
-    *os << "node" << i << ":" << c.searches << "," << c.fetches << ","
-        << c.inserts << "," << c.sends << "," << c.bytes_sent << ","
-        << c.base_writes << "," << c.structure_writes << "," << c.view_writes
-        << "\n";
-  }
-  *os << "TW=" << cost.TotalWorkload() << " RT=" << cost.ResponseTime()
-      << " CRT=" << cost.ComputeResponseTime()
-      << " touched=" << cost.NodesTouched() << " sends=" << cost.TotalSends()
-      << "\n";
-  Network& net = sys.network();
-  *os << "msgs=" << net.TotalMessages() << " bytes=" << net.TotalBytes()
-      << "\n";
-}
-
 void FingerprintRows(const std::string& tag, std::vector<Row> rows,
                      std::ostringstream* os) {
   std::vector<std::string> keys;
@@ -304,15 +286,6 @@ std::string RunWorkload(MaintenanceMethod method, int num_nodes, int steps,
   FingerprintRows("view", sys.ScanAll(manager.view("JV")->table_name()), &os);
   FingerprintCounters(sys, &os);
   return os.str();
-}
-
-uint64_t Fnv1a(const std::string& bytes) {
-  uint64_t h = 14695981039346656037ull;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 /// Sequential-reference fingerprint hashes of one method's workloads.

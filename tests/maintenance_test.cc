@@ -225,6 +225,20 @@ class ThreeWayFixtureTest : public ::testing::TestWithParam<MaintenanceMethod> {
   std::unique_ptr<ViewManager> manager_;
 };
 
+// Counter hashes (view_test_util.h's CounterHash) after the A, B and C
+// phases, per method. They pin second steps, middle-base seeding and every
+// per-node charge of the 3-way plans; they must not move unless a change says
+// why the paper's counters do.
+uint64_t ThreeWayPhaseHash(MaintenanceMethod method, int phase) {
+  // Rows: naive, AR, GI. Columns: after the A, B and C phases.
+  static const uint64_t kHashes[3][3] = {
+      {0x187eb116c8b2259aull, 0xe1ba55fe75549fefull, 0x9ec6b65484f20941ull},
+      {0x119968117b5c6100ull, 0x24916e2dacf364c2ull, 0xad7ea079e571ad81ull},
+      {0x7936430ac8a1a178ull, 0xac2af75e1e2251b9ull, 0xb29bf5c42cd5b5e5ull},
+  };
+  return kHashes[static_cast<int>(method)][phase];
+}
+
 TEST_P(ThreeWayFixtureTest, DeltasOnEveryBaseMaintainView) {
   ASSERT_TRUE(manager_->RegisterView(ThreeWayView(), GetParam()).ok());
   Rng rng(31);
@@ -237,17 +251,20 @@ TEST_P(ThreeWayFixtureTest, DeltasOnEveryBaseMaintainView) {
   }
   ASSERT_TRUE(manager_->CheckAllConsistent().ok())
       << manager_->CheckAllConsistent();
+  EXPECT_EQ(CounterHash(*sys_), ThreeWayPhaseHash(GetParam(), 0));
   // Delta on the middle relation B (two incident edges -> two ARs/GIs).
   ASSERT_TRUE(
       manager_->InsertRow("B", {Value{50}, Value{2}, Value{1}}).ok());
   ASSERT_TRUE(manager_->DeleteRow("B", {Value{3}, Value{3}, Value{3}}).ok());
   ASSERT_TRUE(manager_->CheckAllConsistent().ok())
       << manager_->CheckAllConsistent();
+  EXPECT_EQ(CounterHash(*sys_), ThreeWayPhaseHash(GetParam(), 1));
   // Delta on C.
   ASSERT_TRUE(manager_->InsertRow("C", {Value{1}, Value{999}, Value{9}}).ok());
   ASSERT_TRUE(manager_->DeleteRow("C", {Value{0}, Value{100}, Value{0}}).ok());
   ASSERT_TRUE(manager_->CheckAllConsistent().ok())
       << manager_->CheckAllConsistent();
+  EXPECT_EQ(CounterHash(*sys_), ThreeWayPhaseHash(GetParam(), 2));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMethods, ThreeWayFixtureTest,
@@ -354,8 +371,12 @@ TEST(MixedMethodsTest, DifferentViewsDifferentMethodsCoexist) {
 // -------------------------------------------------------- Large batches
 
 // A batch big enough to cross the index/sort-merge boundary must still be
-// correct (the crossover only changes costs, never contents).
+// correct (the crossover only changes costs, never contents). The counter
+// hash after the batch pins which side of the crossover each step took.
 TEST(LargeBatchTest, SortMergeCrossoverKeepsViewCorrect) {
+  const uint64_t kHashes[3] = {0xab534e218f27a3f1ull,   // naive
+                               0x7d10ff9bb0f2fb00ull,   // AR
+                               0x1433c33814d7ec2full};  // GI
   for (MaintenanceMethod method :
        {MaintenanceMethod::kNaive, MaintenanceMethod::kAuxRelation,
         MaintenanceMethod::kGlobalIndex}) {
@@ -386,6 +407,8 @@ TEST(LargeBatchTest, SortMergeCrossoverKeepsViewCorrect) {
         << MaintenanceMethodToString(method) << ": "
         << manager.CheckAllConsistent();
     EXPECT_EQ(manager.view("JV")->RowCount(), 200u * 2u);
+    EXPECT_EQ(CounterHash(sys), kHashes[static_cast<int>(method)])
+        << MaintenanceMethodToString(method);
   }
 }
 

@@ -1,13 +1,16 @@
 #ifndef PJVM_TESTS_VIEW_TEST_UTIL_H_
 #define PJVM_TESTS_VIEW_TEST_UTIL_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "engine/system.h"
+#include "net/network.h"
 #include "view/view_def.h"
 #include "view/view_manager.h"
 
@@ -18,6 +21,43 @@ inline std::map<std::string, int> RowBag(const std::vector<Row>& rows) {
   std::map<std::string, int> bag;
   for (const Row& row : rows) bag[RowToString(row)]++;
   return bag;
+}
+
+/// 64-bit FNV-1a hash of `bytes`: pins a whole fingerprint in one constant.
+inline uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 14695981039346656037ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// Appends every per-node CostTracker counter, the derived totals (TW, RT,
+/// locality, SENDs) and the interconnect's message and byte totals to `os`.
+inline void FingerprintCounters(ParallelSystem& sys, std::ostringstream* os) {
+  const CostTracker& cost = sys.cost();
+  for (int i = 0; i < sys.num_nodes(); ++i) {
+    NodeCounters c = cost.node(i);
+    *os << "node" << i << ":" << c.searches << "," << c.fetches << ","
+        << c.inserts << "," << c.sends << "," << c.bytes_sent << ","
+        << c.base_writes << "," << c.structure_writes << "," << c.view_writes
+        << "\n";
+  }
+  *os << "TW=" << cost.TotalWorkload() << " RT=" << cost.ResponseTime()
+      << " CRT=" << cost.ComputeResponseTime()
+      << " touched=" << cost.NodesTouched() << " sends=" << cost.TotalSends()
+      << "\n";
+  Network& net = sys.network();
+  *os << "msgs=" << net.TotalMessages() << " bytes=" << net.TotalBytes()
+      << "\n";
+}
+
+/// FNV-1a hash of FingerprintCounters' output.
+inline uint64_t CounterHash(ParallelSystem& sys) {
+  std::ostringstream os;
+  FingerprintCounters(sys, &os);
+  return Fnv1a(os.str());
 }
 
 /// Schema A(a, c, e): key a, join attribute c, payload e.
