@@ -41,7 +41,8 @@ Setup Build() {
 size_t LineitemArBytes(const JoinViewDef& def) {
   Setup s = Build();
   s.manager->RegisterView(def, MaintenanceMethod::kAuxRelation).Check();
-  for (const std::string& name : s.manager->ars().TableNames()) {
+  for (const std::string& name :
+       s.manager->structures().TableNames(MaintenanceMethod::kAuxRelation)) {
     if (name.find("lineitem") != std::string::npos) {
       return s.sys->TableBytes(name);
     }
@@ -52,7 +53,8 @@ size_t LineitemArBytes(const JoinViewDef& def) {
 size_t LineitemGiBytes(const JoinViewDef& def) {
   Setup s = Build();
   s.manager->RegisterView(def, MaintenanceMethod::kGlobalIndex).Check();
-  for (const std::string& name : s.manager->gis().TableNames()) {
+  for (const std::string& name :
+       s.manager->structures().TableNames(MaintenanceMethod::kGlobalIndex)) {
     if (name.find("lineitem") != std::string::npos) {
       return s.sys->TableBytes(name);
     }
@@ -172,26 +174,30 @@ int main() {
   {
     Setup s = Build();
     s.manager->RegisterView(MakeJv2(), MaintenanceMethod::kAuxRelation).Check();
-    size_t one_view = s.manager->ars().StorageBytes();
-    size_t ar_count_before = s.manager->ars().TableNames().size();
+    const StructureRegistry& structures = s.manager->structures();
+    size_t one_view = structures.StorageBytes(MaintenanceMethod::kAuxRelation);
+    size_t ar_count_before =
+        structures.TableNames(MaintenanceMethod::kAuxRelation).size();
     JoinViewDef second = MakeJv2();
     second.name = "JV2b";
     second.projection = {{"c", "custkey"}, {"l", "extendedprice"}};
     second.partition_on = ColumnRef{"c", "custkey"};
     s.manager->RegisterView(second, MaintenanceMethod::kAuxRelation).Check();
-    size_t two_views = s.manager->ars().StorageBytes();
+    size_t two_views = structures.StorageBytes(MaintenanceMethod::kAuxRelation);
     bench::PrintHeader("AR sharing across views (Section 2.1.2)");
     std::printf("ARs after JV2 only:    %8zu bytes across %zu AR table(s)\n",
                 one_view, ar_count_before);
+    const size_t ar_tables =
+        structures.TableNames(MaintenanceMethod::kAuxRelation).size();
     std::printf("ARs after JV2 + JV2b:  %8zu bytes across %zu AR table(s)\n",
-                two_views, s.manager->ars().TableNames().size());
+                two_views, ar_tables);
     std::printf("growth factor:         %.2fx (unshared would be ~2x)\n",
                 double(two_views) / one_view);
     bench::JsonWriter sharing;
     sharing.BeginObject()
         .Key("one_view_ar_bytes").Uint(one_view)
         .Key("two_view_ar_bytes").Uint(two_views)
-        .Key("ar_tables").Uint(s.manager->ars().TableNames().size())
+        .Key("ar_tables").Uint(ar_tables)
         .Key("growth_factor").Num(double(two_views) / one_view)
         .EndObject();
     report.Add("ar_sharing", sharing.str());

@@ -25,7 +25,7 @@ double MeasuredTw(MaintenanceMethod method, int64_t fanout) {
   sys.cost().Reset();
   auto report = manager.InsertRow("A", MakeDeltaA(cfg, 0));
   report.status().Check();
-  double insert_w = sys.config().weights.insert;
+  double insert_w = sys.cost().weights().insert;
   return sys.cost().TotalWorkload() - insert_w -
          insert_w * static_cast<double>(report->view_rows_inserted);
 }

@@ -66,7 +66,8 @@ int main() {
 
   std::printf("auxiliary relations created (one per non-co-partitioned join "
               "attribute):\n");
-  for (const std::string& name : manager.ars().TableNames()) {
+  for (const std::string& name :
+       manager.structures().TableNames(MaintenanceMethod::kAuxRelation)) {
     std::printf("  %-28s %6zu rows  %8zu bytes\n", name.c_str(),
                 sys.RowCount(name), sys.TableBytes(name));
   }

@@ -324,9 +324,6 @@ class CostTracker {
   void SetIoStallNanos(uint64_t ns) {
     stall_ns_.store(ns, std::memory_order_relaxed);
   }
-  uint64_t io_stall_nanos() const {
-    return stall_ns_.load(std::memory_order_relaxed);
-  }
 
   std::string ToString() const;
 

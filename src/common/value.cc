@@ -111,4 +111,11 @@ bool operator<(const Value& a, const Value& b) {
   return a.repr_ < b.repr_;
 }
 
+Value AddValues(const Value& a, const Value& b, bool negate_b) {
+  if (a.is_int64()) {
+    return Value{a.AsInt64() + (negate_b ? -b.AsInt64() : b.AsInt64())};
+  }
+  return Value{a.AsDouble() + (negate_b ? -b.AsDouble() : b.AsDouble())};
+}
+
 }  // namespace pjvm

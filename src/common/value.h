@@ -73,6 +73,10 @@ inline std::ostream& operator<<(std::ostream& os, const Value& v) {
   return os << v.ToString();
 }
 
+/// Numeric a + b (a - b with `negate_b`), in a's type: the aggregate
+/// accumulation step shared by views, escrow and WAL replay.
+Value AddValues(const Value& a, const Value& b, bool negate_b = false);
+
 /// std::hash-compatible functor for Value.
 struct ValueHash {
   size_t operator()(const Value& v) const { return static_cast<size_t>(v.Hash()); }

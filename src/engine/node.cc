@@ -561,11 +561,7 @@ Status Node::ApplyLogRecord(const LogRecord& record) {
       }
       Row next = *current;
       for (size_t i = width; i < record.row.size(); ++i) {
-        if (next[i].is_int64()) {
-          next[i] = Value{next[i].AsInt64() + record.row[i].AsInt64()};
-        } else {
-          next[i] = Value{next[i].AsDouble() + record.row[i].AsDouble()};
-        }
+        next[i] = AddValues(next[i], record.row[i]);
       }
       PJVM_RETURN_NOT_OK(frag->DeleteByRid(lrid, /*keep_slot=*/true));
       return frag->InsertAt(lrid, std::move(next));

@@ -26,7 +26,7 @@ std::vector<Row> ConcatInNodeOrder(std::vector<std::vector<Row>>& per_node) {
 
 ParallelSystem::ParallelSystem(SystemConfig config)
     : config_(config),
-      cost_(config.num_nodes, config.weights),
+      cost_(config.num_nodes),
       network_(config.num_nodes, &cost_) {
   // PJVM_TRACE=1 enables tracing; any other non-"0" value is also taken as
   // the export path, so `PJVM_TRACE=/tmp/run.trace.json ./bench_x` needs no

@@ -26,8 +26,6 @@ struct SystemConfig {
   int num_nodes = 4;
   /// Rows per heap page (drives page counts, hence sort-merge costs).
   int rows_per_page = 64;
-  /// Unit costs for SEARCH / FETCH / INSERT / SEND.
-  CostWeights weights;
   /// Memory budget in pages for external sorts (the paper's M).
   int sort_memory_pages = 100;
   /// Simulated device latency in nanoseconds per weighted I/O unit charged
@@ -318,7 +316,7 @@ class ParallelSystem {
   /// Rebuilds every fragment by replaying committed transactions from each
   /// node's WAL. Derived global-index tables contain row ids that are not
   /// stable across recovery; callers that maintain GIs rebuild them after
-  /// this (see ViewManager::RebuildGlobalIndexes).
+  /// this (see ViewManager::RecoverViews).
   Status Recover();
 
   /// Structural invariants on every node.

@@ -54,11 +54,6 @@ class HeapFile {
   /// Visits every live row. Returning false stops the iteration.
   void ForEach(const std::function<bool(LocalRowId, const Row&)>& fn) const;
 
-  /// Page number holding `lrid`.
-  uint64_t PageOf(LocalRowId lrid) const {
-    return lrid / static_cast<uint64_t>(rows_per_page_);
-  }
-
   size_t num_rows() const { return live_count_; }
   /// Number of allocated pages (including pages that are now sparse).
   size_t num_pages() const;

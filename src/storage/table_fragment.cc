@@ -1,7 +1,6 @@
 #include "storage/table_fragment.h"
 
 #include <algorithm>
-#include <set>
 
 namespace pjvm {
 
@@ -134,30 +133,22 @@ Result<ProbeResult> TableFragment::Probe(int column, const Value& key) const {
   ProbeResult out;
   const auto* list = index->tree.Find(key);
   if (list != nullptr) {
-    std::set<uint64_t> pages;
     out.rids = *list;
     out.rows.reserve(list->size());
-    for (LocalRowId lrid : *list) {
-      out.rows.push_back(*heap_.Get(lrid));
-      pages.insert(heap_.PageOf(lrid));
-    }
-    out.pages_touched = pages.size();
+    for (LocalRowId lrid : *list) out.rows.push_back(*heap_.Get(lrid));
   }
   return out;
 }
 
 ProbeResult TableFragment::ScanEq(int column, const Value& key) const {
   ProbeResult out;
-  std::set<uint64_t> pages;
   heap_.ForEach([&](LocalRowId lrid, const Row& row) {
     if (row[column] == key) {
       out.rows.push_back(row);
       out.rids.push_back(lrid);
-      pages.insert(heap_.PageOf(lrid));
     }
     return true;
   });
-  out.pages_touched = pages.size();
   return out;
 }
 

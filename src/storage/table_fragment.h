@@ -36,8 +36,6 @@ struct LocalIndex {
 struct ProbeResult {
   std::vector<Row> rows;
   std::vector<LocalRowId> rids;
-  /// Distinct heap pages the matches live on (what a clustered probe pays).
-  size_t pages_touched = 0;
 };
 
 /// \brief One node's horizontal fragment of a table: a heap file plus any

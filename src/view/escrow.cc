@@ -13,13 +13,6 @@ namespace pjvm {
 
 namespace {
 
-Value AddValue(const Value& a, const Value& b, bool negate_b) {
-  if (a.is_int64()) {
-    return Value{a.AsInt64() + (negate_b ? -b.AsInt64() : b.AsInt64())};
-  }
-  return Value{a.AsDouble() + (negate_b ? -b.AsDouble() : b.AsDouble())};
-}
-
 Counter* EscrowOpsCounter() {
   static Counter* c = MetricsRegistry::Global().counter("pjvm_escrow_ops");
   return c;
@@ -54,7 +47,7 @@ Row EscrowRegistry::FoldedRow(const BoundView& bound, const GroupState& gs) {
   for (const auto& [txn, delta] : gs.deltas) {
     (void)txn;
     for (size_t i = width; i < folded.size(); ++i) {
-      folded[i] = AddValue(folded[i], delta[i], /*negate_b=*/false);
+      folded[i] = AddValues(folded[i], delta[i]);
     }
   }
   return folded;
@@ -162,7 +155,7 @@ Result<bool> EscrowRegistry::Apply(uint64_t txn, int node_id,
       }
       Row& own = dit->second;
       for (size_t i = width; i < contribution.size(); ++i) {
-        own[i] = AddValue(own[i], contribution[i], is_delete);
+        own[i] = AddValues(own[i], contribution[i], is_delete);
       }
       if (own[count_idx].AsInt64() < 0) {
         // Conservative group-death rule: a transaction whose accumulated
@@ -244,7 +237,7 @@ Status EscrowRegistry::ApplyEagerSynthetic(uint64_t txn, int node_id,
   }
   Row new_row = old_row;
   for (size_t i = width; i < new_row.size(); ++i) {
-    new_row[i] = AddValue(new_row[i], synthetic[i], /*negate_b=*/false);
+    new_row[i] = AddValues(new_row[i], synthetic[i]);
   }
   PJVM_RETURN_NOT_OK(node->DeleteExact(txn, view, old_row));
   const int64_t count = new_row[bound.StoredCountIndex()].AsInt64();
@@ -308,8 +301,7 @@ std::vector<TxnVersionOp> EscrowRegistry::OnCommitFold(uint64_t txn_id) {
     const int width = vit->second.bound->StoredGroupWidth();
     Row old_committed = gs.committed;
     for (size_t i = width; i < gs.committed.size(); ++i) {
-      gs.committed[i] =
-          AddValue(gs.committed[i], dit->second[i], /*negate_b=*/false);
+      gs.committed[i] = AddValues(gs.committed[i], dit->second[i]);
     }
     gs.deltas.erase(dit);
     gs.finalizing.insert(txn_id);

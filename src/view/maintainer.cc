@@ -9,9 +9,8 @@
 #include "exec/local_join.h"
 #include "net/network.h"
 #include "obs/trace.h"
-#include "view/ar_minimizer.h"
 #include "view/merged_storage.h"
-#include "view/view_manager.h"
+#include "view/structure_registry.h"
 
 namespace pjvm {
 
@@ -65,14 +64,9 @@ Status Maintainer::ProcessSign(uint64_t txn, int updated_base,
   if (method_ != MaintenanceMethod::kNaive && !plan.steps.empty()) {
     int col = plan.steps.front().source_col;
     const TableDef& def = bound().base_def(updated_base);
-    bool has_structure =
-        def.PartitionedOn(col) ||
-        (method_ == MaintenanceMethod::kAuxRelation
-             ? ars_->Access(def.name, col, bound().needed_cols(updated_base),
-                            bound().base_preds(updated_base))
-                   .ok()
-             : gis_->Access(def.name, col).ok());
-    if (has_structure) colocate_col = col;
+    if (def.PartitionedOn(col) || structures_->Has(method_, def.name, col)) {
+      colocate_col = col;
+    }
   }
   PJVM_ASSIGN_OR_RETURN(std::vector<Partial> partials,
                         SeedPartials(updated_base, rows, gids, colocate_col));
@@ -118,9 +112,10 @@ Result<std::vector<Maintainer::Partial>> Maintainer::StepFor(
       // to exactly one node, the single-node operation that makes this the
       // cheapest method for small updates.
       PJVM_ASSIGN_OR_RETURN(
-          ArAccess ar, ars_->Access(target_def.name, step.target_col,
-                                    bound().needed_cols(step.target_base),
-                                    bound().base_preds(step.target_base)));
+          ArAccess ar,
+          structures_->Access(target_def.name, step.target_col,
+                              bound().needed_cols(step.target_base),
+                              bound().base_preds(step.target_base)));
       ProbeTarget target;
       target.table = ar.table;
       target.probe_col = ar.probe_col;
@@ -137,8 +132,9 @@ Result<std::vector<Maintainer::Partial>> Maintainer::StepFor(
       // cost one page per node when the base is clustered on the join
       // attribute ("distributed clustered") and one I/O per matching row
       // otherwise.
-      PJVM_ASSIGN_OR_RETURN(std::string gi_table,
-                            gis_->Access(target_def.name, step.target_col));
+      PJVM_ASSIGN_OR_RETURN(
+          std::string gi_table,
+          structures_->GlobalIndex(target_def.name, step.target_col));
       // Large-batch crossover: when per-node scan beats the few-node index
       // plan, fall back to the broadcast sort-merge join (Figure 11's
       // plateau).
@@ -290,12 +286,7 @@ Status Maintainer::ProbeGroupAtNode(uint64_t txn, const PlanStep& step,
   }
 
   auto accept = [&](const Partial& partial, const Row& probed) -> Status {
-    for (const BoundPred& bp : target.preds) {
-      SelectionPred pred;
-      pred.op = bp.op;
-      pred.constant = bp.constant;
-      if (!pred.Eval(probed[bp.col])) return Status::OK();
-    }
+    if (!RowPassesPreds(probed, target.preds)) return Status::OK();
     Row needed = ProjectRow(probed, target.needed_map);
     return Extend(step, partial, needed, node, out);
   };

@@ -78,9 +78,8 @@ struct MaintenanceReport {
   }
 };
 
-class ArRegistry;
-class GiRegistry;
 class MergedViewStorage;
+class StructureRegistry;
 
 /// \brief Maintains one view by one of the paper's three methods.
 ///
@@ -91,17 +90,16 @@ class MergedViewStorage;
 /// key's home (AR), or the global index and then the K owning nodes (GI).
 class Maintainer {
  public:
-  /// `ars` and `gis` are the shared structure registries; `merged` is the
-  /// view's merged co-clustered storage, or nullptr for the separate layout
-  /// (see view/merged_storage.h).
+  /// `structures` is the shared AR/GI registry; `merged` is the view's
+  /// merged co-clustered storage, or nullptr for the separate layout (see
+  /// view/merged_storage.h).
   Maintainer(ParallelSystem* sys, MaterializedView* view,
-             MaintenanceMethod method, const ArRegistry* ars,
-             const GiRegistry* gis, MergedViewStorage* merged)
+             MaintenanceMethod method, const StructureRegistry* structures,
+             MergedViewStorage* merged)
       : sys_(sys),
         view_(view),
         method_(method),
-        ars_(ars),
-        gis_(gis),
+        structures_(structures),
         merged_(merged) {}
 
   MaintenanceMethod method() const { return method_; }
@@ -254,8 +252,7 @@ class Maintainer {
   ParallelSystem* sys_;
   MaterializedView* view_;
   const MaintenanceMethod method_;
-  const ArRegistry* ars_;
-  const GiRegistry* gis_;
+  const StructureRegistry* structures_;
   MergedViewStorage* merged_;
   bool fold_mode_ = false;
 };

@@ -96,17 +96,6 @@ Status MaterializedView::ApplyOutputs(uint64_t txn, int source_node,
   return Status::OK();
 }
 
-namespace {
-
-Value AddValue(const Value& a, const Value& b, bool negate_b) {
-  if (a.is_int64()) {
-    return Value{a.AsInt64() + (negate_b ? -b.AsInt64() : b.AsInt64())};
-  }
-  return Value{a.AsDouble() + (negate_b ? -b.AsDouble() : b.AsDouble())};
-}
-
-}  // namespace
-
 Status MaterializedView::ApplyAggregateContributions(uint64_t txn,
                                                      int source_node,
                                                      std::vector<Row> rows,
@@ -188,7 +177,7 @@ Status MaterializedView::ApplyAggregateContributions(uint64_t txn,
       }
       Row new_row = old_row;
       for (size_t i = width; i < contribution.size(); ++i) {
-        new_row[i] = AddValue(new_row[i], contribution[i], is_delete);
+        new_row[i] = AddValues(new_row[i], contribution[i], is_delete);
       }
       PJVM_RETURN_NOT_OK(node->DeleteExact(txn, table_name(), old_row));
       int64_t count = new_row[bound_.StoredCountIndex()].AsInt64();

@@ -12,16 +12,6 @@ namespace pjvm {
 
 namespace {
 
-bool PassesPreds(const Row& full_row, const std::vector<BoundPred>& preds) {
-  for (const BoundPred& bp : preds) {
-    SelectionPred pred;
-    pred.op = bp.op;
-    pred.constant = bp.constant;
-    if (!pred.Eval(full_row[bp.col])) return false;
-  }
-  return true;
-}
-
 /// Working-row equivalence classes under the view's join edges: two working
 /// indices are equivalent when some chain of equi-join edges forces them
 /// equal in every join result. The class containing the view's partitioning
@@ -200,14 +190,14 @@ Status MergedViewStorage::MirrorDelta(uint64_t txn, const DeltaBatch& delta) {
     if (m.source_table != delta.table) continue;
     // Deletes before inserts, mirroring the AR/GI structure-update order.
     for (const Row& row : delta.deletes) {
-      if (!PassesPreds(row, m.preds)) continue;
+      if (!RowPassesPreds(row, m.preds)) continue;
       const Value& key = row[m.col];
       PJVM_RETURN_NOT_OK(ApplyEdit(txn, sys_->HomeNodeForKey(key), key, m.tag,
                                    ProjectRow(row, m.cols),
                                    /*is_insert=*/false));
     }
     for (const Row& row : delta.inserts) {
-      if (!PassesPreds(row, m.preds)) continue;
+      if (!RowPassesPreds(row, m.preds)) continue;
       const Value& key = row[m.col];
       PJVM_RETURN_NOT_OK(ApplyEdit(txn, sys_->HomeNodeForKey(key), key, m.tag,
                                    ProjectRow(row, m.cols),
@@ -278,7 +268,7 @@ Status MergedViewStorage::RebuildFromHeaps() {
       const TableFragment* frag = sys_->node(i)->fragment(m.source_table);
       if (frag == nullptr) continue;
       frag->ForEach([&](LocalRowId, const Row& row) {
-        if (!PassesPreds(row, m.preds)) return true;
+        if (!RowPassesPreds(row, m.preds)) return true;
         const Value& key = row[m.col];
         staged[sys_->HomeNodeForKey(key)].push_back(
             Staged{key, m.tag, ProjectRow(row, m.cols)});
@@ -320,7 +310,7 @@ Status MergedViewStorage::CheckConsistent() const {
       const TableFragment* frag = sys_->node(i)->fragment(m.source_table);
       if (frag == nullptr) continue;
       frag->ForEach([&](LocalRowId, const Row& row) {
-        if (!PassesPreds(row, m.preds)) return true;
+        if (!RowPassesPreds(row, m.preds)) return true;
         expected[sys_->HomeNodeForKey(row[m.col])]
                 [{m.tag, RowToString(ProjectRow(row, m.cols))}]++;
         return true;

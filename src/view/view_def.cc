@@ -24,7 +24,9 @@ const char* PredOpToString(PredOp op) {
   return "?";
 }
 
-bool SelectionPred::Eval(const Value& v) const {
+namespace {
+
+bool Compare(PredOp op, const Value& v, const Value& constant) {
   switch (op) {
     case PredOp::kEq:
       return v == constant;
@@ -40,6 +42,19 @@ bool SelectionPred::Eval(const Value& v) const {
       return v >= constant;
   }
   return false;
+}
+
+}  // namespace
+
+bool SelectionPred::Eval(const Value& v) const {
+  return Compare(op, v, constant);
+}
+
+bool RowPassesPreds(const Row& row, const std::vector<BoundPred>& preds) {
+  for (const BoundPred& bp : preds) {
+    if (!Compare(bp.op, row[bp.col], bp.constant)) return false;
+  }
+  return true;
 }
 
 const char* AggFnToString(AggFn fn) {
@@ -455,13 +470,7 @@ Result<int> BoundView::WorkingIndex(int base, int full_col) const {
 }
 
 bool BoundView::RowPassesSelections(int base, const Row& full_row) const {
-  for (const BoundPred& bp : preds_[base]) {
-    SelectionPred pred;
-    pred.op = bp.op;
-    pred.constant = bp.constant;
-    if (!pred.Eval(full_row[bp.col])) return false;
-  }
-  return true;
+  return RowPassesPreds(full_row, preds_[base]);
 }
 
 Row BoundView::ProjectNeeded(int base, const Row& full_row) const {
@@ -487,17 +496,6 @@ Row BoundView::OutputRow(const Row& working) const {
   return out;
 }
 
-namespace {
-
-Value AddValues(const Value& a, const Value& b, bool negate_b) {
-  if (a.is_int64()) {
-    return Value{a.AsInt64() + (negate_b ? -b.AsInt64() : b.AsInt64())};
-  }
-  return Value{a.AsDouble() + (negate_b ? -b.AsDouble() : b.AsDouble())};
-}
-
-}  // namespace
-
 std::vector<Row> BoundView::FoldAggregates(const std::vector<Row>& rows) const {
   if (!is_aggregate()) return rows;
   // Keyed by the group prefix; values accumulate count + aggregates.
@@ -512,7 +510,7 @@ std::vector<Row> BoundView::FoldAggregates(const std::vector<Row>& rows) const {
     }
     Row& acc = it->second;
     for (size_t i = width; i < contribution.size(); ++i) {
-      acc[i] = AddValues(acc[i], contribution[i], /*negate_b=*/false);
+      acc[i] = AddValues(acc[i], contribution[i]);
     }
   }
   std::vector<Row> out;

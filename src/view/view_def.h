@@ -125,6 +125,9 @@ struct BoundPred {
   Value constant;
 };
 
+/// True iff `row` passes every predicate (`col` indexes into `row`).
+bool RowPassesPreds(const Row& row, const std::vector<BoundPred>& preds);
+
 /// \brief A JoinViewDef compiled against a catalog.
 ///
 /// Binding computes, per base, the *needed columns*: the subset of the

@@ -15,173 +15,6 @@
 
 namespace pjvm {
 
-// ----------------------------------------------------------------- GiRegistry
-
-namespace {
-
-std::string GiName(const std::string& table, const std::string& column) {
-  return "__gi_" + table + "_" + column;
-}
-
-}  // namespace
-
-Row GiRegistry::EntryRow(const Value& key, GlobalRowId gid) {
-  return Row{key, Value{static_cast<int64_t>(gid.node)},
-             Value{static_cast<int64_t>(gid.lrid)}};
-}
-
-Status GiRegistry::Require(const std::string& table, int col) {
-  ++refs_[{table, col}];
-  if (Has(table, col)) return Status::OK();
-  PJVM_ASSIGN_OR_RETURN(const TableDef* base, sys_->catalog().Get(table));
-  Entry entry;
-  entry.base_table = table;
-  entry.col = col;
-  entry.gi_table = GiName(table, base->schema.column(col).name);
-  TableDef def;
-  def.name = entry.gi_table;
-  def.schema = Schema({{"key", base->schema.column(col).type},
-                       {"node", ValueType::kInt64},
-                       {"lrid", ValueType::kInt64}});
-  def.kind = TableKind::kGlobalIndex;
-  def.partition = PartitionSpec::Hash("key");
-  // An entry's posting list lives together: probing it is one SEARCH with no
-  // per-item fetches, which "clustered" models.
-  def.indexes.push_back(IndexSpec{"key", /*clustered=*/true});
-  PJVM_RETURN_NOT_OK(sys_->CreateTable(def));
-  PJVM_RETURN_NOT_OK(Backfill(entry));
-  entries_.emplace(std::make_pair(table, col), std::move(entry));
-  return Status::OK();
-}
-
-Status GiRegistry::Backfill(const Entry& entry) {
-  for (int i = 0; i < sys_->num_nodes(); ++i) {
-    const TableFragment* frag = sys_->node(i)->fragment(entry.base_table);
-    Status st = Status::OK();
-    int node = i;
-    frag->ForEach([&](LocalRowId lrid, const Row& row) {
-      st = sys_->Insert(entry.gi_table,
-                        EntryRow(row[entry.col], GlobalRowId{node, lrid}));
-      return st.ok();
-    });
-    PJVM_RETURN_NOT_OK(st);
-  }
-  return Status::OK();
-}
-
-Status GiRegistry::Release(const std::string& table, int col) {
-  auto ref = refs_.find({table, col});
-  if (ref == refs_.end() || ref->second <= 0) {
-    return Status::NotFound("no global index reference for " + table +
-                            " column " + std::to_string(col));
-  }
-  if (--ref->second > 0) return Status::OK();
-  refs_.erase(ref);
-  auto it = entries_.find({table, col});
-  if (it != entries_.end()) {
-    PJVM_RETURN_NOT_OK(sys_->DropTable(it->second.gi_table));
-    entries_.erase(it);
-  }
-  return Status::OK();
-}
-
-Result<std::string> GiRegistry::Access(const std::string& table,
-                                       int col) const {
-  auto it = entries_.find({table, col});
-  if (it == entries_.end()) {
-    return Status::NotFound("no global index for " + table + " column " +
-                            std::to_string(col));
-  }
-  return it->second.gi_table;
-}
-
-Result<size_t> GiRegistry::ApplyDelta(uint64_t txn, const DeltaBatch& delta) {
-  size_t writes = 0;
-  for (auto& [key, entry] : entries_) {
-    if (entry.base_table != delta.table) continue;
-    if (delta.deletes.size() != delta.delete_gids.size() ||
-        delta.inserts.size() != delta.insert_gids.size()) {
-      return Status::InvalidArgument(
-          "global index maintenance requires one gid per delta row");
-    }
-    PJVM_ASSIGN_OR_RETURN(
-        size_t n, ShipStructureDelta(sys_, txn, delta, entry.gi_table,
-                                     entry.col,
-                                     [&entry](const Row& row, GlobalRowId gid)
-                                         -> std::optional<Row> {
-                                       return EntryRow(row[entry.col], gid);
-                                     }));
-    writes += n;
-  }
-  return writes;
-}
-
-Status GiRegistry::RebuildAll() {
-  for (auto& [key, entry] : entries_) {
-    PJVM_ASSIGN_OR_RETURN(const TableDef* def,
-                          sys_->catalog().Get(entry.gi_table));
-    TableDef copy = *def;
-    PJVM_RETURN_NOT_OK(sys_->DropTable(entry.gi_table));
-    PJVM_RETURN_NOT_OK(sys_->CreateTable(copy));
-    PJVM_RETURN_NOT_OK(Backfill(entry));
-  }
-  return Status::OK();
-}
-
-size_t GiRegistry::StorageBytes() const {
-  size_t bytes = 0;
-  for (const auto& [key, entry] : entries_) {
-    bytes += sys_->TableBytes(entry.gi_table);
-  }
-  return bytes;
-}
-
-std::vector<std::string> GiRegistry::TableNames() const {
-  std::vector<std::string> names;
-  for (const auto& [key, entry] : entries_) names.push_back(entry.gi_table);
-  return names;
-}
-
-Status GiRegistry::CheckConsistent() const {
-  for (const auto& [key, entry] : entries_) {
-    size_t base_rows = sys_->RowCount(entry.base_table);
-    size_t entries_count = sys_->RowCount(entry.gi_table);
-    if (base_rows != entries_count) {
-      return Status::Internal("GI '" + entry.gi_table + "' has " +
-                              std::to_string(entries_count) + " entries for " +
-                              std::to_string(base_rows) + " base rows");
-    }
-    for (int i = 0; i < sys_->num_nodes(); ++i) {
-      const TableFragment* frag = sys_->node(i)->fragment(entry.gi_table);
-      Status st = Status::OK();
-      int node = i;
-      frag->ForEach([&](LocalRowId, const Row& row) {
-        if (sys_->HomeNodeForKey(row[0]) != node) {
-          st = Status::Internal("GI '" + entry.gi_table +
-                                "' entry on wrong node");
-          return false;
-        }
-        int owner = static_cast<int>(row[1].AsInt64());
-        LocalRowId lrid = static_cast<LocalRowId>(row[2].AsInt64());
-        const TableFragment* base_frag =
-            sys_->node(owner)->fragment(entry.base_table);
-        const Row* base_row =
-            base_frag == nullptr ? nullptr : base_frag->Get(lrid);
-        if (base_row == nullptr || !((*base_row)[entry.col] == row[0])) {
-          st = Status::Internal("GI '" + entry.gi_table +
-                                "' entry does not resolve: " + RowToString(row));
-          return false;
-        }
-        return true;
-      });
-      PJVM_RETURN_NOT_OK(st);
-    }
-  }
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------- ViewManager
-
 const char* MaintenanceTimingToString(MaintenanceTiming timing) {
   switch (timing) {
     case MaintenanceTiming::kImmediate:
@@ -216,18 +49,11 @@ Status ViewManager::CreateStructures(const BoundView& bound,
       PJVM_RETURN_NOT_OK(
           sys_->CreateIndexOn(def.name, col_name, /*clustered=*/false));
     }
-    if (co_partitioned) continue;  // "the AR/GI for that relation is unnecessary"
-    switch (method) {
-      case MaintenanceMethod::kNaive:
-        break;
-      case MaintenanceMethod::kAuxRelation:
-        PJVM_RETURN_NOT_OK(ars_.Require(def.name, col, bound.needed_cols(base),
-                                        bound.base_preds(base)));
-        break;
-      case MaintenanceMethod::kGlobalIndex:
-        PJVM_RETURN_NOT_OK(gis_.Require(def.name, col));
-        break;
-    }
+    // "the AR/GI for that relation is unnecessary"
+    if (co_partitioned || method == MaintenanceMethod::kNaive) continue;
+    PJVM_RETURN_NOT_OK(structures_.Require(method, def.name, col,
+                                           bound.needed_cols(base),
+                                           bound.base_preds(base)));
   }
   return Status::OK();
 }
@@ -261,7 +87,7 @@ Status ViewManager::RegisterView(const JoinViewDef& def,
   reg.timing = timing;
   reg.view = std::make_unique<MaterializedView>(std::move(mv));
   reg.maintainer = std::make_unique<Maintainer>(
-      sys_, reg.view.get(), method, &ars_, &gis_, store.get());
+      sys_, reg.view.get(), method, &structures_, store.get());
 
   // Backfill the view from the current base contents.
   PJVM_ASSIGN_OR_RETURN(std::vector<Row> rows,
@@ -400,9 +226,8 @@ Result<MaintenanceReport> ViewManager::ApplyDelta(DeltaBatch delta,
     {
       // 2. Update the auxiliary structures (shared across views, done once).
       SpanGuard span("structure_update", "view");
-      PJVM_ASSIGN_OR_RETURN(size_t ar_writes, ars_.ApplyDelta(txn, delta));
-      PJVM_ASSIGN_OR_RETURN(size_t gi_writes, gis_.ApplyDelta(txn, delta));
-      total.structure_writes = ar_writes + gi_writes;
+      PJVM_ASSIGN_OR_RETURN(total.structure_writes,
+                            structures_.ApplyDelta(txn, delta));
       // 2.5 Mirror the delta into each merged co-clustered tree. The rows
       // were just shipped to their key homes by the AR update, so the
       // mirror performs no sends — only in-range tree edits.
@@ -692,17 +517,10 @@ Status ViewManager::UnregisterView(const std::string& name) {
   const ViewRegistration& reg = it->second;
   for (const auto& [base, col] : ProbeColumns(reg.bound)) {
     const TableDef& def = reg.bound.base_def(base);
-    if (def.PartitionedOn(col)) continue;
-    switch (reg.method) {
-      case MaintenanceMethod::kNaive:
-        break;
-      case MaintenanceMethod::kAuxRelation:
-        PJVM_RETURN_NOT_OK(ars_.Release(def.name, col));
-        break;
-      case MaintenanceMethod::kGlobalIndex:
-        PJVM_RETURN_NOT_OK(gis_.Release(def.name, col));
-        break;
+    if (def.PartitionedOn(col) || reg.method == MaintenanceMethod::kNaive) {
+      continue;
     }
+    PJVM_RETURN_NOT_OK(structures_.Release(reg.method, def.name, col));
   }
   if (merged_.count(name) > 0) {
     sys_->ClearStorageOverlay(name);
@@ -884,7 +702,7 @@ Status ViewManager::RecoverViews() {
   // escrow deltas were replayed from the WALs by Recover(); drop the stale
   // journal so the next first touch re-seeds from the recovered rows.
   if (escrow_ != nullptr) escrow_->Reset();
-  PJVM_RETURN_NOT_OK(gis_.RebuildAll());
+  PJVM_RETURN_NOT_OK(structures_.RebuildGlobalIndexes());
   std::lock_guard<std::mutex> lock(hl_mu_);
   for (auto& [name, reg] : views_) {
     if (deferred_.rows(name) == 0) continue;
@@ -947,8 +765,7 @@ Status ViewManager::CheckAllConsistent() {
   // X-lock (eager) path would have produced, which the oracle compare
   // above just proved byte-for-byte.
   if (escrow_ != nullptr) PJVM_RETURN_NOT_OK(escrow_->CheckConsistent());
-  PJVM_RETURN_NOT_OK(ars_.CheckConsistent());
-  PJVM_RETURN_NOT_OK(gis_.CheckConsistent());
+  PJVM_RETURN_NOT_OK(structures_.CheckConsistent());
   return sys_->CheckInvariants();
 }
 

@@ -10,67 +10,16 @@
 #include <vector>
 
 #include "engine/system.h"
-#include "view/ar_minimizer.h"
 #include "view/escrow.h"
 #include "view/explain.h"
 #include "view/heavy_light.h"
 #include "view/maintainer.h"
 #include "view/materialized_view.h"
 #include "view/merged_storage.h"
+#include "view/structure_registry.h"
 #include "view/view_def.h"
 
 namespace pjvm {
-
-/// \brief Registry of global indexes: distributed (value -> global row ids)
-/// structures stored as tables of (key, node, lrid) entries hash-partitioned
-/// and clustered on the key (Section 2.1.3).
-///
-/// Global indexes cover all rows of the base (selections are applied after
-/// the fetch), so one GI per (table, column) serves every view.
-class GiRegistry {
- public:
-  explicit GiRegistry(ParallelSystem* sys) : sys_(sys) {}
-
-  /// Creates (and backfills) the GI for (table, col) if absent.
-  Status Require(const std::string& table, int col);
-
-  Result<std::string> Access(const std::string& table, int col) const;
-  bool Has(const std::string& table, int col) const {
-    return entries_.count({table, col}) > 0;
-  }
-
-  /// Drops one reference; the GI table is removed at zero references.
-  Status Release(const std::string& table, int col);
-
-  /// Propagates one base-table delta into every GI of that table, using the
-  /// delta's global row ids. Returns the number of entry writes.
-  Result<size_t> ApplyDelta(uint64_t txn, const DeltaBatch& delta);
-
-  /// Drops and rebuilds every GI from the current base tables. Needed after
-  /// crash recovery: local row ids are not stable across a heap rebuild.
-  Status RebuildAll();
-
-  size_t StorageBytes() const;
-  std::vector<std::string> TableNames() const;
-
-  /// Every entry resolves to a live base row with the indexed key, and every
-  /// base row is indexed exactly once.
-  Status CheckConsistent() const;
-
- private:
-  struct Entry {
-    std::string gi_table;
-    std::string base_table;
-    int col = -1;
-  };
-
-  Status Backfill(const Entry& entry);
-  static Row EntryRow(const Value& key, GlobalRowId gid);
-
-  ParallelSystem* sys_;
-  std::map<std::pair<std::string, int>, Entry> entries_;
-  std::map<std::pair<std::string, int>, int> refs_;
-};
 
 /// \brief When a view's contents are brought up to date.
 enum class MaintenanceTiming {
@@ -112,8 +61,7 @@ struct ViewRegistration {
 /// transaction lifecycle, the bounded retry and the per-attempt meter.
 class ViewManager {
  public:
-  explicit ViewManager(ParallelSystem* sys)
-      : sys_(sys), ars_(sys), gis_(sys) {
+  explicit ViewManager(ParallelSystem* sys) : sys_(sys), structures_(sys) {
     if (sys->config().heavy_light) {
       classifier_ = std::make_unique<HeavyLightClassifier>(
           sys, sys->config().stats_refresh_ops);
@@ -197,9 +145,6 @@ class ViewManager {
   /// them; base-table indexes created for the naive method are kept).
   Status UnregisterView(const std::string& name);
 
-  /// Rebuilds the global indexes from base tables (run after Recover()).
-  Status RebuildGlobalIndexes() { return gis_.RebuildAll(); }
-
   /// Full post-crash view recovery: rebuilds the global indexes, then
   /// reconciles any view with buffered heavy-key deltas. Buffered gids
   /// reference pre-crash heap positions (and the base rows the buffered
@@ -225,8 +170,7 @@ class ViewManager {
   /// off (or locking is disabled).
   EscrowRegistry* escrow() { return escrow_.get(); }
 
-  ArRegistry& ars() { return ars_; }
-  GiRegistry& gis() { return gis_; }
+  StructureRegistry& structures() { return structures_; }
 
   /// The view's merged co-clustered storage, or nullptr for the separate
   /// layout (SystemConfig::merged_ar_storage off or the view ineligible).
@@ -266,8 +210,7 @@ class ViewManager {
   void UpdateDeferredGauge();
 
   ParallelSystem* sys_;
-  ArRegistry ars_;
-  GiRegistry gis_;
+  StructureRegistry structures_;
   std::map<std::string, ViewRegistration> views_;
   /// Merged co-clustered trees, keyed by view name (eligible views only).
   std::map<std::string, std::unique_ptr<MergedViewStorage>> merged_;

@@ -90,8 +90,9 @@ TEST(ArStorageTest, MinimizedArIsSmallerThanFullCopy) {
   def.projection = {{"A", "e"}, {"B", "f"}};  // Drop keys from the AR.
   ASSERT_TRUE(
       fx.manager->RegisterView(def, MaintenanceMethod::kAuxRelation).ok());
-  size_t minimized = fx.manager->ars().StorageBytes();
-  size_t full_copy = fx.manager->ars().UnminimizedBytes();
+  size_t minimized =
+      fx.manager->structures().StorageBytes(MaintenanceMethod::kAuxRelation);
+  size_t full_copy = fx.manager->structures().UnminimizedBytes();
   EXPECT_GT(minimized, 0u);
   EXPECT_LT(minimized, full_copy);
 }
@@ -104,7 +105,8 @@ TEST(ArStorageTest, FilteredArStoresOnlyPassingRows) {
       fx.manager->RegisterView(def, MaintenanceMethod::kAuxRelation).ok());
   // Only B rows with f < 100 (bkey < 10) are in the AR.
   size_t ar_rows = 0;
-  for (const std::string& name : fx.manager->ars().TableNames()) {
+  for (const std::string& name :
+       fx.manager->structures().TableNames(MaintenanceMethod::kAuxRelation)) {
     if (name.find("_B_") != std::string::npos) {
       ar_rows = fx.sys->RowCount(name);
     }
@@ -140,7 +142,8 @@ TEST(ArStorageTest, GiIsSmallerThanAr) {
   def.edges = {{{"A", "c"}, {"B", "d"}}};
   ViewManager m_ar(&sys);
   ASSERT_TRUE(m_ar.RegisterView(def, MaintenanceMethod::kAuxRelation).ok());
-  size_t ar_bytes = m_ar.ars().StorageBytes();
+  size_t ar_bytes =
+      m_ar.structures().StorageBytes(MaintenanceMethod::kAuxRelation);
 
   ParallelSystem sys2(cfg);
   sys2.CreateTable(a).Check();
@@ -152,7 +155,8 @@ TEST(ArStorageTest, GiIsSmallerThanAr) {
   }
   ViewManager m_gi(&sys2);
   ASSERT_TRUE(m_gi.RegisterView(def, MaintenanceMethod::kGlobalIndex).ok());
-  size_t gi_bytes = m_gi.gis().StorageBytes();
+  size_t gi_bytes =
+      m_gi.structures().StorageBytes(MaintenanceMethod::kGlobalIndex);
   EXPECT_LT(gi_bytes, ar_bytes);
   EXPECT_GT(gi_bytes, 0u);
 }

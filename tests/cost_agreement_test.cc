@@ -43,7 +43,7 @@ Measured MeasureSingleInsert(MaintenanceMethod method, int num_nodes,
 
   Measured m;
   m.view_rows = report->view_rows_inserted;
-  double insert_w = sys->config().weights.insert;
+  double insert_w = sys->cost().weights().insert;
   // Subtract the base insert and the view inserts, as the model does.
   m.tw = sys->cost().TotalWorkload() - insert_w -
          insert_w * static_cast<double>(m.view_rows);

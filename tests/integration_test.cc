@@ -104,7 +104,7 @@ TEST_F(WarehouseSoakTest, SurvivesEverythingAtOnce) {
   // Phase 3: crash, recover, rebuild GIs, keep going.
   sys_->Crash();
   ASSERT_TRUE(sys_->Recover().ok());
-  ASSERT_TRUE(manager_->RebuildGlobalIndexes().ok());
+  ASSERT_TRUE(manager_->RecoverViews().ok());
   VerifyAll("after crash+recover");
   ASSERT_TRUE(manager_->ApplyDelta(customers.NextBatch(5)).ok());
   VerifyAll("after post-recovery churn");
@@ -115,7 +115,7 @@ TEST_F(WarehouseSoakTest, SurvivesEverythingAtOnce) {
   ASSERT_TRUE(manager_->ApplyDelta(customers.NextBatch(5)).ok());
   sys_->Crash();
   ASSERT_TRUE(sys_->Recover().ok());
-  ASSERT_TRUE(manager_->RebuildGlobalIndexes().ok());
+  ASSERT_TRUE(manager_->RecoverViews().ok());
   VerifyAll("after checkpoint+crash");
 
   // Phase 5: drop one JV1 replica mid-life; the others keep working.
@@ -132,7 +132,7 @@ TEST_F(WarehouseSoakTest, SurvivesEverythingAtOnce) {
   EXPECT_FALSE(manager_->ApplyDelta(customers.NextBatch(4)).ok());
   Status rec = sys_->Recover();
   ASSERT_TRUE(rec.ok()) << rec;
-  ASSERT_TRUE(manager_->RebuildGlobalIndexes().ok());
+  ASSERT_TRUE(manager_->RecoverViews().ok());
   EXPECT_EQ(RowBag(manager_->view("JV2")->Contents()), before);
   st = manager_->CheckAllConsistent();
   ASSERT_TRUE(st.ok()) << "after injected failure: " << st;
@@ -175,7 +175,7 @@ TEST_P(CrashMatrixTest, AtomicityHoldsAtEveryFailurePoint) {
   fx.sys->txns().InjectFailure(failure);
   EXPECT_FALSE(fx.manager->InsertRow("A", fx.NextARow(5)).ok());
   ASSERT_TRUE(fx.sys->Recover().ok());
-  ASSERT_TRUE(fx.manager->RebuildGlobalIndexes().ok());
+  ASSERT_TRUE(fx.manager->RecoverViews().ok());
   if (failure == FailurePoint::kAfterDecision) {
     // The decision was durable: the transaction committed.
     EXPECT_EQ(fx.sys->RowCount("A"), base_before + 1);

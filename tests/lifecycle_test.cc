@@ -7,6 +7,9 @@
 namespace pjvm {
 namespace {
 
+constexpr MaintenanceMethod kAr = MaintenanceMethod::kAuxRelation;
+constexpr MaintenanceMethod kGi = MaintenanceMethod::kGlobalIndex;
+
 // ----------------------------------------------------- View deregistration
 
 TEST(UnregisterViewTest, DropsViewTableAndStructures) {
@@ -15,10 +18,10 @@ TEST(UnregisterViewTest, DropsViewTableAndStructures) {
                   ->RegisterView(fx.MakeView("JV"),
                                  MaintenanceMethod::kAuxRelation)
                   .ok());
-  EXPECT_EQ(fx.manager->ars().TableNames().size(), 2u);
+  EXPECT_EQ(fx.manager->structures().TableNames(kAr).size(), 2u);
   ASSERT_TRUE(fx.manager->UnregisterView("JV").ok());
   EXPECT_FALSE(fx.sys->catalog().Has("JV"));
-  EXPECT_TRUE(fx.manager->ars().TableNames().empty());
+  EXPECT_TRUE(fx.manager->structures().TableNames(kAr).empty());
   EXPECT_EQ(fx.manager->view("JV"), nullptr);
   // A delta after the drop maintains nothing and still succeeds.
   ASSERT_TRUE(fx.manager->InsertRow("A", fx.NextARow(3)).ok());
@@ -32,15 +35,15 @@ TEST(UnregisterViewTest, SharedArSurvivesUntilLastView) {
       fx.manager->RegisterView(v1, MaintenanceMethod::kAuxRelation).ok());
   ASSERT_TRUE(
       fx.manager->RegisterView(v2, MaintenanceMethod::kAuxRelation).ok());
-  EXPECT_EQ(fx.manager->ars().TableNames().size(), 2u);
+  EXPECT_EQ(fx.manager->structures().TableNames(kAr).size(), 2u);
   ASSERT_TRUE(fx.manager->UnregisterView("JV1").ok());
   // JV2 still needs the ARs.
-  EXPECT_EQ(fx.manager->ars().TableNames().size(), 2u);
+  EXPECT_EQ(fx.manager->structures().TableNames(kAr).size(), 2u);
   ASSERT_TRUE(fx.manager->InsertRow("A", fx.NextARow(5)).ok());
   ASSERT_TRUE(fx.manager->CheckAllConsistent().ok())
       << fx.manager->CheckAllConsistent();
   ASSERT_TRUE(fx.manager->UnregisterView("JV2").ok());
-  EXPECT_TRUE(fx.manager->ars().TableNames().empty());
+  EXPECT_TRUE(fx.manager->structures().TableNames(kAr).empty());
 }
 
 TEST(UnregisterViewTest, GiReleasedAtZeroReferences) {
@@ -49,9 +52,9 @@ TEST(UnregisterViewTest, GiReleasedAtZeroReferences) {
                   ->RegisterView(fx.MakeView("JV"),
                                  MaintenanceMethod::kGlobalIndex)
                   .ok());
-  EXPECT_EQ(fx.manager->gis().TableNames().size(), 2u);
+  EXPECT_EQ(fx.manager->structures().TableNames(kGi).size(), 2u);
   ASSERT_TRUE(fx.manager->UnregisterView("JV").ok());
-  EXPECT_TRUE(fx.manager->gis().TableNames().empty());
+  EXPECT_TRUE(fx.manager->structures().TableNames(kGi).empty());
 }
 
 TEST(UnregisterViewTest, NameCanBeReusedAfterDrop) {
@@ -113,7 +116,7 @@ TEST(CheckpointTest, RecoveryRestoresSnapshotPlusSuffix) {
 
   fx.sys->Crash();
   ASSERT_TRUE(fx.sys->Recover().ok());
-  ASSERT_TRUE(fx.manager->RebuildGlobalIndexes().ok());
+  ASSERT_TRUE(fx.manager->RecoverViews().ok());
   EXPECT_EQ(RowBag(fx.sys->ScanAll("A")), base_before);
   EXPECT_EQ(RowBag(fx.manager->view("JV")->Contents()), view_before);
   ASSERT_TRUE(fx.manager->CheckAllConsistent().ok())

@@ -312,7 +312,8 @@ TEST(SharedArTest, TwoViewsShareOneArOnSameAttribute) {
   ASSERT_TRUE(
       fx.manager->RegisterView(v2, MaintenanceMethod::kAuxRelation).ok());
   // One AR per (table, join column): A.c and B.d.
-  EXPECT_EQ(fx.manager->ars().TableNames().size(), 2u);
+  const StructureRegistry& structures = fx.manager->structures();
+  EXPECT_EQ(structures.TableNames(MaintenanceMethod::kAuxRelation).size(), 2u);
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(fx.manager->InsertRow("A", fx.NextARow(i)).ok());
   }
@@ -366,6 +367,63 @@ TEST(MixedMethodsTest, DifferentViewsDifferentMethodsCoexist) {
       << fx.manager->CheckAllConsistent();
   EXPECT_EQ(RowBag(fx.manager->view("JV_naive")->Contents()),
             RowBag(fx.manager->view("JV_ar")->Contents()));
+
+  // The oracle holds every structure to its base: a row missing, off its
+  // key's home, or (GI) pointing at the wrong lrid is Internal, naming the
+  // structure. Each edit goes straight to a fragment and is then undone.
+  auto expect_drift = [&](const std::string& structure) {
+    Status st = fx.manager->CheckAllConsistent();
+    EXPECT_EQ(st.code(), StatusCode::kInternal) << st;
+    EXPECT_NE(st.message().find(structure), std::string::npos) << st;
+  };
+  auto expect_ok = [&] {
+    Status st = fx.manager->CheckAllConsistent();
+    EXPECT_TRUE(st.ok()) << st;
+  };
+  for (const std::string structure : {"__ar_B_d", "__gi_B_d"}) {
+    int home = 0;
+    while (fx.sys->node(home)->fragment(structure)->num_rows() == 0) ++home;
+    TableFragment* frag = fx.sys->node(home)->fragment(structure);
+    TableFragment* other = fx.sys->node((home + 1) % 4)->fragment(structure);
+    const Row row = frag->AllRows().front();
+    ASSERT_TRUE(frag->DeleteExact(row).ok());
+    expect_drift(structure);
+    ASSERT_TRUE(other->Insert(row).ok());  // Present, but off its home.
+    expect_drift(structure);
+    ASSERT_TRUE(other->DeleteExact(row).ok());
+    ASSERT_TRUE(frag->Insert(row).ok());
+    expect_ok();
+  }
+  // Two base rows with one key on one node must carry distinct lrids in the
+  // GI. Five A rows with join key 8 over four nodes put two on one node;
+  // pointing one entry at the other's lrid keeps the entry count and every
+  // entry resolving to a live row with the key, so only a multiset check
+  // catches it.
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(fx.manager->InsertRow("A", fx.NextARow(8)).ok());
+  }
+  const std::string gi = "__gi_A_c";
+  TableFragment* gi_frag =
+      fx.sys->node(fx.sys->HomeNodeForKey(Value{8}))->fragment(gi);
+  std::map<int64_t, Row> first_on_node;
+  Row entry, twin;
+  gi_frag->ForEach([&](LocalRowId, const Row& row) {
+    if (row[0] != Value{8}) return true;
+    auto [it, fresh] = first_on_node.try_emplace(row[1].AsInt64(), row);
+    if (fresh) return true;
+    twin = it->second;
+    entry = row;
+    return false;
+  });
+  ASSERT_FALSE(entry.empty());
+  Row aliased = entry;
+  aliased[2] = twin[2];
+  ASSERT_TRUE(gi_frag->DeleteExact(entry).ok());
+  ASSERT_TRUE(gi_frag->Insert(aliased).ok());
+  expect_drift(gi);
+  ASSERT_TRUE(gi_frag->DeleteExact(aliased).ok());
+  ASSERT_TRUE(gi_frag->Insert(entry).ok());
+  expect_ok();
 }
 
 // -------------------------------------------------------- Large batches
@@ -426,7 +484,7 @@ TEST(RecoveryTest, ViewsSurviveCrashAndGisRebuild) {
   auto before = RowBag(fx.manager->view("JV")->Contents());
   fx.sys->Crash();
   ASSERT_TRUE(fx.sys->Recover().ok());
-  ASSERT_TRUE(fx.manager->RebuildGlobalIndexes().ok());
+  ASSERT_TRUE(fx.manager->RecoverViews().ok());
   EXPECT_EQ(RowBag(fx.manager->view("JV")->Contents()), before);
   ASSERT_TRUE(fx.manager->CheckAllConsistent().ok())
       << fx.manager->CheckAllConsistent();

