@@ -64,20 +64,6 @@ std::unique_ptr<ParallelSystem> MakeLoadedSystem(int64_t fanout) {
   return sys;
 }
 
-void BM_IndexNestedLoopJoin(benchmark::State& state) {
-  auto sys = MakeLoadedSystem(4);
-  std::vector<Row> outer;
-  for (int64_t i = 0; i < 100; ++i) {
-    outer.push_back({Value{i}, Value{i % 1000}, Value{i}});
-  }
-  for (auto _ : state) {
-    auto result = IndexNestedLoopJoin(sys->node(0), "B", 1, outer, 1);
-    benchmark::DoNotOptimize(result->size());
-  }
-  state.SetItemsProcessed(state.iterations() * outer.size());
-}
-BENCHMARK(BM_IndexNestedLoopJoin);
-
 void BM_SortMergeJoin(benchmark::State& state) {
   auto sys = MakeLoadedSystem(4);
   std::vector<Row> outer;

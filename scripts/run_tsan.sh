@@ -16,9 +16,10 @@
 # suite (concurrent maintenance transactions editing shared per-node trees
 # under fragment-range locks, with abort rollback), the escrow value-lock
 # suite (V-lock group increments, V->X upgrade deadlocks, and journal
-# rollback racing across writer threads), and the deferred-refresh suite
+# rollback racing across writer threads), the deferred-refresh suite
 # (a refresh retrying past an older lock holder released from another
-# thread).
+# thread), and the transaction suites (2PC commit/abort over the write set,
+# plus four clients running randomized transactions on one system).
 #
 # Usage: scripts/run_tsan.sh [extra ctest -R regex]
 set -euo pipefail
@@ -26,6 +27,8 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR=build-tsan
 FILTER="${1:-NodeExecutor|ParallelEquivalence|NetworkTest|Maintenance|MethodEquivalence|Tracer|LatencyHistogram|CostTracker|TraceMaintenance|WaitDie|MaintenanceRetry|LockManager|EngineLocking|LockShard|NodeLatch|GroupCommit|MultiNodePrepare|LockEscalation|SnapshotIsolation|WindowedHistogram|OpenLoopDriver|HeavyLight|MergedStorage|Escrow|DeferredView|GiStaleEntryRace}"
+# An explicit regex replaces the default, transaction suites included.
+[ $# -gt 0 ] || FILTER="$FILTER|RandomTxn|SystemTxn"
 
 cmake -B "$BUILD_DIR" -S . -G Ninja -DPJVM_SANITIZE=thread
 cmake --build "$BUILD_DIR" -j "$(nproc)" \

@@ -178,15 +178,26 @@ CostTracker::WriteKind Node::WriteKindOf(const std::string& table) const {
   return CostTracker::WriteKind::kBase;
 }
 
-void Node::RecordVersionOp(uint64_t txn_id, const std::string& table,
-                           TableFragment* frag, MvccOp::Kind kind, Row row) {
+void Node::LogWrite(uint64_t txn_id, const std::string& table,
+                    TableFragment* frag, LocalRowId lrid, MvccOp::Kind kind,
+                    Row row) {
+  const bool transactional = txn_id != kAutoCommitTxnId;
+  const bool versioned = snaps_ != nullptr && frag->mvcc_enabled();
+  const LogRecordType type = kind == MvccOp::Kind::kInsert
+                                 ? LogRecordType::kInsert
+                                 : LogRecordType::kDelete;
+  if (!transactional && !versioned) {
+    wal_.Append(LogRecord{0, txn_id, type, table, std::move(row)});
+    return;
+  }
+  wal_.Append(LogRecord{0, txn_id, type, table, row});
   MvccOp op;
   op.kind = kind;
   op.row = std::move(row);
   op.pages_after = frag->num_pages();
   op.rows_after = frag->num_rows();
-  if (txn_id != kAutoCommitTxnId) {
-    txns_->PushVersionOp(txn_id, TxnVersionOp{id_, table, std::move(op)});
+  if (transactional) {
+    txns_->RecordWrite(txn_id, TxnWrite{id_, table, lrid, std::move(op)});
     return;
   }
   // Autocommit: the write is already durable (WAL append above) and there
@@ -252,24 +263,16 @@ Result<LocalRowId> Node::Insert(uint64_t txn_id, const std::string& table,
   // latch (the lock holder may need the latch to make progress).
   PJVM_RETURN_NOT_OK(LockForWrite(txn_id, table, *frag, row));
   NodeLatchGuard latch(*this);
-  wal_.Append(LogRecord{0, txn_id, LogRecordType::kInsert, table, row});
-  if (txn_id != kAutoCommitTxnId) txns_->AddParticipant(txn_id, id_);
-  Row undo_row = txn_id != kAutoCommitTxnId ? row : Row{};
+  Row logged = row;
   PJVM_ASSIGN_OR_RETURN(LocalRowId lrid, frag->Insert(std::move(row)));
-  // Undo is recorded after the insert so it carries the assigned lrid (and
-  // so a failed insert leaves no bogus compensating action).
-  if (txn_id != kAutoCommitTxnId) {
-    txns_->PushUndo(txn_id, UndoOp{UndoOp::Kind::kDeleteInserted, id_, table,
-                                   std::move(undo_row), lrid});
-  }
   tracker_->ChargeWrite(id_, WriteKindOf(table));
   // Each secondary access path descends once to splice the new row in; an
   // indexless fragment (merged-layout member) touches only the heap.
   if (frag->has_indexes()) tracker_->ChargeDescent(id_, frag->num_indexes());
-  if (snaps_ != nullptr && frag->mvcc_enabled()) {
-    RecordVersionOp(txn_id, table, frag, MvccOp::Kind::kInsert,
-                    *frag->Get(lrid));
-  }
+  // Recorded only after the heap accepted the row: a rejected insert must
+  // leave no WAL record (replay would fail on it) and no write to undo.
+  LogWrite(txn_id, table, frag, lrid, MvccOp::Kind::kInsert,
+           std::move(logged));
   return lrid;
 }
 
@@ -287,34 +290,25 @@ Status Node::DeleteExact(uint64_t txn_id, const std::string& table,
   NodeLatchGuard latch(*this);
   // Locating the victim costs a search, charged whether or not it is found.
   tracker_->ChargeSearch(id_);
-  // Confirm existence before logging so the WAL only records deletes that
-  // actually happened (replay must never fail).
+  // Confirm existence first so the WAL only records deletes that actually
+  // happened (replay must never fail).
   Result<LocalRowId> found = frag->FindExact(row);
   if (!found.ok()) {
     return Status::NotFound("no row " + RowToString(row) + " in '" + table +
                             "' at node " + std::to_string(id_));
   }
   LocalRowId lrid = *found;
-  wal_.Append(LogRecord{0, txn_id, LogRecordType::kDelete, table, row});
-  bool transactional = txn_id != kAutoCommitTxnId;
-  if (transactional) {
-    txns_->AddParticipant(txn_id, id_);
-    txns_->PushUndo(txn_id, UndoOp{UndoOp::Kind::kReinsertDeleted, id_, table,
-                                   row, lrid});
-  }
   // A transactional delete keeps its slot reserved until the 2PC outcome:
   // if the transaction aborts, the undo pass restores the row at this exact
   // lrid, which committed global-index entries may reference. An immediate
   // free would let a concurrent insert recycle the slot first, forcing the
   // restored row to a new lrid and leaving those entries dangling.
-  PJVM_RETURN_NOT_OK(frag->DeleteByRid(lrid, /*keep_slot=*/transactional));
-  if (transactional) deferred_frees_[txn_id].emplace_back(table, lrid);
+  PJVM_RETURN_NOT_OK(frag->DeleteByRid(
+      lrid, /*keep_slot=*/txn_id != kAutoCommitTxnId));
   // The write itself is INSERT-weighted (one page read-modify-write).
   tracker_->ChargeWrite(id_, WriteKindOf(table));
   if (frag->has_indexes()) tracker_->ChargeDescent(id_, frag->num_indexes());
-  if (snaps_ != nullptr && frag->mvcc_enabled()) {
-    RecordVersionOp(txn_id, table, frag, MvccOp::Kind::kDelete, row);
-  }
+  LogWrite(txn_id, table, frag, lrid, MvccOp::Kind::kDelete, row);
   return Status::OK();
 }
 
@@ -473,39 +467,29 @@ ColumnStats Node::ColumnStatsOf(const ReadEpoch& epoch,
   return ComputeColumnStats(*frag, column);
 }
 
-Status Node::ApplyUndo(const UndoOp& op) {
-  TableFragment* frag = fragment(op.table);
+Status Node::ApplyUndo(const TxnWrite& write) {
+  TableFragment* frag = fragment(write.table);
   if (frag == nullptr) {
-    return Status::Internal("abort: missing fragment '" + op.table + "'");
+    return Status::Internal("abort: missing fragment '" + write.table + "'");
   }
   NodeLatchGuard latch(*this);
-  switch (op.kind) {
-    case UndoOp::Kind::kDeleteInserted:
-      // The row never committed, so nothing durable references its lrid;
-      // free the slot normally.
-      return frag->DeleteByRid(op.lrid);
-    case UndoOp::Kind::kReinsertDeleted:
-      // Restore the row into the slot the delete reserved — the lrid that
-      // committed global-index entries still point at.
-      return frag->InsertAt(op.lrid, op.row);
+  if (write.op.kind == MvccOp::Kind::kInsert) {
+    // The row never committed, so nothing durable references its lrid;
+    // free the slot normally.
+    return frag->DeleteByRid(write.lrid);
   }
-  return Status::Internal("abort: unknown undo kind");
+  // Restore the row into the slot the delete reserved — the lrid that
+  // committed global-index entries still point at.
+  return frag->InsertAt(write.lrid, write.op.row);
 }
 
-void Node::ReleaseDeferredSlots(uint64_t txn_id) {
+void Node::ReleaseReservedSlots(const std::vector<TxnWrite>& writes) {
   NodeLatchGuard latch(*this);
-  auto it = deferred_frees_.find(txn_id);
-  if (it == deferred_frees_.end()) return;
-  for (const auto& [table, lrid] : it->second) {
-    TableFragment* frag = fragment(table);
-    if (frag != nullptr) frag->ReleaseSlot(lrid);
+  for (const TxnWrite& write : writes) {
+    if (write.node != id_ || write.op.kind != MvccOp::Kind::kDelete) continue;
+    TableFragment* frag = fragment(write.table);
+    if (frag != nullptr) frag->ReleaseSlot(write.lrid);
   }
-  deferred_frees_.erase(it);
-}
-
-void Node::AbandonDeferredSlots(uint64_t txn_id) {
-  NodeLatchGuard latch(*this);
-  deferred_frees_.erase(txn_id);
 }
 
 Status Node::EscrowReplace(const std::string& table, LocalRowId lrid,
@@ -580,9 +564,6 @@ void Node::WipeFragments() {
     if (dropped > 0) MvccVersionsLiveGauge()->Add(-dropped);
   }
   fragments_.clear();
-  // Reservations described slots in the heaps that just vanished; recovery
-  // rebuilds heaps (and global indexes) from checkpoint + WAL.
-  deferred_frees_.clear();
 }
 
 Status Node::RecreateFragments(const Catalog& catalog, int rows_per_page) {

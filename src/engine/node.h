@@ -9,8 +9,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -80,7 +78,8 @@ class NodeLatch {
 /// and the cost-charged local operations the rest of the engine composes.
 ///
 /// Every mutation is WAL-logged (by row content) and, for explicit
-/// transactions, paired with a compensating undo action in the TxnManager.
+/// transactions, recorded once in the transaction's write set in the
+/// TxnManager (undo, MVCC publish, 2PC participants and slot release).
 /// Every operation charges the paper's primitive costs (SEARCH, FETCH,
 /// INSERT) to this node in the shared CostTracker.
 ///
@@ -125,11 +124,12 @@ class Node {
   TableFragment* fragment(const std::string& table);
   const TableFragment* fragment(const std::string& table) const;
 
-  /// Inserts a row: charges INSERT, logs, records undo for explicit txns.
+  /// Inserts a row: charges INSERT, logs, records the write for explicit
+  /// txns.
   Result<LocalRowId> Insert(uint64_t txn_id, const std::string& table, Row row);
 
   /// Deletes one row equal to `row`: charges a SEARCH (to locate it) plus
-  /// INSERT-weighted write I/O, logs, records undo for explicit txns.
+  /// INSERT-weighted write I/O, logs, records the write for explicit txns.
   Status DeleteExact(uint64_t txn_id, const std::string& table, const Row& row);
 
   /// Index probe on `column` = `key`. Charges one SEARCH; a non-clustered
@@ -184,32 +184,28 @@ class Node {
   ColumnStats ColumnStatsOf(const ReadEpoch& epoch, const std::string& table,
                             int column) const;
 
-  /// Applies one compensating action during transaction rollback: mutates
-  /// the fragment under the latch without logging or cost charging (the
-  /// forward operation already paid; recovery replays only committed work).
-  /// Compensation is lrid-exact: an undone insert frees the slot it
-  /// occupied, and an undone delete restores the row into its reserved slot
-  /// (see DeleteExact) so committed global-index entries keep resolving.
-  Status ApplyUndo(const UndoOp& op);
+  /// Undoes one write of an aborting transaction (the abort walks the write
+  /// set backwards): mutates the fragment under the latch without logging or
+  /// cost charging (the forward operation already paid; recovery replays
+  /// only committed work). Compensation is lrid-exact: an undone insert
+  /// frees the slot it occupied, and an undone delete restores the row into
+  /// its reserved slot (see DeleteExact) so committed global-index entries
+  /// keep resolving.
+  Status ApplyUndo(const TxnWrite& write);
 
-  /// Commit epilogue: recycles the heap slots of this transaction's
-  /// transactional deletes (they were kept reserved so an abort could
-  /// restore each row at its original lrid). Call once per participant
-  /// after the commit decision is durable.
-  void ReleaseDeferredSlots(uint64_t txn_id);
-
-  /// Abort epilogue: drops the reserved-slot bookkeeping without freeing
-  /// anything — the undo pass re-occupied those slots with the restored
-  /// rows. Call once per participant after undo completes.
-  void AbandonDeferredSlots(uint64_t txn_id);
+  /// Commit epilogue: under one latch, recycles the heap slots this node's
+  /// deletes in `writes` kept reserved (so an abort could restore each row
+  /// at its original lrid). Call once per participant after the commit
+  /// decision is durable.
+  void ReleaseReservedSlots(const std::vector<TxnWrite>& writes);
 
   /// In-place escrow rewrite of one aggregate group row (view/escrow.h):
   /// replaces the row at `lrid` with `row` under the caller's exclusive
-  /// latch, charging one write I/O. No WAL record, no undo, no version op —
-  /// the escrow journal owns all three (logical kEscrowDelta records at
-  /// prepare, journal rollback on abort, committed-image version ops at
-  /// publish). The caller must hold this node's exclusive latch and the
-  /// group's V (or X) lock.
+  /// latch, charging one write I/O. No WAL record and no write-set entry —
+  /// the escrow journal owns logging, undo and version ops (logical
+  /// kEscrowDelta records at prepare, journal rollback on abort,
+  /// committed-image version ops at publish). The caller must hold this
+  /// node's exclusive latch and the group's V (or X) lock.
   Status EscrowReplace(const std::string& table, LocalRowId lrid, Row row);
 
   /// Applies a WAL record during recovery: no logging, no cost charging.
@@ -238,16 +234,17 @@ class Node {
   Status LockForWrite(uint64_t txn_id, const std::string& table,
                       const TableFragment& frag, const Row& row);
 
-  /// Records one mutation for MVCC snapshot publication. `row` is the
+  /// Logs one write that just changed the heap at `lrid` (under the node
+  /// latch): appends its WAL record and, for an explicit transaction,
+  /// records it in the transaction's write set. An autocommit write to a
+  /// versioned fragment publishes its MVCC version op at once. `row` is the
   /// inserted tuple or the delete victim's content — version identity is by
-  /// content, never by heap lrid (the free list recycles lrids, so an lrid
-  /// can alias a different row by publish time). Must be called under the
-  /// node latch, right after the heap changed (pages_after / rows_after
-  /// capture the fragment's shape at that instant). Autocommit ops publish
-  /// immediately; explicit-transaction ops are buffered in the TxnManager
-  /// until the 2PC decision.
-  void RecordVersionOp(uint64_t txn_id, const std::string& table,
-                       TableFragment* frag, MvccOp::Kind kind, Row row);
+  /// content, never by lrid (the free list recycles lrids, so an lrid can
+  /// alias a different row by publish time); the op's pages_after /
+  /// rows_after capture the fragment's shape at this instant.
+  void LogWrite(uint64_t txn_id, const std::string& table,
+                TableFragment* frag, LocalRowId lrid, MvccOp::Kind kind,
+                Row row);
 
   int id_;
   CostTracker* tracker_;
@@ -258,14 +255,6 @@ class Node {
   Wal wal_;
   std::map<std::string, std::unique_ptr<TableFragment>> fragments_;
   std::map<std::string, TableKind> kinds_;
-  /// Heap slots emptied by this node's transactional deletes, keyed by txn:
-  /// reserved (off the free list) until the 2PC outcome — commit recycles
-  /// them, abort re-occupies them via undo. Guarded by the node latch.
-  /// Volatile by design: a crash wipes the heaps and recovery rebuilds them
-  /// (and the global indexes) from checkpoint + WAL, so no reservation
-  /// outlives the slots it described.
-  std::unordered_map<uint64_t, std::vector<std::pair<std::string, LocalRowId>>>
-      deferred_frees_;
   // Simulated durable checkpoint: survives Crash() like the WAL does.
   bool has_checkpoint_ = false;
   std::map<std::string, std::vector<Row>> checkpoint_;

@@ -388,15 +388,17 @@ Status ParallelSystem::Commit(uint64_t txn_id) {
   const bool hook_pending =
       txn_hook_ != nullptr && txn_hook_->HasState(txn_id);
   if (hook_pending) PJVM_RETURN_NOT_OK(txn_hook_->OnPrepare(txn_id));
+  // The write set is complete: every participant, version op and reserved
+  // slot below comes from this one list.
+  TxnWriteSet write_set = txns_.TakeWriteSet(txn_id);
   // Phase 1: every participant durably prepares — the prepare force covers
   // the transaction's earlier data records on that node too (they precede
   // the prepare in the same log). Concurrent committers share one
   // group-commit force round per node. Phase-2 commit records need no force:
   // the commit decision lives in the coordinator (presumed abort), and
   // replay is gated by TxnManager::IsCommitted, not by commit records.
-  const auto participant_set = txns_.participants(txn_id);
-  const std::vector<int> participants(participant_set.begin(),
-                                      participant_set.end());
+  const std::vector<int> participants(write_set.participants.begin(),
+                                      write_set.participants.end());
   std::vector<uint64_t> prepare_lsns(config_.num_nodes, 0);
   for (int node_id : participants) {
     prepare_lsns[node_id] = nodes_[node_id]->wal().Append(
@@ -405,14 +407,23 @@ Status ParallelSystem::Commit(uint64_t txn_id) {
   auto force = [&](int node_id) {
     return nodes_[node_id]->wal().Force(prepare_lsns[node_id]);
   };
+  Status prepared = Status::OK();
   if (config_.wal_force_ns > 0) {
     // The prepares land on independent per-node logs, so their forces can
     // overlap — the textbook parallel phase 1: the caller forces the first
     // participant and the node workers force the rest.
-    PJVM_RETURN_NOT_OK(executor_->RunOnNodes(participants, force));
+    prepared = executor_->RunOnNodes(participants, force);
   } else {
     // Free forcing returns at once; a worker handoff would be pure overhead.
-    for (int node_id : participants) PJVM_RETURN_NOT_OK(force(node_id));
+    for (int node_id : participants) {
+      if (prepared.ok()) prepared = force(node_id);
+    }
+  }
+  if (!prepared.ok()) {
+    // A participant that cannot prepare votes no: the transaction aborts.
+    PJVM_RETURN_NOT_OK(txns_.MarkAborted(txn_id));
+    PJVM_RETURN_NOT_OK(RollBack(txn_id, write_set));
+    return prepared;
   }
   if (txns_.ShouldFailAt(FailurePoint::kAfterPrepare)) {
     Crash();
@@ -425,7 +436,7 @@ Status ParallelSystem::Commit(uint64_t txn_id) {
     return Status::Aborted("injected crash after commit decision");
   }
   // Phase 2: participants learn the outcome.
-  for (int node_id : txns_.participants(txn_id)) {
+  for (int node_id : participants) {
     nodes_[node_id]->wal().Append(
         LogRecord{0, txn_id, LogRecordType::kCommit, "", {}});
   }
@@ -434,7 +445,8 @@ Status ParallelSystem::Commit(uint64_t txn_id) {
   // Published before lock release so a later writer of the same rows can
   // never publish at an earlier epoch than this transaction.
   if (config_.mvcc_reads) {
-    PublishVersions(txn_id);  // folds the hook inside the publish section
+    // Folds the hook inside the publish section.
+    PublishVersions(txn_id, hook_pending, write_set.writes);
   } else if (hook_pending) {
     txn_hook_->OnCommitFold(txn_id);  // version ops unused without MVCC
   }
@@ -442,11 +454,10 @@ Status ParallelSystem::Commit(uint64_t txn_id) {
   // before lock release — the transaction's V locks still pin its groups,
   // and the node latches it takes are ordered after publish_mu is gone.
   if (hook_pending) PJVM_RETURN_NOT_OK(txn_hook_->OnCommitFinalize(txn_id));
-  txns_.DiscardUndo(txn_id);
   // The transaction can no longer abort, so the heap slots its deletes kept
   // reserved (for lrid-exact undo) are safe to recycle.
-  for (int node_id : txns_.participants(txn_id)) {
-    nodes_[node_id]->ReleaseDeferredSlots(txn_id);
+  for (int node_id : participants) {
+    nodes_[node_id]->ReleaseReservedSlots(write_set.writes);
   }
   locks_.ReleaseAll(txn_id);  // Strict 2PL: everything released at commit.
   // Working state is done; the durable commit decision survives in the
@@ -460,17 +471,21 @@ Status ParallelSystem::Abort(uint64_t txn_id) {
     return Status::InvalidArgument("cannot abort the autocommit pseudo-txn");
   }
   PJVM_RETURN_NOT_OK(txns_.MarkAborted(txn_id));
+  return RollBack(txn_id, txns_.TakeWriteSet(txn_id));
+}
+
+Status ParallelSystem::RollBack(uint64_t txn_id, const TxnWriteSet& write_set) {
   // Escrow rollback first, before undo and strictly before ReleaseAll: a
   // successor acquiring the released V locks must see journal state with
   // this transaction's deltas gone (and the heap rows restored).
   if (txn_hook_ != nullptr) txn_hook_->OnAbort(txn_id);
-  for (const UndoOp& op : txns_.TakeUndoReversed(txn_id)) {
-    PJVM_RETURN_NOT_OK(nodes_[op.node]->ApplyUndo(op));
+  // Most recent write first. Undo re-occupies the slots the deletes kept
+  // reserved, so there is nothing to release afterwards.
+  for (auto it = write_set.writes.rbegin(); it != write_set.writes.rend();
+       ++it) {
+    PJVM_RETURN_NOT_OK(nodes_[it->node]->ApplyUndo(*it));
   }
-  for (int node_id : txns_.participants(txn_id)) {
-    // Undo re-occupied the reserved slots with the restored rows; drop the
-    // reservation bookkeeping without freeing anything.
-    nodes_[node_id]->AbandonDeferredSlots(txn_id);
+  for (int node_id : write_set.participants) {
     nodes_[node_id]->wal().Append(
         LogRecord{0, txn_id, LogRecordType::kAbort, "", {}});
   }
@@ -528,29 +543,28 @@ Status ParallelSystem::Recover() {
   return Status::OK();
 }
 
-void ParallelSystem::PublishVersions(uint64_t txn_id) {
-  std::vector<TxnVersionOp> ops = txns_.TakeVersionOps(txn_id);
-  const bool hook_pending =
-      txn_hook_ != nullptr && txn_hook_->HasState(txn_id);
-  if (ops.empty() && !hook_pending) return;
+void ParallelSystem::PublishVersions(uint64_t txn_id, bool hook_pending,
+                                     std::vector<TxnWrite>& writes) {
+  if (writes.empty() && !hook_pending) return;
   SpanGuard span("mvcc_publish", "txn");
   span.set_detail("txn " + std::to_string(txn_id) + ": " +
-                  std::to_string(ops.size()) + " ops");
+                  std::to_string(writes.size()) + " ops");
   // One delta per written fragment, each preserving that fragment's op
   // execution order; all installed at a single epoch so the transaction
-  // becomes visible atomically across nodes.
+  // becomes visible atomically across nodes. Only the ops' rows move out:
+  // each write's node, table, lrid and kind stay for the slot release.
   std::map<std::pair<int, std::string>, std::vector<MvccOp>> by_frag;
-  for (TxnVersionOp& op : ops) {
-    by_frag[{op.node, op.table}].push_back(std::move(op.op));
+  for (TxnWrite& write : writes) {
+    by_frag[{write.node, write.table}].push_back(std::move(write.op));
   }
   double published = 0;
   snapshots_.Publish([&](uint64_t epoch) {
     if (hook_pending) {
-      // Escrow groups record no op-time version ops; the hook folds its
+      // Escrow groups record no op-time writes; the hook folds its
       // committed images *inside* the publish critical section, so the
       // fold order across transactions equals their epoch order.
-      for (TxnVersionOp& op : txn_hook_->OnCommitFold(txn_id)) {
-        by_frag[{op.node, op.table}].push_back(std::move(op.op));
+      for (TxnWrite& write : txn_hook_->OnCommitFold(txn_id)) {
+        by_frag[{write.node, write.table}].push_back(std::move(write.op));
       }
     }
     for (auto& [where, frag_ops] : by_frag) {

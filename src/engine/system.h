@@ -91,13 +91,6 @@ struct SystemConfig {
   /// (the deferral invariant requires it), on CheckAllConsistent, and on
   /// FoldAllDeferred. <= 0 folds only on those events.
   int deferred_fold_rows = 64;
-  /// Maintenance operations (delta rows) applied to a table since its
-  /// statistics were built at which the classifier's per-fragment equi-depth
-  /// histograms for that table are rebuilt. 0 = build once and never refresh
-  /// (the pre-fix behavior: a sustained skewed stream leaves the classifier
-  /// scoring yesterday's distribution). Only consulted when heavy_light is
-  /// on.
-  int stats_refresh_ops = 1024;
   /// Merged co-clustered storage for the AR method (view/merged_storage.h,
   /// leanstore's MergedAdapter idiom). When on, each eligible AR-maintained
   /// view registers a per-node B+-tree whose composite key
@@ -129,7 +122,9 @@ struct SystemConfig {
 };
 
 /// \brief Transaction lifecycle hook for subsystems that keep per-txn side
-/// state outside the WAL/undo machinery (the escrow journal, view/escrow.h).
+/// state outside the transaction's write set (the escrow journal,
+/// view/escrow.h), which otherwise serves undo, MVCC publish, the 2PC
+/// participants and the release of reserved slots.
 ///
 /// The system invokes the hook from every commit and abort path, so an
 /// implementation is covered no matter which caller drives the transaction
@@ -139,9 +134,9 @@ struct SystemConfig {
 ///    kPreparing and before the participants' prepare records are forced —
 ///    appended WAL records are covered by those forces.
 ///  - OnCommitFold: the commit point. With mvcc_reads it runs inside the
-///    snapshot publish critical section and its returned version ops are
-///    installed at the transaction's commit epoch, atomically with the
-///    heap-written ops; without MVCC it runs at the same program point.
+///    snapshot publish critical section and the version ops of its returned
+///    writes are installed at the transaction's commit epoch, atomically
+///    with the write set's; without MVCC it runs at the same program point.
 ///  - OnCommitFinalize: after the fold (and publish), before locks are
 ///    released — the last chance to rewrite heap rows under the
 ///    transaction's own locks.
@@ -153,7 +148,7 @@ class TxnHook {
   /// True if the hook has any state for `txn_id` (gates the commit calls).
   virtual bool HasState(uint64_t txn_id) const = 0;
   virtual Status OnPrepare(uint64_t txn_id) = 0;
-  virtual std::vector<TxnVersionOp> OnCommitFold(uint64_t txn_id) = 0;
+  virtual std::vector<TxnWrite> OnCommitFold(uint64_t txn_id) = 0;
   virtual Status OnCommitFinalize(uint64_t txn_id) = 0;
   virtual void OnAbort(uint64_t txn_id) = 0;
 };
@@ -294,12 +289,15 @@ class ParallelSystem {
   // --- Transactions (two-phase commit over the touched nodes) ---
 
   uint64_t Begin() { return txns_.Begin(); }
-  /// Runs 2PC: PREPARE at each participant, durable coordinator decision,
-  /// COMMIT at each participant. Honors injected failure points; on an
-  /// injected crash the transaction's fate is decided by what reached the
-  /// logs, exactly as in recovery.
+  /// Runs 2PC over the participants of the transaction's write set:
+  /// PREPARE at each, durable coordinator decision, COMMIT at each; then
+  /// publishes the write set's version ops and releases the slots its
+  /// deletes reserved. A participant that fails to prepare aborts the
+  /// transaction. Honors injected failure points; on an injected crash the
+  /// transaction's fate is decided by what reached the logs, exactly as in
+  /// recovery.
   Status Commit(uint64_t txn_id);
-  /// Rolls back by applying compensating actions in reverse order.
+  /// Rolls back by undoing the write set in reverse order.
   Status Abort(uint64_t txn_id);
 
   // --- Crash / recovery ---
@@ -339,9 +337,15 @@ class ParallelSystem {
   Status FanOutRead(const ReadEpoch& epoch, uint64_t txn_id, const char* op,
                     const std::function<Status(int)>& read);
 
-  /// Publishes a committed transaction's buffered version ops (one delta
-  /// per written fragment, all at one epoch) and piggybacks version GC.
-  void PublishVersions(uint64_t txn_id);
+  /// Abort epilogue over a taken write set: hook rollback, undo (most
+  /// recent write first), abort records, lock release, Forget.
+  Status RollBack(uint64_t txn_id, const TxnWriteSet& write_set);
+  /// Publishes a committed transaction's version ops — those of `writes`
+  /// (their rows are moved out) and, if `hook_pending`, the hook's fold —
+  /// as one delta per written fragment, all at one epoch, and piggybacks
+  /// version GC.
+  void PublishVersions(uint64_t txn_id, bool hook_pending,
+                       std::vector<TxnWrite>& writes);
   /// Rebuilds every listed table's snapshot from its live fragments at a
   /// fresh epoch (recovery, index DDL — quiescent points).
   void ResetSnapshots(const std::vector<std::string>& tables);

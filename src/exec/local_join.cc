@@ -7,21 +7,6 @@
 
 namespace pjvm {
 
-Result<std::vector<JoinedPair>> IndexNestedLoopJoin(
-    Node* node, const std::string& table, int inner_col,
-    const std::vector<Row>& outer, int outer_col, uint64_t txn_id) {
-  std::vector<JoinedPair> out;
-  for (const Row& o : outer) {
-    PJVM_ASSIGN_OR_RETURN(
-        ProbeResult probe,
-        node->IndexProbe(table, inner_col, o[outer_col], txn_id));
-    for (Row& match : probe.rows) {
-      out.push_back(JoinedPair{o, std::move(match)});
-    }
-  }
-  return out;
-}
-
 Result<std::vector<JoinedPair>> SortMergeJoinFragment(
     Node* node, const std::string& table, int inner_col,
     const std::vector<Row>& outer, int outer_col, int memory_pages,

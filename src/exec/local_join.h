@@ -18,16 +18,6 @@ struct JoinedPair {
 };
 
 /// \brief Joins `outer` tuples against the local fragment of `table` at
-/// `node` using the index on `inner_col` (index nested loops).
-///
-/// Charges, per outer tuple, one SEARCH plus one FETCH per match when the
-/// index is non-clustered (via Node::IndexProbe).
-Result<std::vector<JoinedPair>> IndexNestedLoopJoin(
-    Node* node, const std::string& table, int inner_col,
-    const std::vector<Row>& outer, int outer_col,
-    uint64_t txn_id = kAutoCommitTxnId);
-
-/// \brief Joins `outer` tuples against the local fragment of `table` at
 /// `node` with a sort-merge join under `memory_pages` of sort memory.
 ///
 /// Cost model (matching the paper's Section 3.1.2): the time is dominated by

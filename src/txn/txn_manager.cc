@@ -1,11 +1,13 @@
 #include "txn/txn_manager.h"
 
+#include <utility>
+
 namespace pjvm {
 
 uint64_t TxnManager::Begin() {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t id = next_txn_id_++;
-  states_[id] = TxnState::kActive;
+  records_[id];
   return id;
 }
 
@@ -14,9 +16,9 @@ TxnState TxnManager::state(uint64_t txn_id) const {
   // The durable decision outlives the working state: a forgotten committed
   // transaction still reads as committed.
   if (committed_ids_.count(txn_id) > 0) return TxnState::kCommitted;
-  auto it = states_.find(txn_id);
-  if (it == states_.end()) return TxnState::kAborted;
-  return it->second;
+  auto it = records_.find(txn_id);
+  if (it == records_.end()) return TxnState::kAborted;
+  return it->second.state;
 }
 
 bool TxnManager::IsCommitted(uint64_t txn_id) const {
@@ -27,8 +29,9 @@ bool TxnManager::IsCommitted(uint64_t txn_id) const {
 
 bool TxnManager::HasActive() const {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [id, state] : states_) {
-    if (state == TxnState::kActive || state == TxnState::kPreparing) {
+  for (const auto& [id, record] : records_) {
+    if (record.state == TxnState::kActive ||
+        record.state == TxnState::kPreparing) {
       return true;
     }
   }
@@ -37,92 +40,63 @@ bool TxnManager::HasActive() const {
 
 Status TxnManager::MarkPreparing(uint64_t txn_id) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = states_.find(txn_id);
-  if (it == states_.end() || it->second != TxnState::kActive) {
+  auto it = records_.find(txn_id);
+  if (it == records_.end() || it->second.state != TxnState::kActive) {
     return Status::Aborted("txn " + std::to_string(txn_id) + " is not active");
   }
-  it->second = TxnState::kPreparing;
+  it->second.state = TxnState::kPreparing;
   return Status::OK();
 }
 
 Status TxnManager::LogCommitDecision(uint64_t txn_id) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = states_.find(txn_id);
-  if (it == states_.end() ||
-      (it->second != TxnState::kActive && it->second != TxnState::kPreparing)) {
+  auto it = records_.find(txn_id);
+  if (it == records_.end() || (it->second.state != TxnState::kActive &&
+                               it->second.state != TxnState::kPreparing)) {
     return Status::Aborted("txn " + std::to_string(txn_id) +
                            " cannot commit from its current state");
   }
-  it->second = TxnState::kCommitted;
+  it->second.state = TxnState::kCommitted;
   committed_ids_.insert(txn_id);
   return Status::OK();
 }
 
 Status TxnManager::MarkAborted(uint64_t txn_id) {
   std::lock_guard<std::mutex> lock(mu_);
-  // Check the durable decision set, not states_: the working state of a
+  // Check the durable decision set, not the records: the working state of a
   // committed transaction may already have been forgotten.
   if (committed_ids_.count(txn_id) > 0) {
     return Status::Internal("txn " + std::to_string(txn_id) +
                             " already committed; cannot abort");
   }
-  states_[txn_id] = TxnState::kAborted;
+  records_[txn_id].state = TxnState::kAborted;
   return Status::OK();
 }
 
-void TxnManager::PushUndo(uint64_t txn_id, UndoOp op) {
+void TxnManager::RecordWrite(uint64_t txn_id, TxnWrite write) {
   std::lock_guard<std::mutex> lock(mu_);
-  undo_[txn_id].push_back(std::move(op));
-}
-
-std::vector<UndoOp> TxnManager::TakeUndoReversed(uint64_t txn_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<UndoOp> ops;
-  auto it = undo_.find(txn_id);
-  if (it == undo_.end()) return ops;
-  ops.assign(it->second.rbegin(), it->second.rend());
-  undo_.erase(it);
-  return ops;
-}
-
-void TxnManager::DiscardUndo(uint64_t txn_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  undo_.erase(txn_id);
-}
-
-void TxnManager::PushVersionOp(uint64_t txn_id, TxnVersionOp op) {
-  std::lock_guard<std::mutex> lock(mu_);
-  version_ops_[txn_id].push_back(std::move(op));
-}
-
-std::vector<TxnVersionOp> TxnManager::TakeVersionOps(uint64_t txn_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<TxnVersionOp> ops;
-  auto it = version_ops_.find(txn_id);
-  if (it == version_ops_.end()) return ops;
-  ops = std::move(it->second);
-  version_ops_.erase(it);
-  return ops;
+  auto it = records_.find(txn_id);
+  if (it == records_.end()) return;
+  it->second.write_set.participants.insert(write.node);
+  it->second.write_set.writes.push_back(std::move(write));
 }
 
 void TxnManager::AddParticipant(uint64_t txn_id, int node) {
   std::lock_guard<std::mutex> lock(mu_);
-  participants_[txn_id].insert(node);
+  auto it = records_.find(txn_id);
+  if (it != records_.end()) it->second.write_set.participants.insert(node);
 }
 
-std::set<int> TxnManager::participants(uint64_t txn_id) const {
+TxnWriteSet TxnManager::TakeWriteSet(uint64_t txn_id) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = participants_.find(txn_id);
-  if (it == participants_.end()) return {};
-  return it->second;
+  auto it = records_.find(txn_id);
+  if (it == records_.end()) return {};
+  return std::exchange(it->second.write_set, {});
 }
 
 void TxnManager::Forget(uint64_t txn_id) {
   std::lock_guard<std::mutex> lock(mu_);
-  states_.erase(txn_id);
-  undo_.erase(txn_id);
-  participants_.erase(txn_id);
-  version_ops_.erase(txn_id);
+  records_.erase(txn_id);
 }
 
 size_t TxnManager::PruneCommittedBelow(uint64_t low_water) {
@@ -140,27 +114,15 @@ uint64_t TxnManager::next_txn_id() const {
 
 size_t TxnManager::TrackedCount() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return states_.size();
-}
-
-bool TxnManager::ShouldFailAt(FailurePoint point) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (failure_ == point && point != FailurePoint::kNone) {
-    failure_ = FailurePoint::kNone;
-    return true;
-  }
-  return false;
+  return records_.size();
 }
 
 void TxnManager::CrashAndRecover() {
   std::lock_guard<std::mutex> lock(mu_);
   // Presumed abort: in-flight transactions simply vanish (state() reports
-  // kAborted for untracked ids); participants and undo lists die with them.
-  states_.clear();
-  undo_.clear();
-  participants_.clear();
-  version_ops_.clear();
-  failure_ = FailurePoint::kNone;
+  // kAborted for untracked ids); their write sets die with them.
+  records_.clear();
+  failure_.store(FailurePoint::kNone);
 }
 
 }  // namespace pjvm

@@ -1,6 +1,7 @@
 #ifndef PJVM_TXN_TXN_MANAGER_H_
 #define PJVM_TXN_TXN_MANAGER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <set>
@@ -41,53 +42,62 @@ enum class FailurePoint {
   kAfterDecision,
 };
 
-/// \brief One pending MVCC version operation, buffered per transaction
-/// until commit publish (autocommit ops publish immediately and never pass
-/// through here).
-struct TxnVersionOp {
-  int node;
+/// \brief One write of an explicit transaction, recorded once by the node
+/// that made it, under its latch, after the heap op succeeded.
+///
+/// The one list of these per transaction serves every commit and abort
+/// need: its nodes are the 2PC participants, its `op`s are the MVCC version
+/// ops published at the commit epoch (version identity is by content, never
+/// by lrid, which the free list recycles), and walked backwards it is the
+/// undo log. Undo is by row id: an undone insert frees `lrid`, an undone
+/// delete re-inserts `op.row` at `lrid`. Restoring a deleted row at its
+/// *original* lrid matters: committed global-index entries reference (node,
+/// lrid), so a compensating re-insert that landed anywhere else would leave
+/// them dangling. The slot is guaranteed free because a transactional delete
+/// reserves it (HeapFile::DeleteKeepSlot) until commit releases it.
+struct TxnWrite {
+  int node = 0;
   std::string table;
+  LocalRowId lrid = 0;
+  /// Kind, row (the inserted tuple or the delete victim) and the fragment's
+  /// shape right after the write.
   MvccOp op;
 };
 
-/// \brief One compensating action for rolling back an in-flight transaction.
-///
-/// Undo is by row id (delete the slot that was inserted / re-insert the row
-/// into the slot it was deleted from), applied in reverse order. Restoring a
-/// deleted row at its *original* lrid matters: committed global-index entries
-/// reference (node, lrid), so a compensating re-insert that lands anywhere
-/// else would leave them dangling. The slot is guaranteed free: transactional
-/// deletes reserve it (HeapFile::DeleteKeepSlot) until commit.
-struct UndoOp {
-  enum class Kind { kDeleteInserted, kReinsertDeleted } kind;
-  int node;
-  std::string table;
-  Row row;
-  LocalRowId lrid = 0;
+/// \brief The write set of one transaction: its writes in execution order
+/// and every node that must vote in 2PC (each write's node, plus nodes the
+/// transaction touched without a write, see TxnManager::AddParticipant).
+struct TxnWriteSet {
+  std::vector<TxnWrite> writes;
+  std::set<int> participants;
 };
 
 /// \brief Transaction coordinator: ids, states, the durable decision log,
-/// and per-transaction undo lists.
+/// and each in-flight transaction's write set.
 ///
 /// The execution engine (ParallelSystem) drives the 2PC protocol; this class
 /// holds the authoritative state it reads during recovery.
 ///
-/// All methods are guarded by one internal mutex: multiple client threads
-/// begin/commit transactions concurrently while per-node executor workers
-/// record participants and undo actions during parallel write fan-outs.
-/// Accessors return copies, never references into the guarded maps.
+/// Per-transaction working state is one record in one map: the lifecycle
+/// state plus the write set (TxnWriteSet) that undo, MVCC publish, the
+/// participant set and the release of reserved heap slots are all derived
+/// from. All methods but the failure injection (one atomic) are guarded by
+/// one internal mutex: multiple client threads begin/commit transactions
+/// concurrently while per-node executor workers record writes during
+/// parallel write fan-outs. Each write costs one acquisition; a commit
+/// costs four (prepare, take the write set, decision, forget).
 ///
-/// **Lifetime of per-transaction state.** Working state (`states_`, undo
-/// lists, participant sets) is dropped by `Forget()` once the engine
-/// finishes commit or abort processing — memory stays bounded under a
-/// sustained workload. The durable commit-decision set (`committed_ids_`)
-/// must outlive that: WAL replay after a crash asks `IsCommitted()` about
-/// any txn id appearing in a surviving log record. It is pruned only behind
-/// the durable low-water mark — `PruneCommittedBelow()` at checkpoint, when
-/// every node's WAL has been truncated and no id below the mark can appear
-/// in a future replay. `state()` reports `kCommitted` for any id in the
-/// decision set and `kAborted` for ids it no longer tracks, so forgetting a
-/// finished transaction never changes the answer an observer sees.
+/// **Lifetime of per-transaction state.** The record is dropped by
+/// `Forget()` once the engine finishes commit or abort processing — memory
+/// stays bounded under a sustained workload. The durable commit-decision set
+/// (`committed_ids_`) must outlive that: WAL replay after a crash asks
+/// `IsCommitted()` about any txn id appearing in a surviving log record. It
+/// is pruned only behind the durable low-water mark — `PruneCommittedBelow()`
+/// at checkpoint, when every node's WAL has been truncated and no id below
+/// the mark can appear in a future replay. `state()` reports `kCommitted`
+/// for any id in the decision set and `kAborted` for ids it no longer
+/// tracks, so forgetting a finished transaction never changes the answer an
+/// observer sees.
 class TxnManager {
  public:
   TxnManager() = default;
@@ -97,9 +107,6 @@ class TxnManager {
   uint64_t Begin();
 
   TxnState state(uint64_t txn_id) const;
-  bool IsActive(uint64_t txn_id) const {
-    return state(txn_id) == TxnState::kActive;
-  }
 
   /// True iff the coordinator durably decided commit (autocommit always is).
   bool IsCommitted(uint64_t txn_id) const;
@@ -113,33 +120,20 @@ class TxnManager {
   Status LogCommitDecision(uint64_t txn_id);
   Status MarkAborted(uint64_t txn_id);
 
-  /// Records a compensating action for an in-flight transaction.
-  void PushUndo(uint64_t txn_id, UndoOp op);
-  /// Takes (and clears) the undo list, most recent first.
-  std::vector<UndoOp> TakeUndoReversed(uint64_t txn_id);
-  /// Drops the undo list (on commit).
-  void DiscardUndo(uint64_t txn_id);
-
-  /// Buffers one MVCC version op to publish if this transaction commits
-  /// (snapshot reads enabled only). Safe from concurrent node workers.
-  void PushVersionOp(uint64_t txn_id, TxnVersionOp op);
-  /// Takes (and clears) the buffered version ops in execution order.
-  std::vector<TxnVersionOp> TakeVersionOps(uint64_t txn_id);
-
-  /// Records that `node` executed a write for this transaction (it must be
-  /// included in the 2PC vote round). Safe from concurrent node workers.
+  /// Appends one write to the transaction's write set and makes its node a
+  /// participant. Safe from concurrent node workers. A transaction the
+  /// coordinator no longer tracks (dropped by a crash) records nothing.
+  void RecordWrite(uint64_t txn_id, TxnWrite write);
+  /// Makes `node` a 2PC participant without a write (an escrow touch, whose
+  /// journal owns its own undo and version ops).
   void AddParticipant(uint64_t txn_id, int node);
+  /// Moves the write set out (empty for an untracked id, which stays
+  /// untracked). The lifecycle state stays until Forget().
+  TxnWriteSet TakeWriteSet(uint64_t txn_id);
 
-  /// Participants that executed writes for this transaction. Returns a
-  /// copy: the set mutates concurrently during parallel write fan-outs, and
-  /// a reference into the map would dangle once the transaction is
-  /// forgotten.
-  std::set<int> participants(uint64_t txn_id) const;
-
-  /// Drops the working state (lifecycle entry, undo list, participant set)
-  /// of a finished transaction. Call after commit/abort processing is
-  /// complete. The durable commit decision survives, so `state()` /
-  /// `IsCommitted()` keep answering correctly.
+  /// Drops the working state of a finished transaction. Call after
+  /// commit/abort processing is complete. The durable commit decision
+  /// survives, so `state()` / `IsCommitted()` keep answering correctly.
   void Forget(uint64_t txn_id);
 
   /// Erases commit decisions for txn ids `< low_water`. Only call when no
@@ -153,14 +147,11 @@ class TxnManager {
   uint64_t next_txn_id() const;
 
   /// Failure injection for tests; consumed on first trigger.
-  void InjectFailure(FailurePoint point) { failure_ = point; }
+  void InjectFailure(FailurePoint point) { failure_.store(point); }
   /// Returns true (and clears the injection) when `point` matches.
-  bool ShouldFailAt(FailurePoint point);
-
-  /// Ids of all transactions whose decision log says commit.
-  std::set<uint64_t> committed_ids() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return committed_ids_;
+  bool ShouldFailAt(FailurePoint point) {
+    return point != FailurePoint::kNone && failure_.load() == point &&
+           failure_.compare_exchange_strong(point, FailurePoint::kNone);
   }
 
   /// Number of transactions with live working state (tests / introspection:
@@ -173,14 +164,16 @@ class TxnManager {
   void CrashAndRecover();
 
  private:
+  struct Record {
+    TxnState state = TxnState::kActive;
+    TxnWriteSet write_set;
+  };
+
   mutable std::mutex mu_;
   uint64_t next_txn_id_ = 1;
-  std::unordered_map<uint64_t, TxnState> states_;
-  std::unordered_map<uint64_t, std::vector<UndoOp>> undo_;
-  std::unordered_map<uint64_t, std::vector<TxnVersionOp>> version_ops_;
-  std::unordered_map<uint64_t, std::set<int>> participants_;
+  std::unordered_map<uint64_t, Record> records_;
   std::set<uint64_t> committed_ids_;
-  FailurePoint failure_ = FailurePoint::kNone;
+  std::atomic<FailurePoint> failure_{FailurePoint::kNone};
 };
 
 }  // namespace pjvm

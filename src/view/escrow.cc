@@ -212,8 +212,8 @@ Status EscrowRegistry::ApplyEagerSynthetic(uint64_t txn, int node_id,
                                            const Row& synthetic) {
   // The escalated transaction's accumulated delta, replayed as one signed
   // contribution through the same probe / delete+insert sequence the eager
-  // path runs — WAL records, undo actions, and MVCC version ops all flow
-  // through the normal Node entry points from here on.
+  // path runs — WAL records and write-set entries flow through the normal
+  // Node entry points from here on.
   const int width = bound.StoredGroupWidth();
   const int pcol = bound.output_partition_col();
   Node* node = sys_->node(node_id);
@@ -280,8 +280,8 @@ Status EscrowRegistry::OnPrepare(uint64_t txn_id) {
   return Status::OK();
 }
 
-std::vector<TxnVersionOp> EscrowRegistry::OnCommitFold(uint64_t txn_id) {
-  std::vector<TxnVersionOp> ops;
+std::vector<TxnWrite> EscrowRegistry::OnCommitFold(uint64_t txn_id) {
+  std::vector<TxnWrite> ops;
   std::lock_guard<std::mutex> lock(mu_);
   auto rit = txn_refs_.find(txn_id);
   if (rit == txn_refs_.end()) return ops;
@@ -310,13 +310,15 @@ std::vector<TxnVersionOp> EscrowRegistry::OnCommitFold(uint64_t txn_id) {
     del.row = std::move(old_committed);
     del.pages_after = gs.pages;
     del.rows_after = gs.rows;
-    ops.push_back(TxnVersionOp{ref.second.first, ref.first, std::move(del)});
+    ops.push_back(
+        TxnWrite{ref.second.first, ref.first, gs.lrid, std::move(del)});
     MvccOp ins;
     ins.kind = MvccOp::Kind::kInsert;
     ins.row = gs.committed;
     ins.pages_after = gs.pages;
     ins.rows_after = gs.rows;
-    ops.push_back(TxnVersionOp{ref.second.first, ref.first, std::move(ins)});
+    ops.push_back(
+        TxnWrite{ref.second.first, ref.first, gs.lrid, std::move(ins)});
   }
   return ops;
 }

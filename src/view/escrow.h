@@ -64,13 +64,14 @@ namespace pjvm {
 /// in-flight bytes are a pure function of the journal, not of arrival
 /// history. The escrow_eager_equivalence tests compare fingerprints.
 ///
-/// **Durability.** Escrow rewrites bypass the per-op WAL/undo/MVCC plumbing
-/// (the journal owns rollback); instead OnPrepare appends one logical
-/// kEscrowDelta record per touched group to the owning node's WAL — covered
-/// by the 2PC prepare forces — and recovery adds the deltas back onto the
-/// prefix-matched group row. Replay order is safe because a group's birth
-/// (a physical insert under X) strictly precedes every escrow delta against
-/// it in the same log.
+/// **Durability.** Escrow rewrites bypass the per-op WAL record and the
+/// transaction's write set (the journal owns rollback and version ops; the
+/// touched node only joins the 2PC participants); instead OnPrepare appends
+/// one logical kEscrowDelta record per touched group to the owning node's
+/// WAL — covered by the 2PC prepare forces — and recovery adds the deltas
+/// back onto the prefix-matched group row. Replay order is safe because a
+/// group's birth (a physical insert under X) strictly precedes every escrow
+/// delta against it in the same log.
 ///
 /// Lifecycle integration is via ParallelSystem::SetTxnHook — see the
 /// TxnHook contract in engine/system.h. The journal mutex is a strict leaf:
@@ -100,7 +101,7 @@ class EscrowRegistry : public TxnHook {
   // TxnHook:
   bool HasState(uint64_t txn_id) const override;
   Status OnPrepare(uint64_t txn_id) override;
-  std::vector<TxnVersionOp> OnCommitFold(uint64_t txn_id) override;
+  std::vector<TxnWrite> OnCommitFold(uint64_t txn_id) override;
   Status OnCommitFinalize(uint64_t txn_id) override;
   void OnAbort(uint64_t txn_id) override;
 

@@ -68,7 +68,6 @@ HeavyLightClassifier::ColumnStatsEntry& HeavyLightClassifier::StatsFor(
 }
 
 void HeavyLightClassifier::RecordOps(const std::string& table, size_t ops) {
-  if (stats_refresh_ops_ <= 0) return;  // Build once, never refresh.
   std::lock_guard<std::mutex> lock(mu_);
   size_t& since = ops_since_build_[table];
   since += ops;

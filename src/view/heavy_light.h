@@ -14,6 +14,10 @@
 
 namespace pjvm {
 
+/// Maintenance rows per table between the ViewManager classifier's
+/// statistics rebuilds.
+inline constexpr int kStatsRefreshOps = 1024;
+
 /// \brief Histogram-backed heavy/light key classifier (Abo-Khamis et al.:
 /// maintain queries under updates by partitioning keys into a heavy and a
 /// light regime).
@@ -33,9 +37,9 @@ namespace pjvm {
 ///
 /// Statistics freshness: histograms are built lazily per (table, column) on
 /// first use and invalidated when RecordOps observes `stats_refresh_ops`
-/// maintenance rows applied to the table since the last build (0 = never —
-/// the pre-fix behaviour, which left a sustained Zipf stream scored against
-/// yesterday's distribution).
+/// maintenance rows applied to the table since the last build (building
+/// only once left a sustained Zipf stream scored against yesterday's
+/// distribution).
 ///
 /// Thread safety: internally locked; histogram builds read the live
 /// fragments under shared node latches.

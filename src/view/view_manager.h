@@ -63,8 +63,8 @@ class ViewManager {
  public:
   explicit ViewManager(ParallelSystem* sys) : sys_(sys), structures_(sys) {
     if (sys->config().heavy_light) {
-      classifier_ = std::make_unique<HeavyLightClassifier>(
-          sys, sys->config().stats_refresh_ops);
+      classifier_ =
+          std::make_unique<HeavyLightClassifier>(sys, kStatsRefreshOps);
     }
     // Escrow needs the V/X lock protocol to mean anything: without locking
     // there is no eager X serialization to relax, and the byte-for-byte

@@ -119,8 +119,8 @@ TEST(HeavyLightClassifierTest, HysteresisPromotesAtThresholdDemotesAtHalf) {
 TEST(HeavyLightClassifierTest, StatsRefreshFollowsHotKeyDrift) {
   // Regression for the stale-statistics bug: histograms were built once and
   // never refreshed, so after the hot key drifts the classifier kept
-  // scoring yesterday's distribution. stats_refresh_ops = 0 preserves that
-  // behaviour for contrast.
+  // scoring yesterday's distribution. A threshold the test never reaches
+  // preserves that behaviour for contrast.
   SystemConfig cfg;
   cfg.num_nodes = 1;
   ParallelSystem sys(cfg);
@@ -139,7 +139,7 @@ TEST(HeavyLightClassifierTest, StatsRefreshFollowsHotKeyDrift) {
   }
 
   HeavyLightClassifier refreshing(&sys, /*stats_refresh_ops=*/8);
-  HeavyLightClassifier stale(&sys, /*stats_refresh_ops=*/0);
+  HeavyLightClassifier stale(&sys, /*stats_refresh_ops=*/1000);
   const Value key0{int64_t{0}};
   const Value key5{int64_t{5}};
   EXPECT_TRUE(refreshing.HeavyKey("B", 1, key0));

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <mutex>
+#include <random>
 #include <set>
 #include <thread>
 #include <vector>
@@ -277,7 +279,7 @@ TEST(GroupCommitTest, CheckpointRidesOutInFlightForceRound) {
 TEST(TxnManagerTest, LifecycleStates) {
   TxnManager mgr;
   uint64_t t = mgr.Begin();
-  EXPECT_TRUE(mgr.IsActive(t));
+  EXPECT_EQ(mgr.state(t), TxnState::kActive);
   EXPECT_FALSE(mgr.IsCommitted(t));
   ASSERT_TRUE(mgr.MarkPreparing(t).ok());
   ASSERT_TRUE(mgr.LogCommitDecision(t).ok());
@@ -304,16 +306,26 @@ TEST(TxnManagerTest, CannotCommitAborted) {
   EXPECT_FALSE(mgr.LogCommitDecision(t).ok());
 }
 
+TxnWrite InsertWrite(int node, int64_t v) {
+  TxnWrite w;
+  w.node = node;
+  w.table = "T";
+  w.op.kind = MvccOp::Kind::kInsert;
+  w.op.row = {Value{v}};
+  return w;
+}
+
 TEST(TxnManagerTest, UndoIsReversedAndConsumed) {
   TxnManager mgr;
   uint64_t t = mgr.Begin();
-  mgr.PushUndo(t, {UndoOp::Kind::kDeleteInserted, 0, "T", {Value{1}}});
-  mgr.PushUndo(t, {UndoOp::Kind::kDeleteInserted, 0, "T", {Value{2}}});
-  auto ops = mgr.TakeUndoReversed(t);
-  ASSERT_EQ(ops.size(), 2u);
-  EXPECT_EQ(ops[0].row[0], Value{2});
-  EXPECT_EQ(ops[1].row[0], Value{1});
-  EXPECT_TRUE(mgr.TakeUndoReversed(t).empty());
+  mgr.RecordWrite(t, InsertWrite(0, 1));
+  mgr.RecordWrite(t, InsertWrite(0, 2));
+  // The write set keeps execution order; abort undoes it back to front.
+  TxnWriteSet ws = mgr.TakeWriteSet(t);
+  ASSERT_EQ(ws.writes.size(), 2u);
+  EXPECT_EQ(ws.writes.rbegin()[0].op.row[0], Value{2});
+  EXPECT_EQ(ws.writes.rbegin()[1].op.row[0], Value{1});
+  EXPECT_TRUE(mgr.TakeWriteSet(t).writes.empty());
 }
 
 TEST(TxnManagerTest, CrashAbortsInFlight) {
@@ -329,14 +341,15 @@ TEST(TxnManagerTest, CrashAbortsInFlight) {
 TEST(TxnManagerTest, ForgetDropsWorkingStateButKeepsDecision) {
   TxnManager mgr;
   uint64_t t = mgr.Begin();
-  mgr.PushUndo(t, {UndoOp::Kind::kDeleteInserted, 0, "T", {Value{1}}});
+  mgr.RecordWrite(t, InsertWrite(0, 1));
   mgr.AddParticipant(t, 2);
   ASSERT_TRUE(mgr.LogCommitDecision(t).ok());
   EXPECT_EQ(mgr.TrackedCount(), 1u);
   mgr.Forget(t);
   EXPECT_EQ(mgr.TrackedCount(), 0u);
-  EXPECT_TRUE(mgr.participants(t).empty());
-  EXPECT_TRUE(mgr.TakeUndoReversed(t).empty());
+  TxnWriteSet ws = mgr.TakeWriteSet(t);
+  EXPECT_TRUE(ws.participants.empty());
+  EXPECT_TRUE(ws.writes.empty());
   // The durable decision outlives the working state.
   EXPECT_TRUE(mgr.IsCommitted(t));
   EXPECT_EQ(mgr.state(t), TxnState::kCommitted);
@@ -347,11 +360,13 @@ TEST(TxnManagerTest, ParticipantsReturnsCopyWithoutInserting) {
   uint64_t t = mgr.Begin();
   // Asking about a transaction with no participants must not create an
   // entry (the old by-reference accessor default-inserted one).
-  EXPECT_TRUE(mgr.participants(t).empty());
-  EXPECT_TRUE(mgr.participants(9999).empty());
+  EXPECT_TRUE(mgr.TakeWriteSet(t).participants.empty());
+  EXPECT_TRUE(mgr.TakeWriteSet(9999).participants.empty());
+  mgr.AddParticipant(9999, 2);
+  EXPECT_EQ(mgr.TrackedCount(), 1u);  // only t: 9999 never became tracked
   mgr.AddParticipant(t, 1);
   mgr.AddParticipant(t, 3);
-  EXPECT_EQ(mgr.participants(t), (std::set<int>{1, 3}));
+  EXPECT_EQ(mgr.TakeWriteSet(t).participants, (std::set<int>{1, 3}));
 }
 
 TEST(TxnManagerTest, PruneCommittedBelowDropsOnlyOldDecisions) {
@@ -364,18 +379,20 @@ TEST(TxnManagerTest, PruneCommittedBelowDropsOnlyOldDecisions) {
   EXPECT_FALSE(mgr.IsCommitted(t1));
   EXPECT_TRUE(mgr.IsCommitted(t2));
   EXPECT_EQ(mgr.PruneCommittedBelow(mgr.next_txn_id()), 1u);
-  EXPECT_TRUE(mgr.committed_ids().empty());
+  EXPECT_FALSE(mgr.IsCommitted(t2));
+  EXPECT_EQ(mgr.PruneCommittedBelow(mgr.next_txn_id()), 0u);
 }
 
 TEST(TxnManagerTest, CrashClearsParticipantsAndUndo) {
   TxnManager mgr;
   uint64_t t = mgr.Begin();
   mgr.AddParticipant(t, 0);
-  mgr.PushUndo(t, {UndoOp::Kind::kDeleteInserted, 0, "T", {Value{1}}});
+  mgr.RecordWrite(t, InsertWrite(0, 1));
   mgr.CrashAndRecover();
   EXPECT_EQ(mgr.TrackedCount(), 0u);
-  EXPECT_TRUE(mgr.participants(t).empty());
-  EXPECT_TRUE(mgr.TakeUndoReversed(t).empty());
+  TxnWriteSet ws = mgr.TakeWriteSet(t);
+  EXPECT_TRUE(ws.participants.empty());
+  EXPECT_TRUE(ws.writes.empty());
 }
 
 // ------------------------------------------------- System-level txn + 2PC
@@ -600,11 +617,13 @@ TEST(SystemTxnTest, RecoveryPreservesExactContents) {
 TEST(SystemTxnTest, FinishedTransactionsAreForgotten) {
   ParallelSystem sys(SmallConfig());
   ASSERT_TRUE(sys.CreateTable(HashTableDef("A", "a")).ok());
+  std::vector<uint64_t> committed;
   for (int64_t k = 0; k < 6; ++k) {
     uint64_t t = sys.Begin();
     ASSERT_TRUE(sys.Insert("A", {Value{k}, Value{k}}, t).ok());
     if (k % 2 == 0) {
       ASSERT_TRUE(sys.Commit(t).ok());
+      committed.push_back(t);
     } else {
       ASSERT_TRUE(sys.Abort(t).ok());
     }
@@ -613,10 +632,11 @@ TEST(SystemTxnTest, FinishedTransactionsAreForgotten) {
     EXPECT_EQ(sys.txns().TrackedCount(), 0u);
   }
   // The committed ids survive (WAL replay may still ask about them)...
-  EXPECT_EQ(sys.txns().committed_ids().size(), 3u);
+  ASSERT_EQ(committed.size(), 3u);
+  for (uint64_t t : committed) EXPECT_TRUE(sys.txns().IsCommitted(t));
   // ...until a checkpoint truncates every node's log.
   ASSERT_TRUE(sys.Checkpoint().ok());
-  EXPECT_TRUE(sys.txns().committed_ids().empty());
+  for (uint64_t t : committed) EXPECT_FALSE(sys.txns().IsCommitted(t));
   // Recovery from the checkpoint still yields the committed contents.
   sys.Crash();
   ASSERT_TRUE(sys.Recover().ok());
@@ -651,6 +671,24 @@ TEST(SystemTxnTest, CommitsAfterCheckpointReplayWithMonotonicLsns) {
   EXPECT_TRUE(sys.CheckInvariants().ok());
 }
 
+TEST(SystemTxnTest, FailedNodeInsertLeavesNoLogRecord) {
+  // Regression: Node::Insert logged the row (and joined the transaction)
+  // before the fragment validated it, so a transaction that committed after
+  // one rejected insert left a WAL record replay could not apply.
+  ParallelSystem sys(SmallConfig());
+  ASSERT_TRUE(sys.CreateTable(HashTableDef("A", "a")).ok());
+  uint64_t t = sys.Begin();
+  EXPECT_TRUE(sys.node(0)
+                  ->Insert(t, "A", {Value{"x"}, Value{1}})
+                  .status()
+                  .IsInvalidArgument());
+  ASSERT_TRUE(sys.Insert("A", {Value{1}, Value{1}}, t).ok());
+  ASSERT_TRUE(sys.Commit(t).ok());
+  sys.Crash();
+  ASSERT_TRUE(sys.Recover().ok());
+  EXPECT_EQ(sys.RowCount("A"), 1u);
+}
+
 TEST(SystemTxnTest, MultiTableTransactionIsAtomic) {
   ParallelSystem sys(SmallConfig());
   ASSERT_TRUE(sys.CreateTable(HashTableDef("A", "a")).ok());
@@ -664,6 +702,217 @@ TEST(SystemTxnTest, MultiTableTransactionIsAtomic) {
   // Neither table kept its row: no partial commit.
   EXPECT_EQ(sys.RowCount("A"), 0u);
   EXPECT_EQ(sys.RowCount("B"), 0u);
+}
+
+// ------------------------------------------------- Randomized transactions
+//
+// Seeded random transactions checked against a model. Each runs 1-8 ops
+// over a hash-partitioned table indexed on `c` ("H") and a round-robin table
+// ("R"): insert a fresh row, delete a committed row, delete a row it
+// inserted itself, or re-insert a row it deleted. It then commits, aborts,
+// or commits into an injected crash followed by recovery. After each one the
+// rows equal the model, and every committed row an aborted transaction
+// deleted is back at its original global row id (the slot its delete
+// reserved).
+
+class RandomTxnClient {
+ public:
+  // Rows get `a` keys from `key_base` up and `c` values in [c_base, c_base+5),
+  // so clients with disjoint bases never touch each other's rows or keys.
+  RandomTxnClient(ParallelSystem* sys, uint64_t seed, int64_t key_base,
+                  int64_t c_base)
+      : sys_(sys), rng_(seed), next_key_(key_base), c_base_(c_base) {}
+
+  static void CreateTables(ParallelSystem* sys) {
+    TableDef h = HashTableDef("H", "a");
+    h.indexes.push_back({"c", false});
+    ASSERT_TRUE(sys->CreateTable(h).ok());
+    TableDef r = HashTableDef("R", "a");
+    r.partition = PartitionSpec::RoundRobin();
+    ASSERT_TRUE(sys->CreateTable(r).ok());
+  }
+
+  // Runs one random transaction and updates the model; a crash end is only
+  // drawn when `allow_crash`. Failed expectations are reported to gtest.
+  void RunOne(bool allow_crash) {
+    RunningTxn txn{sys_->Begin(), model_, {}, {}, {}};
+    const int ops = 1 + Draw(8);
+    for (int i = 0; i < ops; ++i) {
+      const int kind = Draw(4);
+      TableRow target;
+      if (kind == 1 && PickCommitted(txn, &target)) {
+        Result<GlobalRowId> gid =
+            sys_->LocateExact(target.first, target.second);
+        ASSERT_TRUE(gid.ok()) << gid.status().ToString();
+        txn.committed_gids.emplace(target, *gid);
+        Delete(&txn, target);
+      } else if (kind == 2 && Pick(txn.inserted, &target)) {
+        Delete(&txn, target);
+      } else if (kind == 3 && Pick(txn.deleted, &target)) {
+        Insert(&txn, target);
+      } else {
+        target.first = Draw(2) == 0 ? "H" : "R";
+        target.second = {Value{next_key_++}, Value{c_base_ + Draw(5)}};
+        owned_.insert(target.second);
+        Insert(&txn, target);
+      }
+    }
+    const int end = Draw(allow_crash ? 3 : 2);
+    ++ends[end];
+    if (end == 0) {
+      ASSERT_TRUE(sys_->Commit(txn.id).ok());
+      model_ = std::move(txn.working);
+    } else if (end == 1) {
+      ASSERT_TRUE(sys_->Abort(txn.id).ok());
+      for (const auto& [target, gid] : txn.committed_gids) {
+        Result<GlobalRowId> now =
+            sys_->LocateExact(target.first, target.second);
+        ASSERT_TRUE(now.ok()) << RowToString(target.second);
+        EXPECT_EQ(*now, gid) << "aborted delete moved "
+                             << RowToString(target.second);
+        ++restored_rows;
+      }
+    } else {
+      const FailurePoint point = static_cast<FailurePoint>(1 + Draw(3));
+      sys_->txns().InjectFailure(point);
+      EXPECT_TRUE(sys_->Commit(txn.id).IsAborted());
+      ASSERT_TRUE(sys_->Recover().ok());
+      if (point == FailurePoint::kAfterDecision) {
+        model_ = std::move(txn.working);
+      }
+    }
+  }
+
+  // How many transactions committed, aborted and crashed.
+  int ends[3] = {0, 0, 0};
+  // Committed rows whose aborted delete was checked to restore the row id.
+  int restored_rows = 0;
+
+  // The rows of `table` this client inserted that are there now, sorted.
+  std::vector<Row> Owned(const std::string& table) const {
+    std::vector<Row> rows;
+    for (Row& row : sys_->ScanAll(table)) {
+      if (owned_.count(row) > 0) rows.push_back(std::move(row));
+    }
+    return Sorted(std::move(rows));
+  }
+
+  // The model's committed rows of `table`, sorted.
+  std::vector<Row> Expected(const std::string& table) const {
+    std::vector<Row> rows;
+    for (const TableRow& row : model_) {
+      if (row.first == table) rows.push_back(row.second);
+    }
+    return Sorted(std::move(rows));
+  }
+
+ private:
+  using TableRow = std::pair<std::string, Row>;
+
+  struct RunningTxn {
+    uint64_t id;
+    std::set<TableRow> working;         // the rows as this txn sees them
+    std::set<TableRow> inserted;        // present rows it inserted
+    std::set<TableRow> deleted;         // absent rows it deleted
+    std::map<TableRow, GlobalRowId> committed_gids;  // before its delete
+  };
+
+  int Draw(int n) {
+    return std::uniform_int_distribution<int>(0, n - 1)(rng_);
+  }
+
+  bool Pick(const std::set<TableRow>& from, TableRow* out) {
+    if (from.empty()) return false;
+    *out = *std::next(from.begin(), Draw(static_cast<int>(from.size())));
+    return true;
+  }
+
+  // A committed row the transaction still sees.
+  bool PickCommitted(const RunningTxn& txn, TableRow* out) {
+    std::set<TableRow> candidates;
+    for (const TableRow& row : model_) {
+      if (txn.working.count(row) > 0) candidates.insert(row);
+    }
+    return Pick(candidates, out);
+  }
+
+  void Insert(RunningTxn* txn, const TableRow& target) {
+    ASSERT_TRUE(sys_->Insert(target.first, target.second, txn->id).ok());
+    txn->working.insert(target);
+    txn->deleted.erase(target);
+    txn->inserted.insert(target);
+  }
+
+  void Delete(RunningTxn* txn, const TableRow& target) {
+    ASSERT_TRUE(sys_->DeleteExact(target.first, target.second, txn->id).ok());
+    txn->working.erase(target);
+    txn->inserted.erase(target);
+    txn->deleted.insert(target);
+  }
+
+  ParallelSystem* sys_;
+  std::mt19937_64 rng_;
+  int64_t next_key_;
+  int64_t c_base_;
+  std::set<TableRow> model_;  // committed rows
+  std::set<Row> owned_;       // every row this client ever inserted
+};
+
+void RunRandomTransactions(bool mvcc_reads) {
+  SystemConfig cfg = SmallConfig();
+  cfg.mvcc_reads = mvcc_reads;
+  ParallelSystem sys(cfg);
+  RandomTxnClient::CreateTables(&sys);
+  RandomTxnClient client(&sys, /*seed=*/20021, /*key_base=*/0, /*c_base=*/0);
+  for (int i = 0; i < 400; ++i) {
+    SCOPED_TRACE("transaction " + std::to_string(i));
+    client.RunOne(/*allow_crash=*/true);
+    if (::testing::Test::HasFatalFailure()) return;
+    ASSERT_EQ(client.Owned("H"), client.Expected("H"));
+    ASSERT_EQ(client.Owned("R"), client.Expected("R"));
+    ASSERT_TRUE(sys.CheckInvariants().ok());
+    ASSERT_EQ(sys.txns().TrackedCount(), 0u);
+  }
+  // The seed exercises every end and the lrid-exact undo.
+  EXPECT_GT(client.ends[0], 50);
+  EXPECT_GT(client.ends[1], 50);
+  EXPECT_GT(client.ends[2], 50);
+  EXPECT_GT(client.restored_rows, 50);
+}
+
+TEST(RandomTxnTest, MatchesModelLiveReads) { RunRandomTransactions(false); }
+
+TEST(RandomTxnTest, MatchesModelSnapshotReads) { RunRandomTransactions(true); }
+
+TEST(RandomTxnTest, ConcurrentClientsOnDisjointKeysWithLocking) {
+  // Four clients, each on its own keys, so no lock ever conflicts; they
+  // share the nodes, their latches, the round-robin counter and the
+  // coordinator. No crashes: a crash is system-wide.
+  SystemConfig cfg = SmallConfig();
+  cfg.enable_locking = true;
+  ParallelSystem sys(cfg);
+  RandomTxnClient::CreateTables(&sys);
+  constexpr int kClients = 4;
+  std::vector<std::unique_ptr<RandomTxnClient>> clients;
+  for (int i = 0; i < kClients; ++i) {
+    clients.push_back(std::make_unique<RandomTxnClient>(
+        &sys, /*seed=*/7 + i, /*key_base=*/int64_t{1000000} * i,
+        /*c_base=*/100 * i));
+  }
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kClients; ++i) {
+    threads.emplace_back([&, i] {
+      for (int n = 0; n < 100; ++n) {
+        clients[i]->RunOne(/*allow_crash=*/false);
+        if (::testing::Test::HasFailure()) return;
+        EXPECT_EQ(clients[i]->Owned("H"), clients[i]->Expected("H"));
+        EXPECT_EQ(clients[i]->Owned("R"), clients[i]->Expected("R"));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_TRUE(sys.CheckInvariants().ok());
+  EXPECT_EQ(sys.txns().TrackedCount(), 0u);
 }
 
 }  // namespace
