@@ -4,6 +4,7 @@
 #include <iterator>
 #include <map>
 #include <tuple>
+#include <unordered_map>
 
 #include "net/network.h"
 #include "obs/trace.h"
@@ -63,13 +64,15 @@ Result<std::vector<Maintainer::Partial>> Maintainer::GlobalIndexStep(
         // Fold mode (heavy/light deferred folds): the batch repeats a few
         // hot keys, so the GI rid-list lookup is memoized per distinct key —
         // one SEARCH serves every duplicate. Eager mode probes per tuple.
-        std::map<std::string, std::map<int, std::vector<LocalRowId>>> memo;
+        std::unordered_map<Value, std::map<int, std::vector<LocalRowId>>,
+                           ValueHash>
+            memo;
         for (size_t i : at_home[gi_home]) {
           const Partial& p = in[i];
           const Value& key = p.working[key_idx];
           std::map<int, std::vector<LocalRowId>>* grouped = nullptr;
           std::map<int, std::vector<LocalRowId>> rids_by_node;
-          auto it = fold_mode_ ? memo.find(key.ToString()) : memo.end();
+          auto it = fold_mode_ ? memo.find(key) : memo.end();
           if (it != memo.end()) {
             grouped = &it->second;
           } else {
@@ -86,7 +89,7 @@ Result<std::vector<Maintainer::Partial>> Maintainer::GlobalIndexStep(
                       static_cast<LocalRowId>(entry[kGiLridCol].AsInt64()));
             }
             grouped = fold_mode_
-                          ? &memo.emplace(key.ToString(), std::move(rids_by_node))
+                          ? &memo.emplace(key, std::move(rids_by_node))
                                  .first->second
                           : &rids_by_node;
           }
@@ -145,13 +148,13 @@ Result<std::vector<Maintainer::Partial>> Maintainer::GlobalIndexStep(
         // Fold mode: duplicates of a key fetch the same rid list, so the
         // selected-and-projected target tuples are memoized per key — the
         // heap FETCHes (and their charges) are paid once per distinct key.
-        std::map<std::string, std::vector<Row>> memo;
+        std::unordered_map<Value, std::vector<Row>, ValueHash> memo;
         for (FetchWork* w : by_owner[owner]) {
           const Partial& p = in[w->partial_idx];
           const Value& key = p.working[key_idx];
           const std::vector<Row>* needed_rows = nullptr;
           std::vector<Row> fresh;
-          auto it = fold_mode_ ? memo.find(key.ToString()) : memo.end();
+          auto it = fold_mode_ ? memo.find(key) : memo.end();
           if (it != memo.end()) {
             needed_rows = &it->second;
           } else {
@@ -185,11 +188,11 @@ Result<std::vector<Maintainer::Partial>> Maintainer::GlobalIndexStep(
                 dist_clustered ? (fetched_rows > 0 ? 1 : 0) : fetched_rows);
             needed_rows =
                 fold_mode_
-                    ? &memo.emplace(key.ToString(), std::move(fresh)).first->second
+                    ? &memo.emplace(key, std::move(fresh)).first->second
                     : &fresh;
           }
           for (const Row& needed : *needed_rows) {
-            PJVM_RETURN_NOT_OK(Extend(step, p, needed, owner, &w->out));
+            PJVM_RETURN_NOT_OK(Extend(step, p.working, needed, owner, &w->out));
           }
         }
         return Status::OK();

@@ -4,9 +4,9 @@
 #include <cmath>
 #include <iterator>
 #include <map>
+#include <unordered_map>
 
 #include "exec/join_chooser.h"
-#include "exec/local_join.h"
 #include "net/network.h"
 #include "obs/trace.h"
 #include "view/merged_storage.h"
@@ -229,11 +229,11 @@ Result<bool> Maintainer::ResidualOk(const PlanStep& step,
   return true;
 }
 
-Status Maintainer::Extend(const PlanStep& step, const Partial& partial,
+Status Maintainer::Extend(const PlanStep& step, const Row& working,
                           const Row& target_needed, int at_node,
                           std::vector<Partial>* out) const {
   Partial extended;
-  extended.working = partial.working;
+  extended.working = working;
   for (size_t j = 0; j < target_needed.size(); ++j) {
     extended.working[bound().needed_offset(step.target_base) + j] =
         target_needed[j];
@@ -256,15 +256,17 @@ Maintainer::ProbeTarget Maintainer::BaseProbeTarget(const PlanStep& step) const 
 
 Status Maintainer::ProbeGroupAtNode(uint64_t txn, const PlanStep& step,
                                     const ProbeTarget& target, int node,
-                                    std::vector<const Partial*> group,
-                                    int key_idx, double per_tuple_index_io,
+                                    std::span<const Row* const> group,
+                                    int key_idx, const OuterKeyGroups* keys,
+                                    double per_tuple_index_io,
                                     MaintenanceReport* report,
                                     std::vector<Partial>* out) {
   if (group.empty()) return Status::OK();
   Node* n = sys_->node(node);
   // The whole probe reads the fragment directly (FindIndex, num_pages, and
   // the join itself); the latch is recursive, so the nested IndexProbe /
-  // SortMergeJoinFragment latches on the same node are fine.
+  // SortMergeJoinFragment latches on the same node are fine. Holding it
+  // across the join also keeps the matched rows' pointers valid.
   NodeLatchGuard latch(*n, LatchMode::kShared);
   TableFragment* frag = n->fragment(target.table);
   if (frag == nullptr) {
@@ -285,10 +287,10 @@ Status Maintainer::ProbeGroupAtNode(uint64_t txn, const PlanStep& step,
     choice.algorithm = JoinAlgorithm::kSortMerge;
   }
 
-  auto accept = [&](const Partial& partial, const Row& probed) -> Status {
+  auto accept = [&](const Row& working, const Row& probed) -> Status {
     if (!RowPassesPreds(probed, target.preds)) return Status::OK();
     Row needed = ProjectRow(probed, target.needed_map);
-    return Extend(step, partial, needed, node, out);
+    return Extend(step, working, needed, node, out);
   };
 
   if (choice.algorithm == JoinAlgorithm::kIndexNestedLoops) {
@@ -296,13 +298,13 @@ Status Maintainer::ProbeGroupAtNode(uint64_t txn, const PlanStep& step,
     // probe per distinct key serves every duplicate (that amortization is
     // the point of deferring). Eager mode probes per tuple, unmemoized, so
     // its cost accounting is unchanged.
-    std::map<std::string, ProbeResult> memo;
-    for (const Partial* partial : group) {
-      const Value& key = partial->working[key_idx];
+    std::unordered_map<Value, ProbeResult, ValueHash> memo;
+    for (const Row* working : group) {
+      const Value& key = (*working)[key_idx];
       const ProbeResult* probe = nullptr;
       ProbeResult fresh;
       if (fold_mode_) {
-        auto [it, missing] = memo.try_emplace(key.ToString());
+        auto [it, missing] = memo.try_emplace(key);
         if (missing) {
           PJVM_ASSIGN_OR_RETURN(
               it->second,
@@ -317,24 +319,23 @@ Status Maintainer::ProbeGroupAtNode(uint64_t txn, const PlanStep& step,
         probe = &fresh;
       }
       for (const Row& row : probe->rows) {
-        PJVM_RETURN_NOT_OK(accept(*partial, row));
+        PJVM_RETURN_NOT_OK(accept(*working, row));
       }
     }
   } else {
-    std::vector<Row> outer;
-    outer.reserve(group.size());
-    for (const Partial* partial : group) outer.push_back(partial->working);
+    OuterKeyGroups own_keys;
+    if (keys == nullptr) {
+      own_keys = GroupOuterKeys(group, key_idx);
+      keys = &own_keys;
+    }
     PJVM_ASSIGN_OR_RETURN(
-        std::vector<JoinedPair> pairs,
-        SortMergeJoinFragment(n, target.table, target.probe_col, outer, key_idx,
+        std::vector<LocalJoinMatch> matches,
+        SortMergeJoinFragment(n, target.table, target.probe_col, *keys,
                               sys_->config().sort_memory_pages, &sys_->cost(),
                               txn));
     ++report->probes;
-    Partial scratch;
-    for (JoinedPair& pair : pairs) {
-      scratch.working = std::move(pair.outer);
-      scratch.node = node;
-      PJVM_RETURN_NOT_OK(accept(scratch, pair.inner));
+    for (const LocalJoinMatch& m : matches) {
+      PJVM_RETURN_NOT_OK(accept(*group[m.outer], *m.inner));
     }
   }
   return Status::OK();
@@ -361,16 +362,18 @@ Result<std::vector<Maintainer::Partial>> Maintainer::BroadcastStep(
   double fan = EstimateFanout(step.target_base, step.target_col);
   double per_tuple =
       1.0 + (clustered ? 0.0 : fan / static_cast<double>(sys_->num_nodes()));
-  std::vector<const Partial*> group;
+  // One read-only group, and its grouping by key, serve all L node tasks.
+  std::vector<const Row*> group;
   group.reserve(in.size());
-  for (const Partial& p : in) group.push_back(&p);
+  for (const Partial& p : in) group.push_back(&p.working);
+  OuterKeyGroups keys = GroupOuterKeys(group, key_idx);
   std::vector<int> nodes(sys_->num_nodes());
   for (int node = 0; node < sys_->num_nodes(); ++node) nodes[node] = node;
   return ProbeOnNodes(
       nodes,
       [&](int node, MaintenanceReport* rep, std::vector<Partial>* out) {
         return ProbeGroupAtNode(txn, step, target, node, group, key_idx,
-                                per_tuple, rep, out);
+                                &keys, per_tuple, rep, out);
       },
       report);
 }
@@ -398,20 +401,20 @@ Result<std::vector<Maintainer::Partial>> Maintainer::RoutedStep(
   return ProbeOnNodes(
       dests,
       [&](int dest, MaintenanceReport* rep, std::vector<Partial>* out) {
-        std::vector<const Partial*> group;
+        std::vector<const Row*> group;
         group.reserve(at_home[dest].size());
-        for (size_t i : at_home[dest]) group.push_back(&in[i]);
+        for (size_t i : at_home[dest]) group.push_back(&in[i].working);
         if (target.merged == nullptr) {
-          return ProbeGroupAtNode(txn, step, target, dest, std::move(group),
-                                  key_idx, /*per_tuple_index_io=*/1.0, rep,
-                                  out);
+          return ProbeGroupAtNode(txn, step, target, dest, group, key_idx,
+                                  /*keys=*/nullptr,
+                                  /*per_tuple_index_io=*/1.0, rep, out);
         }
-        for (const Partial* partial : group) {
+        for (const Row* working : group) {
           ++rep->probes;
           PJVM_RETURN_NOT_OK(target.merged->ProbeMember(
               txn, dest, step.target_base, step.target_col,
-              partial->working[key_idx], [&](const Row& needed) {
-                return Extend(step, *partial, needed, dest, out);
+              (*working)[key_idx], [&](const Row& needed) {
+                return Extend(step, *working, needed, dest, out);
               }));
         }
         return Status::OK();

@@ -3,10 +3,12 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "engine/system.h"
+#include "exec/local_join.h"
 #include "storage/row_id.h"
 #include "view/materialized_view.h"
 #include "view/planner.h"
@@ -145,9 +147,10 @@ class Maintainer {
   /// True iff all of the step's residual edges hold on `working`.
   Result<bool> ResidualOk(const PlanStep& step, const Row& working) const;
 
-  /// Extends `partial` with one probed target tuple (already in needed
-  /// form), runs residual checks, and appends to `out` at node `at_node`.
-  Status Extend(const PlanStep& step, const Partial& partial,
+  /// Extends a partial's `working` row with one probed target tuple (already
+  /// in needed form), runs residual checks, and appends to `out` at node
+  /// `at_node`. This is the one copy a step makes of each output row.
+  Status Extend(const PlanStep& step, const Row& working,
                 const Row& target_needed, int at_node,
                 std::vector<Partial>* out) const;
 
@@ -194,13 +197,17 @@ class Maintainer {
   /// ProbeTarget for the raw base table of `step.target_base`.
   ProbeTarget BaseProbeTarget(const PlanStep& step) const;
 
-  /// Joins `group` (partials already located at `node`) against the probe
-  /// target's fragment there, choosing index-nested-loops vs sort-merge by
-  /// cost (`per_tuple_index_io` is the estimated index I/O per outer tuple
-  /// at this node). Extends matches into `out` at `node`.
+  /// Joins `group` (the working rows of partials already located at `node`)
+  /// against the probe target's fragment there, choosing index-nested-loops
+  /// vs sort-merge by cost (`per_tuple_index_io` is the estimated index I/O
+  /// per outer tuple at this node). Extends matches into `out` at `node`.
+  /// `group` and `keys` (the group grouped by key, when the caller shares
+  /// one grouping across a step's nodes; null to group here if the
+  /// sort-merge join runs) are only read.
   Status ProbeGroupAtNode(uint64_t txn, const PlanStep& step,
                           const ProbeTarget& target, int node,
-                          std::vector<const Partial*> group, int key_idx,
+                          std::span<const Row* const> group, int key_idx,
+                          const OuterKeyGroups* keys,
                           double per_tuple_index_io, MaintenanceReport* report,
                           std::vector<Partial>* out);
 

@@ -93,7 +93,8 @@ std::string MaintenancePlan::ToString(const BoundView& view) const {
 namespace {
 
 /// Shared greedy loop: `score(candidate)` returns the estimated fanout used
-/// to rank candidates.
+/// to rank candidates. A step with a single candidate is forced and is not
+/// scored: the estimate could not change the plan.
 Result<MaintenancePlan> GreedyPlan(
     const BoundView& view, int updated_base,
     const std::function<double(const Candidate&)>& score) {
@@ -111,7 +112,7 @@ Result<MaintenancePlan> GreedyPlan(
                               std::to_string(updated_base));
     }
     const Candidate* best = &candidates[0];
-    double best_fanout = score(*best);
+    double best_fanout = candidates.size() > 1 ? score(*best) : 0.0;
     for (size_t i = 1; i < candidates.size(); ++i) {
       double f = score(candidates[i]);
       if (f < best_fanout) {

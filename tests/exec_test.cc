@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <tuple>
 
 #include "engine/system.h"
 #include "exec/external_sorter.h"
@@ -117,17 +119,44 @@ class LocalJoinTest : public ::testing::Test {
     }
   }
 
+  /// One join result with the inner row copied out (the kernel's pointers
+  /// live only as long as the node latch).
+  struct JoinRow {
+    size_t outer;
+    Row inner;
+  };
+
   // Index nested loops as the maintainers run it: one Node::IndexProbe per
   // outer tuple on the inner fragment's `c` index.
-  Result<std::vector<JoinedPair>> ProbeEach(const std::string& table,
-                                            const std::vector<Row>& outer) {
-    std::vector<JoinedPair> out;
-    for (const Row& o : outer) {
+  Result<std::vector<JoinRow>> ProbeEach(const std::string& table,
+                                         const std::vector<Row>& outer) {
+    std::vector<JoinRow> out;
+    for (size_t i = 0; i < outer.size(); ++i) {
       PJVM_ASSIGN_OR_RETURN(ProbeResult probe,
-                            sys_->node(0)->IndexProbe(table, 1, o[1]));
+                            sys_->node(0)->IndexProbe(table, 1, outer[i][1]));
       for (Row& match : probe.rows) {
-        out.push_back(JoinedPair{o, std::move(match)});
+        out.push_back(JoinRow{i, std::move(match)});
       }
+    }
+    return out;
+  }
+
+  /// SortMergeJoinFragment on node 0 joining outer column 1 to inner column
+  /// 1, with each match as (outer position, inner rid, inner row), under
+  /// the latch that keeps the inner pointers valid.
+  Result<std::vector<std::tuple<uint32_t, LocalRowId, Row>>> SortMerge(
+      const std::string& table, const std::vector<Row>& outer,
+      int memory_pages = 100, uint64_t txn = kAutoCommitTxnId) {
+    std::vector<const Row*> refs;
+    for (const Row& o : outer) refs.push_back(&o);
+    NodeLatchGuard latch(*sys_->node(0), LatchMode::kShared);
+    PJVM_ASSIGN_OR_RETURN(
+        std::vector<LocalJoinMatch> matches,
+        SortMergeJoinFragment(sys_->node(0), table, 1, GroupOuterKeys(refs, 1),
+                              memory_pages, &sys_->cost(), txn));
+    std::vector<std::tuple<uint32_t, LocalRowId, Row>> out;
+    for (const LocalJoinMatch& m : matches) {
+      out.emplace_back(m.outer, m.inner_rid, *m.inner);
     }
     return out;
   }
@@ -140,8 +169,8 @@ TEST_F(LocalJoinTest, IndexNestedLoopFindsAllMatches) {
   auto result = ProbeEach("B", outer);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->size(), 4u);  // 2 outer tuples x fanout 2
-  for (const JoinedPair& p : *result) {
-    EXPECT_EQ(p.outer[1], p.inner[1]);
+  for (const JoinRow& p : *result) {
+    EXPECT_EQ(outer[p.outer][1], p.inner[1]);
   }
 }
 
@@ -156,16 +185,16 @@ TEST_F(LocalJoinTest, SortMergeMatchesIndexJoinOutput) {
   std::vector<Row> outer;
   for (int64_t k = 0; k < 5; ++k) outer.push_back({Value{200 + k}, Value{k}});
   auto inl = ProbeEach("B", outer);
-  auto smj = SortMergeJoinFragment(sys_->node(0), "B", 1, outer, 1, 100,
-                                   &sys_->cost());
+  auto smj = SortMerge("B", outer);
   ASSERT_TRUE(inl.ok());
   ASSERT_TRUE(smj.ok());
-  auto key = [](const JoinedPair& p) {
-    return RowToString(p.outer) + "|" + RowToString(p.inner);
-  };
   std::vector<std::string> a, b;
-  for (const auto& p : *inl) a.push_back(key(p));
-  for (const auto& p : *smj) b.push_back(key(p));
+  for (const JoinRow& p : *inl) {
+    a.push_back(RowToString(outer[p.outer]) + "|" + RowToString(p.inner));
+  }
+  for (const auto& [pos, rid, inner] : *smj) {
+    b.push_back(RowToString(outer[pos]) + "|" + RowToString(inner));
+  }
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   EXPECT_EQ(a, b);
@@ -175,9 +204,7 @@ TEST_F(LocalJoinTest, SortMergeMatchesIndexJoinOutput) {
 TEST_F(LocalJoinTest, SortMergeChargesSortWhenNotClustered) {
   sys_->cost().Reset();
   std::vector<Row> outer = {{Value{1}, Value{0}}};
-  ASSERT_TRUE(SortMergeJoinFragment(sys_->node(0), "B", 1, outer, 1,
-                                    /*memory_pages=*/2, &sys_->cost())
-                  .ok());
+  ASSERT_TRUE(SortMerge("B", outer, /*memory_pages=*/2).ok());
   // 10 rows / 4 per page = 3 pages; M=2 -> ceil(log_2 3) = 2 passes.
   EXPECT_DOUBLE_EQ(sys_->cost().TotalWorkload(), 6.0);
 }
@@ -194,18 +221,82 @@ TEST_F(LocalJoinTest, SortMergeChargesScanWhenClustered) {
   }
   sys_->cost().Reset();
   std::vector<Row> outer = {{Value{1}, Value{0}}};
-  ASSERT_TRUE(SortMergeJoinFragment(sys_->node(0), "Bc", 1, outer, 1, 2,
-                                    &sys_->cost())
-                  .ok());
+  ASSERT_TRUE(SortMerge("Bc", outer, 2).ok());
   EXPECT_DOUBLE_EQ(sys_->cost().TotalWorkload(), 3.0);  // Just the scan.
 }
 
 TEST_F(LocalJoinTest, MissingTableIsNotFound) {
   std::vector<Row> outer = {{Value{1}, Value{0}}};
-  EXPECT_FALSE(
-      SortMergeJoinFragment(sys_->node(0), "Nope", 1, outer, 1, 2, &sys_->cost())
-          .ok());
+  EXPECT_FALSE(SortMerge("Nope", outer, 2).ok());
   EXPECT_FALSE(ProbeEach("Nope", outer).ok());
+}
+
+// The join executes by index lookup when the fragment has an index on the
+// join column and by heap scan otherwise; both must return the same matches
+// in the scan's (inner lrid, outer position) order and charge the same.
+TEST_F(LocalJoinTest, IndexAndScanPathsReturnIdenticalMatches) {
+  // Twin fragments with identical operation histories, so equal rows sit
+  // at equal lrids: "Bi" is indexed (non-clustered) on c, "Bs" is not.
+  for (const char* name : {"Bi", "Bs"}) {
+    TableDef def;
+    def.name = name;
+    def.schema = AbSchema();
+    def.partition = PartitionSpec::Hash("a");
+    if (std::string(name) == "Bi") def.indexes.push_back({"c", false});
+    ASSERT_TRUE(sys_->CreateTable(def).ok());
+    for (int64_t i = 0; i < 12; ++i) {
+      ASSERT_TRUE(sys_->Insert(name, {Value{i}, Value{i % 4}}).ok());
+    }
+    // Recycled slots: the later inserts reuse freed low lrids, so lrid
+    // order differs from insertion (and key) order.
+    for (int64_t i : {1, 2, 5}) {
+      ASSERT_TRUE(sys_->DeleteExact(name, {Value{i}, Value{i % 4}}).ok());
+    }
+    for (int64_t i = 20; i < 23; ++i) {
+      ASSERT_TRUE(sys_->Insert(name, {Value{i}, Value{3 - i % 4}}).ok());
+    }
+  }
+  // A running transaction deletes one row of each: its slot is kept
+  // reserved (for an abort to restore it), and the join must not see it.
+  uint64_t txn = sys_->Begin();
+  for (const char* name : {"Bi", "Bs"}) {
+    ASSERT_TRUE(sys_->DeleteExact(name, {Value{8}, Value{0}}, txn).ok());
+  }
+  // Duplicate keys (positions 0/3 and 1/5) and keys with no match (9, 7).
+  std::vector<Row> outer = {{Value{100}, Value{0}}, {Value{101}, Value{3}},
+                            {Value{102}, Value{9}}, {Value{103}, Value{0}},
+                            {Value{104}, Value{1}}, {Value{105}, Value{3}},
+                            {Value{106}, Value{7}}};
+  sys_->cost().Reset();
+  auto indexed = SortMerge("Bi", outer, 2, txn);
+  double indexed_tw = sys_->cost().TotalWorkload();
+  sys_->cost().Reset();
+  auto scanned = SortMerge("Bs", outer, 2, txn);
+  double scanned_tw = sys_->cost().TotalWorkload();
+  ASSERT_TRUE(indexed.ok());
+  ASSERT_TRUE(scanned.ok());
+  EXPECT_EQ(*indexed, *scanned);
+  EXPECT_TRUE(std::is_sorted(indexed->begin(), indexed->end(),
+                             [](const auto& a, const auto& b) {
+                               return std::tie(std::get<1>(a), std::get<0>(a)) <
+                                      std::tie(std::get<1>(b), std::get<0>(b));
+                             }));
+  // Keys 0 (2 live rows, x2 outer), 3 (4 rows, x2) and 1 (2 rows, x1).
+  EXPECT_EQ(indexed->size(), 2u * 2 + 4u * 2 + 2u);
+  for (const auto& [pos, rid, inner] : *indexed) {
+    EXPECT_EQ(inner[1], outer[pos][1]);
+    EXPECT_NE(inner[0], Value{8});
+  }
+  // The lrid order really differs from the key order here.
+  EXPECT_FALSE(std::is_sorted(indexed->begin(), indexed->end(),
+                              [](const auto& a, const auto& b) {
+                                return std::get<2>(a)[1] < std::get<2>(b)[1];
+                              }));
+  // Both charge the sort of 3 pages (12 slots / 4 per page) with M=2:
+  // 3 * ceil(log_2 3) = 6 page I/Os.
+  EXPECT_DOUBLE_EQ(indexed_tw, 6.0);
+  EXPECT_DOUBLE_EQ(scanned_tw, indexed_tw);
+  ASSERT_TRUE(sys_->Abort(txn).ok());
 }
 
 }  // namespace

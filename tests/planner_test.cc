@@ -2,6 +2,7 @@
 
 #include "tests/view_test_util.h"
 #include "view/planner.h"
+#include "workload/tpcr.h"
 
 namespace pjvm {
 namespace {
@@ -133,6 +134,65 @@ TEST_F(PlannerTest, TwoWayViewHasSingleStep) {
   ASSERT_EQ(plan->steps.size(), 1u);
   EXPECT_EQ(plan->steps[0].target_col, 1);  // B.d
   EXPECT_EQ(plan->steps[0].source_col, 1);  // A.c
+}
+
+// A step with one candidate is forced: the delta-aware planner must not pay
+// the per-row key estimates (an all-node count each) to choose it.
+TEST(PlannerForcedStepTest, Jv1Jv2CustomerDeltasAreNotScored) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddTable(CustomerTableDef()).ok());
+  ASSERT_TRUE(catalog.AddTable(OrdersTableDef()).ok());
+  ASSERT_TRUE(catalog.AddTable(LineitemTableDef()).ok());
+  std::vector<Row> delta;
+  for (int64_t i = 0; i < 8; ++i) {
+    delta.push_back(MakeDeltaCustomer(TpcrConfig{}, i));
+  }
+  for (const JoinViewDef& def : {MakeJv1(), MakeJv2()}) {
+    auto view = BoundView::Bind(def, catalog);
+    ASSERT_TRUE(view.ok());
+    int key_calls = 0;
+    int avg_calls = 0;
+    auto plan = PlanMaintenanceForDelta(
+        *view, /*updated_base=*/0, delta,
+        [&](int, int) { ++avg_calls; return 1.0; },
+        [&](int, int, const Value&) { ++key_calls; return 1.0; });
+    ASSERT_TRUE(plan.ok());
+    EXPECT_EQ(key_calls, 0) << def.name;
+    EXPECT_EQ(avg_calls, 0) << def.name;
+    // The chain from customer admits one order, which any scoring picks.
+    std::vector<MaintenancePlan> all = EnumerateAllPlans(*view, 0);
+    ASSERT_EQ(all.size(), 1u) << def.name;
+    EXPECT_EQ(plan->ToString(*view), all[0].ToString(*view));
+    ASSERT_EQ(plan->steps.size(), all[0].steps.size());
+    for (size_t i = 0; i < plan->steps.size(); ++i) {
+      EXPECT_EQ(plan->steps[i].source_col, all[0].steps[i].source_col);
+      EXPECT_EQ(plan->steps[i].target_col, all[0].steps[i].target_col);
+      EXPECT_EQ(plan->steps[i].residual.size(),
+                all[0].steps[i].residual.size());
+    }
+  }
+}
+
+TEST_F(PlannerTest, TwoCandidatesAreScoredPerRowAndCandidate) {
+  BoundView view = Chain();
+  // From B, A and C are both reachable through B's own columns: each is
+  // scored with every delta row. The last step (one candidate) is not.
+  std::vector<Row> delta;
+  for (int64_t i = 0; i < 5; ++i) {
+    Row row(view.base_def(1).schema.num_columns(), Value{i});
+    delta.push_back(std::move(row));
+  }
+  int key_calls = 0;
+  auto plan = PlanMaintenanceForDelta(
+      view, /*updated_base=*/1, delta, UniformFanout(1),
+      [&](int base, int, const Value&) {
+        ++key_calls;
+        return base == 0 ? 5.0 : 1.0;
+      });
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(key_calls, 5 * 2);
+  EXPECT_EQ(plan->steps[0].target_base, 2);  // C (cheap) before A.
+  EXPECT_EQ(plan->steps[1].target_base, 0);
 }
 
 }  // namespace
