@@ -11,6 +11,7 @@
 #include "engine/system.h"
 #include "exec/local_join.h"
 #include "storage/btree.h"
+#include "storage/table_fragment.h"
 #include "view/view_manager.h"
 #include "workload/twotable.h"
 
@@ -95,6 +96,50 @@ void BM_SortMergeJoin(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * outer.size());
 }
 BENCHMARK(BM_SortMergeJoin)->ArgName("indexed")->Arg(1)->Arg(0);
+
+// A fragment of 4096 three-column rows, ~4 per key. Arg 1 indexes the key,
+// so content lookups walk that key's posting list; arg 0 leaves it
+// indexless, so they go through the per-row content hash.
+std::unique_ptr<TableFragment> MakeFragment(bool indexed,
+                                            std::vector<Row>* rows) {
+  auto frag = std::make_unique<TableFragment>(
+      Schema({{"k", ValueType::kInt64},
+              {"v", ValueType::kInt64},
+              {"s", ValueType::kString}}));
+  if (indexed) frag->CreateIndex(0, /*clustered=*/false).Check();
+  for (int64_t i = 0; i < 4096; ++i) {
+    rows->push_back({Value{i / 4}, Value{i}, Value{"row-" + std::to_string(i)}});
+    frag->Insert(rows->back()).status().Check();
+  }
+  return frag;
+}
+
+void BM_FragmentFindExact(benchmark::State& state) {
+  std::vector<Row> rows;
+  auto frag = MakeFragment(state.range(0) != 0, &rows);
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(frag->FindExact(rows[i]).ok());
+    i = (i + 97) % rows.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FragmentFindExact)->ArgName("indexed")->Arg(1)->Arg(0);
+
+// One content delete plus the re-insert of the same row: the view-row
+// maintenance pair, with the lookup structure kept up on both sides.
+void BM_FragmentDeleteInsert(benchmark::State& state) {
+  std::vector<Row> rows;
+  auto frag = MakeFragment(state.range(0) != 0, &rows);
+  size_t i = 0;
+  for (auto _ : state) {
+    frag->DeleteExact(rows[i]).status().Check();
+    frag->Insert(rows[i]).status().Check();
+    i = (i + 97) % rows.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FragmentDeleteInsert)->ArgName("indexed")->Arg(1)->Arg(0);
 
 void MaintenanceBench(benchmark::State& state, MaintenanceMethod method) {
   SystemConfig cfg;

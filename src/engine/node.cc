@@ -152,7 +152,6 @@ Status Node::CreateFragment(const TableDef& def, int rows_per_page) {
                                  " already has fragment '" + def.name + "'");
   }
   auto frag = std::make_unique<TableFragment>(def.schema, rows_per_page);
-  frag->EnableRowLookup();
   for (const IndexSpec& idx : def.indexes) {
     PJVM_ASSIGN_OR_RETURN(int col, def.schema.ColumnIndex(idx.column));
     PJVM_RETURN_NOT_OK(frag->CreateIndex(col, idx.clustered));
@@ -483,12 +482,11 @@ Status Node::ApplyUndo(const TxnWrite& write) {
   return frag->InsertAt(write.lrid, write.op.row);
 }
 
-void Node::ReleaseReservedSlots(const std::vector<TxnWrite>& writes) {
+void Node::ReleaseReservedSlots(const std::vector<const TxnWrite*>& deletes) {
   NodeLatchGuard latch(*this);
-  for (const TxnWrite& write : writes) {
-    if (write.node != id_ || write.op.kind != MvccOp::Kind::kDelete) continue;
-    TableFragment* frag = fragment(write.table);
-    if (frag != nullptr) frag->ReleaseSlot(write.lrid);
+  for (const TxnWrite* write : deletes) {
+    TableFragment* frag = fragment(write->table);
+    if (frag != nullptr) frag->ReleaseSlot(write->lrid);
   }
 }
 

@@ -116,7 +116,8 @@ class Node {
   NodeLatch& latch() const { return latch_; }
 
   /// Creates this node's fragment of `def`, including its local indexes.
-  /// Row-content lookup is always enabled so content deletes are O(1).
+  /// Content deletes find their row through the fragment's most selective
+  /// index, or a content hash on a fragment with no index.
   Status CreateFragment(const TableDef& def, int rows_per_page);
   Status DropFragment(const std::string& table);
 
@@ -193,11 +194,11 @@ class Node {
   /// keep resolving.
   Status ApplyUndo(const TxnWrite& write);
 
-  /// Commit epilogue: under one latch, recycles the heap slots this node's
-  /// deletes in `writes` kept reserved (so an abort could restore each row
-  /// at its original lrid). Call once per participant after the commit
-  /// decision is durable.
-  void ReleaseReservedSlots(const std::vector<TxnWrite>& writes);
+  /// Commit epilogue: under one latch, recycles the heap slots that
+  /// `deletes` (this node's delete writes, in execution order) kept reserved
+  /// so an abort could restore each row at its original lrid. Call after the
+  /// commit decision is durable.
+  void ReleaseReservedSlots(const std::vector<const TxnWrite*>& deletes);
 
   /// In-place escrow rewrite of one aggregate group row (view/escrow.h):
   /// replaces the row at `lrid` with `row` under the caller's exclusive

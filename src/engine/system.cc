@@ -455,9 +455,18 @@ Status ParallelSystem::Commit(uint64_t txn_id) {
   // and the node latches it takes are ordered after publish_mu is gone.
   if (hook_pending) PJVM_RETURN_NOT_OK(txn_hook_->OnCommitFinalize(txn_id));
   // The transaction can no longer abort, so the heap slots its deletes kept
-  // reserved (for lrid-exact undo) are safe to recycle.
+  // reserved (for lrid-exact undo) are safe to recycle. One pass splits the
+  // deletes by node; only nodes with one are latched.
+  std::vector<std::vector<const TxnWrite*>> deletes(config_.num_nodes);
+  for (const TxnWrite& write : write_set.writes) {
+    if (write.op.kind == MvccOp::Kind::kDelete) {
+      deletes[write.node].push_back(&write);
+    }
+  }
   for (int node_id : participants) {
-    nodes_[node_id]->ReleaseReservedSlots(write_set.writes);
+    if (!deletes[node_id].empty()) {
+      nodes_[node_id]->ReleaseReservedSlots(deletes[node_id]);
+    }
   }
   locks_.ReleaseAll(txn_id);  // Strict 2PL: everything released at commit.
   // Working state is done; the durable commit decision survives in the

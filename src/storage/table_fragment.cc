@@ -28,6 +28,8 @@ Status TableFragment::CreateIndex(int column, bool clustered) {
   });
   if (clustered) has_clustered_ = true;
   indexes_.push_back(std::move(index));
+  // FindExact probes the index from now on; free the hash's buckets too.
+  row_lookup_ = decltype(row_lookup_)();
   return Status::OK();
 }
 
@@ -45,22 +47,10 @@ std::vector<const LocalIndex*> TableFragment::Indexes() const {
   return out;
 }
 
-void TableFragment::EnableRowLookup() {
-  if (row_lookup_enabled_) return;
-  row_lookup_enabled_ = true;
-  heap_.ForEach([&](LocalRowId lrid, const Row& row) {
-    row_lookup_[HashRow(row)].push_back(lrid);
-    return true;
-  });
-}
-
 Result<LocalRowId> TableFragment::Insert(Row row) {
   PJVM_RETURN_NOT_OK(schema_.ValidateRow(row));
-  uint64_t row_hash = row_lookup_enabled_ ? HashRow(row) : 0;
   LocalRowId lrid = heap_.Insert(std::move(row));
-  const Row& stored = *heap_.Get(lrid);
-  IndexInsert(lrid, stored);
-  if (row_lookup_enabled_) row_lookup_[row_hash].push_back(lrid);
+  IndexInsert(lrid, *heap_.Get(lrid));
   return lrid;
 }
 
@@ -70,42 +60,31 @@ Status TableFragment::DeleteByRid(LocalRowId lrid, bool keep_slot) {
     return Status::NotFound("fragment: no row at lrid " + std::to_string(lrid));
   }
   PJVM_RETURN_NOT_OK(IndexRemove(lrid, *row));
-  if (row_lookup_enabled_) {
-    auto it = row_lookup_.find(HashRow(*row));
-    if (it != row_lookup_.end()) {
-      auto& rids = it->second;
-      rids.erase(std::find(rids.begin(), rids.end(), lrid));
-      if (rids.empty()) row_lookup_.erase(it);
-    }
-  }
   return keep_slot ? heap_.DeleteKeepSlot(lrid) : heap_.Delete(lrid);
 }
 
 Result<LocalRowId> TableFragment::FindExact(const Row& row) const {
-  if (row_lookup_enabled_) {
+  // Candidates in insertion order: the posting list of the most selective
+  // index, or the content-hash bucket on an indexless fragment. Both append
+  // on insert and erase in place, so among equal rows the earliest surviving
+  // insert is found either way.
+  const std::vector<LocalRowId>* candidates = nullptr;
+  if (indexes_.empty()) {
     auto it = row_lookup_.find(HashRow(row));
-    if (it != row_lookup_.end()) {
-      for (LocalRowId lrid : it->second) {
-        const Row* candidate = heap_.Get(lrid);
-        if (candidate != nullptr && *candidate == row) return lrid;
-      }
+    if (it != row_lookup_.end()) candidates = &it->second;
+  } else if (row.size() == static_cast<size_t>(schema_.num_columns())) {
+    const LocalIndex* best = indexes_.front().get();
+    for (const auto& idx : indexes_) {
+      if (idx->tree.num_keys() > best->tree.num_keys()) best = idx.get();
     }
-    return Status::NotFound("fragment: row not found: " + RowToString(row));
+    candidates = best->tree.Find(row[best->column]);
   }
-  LocalRowId found = 0;
-  bool ok = false;
-  heap_.ForEach([&](LocalRowId lrid, const Row& candidate) {
-    if (candidate == row) {
-      found = lrid;
-      ok = true;
-      return false;
+  if (candidates != nullptr) {
+    for (LocalRowId lrid : *candidates) {
+      if (*heap_.Get(lrid) == row) return lrid;
     }
-    return true;
-  });
-  if (!ok) {
-    return Status::NotFound("fragment: row not found: " + RowToString(row));
   }
-  return found;
+  return Status::NotFound("fragment: row not found: " + RowToString(row));
 }
 
 Result<LocalRowId> TableFragment::DeleteExact(const Row& row, bool keep_slot) {
@@ -116,11 +95,8 @@ Result<LocalRowId> TableFragment::DeleteExact(const Row& row, bool keep_slot) {
 
 Status TableFragment::InsertAt(LocalRowId lrid, Row row) {
   PJVM_RETURN_NOT_OK(schema_.ValidateRow(row));
-  uint64_t row_hash = row_lookup_enabled_ ? HashRow(row) : 0;
   PJVM_RETURN_NOT_OK(heap_.InsertAt(lrid, std::move(row)));
-  const Row& stored = *heap_.Get(lrid);
-  IndexInsert(lrid, stored);
-  if (row_lookup_enabled_) row_lookup_[row_hash].push_back(lrid);
+  IndexInsert(lrid, *heap_.Get(lrid));
   return Status::OK();
 }
 
@@ -249,12 +225,21 @@ size_t TableFragment::MvccChainDeltas() const {
 }
 
 void TableFragment::IndexInsert(LocalRowId lrid, const Row& row) {
+  if (indexes_.empty()) row_lookup_[HashRow(row)].push_back(lrid);
   for (auto& idx : indexes_) {
     idx->tree.Insert(row[idx->column], lrid);
   }
 }
 
 Status TableFragment::IndexRemove(LocalRowId lrid, const Row& row) {
+  if (indexes_.empty()) {
+    auto it = row_lookup_.find(HashRow(row));
+    if (it != row_lookup_.end()) {
+      auto& rids = it->second;
+      rids.erase(std::find(rids.begin(), rids.end(), lrid));
+      if (rids.empty()) row_lookup_.erase(it);
+    }
+  }
   for (auto& idx : indexes_) {
     PJVM_RETURN_NOT_OK(idx->tree.Remove(row[idx->column], lrid));
   }
@@ -291,7 +276,10 @@ Status TableFragment::CheckInvariants() const {
         });
     PJVM_RETURN_NOT_OK(st);
   }
-  if (row_lookup_enabled_) {
+  if (!indexes_.empty() && !row_lookup_.empty()) {
+    return Status::Internal("row lookup kept beside an index");
+  }
+  if (indexes_.empty()) {
     size_t counted = 0;
     for (const auto& [hash, rids] : row_lookup_) {
       counted += rids.size();

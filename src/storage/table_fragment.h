@@ -39,7 +39,8 @@ struct ProbeResult {
 };
 
 /// \brief One node's horizontal fragment of a table: a heap file plus any
-/// local indexes, and optionally an exact-row lookup structure.
+/// local indexes. A fragment with no index also keeps a content-hash lookup
+/// so FindExact never scans; creating the first index drops it.
 ///
 /// Fragments are the unit the engine's per-node operations act on; all cost
 /// accounting (SEARCH/FETCH/INSERT) is done by the caller, which knows the
@@ -65,10 +66,6 @@ class TableFragment {
   /// index-key locking).
   std::vector<const LocalIndex*> Indexes() const;
 
-  /// Enables O(1) lookup of rows by full content (used by view fragments so
-  /// incremental deletes do not scan).
-  void EnableRowLookup();
-
   /// Inserts a row (validated against the schema), maintaining all indexes.
   Result<LocalRowId> Insert(Row row);
 
@@ -78,8 +75,8 @@ class TableFragment {
   /// path, which must survive an abort without moving the row.
   Status DeleteByRid(LocalRowId lrid, bool keep_slot = false);
 
-  /// Deletes one row equal to `row` (bag semantics: exactly one instance).
-  /// Uses the row-lookup structure when enabled, otherwise scans.
+  /// Deletes one row equal to `row` (bag semantics: exactly one instance,
+  /// the one FindExact finds).
   Result<LocalRowId> DeleteExact(const Row& row, bool keep_slot = false);
 
   /// Recycles a slot previously deleted with `keep_slot` (commit path).
@@ -89,7 +86,11 @@ class TableFragment {
   /// path; the inverse of a keep_slot delete).
   Status InsertAt(LocalRowId lrid, Row row);
 
-  /// Finds the rid of one row equal to `row` without deleting it.
+  /// Finds the rid of one row equal to `row` without deleting it: the
+  /// earliest surviving insert among equal rows (rows present when the index
+  /// was created count in lrid order). Compares full rows within the posting
+  /// list of the index with the most distinct keys, or within the
+  /// content-hash bucket when the fragment has no index.
   Result<LocalRowId> FindExact(const Row& row) const;
 
   /// All rows whose `column` equals `key`, via the index on that column.
@@ -164,7 +165,8 @@ class TableFragment {
   std::vector<std::unique_ptr<LocalIndex>> indexes_;
   bool has_clustered_ = false;
 
-  bool row_lookup_enabled_ = false;
+  /// Content hash -> lrids in insertion order; kept only while the fragment
+  /// has no index (maintained by IndexInsert/IndexRemove).
   std::unordered_map<uint64_t, std::vector<LocalRowId>> row_lookup_;
 
   std::shared_ptr<const MvccBase> BuildBaseFromLive(uint64_t epoch) const;

@@ -22,7 +22,7 @@ class MaterializedView {
   /// assumption 3) — unless `merged_layout` is set, in which case the view's
   /// merged co-clustered tree (view/merged_storage.h) is the key-ordered
   /// access path and the per-fragment index is skipped (content deletes stay
-  /// O(1) through the row-lookup structure every fragment carries). The
+  /// O(1) through the content hash an indexless fragment keeps). The
   /// table starts empty; see ViewManager for backfill.
   static Result<MaterializedView> Create(ParallelSystem* sys, BoundView bound,
                                          bool merged_layout = false);

@@ -148,8 +148,8 @@ TEST(FragmentTest, DuplicateIndexRejected) {
 }
 
 TEST(FragmentTest, DeleteExactRemovesOneInstance) {
+  // Indexless: the content hash finds each duplicate in turn.
   TableFragment frag(KvSchema());
-  frag.EnableRowLookup();
   Row dup = {Value{1}, Value{"same"}};
   ASSERT_TRUE(frag.Insert(dup).ok());
   ASSERT_TRUE(frag.Insert(dup).ok());
@@ -160,16 +160,136 @@ TEST(FragmentTest, DeleteExactRemovesOneInstance) {
   EXPECT_TRUE(frag.DeleteExact(dup).status().IsNotFound());
 }
 
-TEST(FragmentTest, DeleteExactWorksWithoutLookup) {
+TEST(FragmentTest, DeleteExactWorksWithoutIndex) {
   TableFragment frag(KvSchema());
   ASSERT_TRUE(frag.Insert({Value{1}, Value{"a"}}).ok());
-  ASSERT_TRUE(frag.DeleteExact({Value{1}, Value{"a"}}).ok());
+  ASSERT_TRUE(frag.Insert({Value{1}, Value{"b"}}).ok());
+  EXPECT_TRUE(frag.DeleteExact({Value{2}, Value{"a"}}).status().IsNotFound());
+  auto gone = frag.DeleteExact({Value{1}, Value{"a"}});
+  ASSERT_TRUE(gone.ok());
+  EXPECT_EQ(*gone, 0u);
+  EXPECT_EQ(frag.AllRows(), (std::vector<Row>{{Value{1}, Value{"b"}}}));
+  EXPECT_TRUE(frag.CheckInvariants().ok()) << frag.CheckInvariants();
+}
+
+TEST(FragmentTest, IndexedDuplicatesDeleteOneAtATime) {
+  TableFragment frag(KvSchema());
+  ASSERT_TRUE(frag.CreateIndex(0, false).ok());
+  Row dup = {Value{3}, Value{"same"}};
+  ASSERT_TRUE(frag.Insert({Value{3}, Value{"other"}}).ok());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(frag.Insert(dup).ok());
+  // Earliest surviving insert first: lrids 1, 2, 3.
+  for (LocalRowId want = 1; want <= 3; ++want) {
+    auto gone = frag.DeleteExact(dup);
+    ASSERT_TRUE(gone.ok());
+    EXPECT_EQ(*gone, want);
+    EXPECT_EQ(frag.num_rows(), 4u - want);
+  }
+  EXPECT_TRUE(frag.DeleteExact(dup).status().IsNotFound());
+  EXPECT_TRUE(frag.CheckInvariants().ok()) << frag.CheckInvariants();
+}
+
+TEST(FragmentTest, IndexedDeleteTakesOnlyTheExactRow) {
+  TableFragment frag(KvSchema());
+  ASSERT_TRUE(frag.CreateIndex(0, false).ok());
+  for (const char* v : {"a", "b", "c"}) {
+    ASSERT_TRUE(frag.Insert({Value{1}, Value{v}}).ok());
+  }
+  EXPECT_TRUE(frag.FindExact({Value{1}, Value{"z"}}).status().IsNotFound());
+  EXPECT_TRUE(frag.FindExact({Value{2}, Value{"b"}}).status().IsNotFound());
+  auto gone = frag.DeleteExact({Value{1}, Value{"b"}});
+  ASSERT_TRUE(gone.ok());
+  EXPECT_EQ(*gone, 1u);
+  auto probe = frag.Probe(0, Value{1});
+  ASSERT_TRUE(probe.ok());
+  EXPECT_EQ(probe->rows, (std::vector<Row>{{Value{1}, Value{"a"}},
+                                           {Value{1}, Value{"c"}}}));
+  EXPECT_TRUE(frag.CheckInvariants().ok()) << frag.CheckInvariants();
+}
+
+TEST(FragmentTest, CreateIndexDropsRowLookup) {
+  TableFragment frag(KvSchema());
+  std::vector<Row> rows;
+  for (int i = 0; i < 40; ++i) {
+    rows.push_back({Value{i % 10},
+                    Value{std::string(1, static_cast<char>('a' + i % 3))}});
+    ASSERT_TRUE(frag.Insert(rows.back()).ok());
+  }
+  ASSERT_TRUE(frag.CreateIndex(0, false).ok());
+  // CheckInvariants rejects a content hash kept beside an index.
+  ASSERT_TRUE(frag.CheckInvariants().ok()) << frag.CheckInvariants();
+  for (const Row& row : rows) {
+    auto found = frag.FindExact(row);
+    ASSERT_TRUE(found.ok()) << RowToString(row);
+    EXPECT_EQ(*frag.Get(*found), row);
+  }
+  for (const Row& row : rows) ASSERT_TRUE(frag.DeleteExact(row).ok());
   EXPECT_EQ(frag.num_rows(), 0u);
+  EXPECT_TRUE(frag.CheckInvariants().ok()) << frag.CheckInvariants();
+}
+
+TEST(FragmentTest, IndexedAndIndexlessTwinsPickTheSameVictim) {
+  // The index path and the content hash must return the same lrid for every
+  // content lookup — the earliest surviving insert among equal rows — or
+  // lrids (and the global-index entries that reference them) would move.
+  TableFragment indexed(KvSchema(), /*rows_per_page=*/4);
+  TableFragment indexless(KvSchema(), /*rows_per_page=*/4);
+  ASSERT_TRUE(indexed.CreateIndex(0, false).ok());
+  ASSERT_TRUE(indexed.CreateIndex(1, false).ok());
+  Rng rng(2024);
+  std::vector<Row> live;
+  std::vector<std::pair<LocalRowId, Row>> reserved;  // keep-slot deletes
+  auto random_row = [&] {
+    return Row{Value{rng.UniformInt(0, 5)},
+               Value{std::string(1, static_cast<char>('a' + rng.UniformInt(0, 2)))}};
+  };
+  for (int step = 0; step < 3000; ++step) {
+    int64_t op = rng.UniformInt(0, 9);
+    if (op < 4 || live.empty()) {
+      Row row = random_row();
+      auto a = indexed.Insert(row);
+      auto b = indexless.Insert(row);
+      ASSERT_TRUE(a.ok() && b.ok());
+      ASSERT_EQ(*a, *b) << "step " << step;
+      live.push_back(row);
+    } else if (op < 7) {
+      size_t pick = rng.Next() % live.size();
+      bool keep_slot = rng.Bernoulli(0.8);
+      auto a = indexed.DeleteExact(live[pick], keep_slot);
+      auto b = indexless.DeleteExact(live[pick], keep_slot);
+      ASSERT_TRUE(a.ok() && b.ok());
+      ASSERT_EQ(*a, *b) << "step " << step;
+      if (keep_slot) reserved.emplace_back(*a, live[pick]);
+      live.erase(live.begin() + pick);
+    } else if (op < 8 && !reserved.empty()) {
+      size_t pick = rng.Next() % reserved.size();
+      auto [lrid, row] = reserved[pick];
+      reserved.erase(reserved.begin() + pick);
+      if (rng.Bernoulli(0.5)) {  // abort: restore in place
+        ASSERT_TRUE(indexed.InsertAt(lrid, row).ok());
+        ASSERT_TRUE(indexless.InsertAt(lrid, row).ok());
+        live.push_back(row);
+      } else {  // commit: recycle the slot
+        indexed.ReleaseSlot(lrid);
+        indexless.ReleaseSlot(lrid);
+      }
+    } else {
+      Row probe = rng.Bernoulli(0.5) ? live[rng.Next() % live.size()]
+                                     : random_row();
+      auto a = indexed.FindExact(probe);
+      auto b = indexless.FindExact(probe);
+      ASSERT_EQ(a.ok(), b.ok()) << "step " << step;
+      if (a.ok()) ASSERT_EQ(*a, *b) << "step " << step;
+    }
+  }
+  EXPECT_EQ(indexed.num_rows(), live.size());
+  EXPECT_EQ(indexed.AllRows(), indexless.AllRows());
+  ASSERT_TRUE(indexed.CheckInvariants().ok()) << indexed.CheckInvariants();
+  ASSERT_TRUE(indexless.CheckInvariants().ok()) << indexless.CheckInvariants();
 }
 
 TEST(FragmentTest, DeleteMaintainsIndexes) {
   TableFragment frag(KvSchema());
-  frag.EnableRowLookup();
   ASSERT_TRUE(frag.CreateIndex(0, false).ok());
   ASSERT_TRUE(frag.Insert({Value{1}, Value{"a"}}).ok());
   ASSERT_TRUE(frag.Insert({Value{1}, Value{"b"}}).ok());
@@ -195,7 +315,6 @@ TEST(FragmentTest, ProbeReturnsEveryMatchAcrossPages) {
 
 TEST(FragmentTest, RandomizedInvariants) {
   TableFragment frag(KvSchema());
-  frag.EnableRowLookup();
   ASSERT_TRUE(frag.CreateIndex(0, false).ok());
   ASSERT_TRUE(frag.CreateIndex(1, false).ok());
   Rng rng(99);

@@ -534,6 +534,50 @@ TEST(SystemTxnTest, CommitRecyclesDeferredDeleteSlots) {
   EXPECT_TRUE(sys.CheckInvariants().ok());
 }
 
+TEST(SystemTxnTest, CommitReleasesSlotsOnlyOnDeleteNodes) {
+  // Deletes on nodes 0 and 1, an insert on node 2: the commit epilogue frees
+  // the reserved slot on each delete node and leaves node 2's heap alone.
+  ParallelSystem sys(SmallConfig(3));
+  ASSERT_TRUE(sys.CreateTable(HashTableDef("A", "a")).ok());
+  std::vector<int64_t> key_on(3, -1);
+  for (int64_t k = 0; key_on[0] < 0 || key_on[1] < 0 || key_on[2] < 0; ++k) {
+    int node = sys.HomeNodeForKey(Value{k});
+    if (key_on[node] < 0) key_on[node] = k;
+  }
+  auto lrid_of = [&](int node, const Row& row) {
+    auto found = sys.node(node)->fragment("A")->FindExact(row);
+    EXPECT_TRUE(found.ok()) << RowToString(row);
+    return found.ok() ? *found : LocalRowId{0};
+  };
+  std::vector<Row> victims;
+  std::vector<LocalRowId> freed;
+  for (int node = 0; node < 2; ++node) {
+    ASSERT_TRUE(sys.Insert("A", {Value{key_on[node]}, Value{0}}).ok());
+    victims.push_back({Value{key_on[node]}, Value{1}});
+    ASSERT_TRUE(sys.Insert("A", victims.back()).ok());
+    freed.push_back(lrid_of(node, victims.back()));
+  }
+  ASSERT_TRUE(sys.Insert("A", {Value{key_on[2]}, Value{0}}).ok());
+
+  uint64_t t = sys.Begin();
+  for (const Row& row : victims) ASSERT_TRUE(sys.DeleteExact("A", row, t).ok());
+  Row added = {Value{key_on[2]}, Value{1}};
+  ASSERT_TRUE(sys.Insert("A", added, t).ok());
+  ASSERT_TRUE(sys.Commit(t).ok());
+
+  for (int node = 0; node < 2; ++node) {
+    Row next = {Value{key_on[node]}, Value{2}};
+    ASSERT_TRUE(sys.Insert("A", next).ok());
+    EXPECT_EQ(lrid_of(node, next), freed[node]) << "node " << node;
+  }
+  // Node 2 had no slot to free: its next insert takes a fresh lrid.
+  LocalRowId added_lrid = lrid_of(2, added);
+  Row next = {Value{key_on[2]}, Value{2}};
+  ASSERT_TRUE(sys.Insert("A", next).ok());
+  EXPECT_EQ(lrid_of(2, next), added_lrid + 1);
+  EXPECT_TRUE(sys.CheckInvariants().ok());
+}
+
 TEST(SystemTxnTest, UncommittedTxnLostOnCrash) {
   ParallelSystem sys(SmallConfig());
   ASSERT_TRUE(sys.CreateTable(HashTableDef("A", "a")).ok());
