@@ -12,6 +12,7 @@
 #include "exec/local_join.h"
 #include "storage/btree.h"
 #include "storage/table_fragment.h"
+#include "txn/wal.h"
 #include "view/view_manager.h"
 #include "workload/twotable.h"
 
@@ -140,6 +141,29 @@ void BM_FragmentDeleteInsert(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FragmentDeleteInsert)->ArgName("indexed")->Arg(1)->Arg(0);
+
+// One WAL append of a 5-column lineitem-shaped row (3 INT64, 2 DOUBLE), as
+// Node::Insert logs it. A checkpoint truncates the log every 4,096 appends,
+// so memory stays flat and the truncation is amortized into ns per append.
+void BM_WalAppend(benchmark::State& state) {
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 4096; ++i) {
+    rows.push_back({Value{i}, Value{i * 31}, Value{i % 97},
+                    Value{static_cast<double>(i) * 0.25}, Value{0.05}});
+  }
+  Wal wal;
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        wal.Append(1, LogRecordType::kInsert, "lineitem", rows[i]));
+    if (++i == rows.size()) {
+      wal.Clear();
+      i = 0;
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WalAppend);
 
 void MaintenanceBench(benchmark::State& state, MaintenanceMethod method) {
   SystemConfig cfg;

@@ -2,6 +2,7 @@
 #define PJVM_COMMON_ROW_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,31 @@ Row ConcatRows(const Row& a, const Row& b);
 
 /// Approximate byte footprint of a row (sum of value footprints).
 size_t RowByteSize(const Row& row);
+
+/// \name Byte encoding of rows
+/// The durable form of a row, shared by the write-ahead log and checkpoint
+/// images: a u32 value count, then per value a one-byte ValueType tag and
+/// either 8 bytes (INT64, or DOUBLE's exact bit pattern) or a u32 length and
+/// the string's bytes. Fixed-width fields are in host byte order and carry
+/// no alignment: the bytes never leave the process.
+/// @{
+
+/// Bytes EncodeRow writes for `row`.
+size_t EncodedRowSize(std::span<const Value> row);
+
+/// Writes `row`'s encoding at `out`, which must have EncodedRowSize(row)
+/// bytes of room, and returns the byte after it.
+char* EncodeRow(std::span<const Value> row, char* out);
+
+/// Appends `row`'s encoding to `out`.
+void AppendEncodedRow(std::span<const Value> row, std::string* out);
+
+/// Decodes the row that starts at `in` into `out`, reusing its storage.
+/// Returns the byte after the row, or nullptr when the encoding would run
+/// past `end` or carries an unknown tag.
+const char* DecodeRow(const char* in, const char* end, Row* out);
+
+/// @}
 
 /// std::hash-compatible functor for Row.
 struct RowHash {

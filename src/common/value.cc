@@ -21,6 +21,13 @@ uint64_t Mix64(uint64_t x) {
   std::abort();
 }
 
+[[noreturn]] [[gnu::cold]] void CompareTypeMismatch(ValueType a,
+                                                   ValueType b) {
+  std::fprintf(stderr, "PJVM fatal: comparing Values of types %s and %s\n",
+               ValueTypeToString(a), ValueTypeToString(b));
+  std::abort();
+}
+
 }  // namespace
 
 const char* ValueTypeToString(ValueType t) {
@@ -102,12 +109,8 @@ std::string Value::ToString() const {
   return "";
 }
 
-bool operator<(const Value& a, const Value& b) {
-  if (a.type() != b.type()) {
-    std::fprintf(stderr, "PJVM fatal: comparing Values of types %s and %s\n",
-                 ValueTypeToString(a.type()), ValueTypeToString(b.type()));
-    std::abort();
-  }
+bool Value::LessNotBothInt64(const Value& a, const Value& b) {
+  if (a.type() != b.type()) CompareTypeMismatch(a.type(), b.type());
   return a.repr_ < b.repr_;
 }
 

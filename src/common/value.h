@@ -59,13 +59,23 @@ class Value {
     return a.repr_ == b.repr_;
   }
   friend bool operator!=(const Value& a, const Value& b) { return !(a == b); }
-  /// Total order; comparing values of different types aborts.
-  friend bool operator<(const Value& a, const Value& b);
+  /// Total order; comparing values of different types aborts. Inline with
+  /// the INT64 case first: it is the B+-tree descent's key compare.
+  friend bool operator<(const Value& a, const Value& b) {
+    const int64_t* ai = std::get_if<int64_t>(&a.repr_);
+    const int64_t* bi = std::get_if<int64_t>(&b.repr_);
+    if (ai != nullptr && bi != nullptr) return *ai < *bi;
+    return LessNotBothInt64(a, b);
+  }
   friend bool operator<=(const Value& a, const Value& b) { return !(b < a); }
   friend bool operator>(const Value& a, const Value& b) { return b < a; }
   friend bool operator>=(const Value& a, const Value& b) { return !(a < b); }
 
  private:
+  /// operator< for every other pair: DOUBLE and STRING order, and the
+  /// cross-type abort.
+  static bool LessNotBothInt64(const Value& a, const Value& b);
+
   std::variant<int64_t, double, std::string> repr_;
 };
 

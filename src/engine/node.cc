@@ -179,20 +179,19 @@ CostTracker::WriteKind Node::WriteKindOf(const std::string& table) const {
 
 void Node::LogWrite(uint64_t txn_id, const std::string& table,
                     TableFragment* frag, LocalRowId lrid, MvccOp::Kind kind,
-                    Row row) {
+                    const Row& row) {
   const bool transactional = txn_id != kAutoCommitTxnId;
   const bool versioned = snaps_ != nullptr && frag->mvcc_enabled();
-  const LogRecordType type = kind == MvccOp::Kind::kInsert
-                                 ? LogRecordType::kInsert
-                                 : LogRecordType::kDelete;
-  if (!transactional && !versioned) {
-    wal_.Append(LogRecord{0, txn_id, type, table, std::move(row)});
-    return;
-  }
-  wal_.Append(LogRecord{0, txn_id, type, table, row});
+  wal_.Append(txn_id,
+              kind == MvccOp::Kind::kInsert ? LogRecordType::kInsert
+                                            : LogRecordType::kDelete,
+              table, row);
+  if (!transactional && !versioned) return;
   MvccOp op;
   op.kind = kind;
-  op.row = std::move(row);
+  // The op keeps a row only where something reads it: undo re-inserts a
+  // deleted row, and PublishVersions reads every row when snapshots are on.
+  if (kind == MvccOp::Kind::kDelete || snaps_ != nullptr) op.row = row;
   op.pages_after = frag->num_pages();
   op.rows_after = frag->num_rows();
   if (transactional) {
@@ -262,16 +261,15 @@ Result<LocalRowId> Node::Insert(uint64_t txn_id, const std::string& table,
   // latch (the lock holder may need the latch to make progress).
   PJVM_RETURN_NOT_OK(LockForWrite(txn_id, table, *frag, row));
   NodeLatchGuard latch(*this);
-  Row logged = row;
   PJVM_ASSIGN_OR_RETURN(LocalRowId lrid, frag->Insert(std::move(row)));
   tracker_->ChargeWrite(id_, WriteKindOf(table));
   // Each secondary access path descends once to splice the new row in; an
   // indexless fragment (merged-layout member) touches only the heap.
   if (frag->has_indexes()) tracker_->ChargeDescent(id_, frag->num_indexes());
   // Recorded only after the heap accepted the row: a rejected insert must
-  // leave no WAL record (replay would fail on it) and no write to undo.
-  LogWrite(txn_id, table, frag, lrid, MvccOp::Kind::kInsert,
-           std::move(logged));
+  // leave no WAL record (replay would fail on it) and no write to undo. The
+  // record is encoded from the heap's stored row, still under the latch.
+  LogWrite(txn_id, table, frag, lrid, MvccOp::Kind::kInsert, *frag->Get(lrid));
   return lrid;
 }
 
@@ -576,7 +574,18 @@ Status Node::RecreateFragments(const Catalog& catalog, int rows_per_page) {
 void Node::Checkpoint() {
   checkpoint_.clear();
   for (const auto& [name, frag] : fragments_) {
-    checkpoint_[name] = frag->AllRows();
+    // Sized first, so the image is one exact allocation.
+    size_t bytes = 0;
+    frag->ForEach([&](LocalRowId, const Row& row) {
+      bytes += EncodedRowSize(row);
+      return true;
+    });
+    std::string& image = checkpoint_[name];
+    image.reserve(bytes);
+    frag->ForEach([&](LocalRowId, const Row& row) {
+      AppendEncodedRow(row, &image);
+      return true;
+    });
   }
   has_checkpoint_ = true;
   wal_.Clear();
@@ -584,13 +593,20 @@ void Node::Checkpoint() {
 
 Status Node::RestoreCheckpoint() {
   if (!has_checkpoint_) return Status::OK();
-  for (const auto& [name, rows] : checkpoint_) {
+  Row row;
+  for (const auto& [name, image] : checkpoint_) {
     TableFragment* frag = fragment(name);
     if (frag == nullptr) {
       // The table was dropped after the checkpoint; its rows are obsolete.
       continue;
     }
-    for (const Row& row : rows) {
+    const char* end = image.data() + image.size();
+    for (const char* at = image.data(); at != end;) {
+      at = DecodeRow(at, end, &row);
+      if (at == nullptr) {
+        return Status::Internal("recovery: corrupt checkpoint image of '" +
+                                name + "' at node " + std::to_string(id_));
+      }
       PJVM_RETURN_NOT_OK(frag->Insert(row).status());
     }
   }

@@ -242,10 +242,11 @@ class Node {
   /// inserted tuple or the delete victim's content — version identity is by
   /// content, never by lrid (the free list recycles lrids, so an lrid can
   /// alias a different row by publish time); the op's pages_after /
-  /// rows_after capture the fragment's shape at this instant.
+  /// rows_after capture the fragment's shape at this instant. The op copies
+  /// `row` only for a delete (undo) or when snapshots are on (publish).
   void LogWrite(uint64_t txn_id, const std::string& table,
                 TableFragment* frag, LocalRowId lrid, MvccOp::Kind kind,
-                Row row);
+                const Row& row);
 
   int id_;
   CostTracker* tracker_;
@@ -258,7 +259,8 @@ class Node {
   std::map<std::string, TableKind> kinds_;
   // Simulated durable checkpoint: survives Crash() like the WAL does.
   bool has_checkpoint_ = false;
-  std::map<std::string, std::vector<Row>> checkpoint_;
+  /// Each fragment's rows in the common row encoding (common/row.h).
+  std::map<std::string, std::string> checkpoint_;
 };
 
 /// \brief RAII latch scope over one node: takes the node's latch in the

@@ -401,8 +401,8 @@ Status ParallelSystem::Commit(uint64_t txn_id) {
                                       write_set.participants.end());
   std::vector<uint64_t> prepare_lsns(config_.num_nodes, 0);
   for (int node_id : participants) {
-    prepare_lsns[node_id] = nodes_[node_id]->wal().Append(
-        LogRecord{0, txn_id, LogRecordType::kPrepare, "", {}});
+    prepare_lsns[node_id] =
+        nodes_[node_id]->wal().Append(txn_id, LogRecordType::kPrepare, "");
   }
   auto force = [&](int node_id) {
     return nodes_[node_id]->wal().Force(prepare_lsns[node_id]);
@@ -437,8 +437,7 @@ Status ParallelSystem::Commit(uint64_t txn_id) {
   }
   // Phase 2: participants learn the outcome.
   for (int node_id : participants) {
-    nodes_[node_id]->wal().Append(
-        LogRecord{0, txn_id, LogRecordType::kCommit, "", {}});
+    nodes_[node_id]->wal().Append(txn_id, LogRecordType::kCommit, "");
   }
   // Version visibility follows the durable commit decision: a reader that
   // sees the new epoch sees only transactions recovery would also replay.
@@ -495,8 +494,7 @@ Status ParallelSystem::RollBack(uint64_t txn_id, const TxnWriteSet& write_set) {
     PJVM_RETURN_NOT_OK(nodes_[it->node]->ApplyUndo(*it));
   }
   for (int node_id : write_set.participants) {
-    nodes_[node_id]->wal().Append(
-        LogRecord{0, txn_id, LogRecordType::kAbort, "", {}});
+    nodes_[node_id]->wal().Append(txn_id, LogRecordType::kAbort, "");
   }
   locks_.ReleaseAll(txn_id);
   txns_.Forget(txn_id);

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <thread>
 
 #include "obs/metrics_registry.h"
@@ -9,41 +12,108 @@
 
 namespace pjvm {
 
-const char* LogRecordTypeToString(LogRecordType type) {
-  switch (type) {
-    case LogRecordType::kInsert:
-      return "INSERT";
-    case LogRecordType::kDelete:
-      return "DELETE";
-    case LogRecordType::kPrepare:
-      return "PREPARE";
-    case LogRecordType::kCommit:
-      return "COMMIT";
-    case LogRecordType::kAbort:
-      return "ABORT";
-    case LogRecordType::kEscrowDelta:
-      return "ESCROW_DELTA";
+namespace {
+
+// Record header field offsets; the layout is in the Wal class comment.
+constexpr size_t kLsnAt = sizeof(uint32_t);
+constexpr size_t kTxnAt = kLsnAt + sizeof(uint64_t);
+constexpr size_t kTypeAt = kTxnAt + sizeof(uint64_t);
+constexpr size_t kAuxAt = kTypeAt + sizeof(uint8_t);
+constexpr size_t kTableLenAt = kAuxAt + sizeof(int32_t);
+constexpr size_t kHeaderBytes = kTableLenAt + sizeof(uint32_t);
+
+template <typename T>
+T Load(const char* at) {
+  T v;
+  std::memcpy(&v, at, sizeof(v));
+  return v;
+}
+
+template <typename T>
+char* Store(char* out, T v) {
+  std::memcpy(out, &v, sizeof(v));
+  return out + sizeof(v);
+}
+
+uint32_t RecordSize(const char* rec) { return Load<uint32_t>(rec); }
+uint64_t RecordLsn(const char* rec) { return Load<uint64_t>(rec + kLsnAt); }
+
+bool IsDataRecord(LogRecordType type) {
+  return type == LogRecordType::kInsert || type == LogRecordType::kDelete ||
+         type == LogRecordType::kEscrowDelta;
+}
+
+// Decodes one record into `out`, reusing its table and row storage.
+void DecodeRecord(const char* rec, LogRecord* out) {
+  out->lsn = RecordLsn(rec);
+  out->txn_id = Load<uint64_t>(rec + kTxnAt);
+  out->type = static_cast<LogRecordType>(Load<uint8_t>(rec + kTypeAt));
+  out->aux = Load<int32_t>(rec + kAuxAt);
+  const uint32_t table_len = Load<uint32_t>(rec + kTableLenAt);
+  const char* table = rec + kHeaderBytes;
+  out->table.assign(table, table_len);
+  const char* end = rec + RecordSize(rec);
+  if (DecodeRow(table + table_len, end, &out->row) != end) {
+    std::fprintf(stderr, "PJVM fatal: corrupt WAL record at LSN %llu\n",
+                 static_cast<unsigned long long>(out->lsn));
+    std::abort();
   }
-  return "UNKNOWN";
 }
 
-std::string LogRecord::ToString() const {
-  std::string out = "[" + std::to_string(lsn) + " txn=" + std::to_string(txn_id) +
-                    " " + LogRecordTypeToString(type);
-  if (!table.empty()) out += " " + table;
-  if (!row.empty()) out += " " + RowToString(row);
-  out += "]";
-  return out;
-}
+}  // namespace
 
-uint64_t Wal::Append(LogRecord record) {
+uint64_t Wal::Append(uint64_t txn_id, LogRecordType type,
+                     std::string_view table, std::span<const Value> row,
+                     int aux) {
+  const size_t size = kHeaderBytes + table.size() + EncodedRowSize(row);
   std::lock_guard<std::mutex> lock(mu_);
-  record.lsn = next_lsn_++;
-  uint64_t lsn = record.lsn;
-  records_.push_back(std::move(record));
+  const uint64_t lsn = next_lsn_++;
+  char* out = Reserve(size, lsn);
+  out = Store(out, static_cast<uint32_t>(size));
+  out = Store(out, lsn);
+  out = Store(out, txn_id);
+  out = Store(out, static_cast<uint8_t>(type));
+  out = Store(out, static_cast<int32_t>(aux));
+  out = Store(out, static_cast<uint32_t>(table.size()));
+  if (!table.empty()) std::memcpy(out, table.data(), table.size());
+  EncodeRow(row, out + table.size());
   // Free forcing: appends are durable immediately (the original model).
   if (force_ns_ == 0) durable_lsn_ = lsn;
   return lsn;
+}
+
+char* Wal::Reserve(size_t size, uint64_t lsn) {
+  if (blocks_.empty() ||
+      blocks_.back().capacity - blocks_.back().end < size) {
+    Block& fresh = blocks_.emplace_back();
+    fresh.capacity = std::max(kBlockBytes, size);
+    fresh.bytes = std::make_unique_for_overwrite<char[]>(fresh.capacity);
+  }
+  Block& block = blocks_.back();
+  char* out = block.bytes.get() + block.end;
+  block.end += size;
+  ++block.records;
+  block.last_lsn = lsn;
+  ++num_records_;
+  return out;
+}
+
+template <typename Fn>
+void Wal::ForEachRecord(Fn fn) const {
+  for (const Block& block : blocks_) {
+    const char* rec = block.bytes.get() + block.begin;
+    const char* end = block.bytes.get() + block.end;
+    for (; rec < end; rec += RecordSize(rec)) fn(rec);
+  }
+}
+
+std::vector<LogRecord> Wal::records() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<LogRecord> out;
+  out.reserve(num_records_);
+  ForEachRecord(
+      [&](const char* rec) { DecodeRecord(rec, &out.emplace_back()); });
+  return out;
 }
 
 Status Wal::Force(uint64_t lsn) {
@@ -125,37 +195,62 @@ void Wal::Clear() {
     }
   }
   // Drop only the checkpointed prefix: records appended while the force
-  // slept are not covered by this checkpoint and stay in the log.
-  records_.erase(std::remove_if(records_.begin(), records_.end(),
-                                [tail](const LogRecord& rec) {
-                                  return rec.lsn <= tail;
-                                }),
-                 records_.end());
+  // slept are not covered by this checkpoint and stay in the log. Blocks
+  // wholly inside the prefix are freed; the first survivor's block starts
+  // at that record.
+  while (!blocks_.empty() && blocks_.front().last_lsn <= tail) {
+    num_records_ -= blocks_.front().records;
+    blocks_.pop_front();
+  }
+  if (!blocks_.empty()) {
+    Block& block = blocks_.front();
+    while (RecordLsn(block.bytes.get() + block.begin) <= tail) {
+      block.begin += RecordSize(block.bytes.get() + block.begin);
+      --block.records;
+      --num_records_;
+    }
+  }
   durable_lsn_ = std::max(durable_lsn_, tail);
 }
 
 void Wal::DiscardUnforced() {
   std::lock_guard<std::mutex> lock(mu_);
-  records_.erase(
-      std::remove_if(records_.begin(), records_.end(),
-                     [this](const LogRecord& rec) {
-                       return rec.lsn > durable_lsn_;
-                     }),
-      records_.end());
+  // Whole blocks above the watermark go; the newest survivor is cut after
+  // its last durable record. Every block keeps at least one record.
+  while (!blocks_.empty() &&
+         RecordLsn(blocks_.back().bytes.get() + blocks_.back().begin) >
+             durable_lsn_) {
+    num_records_ -= blocks_.back().records;
+    blocks_.pop_back();
+  }
+  if (blocks_.empty() || blocks_.back().last_lsn <= durable_lsn_) return;
+  Block& block = blocks_.back();
+  size_t cut = block.begin;
+  size_t kept = 0;
+  while (RecordLsn(block.bytes.get() + cut) <= durable_lsn_) {
+    block.last_lsn = RecordLsn(block.bytes.get() + cut);
+    cut += RecordSize(block.bytes.get() + cut);
+    ++kept;
+  }
+  num_records_ -= block.records - kept;
+  block.records = kept;
+  block.end = cut;
 }
 
 void Wal::ReplayCommitted(
     const std::function<bool(uint64_t)>& is_committed,
     const std::function<void(const LogRecord&)>& apply) const {
-  for (const LogRecord& rec : records_) {
-    if (rec.type != LogRecordType::kInsert &&
-        rec.type != LogRecordType::kDelete &&
-        rec.type != LogRecordType::kEscrowDelta) {
-      continue;
+  LogRecord rec;
+  ForEachRecord([&](const char* bytes) {
+    // The header decides relevance; only replayed records decode a row.
+    const auto type =
+        static_cast<LogRecordType>(Load<uint8_t>(bytes + kTypeAt));
+    if (!IsDataRecord(type) || !is_committed(Load<uint64_t>(bytes + kTxnAt))) {
+      return;
     }
-    if (!is_committed(rec.txn_id)) continue;
+    DecodeRecord(bytes, &rec);
     apply(rec);
-  }
+  });
 }
 
 }  // namespace pjvm

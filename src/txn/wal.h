@@ -3,9 +3,13 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/row.h"
@@ -28,9 +32,7 @@ enum class LogRecordType {
   kEscrowDelta,
 };
 
-const char* LogRecordTypeToString(LogRecordType type);
-
-/// \brief One durable log record on one node.
+/// \brief One log record, decoded (the log itself stores bytes, see Wal).
 ///
 /// Data records identify rows by content rather than by row id so that
 /// replay is insensitive to row-id recycling (aborted transactions consume
@@ -44,8 +46,6 @@ struct LogRecord {
   /// Record-type-specific extra: for kEscrowDelta, the group-prefix width
   /// (how many leading columns of `row` identify the group). 0 otherwise.
   int aux = 0;
-
-  std::string ToString() const;
 };
 
 /// \brief A per-node write-ahead log.
@@ -54,17 +54,27 @@ struct LogRecord {
 /// in-memory table state but never the log). Recovery replays, in order, the
 /// data records of transactions the coordinator decided to commit.
 ///
+/// **Storage.** Records are bytes, not objects: each Append encodes its
+/// record at the end of the newest fixed-size block (`kBlockBytes`; a record
+/// larger than that gets a block of its own), so the log holds no Row and a
+/// growing log never copies what it already holds. A record is a u32 total
+/// length, the u64 LSN, the u64 txn id, a one-byte type, the i32 `aux`, a
+/// u32-length-prefixed table name, and the row in the common row encoding
+/// (common/row.h). Records never straddle blocks, so both truncations cut at
+/// record boundaries: Clear frees whole blocks of the checkpointed prefix,
+/// DiscardUnforced shortens the tail.
+///
 /// **LSN semantics: monotonic across the log's whole lifetime.** `Clear()`
 /// (checkpoint truncation) drops the records but never resets `next_lsn_`,
 /// so an LSN uniquely identifies one append forever — records written after
 /// a checkpoint can never alias pre-checkpoint LSNs that might still be
 /// referenced by diagnostics or recovery bookkeeping.
 ///
-/// Append/size/Clear/Force are internally synchronized: parallel write
-/// fan-outs append from node-executor workers while client threads run
-/// autocommit operations. `records()`/`ReplayCommitted` return/iterate the
-/// underlying vector without copying and are for quiescent callers only
-/// (recovery, checkpoint, tests) — no appends may be in flight.
+/// Append/size/Clear/Force/records are internally synchronized: parallel
+/// write fan-outs append from node-executor workers while client threads run
+/// autocommit operations. `ReplayCommitted` walks the bytes without the
+/// mutex and is for quiescent callers only (recovery, tests) — no appends
+/// may be in flight.
 ///
 /// **Forcing and group commit.** A configurable simulated force cost
 /// (`ConfigureForce`) splits durability in two: Append makes a record
@@ -86,8 +96,10 @@ struct LogRecord {
 /// forces cover all their data records.
 class Wal {
  public:
-  /// Appends a record, assigning its LSN. Returns the LSN.
-  uint64_t Append(LogRecord record);
+  /// Appends a record, assigning its LSN, and returns the LSN. `row` is
+  /// encoded straight into the log; control records pass none.
+  uint64_t Append(uint64_t txn_id, LogRecordType type, std::string_view table,
+                  std::span<const Value> row = {}, int aux = 0);
 
   /// Simulated force cost per device write (`force_ns` of wall-clock sleep,
   /// never charged to cost counters) and the group-commit leader's
@@ -124,10 +136,11 @@ class Wal {
   /// newer than the durable watermark. No-op when forcing is free.
   void DiscardUnforced();
 
-  const std::vector<LogRecord>& records() const { return records_; }
+  /// A decoded copy of every record, oldest first.
+  std::vector<LogRecord> records() const;
   size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return records_.size();
+    return num_records_;
   }
   /// The LSN the next append will receive; never decreases (see above).
   uint64_t next_lsn() const {
@@ -135,12 +148,13 @@ class Wal {
     return next_lsn_;
   }
 
-  /// Visits data records (insert/delete) of transactions for which
-  /// `is_committed(txn_id)` is true, in log order.
+  /// Visits data records (insert, delete, escrow delta) of transactions for
+  /// which `is_committed(txn_id)` is true, in log order. Each is decoded into
+  /// one reused LogRecord, valid only for the duration of the call.
   void ReplayCommitted(const std::function<bool(uint64_t)>& is_committed,
                        const std::function<void(const LogRecord&)>& apply) const;
 
-  /// Truncates the checkpointed prefix of the record list. LSNs stay
+  /// Truncates the checkpointed prefix of the log. LSNs stay
   /// monotonic: the next append continues from where the pre-truncation log
   /// left off. A checkpoint may only declare durable what it *made* durable:
   /// when forcing is not free and the tail above `durable_lsn()` has never
@@ -152,8 +166,32 @@ class Wal {
   void Clear();
 
  private:
+  /// A run of encoded records, `kBlockBytes` long unless one record needs
+  /// more. Live records fill [begin, end); Clear advances `begin` within the
+  /// oldest block.
+  struct Block {
+    std::unique_ptr<char[]> bytes;
+    size_t capacity = 0;
+    size_t begin = 0;
+    size_t end = 0;
+    size_t records = 0;
+    uint64_t last_lsn = 0;
+  };
+
+  /// Bytes per block: large enough that a block holds hundreds of rows,
+  /// small enough that a partly filled one per node wastes little.
+  static constexpr size_t kBlockBytes = 64 * 1024;
+
+  /// Room for a `size`-byte record at the end of the log (opens a block
+  /// when the newest one is full), counted as one record of `lsn`.
+  char* Reserve(size_t size, uint64_t lsn);
+  /// Calls fn(const char* record) on each record, oldest first.
+  template <typename Fn>
+  void ForEachRecord(Fn fn) const;
+
   mutable std::mutex mu_;
-  std::vector<LogRecord> records_;
+  std::deque<Block> blocks_;
+  size_t num_records_ = 0;
   uint64_t next_lsn_ = 1;
 
   // Force/group-commit state, all under mu_.

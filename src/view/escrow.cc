@@ -267,15 +267,11 @@ Status EscrowRegistry::OnPrepare(uint64_t txn_id) {
     if (git == vit->second.groups.end()) continue;
     auto dit = git->second.deltas.find(txn_id);
     if (dit == git->second.deltas.end()) continue;
-    LogRecord rec;
-    rec.txn_id = txn_id;
-    rec.type = LogRecordType::kEscrowDelta;
-    rec.table = ref.first;
-    rec.row = dit->second;
-    rec.aux = vit->second.bound->StoredGroupWidth();
     // The Wal is internally synchronized; the participant's prepare record
     // (appended and forced right after this hook) covers these appends.
-    sys_->node(ref.second.first)->wal().Append(std::move(rec));
+    sys_->node(ref.second.first)->wal().Append(
+        txn_id, LogRecordType::kEscrowDelta, ref.first, dit->second,
+        vit->second.bound->StoredGroupWidth());
   }
   return Status::OK();
 }

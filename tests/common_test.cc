@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <memory>
 #include <set>
 #include <unordered_set>
 
@@ -112,6 +115,20 @@ TEST(ValueTest, EqualityAndOrdering) {
   EXPECT_GE(Value{"b"}, Value{"b"});
 }
 
+TEST(ValueTest, Int64OrderCoversTheFullRange) {
+  EXPECT_LT(Value{std::numeric_limits<int64_t>::min()}, Value{-1});
+  EXPECT_LT(Value{-1}, Value{0});
+  EXPECT_LT(Value{0}, Value{std::numeric_limits<int64_t>::max()});
+  EXPECT_FALSE(Value{3} < Value{3});
+}
+
+TEST(ValueTest, CrossTypeCompareAborts) {
+  EXPECT_DEATH((void)(Value{1} < Value{1.0}),
+               "comparing Values of types INT64 and DOUBLE");
+  EXPECT_DEATH((void)(Value{"a"} < Value{1}),
+               "comparing Values of types STRING and INT64");
+}
+
 TEST(ValueTest, HashIsDeterministicAndSpreads) {
   EXPECT_EQ(Value{42}.Hash(), Value{42}.Hash());
   EXPECT_EQ(Value{"xyz"}.Hash(), Value{"xyz"}.Hash());
@@ -158,6 +175,35 @@ TEST(RowTest, ProjectAndConcat) {
 
 TEST(RowTest, ToStringFormatsTuples) {
   EXPECT_EQ(RowToString(Row{Value{1}, Value{"a"}}), "(1, a)");
+}
+
+TEST(RowTest, EncodingRoundTripsAndRejectsTruncation) {
+  const Row row = {Value{-7}, Value{2.5}, Value{std::string("x\0y", 3)},
+                   Value{""}};
+  std::string bytes;
+  AppendEncodedRow(row, &bytes);
+  ASSERT_EQ(bytes.size(), EncodedRowSize(row));
+  Row out = {Value{"stale"}, Value{1}, Value{2}, Value{3}, Value{4}};
+  const char* end = bytes.data() + bytes.size();
+  EXPECT_EQ(DecodeRow(bytes.data(), end, &out), end);
+  EXPECT_EQ(out, row);
+  // Every strict prefix is rejected, read from a buffer of exactly that
+  // size so an over-read is a sanitizer report, not a silent pass.
+  for (size_t n = 0; n < bytes.size(); ++n) {
+    std::unique_ptr<char[]> prefix(new char[n]);
+    std::memcpy(prefix.get(), bytes.data(), n);
+    EXPECT_EQ(DecodeRow(prefix.get(), prefix.get() + n, &out), nullptr)
+        << "prefix of " << n << " bytes";
+  }
+  // An unknown type tag is rejected too, and so is a value count the bytes
+  // cannot hold.
+  std::string bad = bytes;
+  bad[sizeof(uint32_t)] = 9;
+  EXPECT_EQ(DecodeRow(bad.data(), bad.data() + bad.size(), &out), nullptr);
+  bad = bytes;
+  const uint32_t huge = 0xffffffffu;
+  std::memcpy(bad.data(), &huge, sizeof(huge));
+  EXPECT_EQ(DecodeRow(bad.data(), bad.data() + bad.size(), &out), nullptr);
 }
 
 // ---------------------------------------------------------------- Schema

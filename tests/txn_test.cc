@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <random>
@@ -48,17 +50,17 @@ std::vector<Row> Sorted(std::vector<Row> rows) {
 
 TEST(WalTest, AppendsAssignIncreasingLsns) {
   Wal wal;
-  uint64_t a = wal.Append({0, 1, LogRecordType::kInsert, "T", {Value{1}}});
-  uint64_t b = wal.Append({0, 1, LogRecordType::kCommit, "", {}});
+  uint64_t a = wal.Append(1, LogRecordType::kInsert, "T", Row{Value{1}});
+  uint64_t b = wal.Append(1, LogRecordType::kCommit, "");
   EXPECT_LT(a, b);
   EXPECT_EQ(wal.size(), 2u);
 }
 
 TEST(WalTest, ReplaySkipsUncommittedAndControl) {
   Wal wal;
-  wal.Append({0, 1, LogRecordType::kInsert, "T", {Value{1}}});
-  wal.Append({0, 2, LogRecordType::kInsert, "T", {Value{2}}});
-  wal.Append({0, 1, LogRecordType::kCommit, "", {}});
+  wal.Append(1, LogRecordType::kInsert, "T", Row{Value{1}});
+  wal.Append(2, LogRecordType::kInsert, "T", Row{Value{2}});
+  wal.Append(1, LogRecordType::kCommit, "");
   std::vector<int64_t> applied;
   wal.ReplayCommitted([](uint64_t txn) { return txn == 1; },
                       [&](const LogRecord& rec) {
@@ -69,8 +71,8 @@ TEST(WalTest, ReplaySkipsUncommittedAndControl) {
 
 TEST(WalTest, ClearKeepsLsnsMonotonic) {
   Wal wal;
-  uint64_t a = wal.Append({0, 1, LogRecordType::kInsert, "T", {Value{1}}});
-  uint64_t b = wal.Append({0, 1, LogRecordType::kCommit, "", {}});
+  uint64_t a = wal.Append(1, LogRecordType::kInsert, "T", Row{Value{1}});
+  uint64_t b = wal.Append(1, LogRecordType::kCommit, "");
   ASSERT_LT(a, b);
   const uint64_t next_before = wal.next_lsn();
   wal.Clear();
@@ -78,8 +80,177 @@ TEST(WalTest, ClearKeepsLsnsMonotonic) {
   // identifies one append forever.
   EXPECT_EQ(wal.size(), 0u);
   EXPECT_EQ(wal.next_lsn(), next_before);
-  uint64_t c = wal.Append({0, 2, LogRecordType::kInsert, "T", {Value{3}}});
+  uint64_t c = wal.Append(2, LogRecordType::kInsert, "T", Row{Value{3}});
   EXPECT_GT(c, b);
+}
+
+// Compares rows value by value on type and exact payload: a DOUBLE by its
+// bit pattern, so -0.0 and a NaN's payload must survive unchanged.
+void ExpectSameBits(const Row& want, const Row& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(want[i].type(), got[i].type()) << "column " << i;
+    if (want[i].is_double()) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(want[i].AsDouble()),
+                std::bit_cast<uint64_t>(got[i].AsDouble()))
+          << "column " << i;
+    } else {
+      EXPECT_EQ(want[i], got[i]) << "column " << i;
+    }
+  }
+}
+
+TEST(WalTest, RecordsRoundTripEveryValueType) {
+  const Row data = {
+      Value{std::numeric_limits<int64_t>::min()},
+      Value{std::numeric_limits<int64_t>::max()},
+      Value{int64_t{-42}},
+      Value{-0.0},
+      Value{std::bit_cast<double>(uint64_t{0x7ff8'0000'dead'beefULL})},
+      Value{std::numeric_limits<double>::infinity()},
+      Value{-std::numeric_limits<double>::infinity()},
+      Value{std::string()},
+      Value{std::string("a\0b", 3)},
+  };
+  const Row escrow = {Value{int64_t{7}}, Value{"g"}, Value{int64_t{-3}},
+                      Value{2.5}};
+  Wal wal;
+  const uint64_t a = wal.Append(11, LogRecordType::kInsert, "T", data);
+  const uint64_t b = wal.Append(11, LogRecordType::kDelete, "T", Row{});
+  const uint64_t c =
+      wal.Append(12, LogRecordType::kEscrowDelta, "V", escrow, /*aux=*/2);
+  const uint64_t d = wal.Append(11, LogRecordType::kCommit, "");
+
+  const std::vector<LogRecord> recs = wal.records();
+  ASSERT_EQ(recs.size(), 4u);
+  EXPECT_EQ(recs[0].lsn, a);
+  EXPECT_EQ(recs[0].txn_id, 11u);
+  EXPECT_EQ(recs[0].type, LogRecordType::kInsert);
+  EXPECT_EQ(recs[0].table, "T");
+  EXPECT_EQ(recs[0].aux, 0);
+  ExpectSameBits(data, recs[0].row);
+  EXPECT_EQ(recs[0].row[8].AsString().size(), 3u);  // the NUL survives
+  EXPECT_EQ(recs[1].lsn, b);
+  EXPECT_EQ(recs[1].type, LogRecordType::kDelete);
+  EXPECT_TRUE(recs[1].row.empty());
+  EXPECT_EQ(recs[2].lsn, c);
+  EXPECT_EQ(recs[2].txn_id, 12u);
+  EXPECT_EQ(recs[2].type, LogRecordType::kEscrowDelta);
+  EXPECT_EQ(recs[2].table, "V");
+  EXPECT_EQ(recs[2].aux, 2);
+  ExpectSameBits(escrow, recs[2].row);
+  EXPECT_EQ(recs[3].lsn, d);
+  EXPECT_EQ(recs[3].type, LogRecordType::kCommit);
+  EXPECT_TRUE(recs[3].table.empty());
+  EXPECT_TRUE(recs[3].row.empty());
+
+  // Replay decodes the same bytes through one reused record: a shorter row
+  // after a longer one must not keep stale columns.
+  std::vector<LogRecord> replayed;
+  wal.ReplayCommitted([](uint64_t) { return true; },
+                      [&](const LogRecord& rec) { replayed.push_back(rec); });
+  ASSERT_EQ(replayed.size(), 3u);  // the commit record is not data
+  ExpectSameBits(data, replayed[0].row);
+  EXPECT_TRUE(replayed[1].row.empty());
+  EXPECT_EQ(replayed[2].aux, 2);
+  ExpectSameBits(escrow, replayed[2].row);
+}
+
+// A TPC-R-shaped row whose every column derives from `i`.
+Row WideRow(int64_t i) {
+  return {Value{i}, Value{i * 7}, Value{"customer#" + std::to_string(i)},
+          Value{static_cast<double>(i) / 4}, Value{-i}};
+}
+
+// Checks the log holds exactly `lsns`, in order, each with WideRow(lsn).
+void ExpectRecords(const Wal& wal, const std::vector<uint64_t>& lsns) {
+  const std::vector<LogRecord> recs = wal.records();
+  ASSERT_EQ(wal.size(), lsns.size());
+  ASSERT_EQ(recs.size(), lsns.size());
+  for (size_t i = 0; i < recs.size(); ++i) {
+    ASSERT_EQ(recs[i].lsn, lsns[i]) << "record " << i;
+    ExpectSameBits(WideRow(static_cast<int64_t>(lsns[i])), recs[i].row);
+  }
+}
+
+TEST(WalTest, ClearAndDiscardCutAtRecordBoundaries) {
+  // ~90-byte records: 3,000 of them span several 64 KiB blocks, and one
+  // 100 KB string gets a block of its own.
+  Wal wal;
+  wal.ConfigureForce(/*force_ns=*/1, /*window_us=*/0);
+  auto append = [&wal](int n, std::vector<uint64_t>* lsns) {
+    for (int i = 0; i < n; ++i) {
+      const uint64_t lsn = wal.next_lsn();
+      lsns->push_back(
+          wal.Append(1, LogRecordType::kInsert, "T", WideRow(lsn)));
+      ASSERT_EQ(lsns->back(), lsn);
+    }
+  };
+  std::vector<uint64_t> lsns;
+  append(1500, &lsns);
+  const uint64_t big =
+      wal.Append(1, LogRecordType::kInsert, "T",
+                 Row{Value{std::string(100'000, 'x')}});
+  append(500, &lsns);
+  // A force covers everything appended so far.
+  ASSERT_TRUE(wal.Force(lsns.back()).ok());
+  ASSERT_EQ(wal.durable_lsn(), lsns.back());
+  append(1000, &lsns);
+
+  // Suffix cut inside a block: everything above the watermark goes.
+  wal.DiscardUnforced();
+  {
+    std::vector<LogRecord> recs = wal.records();
+    ASSERT_EQ(recs.size(), 2001u);
+    EXPECT_EQ(recs[1499].lsn, lsns[1499]);
+    EXPECT_EQ(recs[1500].lsn, big);
+    EXPECT_EQ(recs[1501].lsn, lsns[1500]);
+    EXPECT_EQ(recs.back().lsn, lsns[1999]);
+    ExpectSameBits(WideRow(static_cast<int64_t>(lsns[1999])),
+                   recs.back().row);
+    EXPECT_EQ(recs[1500].row[0].AsString().size(), 100'000u);
+  }
+  // Appends continue after the cut, into the truncated block's free space.
+  std::vector<uint64_t> more;
+  append(700, &more);
+  EXPECT_GT(more.front(), lsns.back());
+  ASSERT_TRUE(wal.Force(more.back()).ok());
+  // With everything forced, a crash loses nothing.
+  wal.DiscardUnforced();
+  EXPECT_EQ(wal.size(), 2001u + 700u);
+
+  // Prefix cut: a checkpoint frees every record it covers.
+  const uint64_t next = wal.next_lsn();
+  wal.Clear();
+  EXPECT_EQ(wal.size(), 0u);
+  EXPECT_TRUE(wal.records().empty());
+  EXPECT_EQ(wal.next_lsn(), next);
+  std::vector<uint64_t> after;
+  append(1200, &after);
+  EXPECT_EQ(after.front(), next);
+  ExpectRecords(wal, after);
+
+  // A suffix cut that frees whole blocks: only the 100 forced records of
+  // the first block survive.
+  wal.Clear();
+  std::vector<uint64_t> tail;
+  append(100, &tail);
+  ASSERT_TRUE(wal.Force(tail.back()).ok());
+  append(2500, &tail);
+  wal.DiscardUnforced();
+  ExpectRecords(wal, std::vector<uint64_t>(tail.begin(), tail.begin() + 100));
+
+  // A checkpoint racing appends from another thread keeps exactly the
+  // records its truncation point did not cover: a contiguous LSN suffix.
+  std::vector<uint64_t> raced;
+  std::thread appender([&] { append(3000, &raced); });
+  wal.Clear();
+  appender.join();
+  std::vector<uint64_t> survivors;
+  for (const LogRecord& rec : wal.records()) survivors.push_back(rec.lsn);
+  ASSERT_LE(survivors.size(), raced.size());
+  ExpectRecords(wal, std::vector<uint64_t>(raced.end() - survivors.size(),
+                                           raced.end()));
 }
 
 // ----------------------------------------------------------- Group commit
@@ -88,7 +259,7 @@ TEST(GroupCommitTest, FreeForcingKeepsDurableOnAppendSemantics) {
   // The default (force_ns == 0): every append is durable immediately and a
   // crash loses nothing from the log — the pre-group-commit model.
   Wal wal;
-  uint64_t a = wal.Append({0, 1, LogRecordType::kInsert, "T", {Value{1}}});
+  uint64_t a = wal.Append(1, LogRecordType::kInsert, "T", Row{Value{1}});
   EXPECT_EQ(wal.durable_lsn(), a);
   ASSERT_TRUE(wal.Force(a).ok());
   wal.DiscardUnforced();
@@ -111,8 +282,8 @@ TEST(GroupCommitTest, LeaderBatchesConcurrentForces) {
   const auto t0 = std::chrono::steady_clock::now();
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      uint64_t lsn = wal.Append(
-          {0, static_cast<uint64_t>(t + 1), LogRecordType::kPrepare, "", {}});
+      uint64_t lsn =
+          wal.Append(static_cast<uint64_t>(t + 1), LogRecordType::kPrepare, "");
       ready.fetch_add(1);
       EXPECT_TRUE(wal.Force(lsn).ok());
       EXPECT_GE(wal.durable_lsn(), lsn);
@@ -150,9 +321,9 @@ TEST(GroupCommitTest, WindowFlushCoversAppendsThatJoinTheRound) {
   uint64_t lsn2 = 0;
   wal.set_window_hook([&] {
     // Runs on the leader thread with its window open and the log unlocked.
-    lsn2 = wal.Append({0, 2, LogRecordType::kPrepare, "", {}});
+    lsn2 = wal.Append(2, LogRecordType::kPrepare, "");
   });
-  uint64_t lsn1 = wal.Append({0, 1, LogRecordType::kPrepare, "", {}});
+  uint64_t lsn1 = wal.Append(1, LogRecordType::kPrepare, "");
   ASSERT_TRUE(wal.Force(lsn1).ok());
   wal.set_window_hook(nullptr);
   ASSERT_NE(lsn2, 0u);
@@ -165,20 +336,20 @@ TEST(GroupCommitTest, WindowFlushCoversAppendsThatJoinTheRound) {
 TEST(GroupCommitTest, LsnsMonotonicAcrossClearAndDiscard) {
   Wal wal;
   wal.ConfigureForce(/*force_ns=*/100'000, /*window_us=*/0);
-  uint64_t a = wal.Append({0, 1, LogRecordType::kInsert, "T", {Value{1}}});
+  uint64_t a = wal.Append(1, LogRecordType::kInsert, "T", Row{Value{1}});
   ASSERT_TRUE(wal.Force(a).ok());
   wal.Clear();  // checkpoint truncation: durable by definition
   EXPECT_EQ(wal.size(), 0u);
   EXPECT_EQ(wal.durable_lsn(), a);
-  uint64_t b = wal.Append({0, 2, LogRecordType::kInsert, "T", {Value{2}}});
+  uint64_t b = wal.Append(2, LogRecordType::kInsert, "T", Row{Value{2}});
   EXPECT_GT(b, a);
   ASSERT_TRUE(wal.Force(b).ok());
   // An unforced tail append is lost by a crash; LSNs never rewind anyway.
-  uint64_t c = wal.Append({0, 3, LogRecordType::kInsert, "T", {Value{3}}});
+  uint64_t c = wal.Append(3, LogRecordType::kInsert, "T", Row{Value{3}});
   wal.DiscardUnforced();
   EXPECT_EQ(wal.size(), 1u);  // b survives, c is gone
   EXPECT_EQ(wal.records().back().lsn, b);
-  uint64_t d = wal.Append({0, 4, LogRecordType::kInsert, "T", {Value{4}}});
+  uint64_t d = wal.Append(4, LogRecordType::kInsert, "T", Row{Value{4}});
   EXPECT_GT(d, c);
 }
 
@@ -221,8 +392,8 @@ TEST(GroupCommitTest, CheckpointForcesUnforcedTailBeforeTruncation) {
   Counter* forces =
       MetricsRegistry::Global().counter("pjvm_wal_checkpoint_forces");
   const uint64_t before = forces->value();
-  wal.Append({0, 1, LogRecordType::kInsert, "T", {Value{1}}});
-  uint64_t b = wal.Append({0, 1, LogRecordType::kCommit, "", {}});
+  wal.Append(1, LogRecordType::kInsert, "T", Row{Value{1}});
+  uint64_t b = wal.Append(1, LogRecordType::kCommit, "");
   ASSERT_LT(wal.durable_lsn(), b);  // tail is unforced
   wal.Clear();
   // The checkpoint paid the device write instead of lying about durability.
@@ -231,12 +402,12 @@ TEST(GroupCommitTest, CheckpointForcesUnforcedTailBeforeTruncation) {
   EXPECT_EQ(wal.size(), 0u);
   // Crash semantics stay honest after the checkpoint: a fresh unforced
   // append is above the watermark and a crash discard drops it.
-  uint64_t c = wal.Append({0, 2, LogRecordType::kInsert, "T", {Value{2}}});
+  uint64_t c = wal.Append(2, LogRecordType::kInsert, "T", Row{Value{2}});
   EXPECT_GT(c, wal.durable_lsn());
   wal.DiscardUnforced();
   EXPECT_EQ(wal.size(), 0u);
   // An already-durable checkpoint costs nothing.
-  uint64_t d = wal.Append({0, 3, LogRecordType::kInsert, "T", {Value{3}}});
+  uint64_t d = wal.Append(3, LogRecordType::kInsert, "T", Row{Value{3}});
   ASSERT_TRUE(wal.Force(d).ok());
   wal.Clear();
   EXPECT_EQ(forces->value(), before + 1);
@@ -252,7 +423,7 @@ TEST(GroupCommitTest, CheckpointRidesOutInFlightForceRound) {
   Counter* forces =
       MetricsRegistry::Global().counter("pjvm_wal_checkpoint_forces");
   const uint64_t before = forces->value();
-  uint64_t lsn1 = wal.Append({0, 1, LogRecordType::kPrepare, "", {}});
+  uint64_t lsn1 = wal.Append(1, LogRecordType::kPrepare, "");
   uint64_t lsn2 = 0;
   std::thread checkpointer;
   // The window hook replaces the old sleep-into-the-window choreography
@@ -262,7 +433,7 @@ TEST(GroupCommitTest, CheckpointRidesOutInFlightForceRound) {
   // round or arrives just after it closed, the round's force covers lsn2
   // and the checkpoint never pays a device write of its own.
   wal.set_window_hook([&] {
-    lsn2 = wal.Append({0, 2, LogRecordType::kPrepare, "", {}});
+    lsn2 = wal.Append(2, LogRecordType::kPrepare, "");
     checkpointer = std::thread([&] { wal.Clear(); });
   });
   ASSERT_TRUE(wal.Force(lsn1).ok());
@@ -731,6 +902,37 @@ TEST(SystemTxnTest, FailedNodeInsertLeavesNoLogRecord) {
   sys.Crash();
   ASSERT_TRUE(sys.Recover().ok());
   EXPECT_EQ(sys.RowCount("A"), 1u);
+}
+
+TEST(SystemTxnTest, WriteSetKeepsRowsOnlyWhereRead) {
+  // Undo re-inserts a deleted row, so a delete's write keeps the victim. An
+  // insert's undo needs only its lrid: its row is kept only when snapshots
+  // are on, for PublishVersions.
+  for (bool mvcc : {false, true}) {
+    SCOPED_TRACE(mvcc ? "mvcc on" : "mvcc off");
+    SystemConfig cfg = SmallConfig();
+    cfg.mvcc_reads = mvcc;
+    ParallelSystem sys(cfg);
+    ASSERT_TRUE(sys.CreateTable(HashTableDef("A", "a")).ok());
+    ASSERT_TRUE(sys.Insert("A", {Value{1}, Value{10}}).ok());
+    uint64_t t = sys.Begin();
+    ASSERT_TRUE(sys.Insert("A", {Value{2}, Value{20}}, t).ok());
+    ASSERT_TRUE(sys.DeleteExact("A", {Value{1}, Value{10}}, t).ok());
+    TxnWriteSet ws = sys.txns().TakeWriteSet(t);
+    ASSERT_EQ(ws.writes.size(), 2u);
+    EXPECT_EQ(ws.writes[0].op.kind, MvccOp::Kind::kInsert);
+    EXPECT_EQ(ws.writes[0].op.row,
+              mvcc ? Row({Value{2}, Value{20}}) : Row{});
+    EXPECT_EQ(ws.writes[1].op.kind, MvccOp::Kind::kDelete);
+    EXPECT_EQ(ws.writes[1].op.row, Row({Value{1}, Value{10}}));
+    // Hand the writes back; the abort's undo still restores the old state.
+    for (TxnWrite& write : ws.writes) {
+      sys.txns().RecordWrite(t, std::move(write));
+    }
+    ASSERT_TRUE(sys.Abort(t).ok());
+    EXPECT_EQ(Sorted(sys.ScanAll("A")), Sorted({{Value{1}, Value{10}}}));
+    EXPECT_TRUE(sys.CheckInvariants().ok());
+  }
 }
 
 TEST(SystemTxnTest, MultiTableTransactionIsAtomic) {
