@@ -165,6 +165,47 @@ void BM_WalAppend(benchmark::State& state) {
 }
 BENCHMARK(BM_WalAppend);
 
+// Loads 8,192 lineitem-shaped rows into an empty 4-node table (hash
+// partitioned, one non-clustered index): one InsertMany (per-node runs with
+// bottom-up index builds; run=1) against one ParallelSystem::Insert per row
+// (run=0). Both leave identical fragments, logs and counters.
+void BM_InsertRun(benchmark::State& state) {
+  const bool run = state.range(0) != 0;
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 8192; ++i) {
+    rows.push_back({Value{i}, Value{i % 1024}, Value{i % 97},
+                    Value{static_cast<double>(i) * 0.25}, Value{0.05}});
+  }
+  TableDef def;
+  def.name = "lineitem";
+  def.schema = Schema({{"orderkey", ValueType::kInt64},
+                       {"partkey", ValueType::kInt64},
+                       {"quantity", ValueType::kInt64},
+                       {"extendedprice", ValueType::kDouble},
+                       {"discount", ValueType::kDouble}});
+  def.partition = PartitionSpec::Hash("orderkey");
+  def.indexes.push_back(IndexSpec{"partkey", /*clustered=*/false});
+  for (auto _ : state) {
+    state.PauseTiming();
+    SystemConfig cfg;
+    cfg.num_nodes = 4;
+    auto sys = std::make_unique<ParallelSystem>(cfg);
+    sys->CreateTable(def).Check();
+    state.ResumeTiming();
+    if (run) {
+      sys->InsertMany("lineitem", rows).Check();
+    } else {
+      for (const Row& row : rows) sys->Insert("lineitem", row).Check();
+    }
+    state.PauseTiming();
+    sys.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(rows.size()));
+}
+BENCHMARK(BM_InsertRun)->ArgName("run")->Arg(1)->Arg(0);
+
 void MaintenanceBench(benchmark::State& state, MaintenanceMethod method) {
   SystemConfig cfg;
   cfg.num_nodes = static_cast<int>(state.range(0));

@@ -238,44 +238,34 @@ class CostTracker {
     }
     Stall(weights_.insert * n);
   }
-  void ChargeWrite(int node, WriteKind kind) {
-    nodes_[node].inserts.fetch_add(1, std::memory_order_relaxed);
-    TxnMeter* m = active_meter_;
-    if (m != nullptr) {
-      m->nodes_[node].inserts.fetch_add(1, std::memory_order_relaxed);
+  /// Charges `n` INSERT-weighted writes of one category.
+  void ChargeWrite(int node, WriteKind kind, uint64_t n = 1) {
+    std::atomic<uint64_t> AtomicCounters::*category =
+        &AtomicCounters::base_writes;
+    if (kind == WriteKind::kStructure) {
+      category = &AtomicCounters::structure_writes;
+    } else if (kind == WriteKind::kView) {
+      category = &AtomicCounters::view_writes;
     }
-    switch (kind) {
-      case WriteKind::kBase:
-        nodes_[node].base_writes.fetch_add(1, std::memory_order_relaxed);
-        if (m != nullptr) {
-          m->nodes_[node].base_writes.fetch_add(1, std::memory_order_relaxed);
-        }
-        break;
-      case WriteKind::kStructure:
-        nodes_[node].structure_writes.fetch_add(1, std::memory_order_relaxed);
-        if (m != nullptr) {
-          m->nodes_[node].structure_writes.fetch_add(1,
-                                                     std::memory_order_relaxed);
-        }
-        break;
-      case WriteKind::kView:
-        nodes_[node].view_writes.fetch_add(1, std::memory_order_relaxed);
-        if (m != nullptr) {
-          m->nodes_[node].view_writes.fetch_add(1, std::memory_order_relaxed);
-        }
-        break;
+    nodes_[node].inserts.fetch_add(n, std::memory_order_relaxed);
+    (nodes_[node].*category).fetch_add(n, std::memory_order_relaxed);
+    if (TxnMeter* m = active_meter_) {
+      m->nodes_[node].inserts.fetch_add(n, std::memory_order_relaxed);
+      (m->nodes_[node].*category).fetch_add(n, std::memory_order_relaxed);
     }
-    Stall(weights_.insert);
+    Stall(weights_.insert * n);
   }
   /// Max over nodes of the join-compute I/O (searches + fetches only) — the
   /// paper's Figure 14 measurement.
   double ComputeResponseTime() const;
-  void ChargeSend(int node, uint64_t bytes) {
-    nodes_[node].sends.fetch_add(1, std::memory_order_relaxed);
-    nodes_[node].bytes_sent.fetch_add(bytes, std::memory_order_relaxed);
+  /// Charges `hops` SENDs of `bytes` each.
+  void ChargeSend(int node, uint64_t bytes, uint64_t hops = 1) {
+    nodes_[node].sends.fetch_add(hops, std::memory_order_relaxed);
+    nodes_[node].bytes_sent.fetch_add(bytes * hops, std::memory_order_relaxed);
     if (TxnMeter* m = active_meter_) {
-      m->nodes_[node].sends.fetch_add(1, std::memory_order_relaxed);
-      m->nodes_[node].bytes_sent.fetch_add(bytes, std::memory_order_relaxed);
+      m->nodes_[node].sends.fetch_add(hops, std::memory_order_relaxed);
+      m->nodes_[node].bytes_sent.fetch_add(bytes * hops,
+                                           std::memory_order_relaxed);
     }
     // No stall: the paper's SEND weight is ~0 against SEARCH/FETCH/INSERT.
   }

@@ -187,23 +187,29 @@ void Node::LogWrite(uint64_t txn_id, const std::string& table,
                                             : LogRecordType::kDelete,
               table, row);
   if (!transactional && !versioned) return;
+  MvccOp op = VersionOp(kind, row, *frag);
+  if (transactional) {
+    txns_->RecordWrite(txn_id, TxnWrite{id_, table, lrid, std::move(op)});
+    return;
+  }
+  std::vector<MvccOp> ops;
+  ops.push_back(std::move(op));
+  PublishAutocommit(frag, std::move(ops));
+}
+
+MvccOp Node::VersionOp(MvccOp::Kind kind, const Row& row,
+                       const TableFragment& frag) const {
   MvccOp op;
   op.kind = kind;
   // The op keeps a row only where something reads it: undo re-inserts a
   // deleted row, and PublishVersions reads every row when snapshots are on.
   if (kind == MvccOp::Kind::kDelete || snaps_ != nullptr) op.row = row;
-  op.pages_after = frag->num_pages();
-  op.rows_after = frag->num_rows();
-  if (transactional) {
-    txns_->RecordWrite(txn_id, TxnWrite{id_, table, lrid, std::move(op)});
-    return;
-  }
-  // Autocommit: the write is already durable (WAL append above) and there
-  // is no 2PC decision to wait for, so publish right away. Publishing under
-  // the node latch is safe: the publish path takes no latches (lock order
-  // latch -> publish_mu_).
-  std::vector<MvccOp> ops;
-  ops.push_back(std::move(op));
+  op.pages_after = frag.num_pages();
+  op.rows_after = frag.num_rows();
+  return op;
+}
+
+void Node::PublishAutocommit(TableFragment* frag, std::vector<MvccOp> ops) {
   snaps_->Publish(
       [&](uint64_t epoch) { frag->MvccPublish(epoch, std::move(ops)); });
   MvccVersionsLiveGauge()->Add(1.0);
@@ -271,6 +277,48 @@ Result<LocalRowId> Node::Insert(uint64_t txn_id, const std::string& table,
   // record is encoded from the heap's stored row, still under the latch.
   LogWrite(txn_id, table, frag, lrid, MvccOp::Kind::kInsert, *frag->Get(lrid));
   return lrid;
+}
+
+Status Node::InsertRun(uint64_t txn_id, const std::string& table,
+                       std::vector<Row> rows, std::vector<LocalRowId>* lrids) {
+  TableFragment* frag = fragment(table);
+  if (frag == nullptr) {
+    return Status::NotFound("node " + std::to_string(id_) +
+                            " has no fragment '" + table + "'");
+  }
+  // Lock before latch (see Insert): every row's locks, in run order.
+  for (const Row& row : rows) {
+    PJVM_RETURN_NOT_OK(LockForWrite(txn_id, table, *frag, row));
+  }
+  NodeLatchGuard latch(*this);
+  const size_t n = rows.size();
+  const bool transactional = txn_id != kAutoCommitTxnId;
+  const bool versioned = snaps_ != nullptr && frag->mvcc_enabled();
+  std::vector<TxnWrite> writes;
+  std::vector<MvccOp> ops;
+  if (lrids != nullptr) lrids->reserve(lrids->size() + n);
+  frag->InsertRun(std::move(rows), [&](LocalRowId lrid, const Row& stored) {
+    // Each record is encoded from the heap's stored row, as Insert logs it.
+    wal_.Append(txn_id, LogRecordType::kInsert, table, stored);
+    if (lrids != nullptr) lrids->push_back(lrid);
+    if (transactional) {
+      writes.push_back(TxnWrite{id_, table, lrid,
+                                VersionOp(MvccOp::Kind::kInsert, stored,
+                                          *frag)});
+    } else if (versioned) {
+      ops.push_back(VersionOp(MvccOp::Kind::kInsert, stored, *frag));
+    }
+  });
+  tracker_->ChargeWrite(id_, WriteKindOf(table), n);
+  if (frag->has_indexes()) {
+    tracker_->ChargeDescent(id_, n * frag->num_indexes());
+  }
+  if (transactional) {
+    txns_->RecordWrites(txn_id, std::move(writes));
+  } else if (!ops.empty()) {
+    PublishAutocommit(frag, std::move(ops));
+  }
+  return Status::OK();
 }
 
 Status Node::DeleteExact(uint64_t txn_id, const std::string& table,
@@ -423,6 +471,21 @@ std::vector<Row> Node::AllRows(const ReadEpoch& epoch,
   if (!epoch.live()) return MvccAllRows(*frag->MvccHead(), epoch.value());
   NodeLatchGuard latch(*this, LatchMode::kShared);
   return frag->AllRows();
+}
+
+void Node::ForEachRow(const ReadEpoch& epoch, const std::string& table,
+                      const std::function<void(const Row&)>& fn) const {
+  const TableFragment* frag = fragment(table);
+  if (frag == nullptr) return;
+  if (!epoch.live()) {
+    MvccForEachRow(*frag->MvccHead(), epoch.value(), fn);
+    return;
+  }
+  NodeLatchGuard latch(*this, LatchMode::kShared);
+  frag->ForEach([&](LocalRowId, const Row& row) {
+    fn(row);
+    return true;
+  });
 }
 
 size_t Node::RowCount(const ReadEpoch& epoch, const std::string& table) const {

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -129,6 +130,15 @@ class Node {
   /// txns.
   Result<LocalRowId> Insert(uint64_t txn_id, const std::string& table, Row row);
 
+  /// Inserts `rows` in order, the caller having validated them against the
+  /// table's schema (ParallelSystem::InsertMany does): the same INSERT and
+  /// descent charges, WAL records, write-set entries and lrids as one Insert
+  /// per row. The run takes every row lock first, then one latch, and an
+  /// autocommit run publishes its MVCC versions as one delta. Appends each
+  /// row's lrid to `lrids` when non-null.
+  Status InsertRun(uint64_t txn_id, const std::string& table,
+                   std::vector<Row> rows, std::vector<LocalRowId>* lrids);
+
   /// Deletes one row equal to `row`: charges a SEARCH (to locate it) plus
   /// INSERT-weighted write I/O, logs, records the write for explicit txns.
   Status DeleteExact(uint64_t txn_id, const std::string& table, const Row& row);
@@ -175,6 +185,10 @@ class Node {
   /// All rows of `table` here (uncharged; empty without a fragment).
   std::vector<Row> AllRows(const ReadEpoch& epoch,
                            const std::string& table) const;
+  /// Visits AllRows' rows in place, in the same order (uncharged). Live,
+  /// `fn` runs under the shared latch and must not write to this node.
+  void ForEachRow(const ReadEpoch& epoch, const std::string& table,
+                  const std::function<void(const Row&)>& fn) const;
   size_t RowCount(const ReadEpoch& epoch, const std::string& table) const;
   /// Rows whose `column` equals `key`, counted from the index without
   /// copying a row; nullopt when `column` has no index here. Uncharged.
@@ -247,6 +261,15 @@ class Node {
   void LogWrite(uint64_t txn_id, const std::string& table,
                 TableFragment* frag, LocalRowId lrid, MvccOp::Kind kind,
                 const Row& row);
+  /// The version op LogWrite records for a write of `row` that just left
+  /// `frag` in its current shape.
+  MvccOp VersionOp(MvccOp::Kind kind, const Row& row,
+                   const TableFragment& frag) const;
+  /// Publishes an autocommit write's version ops as one delta at once (the
+  /// write is already durable and has no 2PC decision to wait for), then
+  /// piggybacks version GC. Safe under the node latch: the publish path
+  /// takes no latches (lock order latch -> publish_mu_).
+  void PublishAutocommit(TableFragment* frag, std::vector<MvccOp> ops);
 
   int id_;
   CostTracker* tracker_;

@@ -149,41 +149,63 @@ Status ParallelSystem::CreateIndexOn(const std::string& table,
 
 Status ParallelSystem::InsertMany(const std::string& table,
                                   const std::vector<Row>& rows,
-                                  uint64_t txn_id) {
-  return InsertManyReturningIds(table, rows, txn_id).status();
+                                  uint64_t txn_id,
+                                  std::vector<GlobalRowId>* gids) {
+  return InsertRuns(table, rows, txn_id, gids,
+                    [&rows](size_t i) { return rows[i]; });
 }
 
-Result<std::vector<GlobalRowId>> ParallelSystem::InsertManyReturningIds(
-    const std::string& table, const std::vector<Row>& rows, uint64_t txn_id) {
+Status ParallelSystem::InsertMany(const std::string& table,
+                                  std::vector<Row>&& rows, uint64_t txn_id,
+                                  std::vector<GlobalRowId>* gids) {
+  return InsertRuns(table, rows, txn_id, gids,
+                    [&rows](size_t i) { return std::move(rows[i]); });
+}
+
+Status ParallelSystem::InsertRuns(const std::string& table,
+                                  const std::vector<Row>& rows,
+                                  uint64_t txn_id,
+                                  std::vector<GlobalRowId>* gids,
+                                  const std::function<Row(size_t)>& take) {
   PJVM_ASSIGN_OR_RETURN(const TableDef* def, catalog_.Get(table));
-  // Validate and place every row in the caller's thread first: round-robin
-  // placement consumes the per-table counter in batch order, exactly as a
-  // sequence of single-row Inserts would.
-  std::vector<std::vector<size_t>> by_node(config_.num_nodes);
+  for (const Row& row : rows) {
+    PJVM_RETURN_NOT_OK(def->schema.ValidateRow(row));
+  }
+  // Place every row in the caller's thread: round-robin placement consumes
+  // the per-table counter in batch order, exactly as a sequence of
+  // single-row Inserts would.
+  std::vector<std::vector<size_t>> positions(config_.num_nodes);
   for (size_t i = 0; i < rows.size(); ++i) {
-    PJVM_RETURN_NOT_OK(def->schema.ValidateRow(rows[i]));
-    by_node[HomeNodeForRow(*def, rows[i])].push_back(i);
+    positions[HomeNodeForRow(*def, rows[i])].push_back(i);
   }
   std::vector<int> targets;
   for (int n = 0; n < config_.num_nodes; ++n) {
-    if (!by_node[n].empty()) targets.push_back(n);
+    if (!positions[n].empty()) targets.push_back(n);
   }
-  // One task per home node; each task inserts its rows in batch order, so
-  // per-node local row ids, WAL contents, and cost charges do not depend on
-  // which thread runs it.
-  std::vector<GlobalRowId> gids(rows.size());
-  Status st = executor_->RunOnNodes(targets, [&](int n) -> Status {
+  // One run per home node, in batch order, so per-node local row ids, WAL
+  // contents and cost charges do not depend on which thread runs it. Each
+  // task takes its own rows, so copies are made on the node's thread.
+  std::vector<std::vector<LocalRowId>> lrids(config_.num_nodes);
+  PJVM_RETURN_NOT_OK(executor_->RunOnNodes(targets, [&](int n) -> Status {
     SpanGuard span("insert_batch", "task", n, &cost_);
-    span.set_detail(table + " x" + std::to_string(by_node[n].size()));
-    for (size_t i : by_node[n]) {
-      PJVM_ASSIGN_OR_RETURN(LocalRowId lrid,
-                            nodes_[n]->Insert(txn_id, table, rows[i]));
-      gids[i] = GlobalRowId{n, lrid};
+    if (span.active()) {
+      span.set_detail(table + " x" + std::to_string(positions[n].size()));
     }
-    return Status::OK();
-  });
-  PJVM_RETURN_NOT_OK(st);
-  return gids;
+    std::vector<Row> run;
+    run.reserve(positions[n].size());
+    for (size_t i : positions[n]) run.push_back(take(i));
+    return nodes_[n]->InsertRun(txn_id, table, std::move(run),
+                                gids != nullptr ? &lrids[n] : nullptr);
+  }));
+  if (gids != nullptr) {
+    gids->assign(rows.size(), GlobalRowId{});
+    for (int n : targets) {
+      for (size_t k = 0; k < lrids[n].size(); ++k) {
+        (*gids)[positions[n][k]] = GlobalRowId{n, lrids[n][k]};
+      }
+    }
+  }
+  return Status::OK();
 }
 
 Status ParallelSystem::DeleteExact(const std::string& table, const Row& row,
@@ -236,6 +258,12 @@ std::vector<Row> ParallelSystem::ScanAll(const std::string& table) const {
     return Status::OK();
   }).Check();
   return ConcatInNodeOrder(per_node);
+}
+
+void ParallelSystem::ForEachRow(
+    const std::string& table, const std::function<void(const Row&)>& fn) const {
+  ReadEpoch epoch = PinReadEpoch();
+  for (const auto& node : nodes_) node->ForEachRow(epoch, table, fn);
 }
 
 size_t ParallelSystem::RowCount(const std::string& table) const {
@@ -319,14 +347,16 @@ Result<std::vector<Row>> ParallelSystem::SelectEq(const std::string& table,
   // below nest inside it); a driver's WorkloadTag lands in the span detail
   // and a tenant-labeled read counter.
   SpanGuard client_span("select_eq", "client");
-  if (const WorkloadTag* tag = WorkloadTagScope::Current(); tag != nullptr) {
-    client_span.set_detail(table + " tenant=" + tag->tenant);
+  const WorkloadTag* tag = WorkloadTagScope::Current();
+  if (tag != nullptr) {
     MetricsRegistry::Global()
         .counter("pjvm_client_reads",
                  {{"op", "point"}, {"tenant", tag->tenant}})
         ->Increment();
-  } else {
-    client_span.set_detail(table);
+  }
+  if (client_span.active()) {
+    client_span.set_detail(tag != nullptr ? table + " tenant=" + tag->tenant
+                                          : table);
   }
   PJVM_ASSIGN_OR_RETURN(const TableDef* def, catalog_.Get(table));
   PJVM_ASSIGN_OR_RETURN(int col, def->schema.ColumnIndex(column));
@@ -350,14 +380,16 @@ Result<std::vector<Row>> ParallelSystem::SelectRange(const std::string& table,
                                                      const Value& hi,
                                                      uint64_t txn_id) {
   SpanGuard client_span("select_range", "client");
-  if (const WorkloadTag* tag = WorkloadTagScope::Current(); tag != nullptr) {
-    client_span.set_detail(table + " tenant=" + tag->tenant);
+  const WorkloadTag* tag = WorkloadTagScope::Current();
+  if (tag != nullptr) {
     MetricsRegistry::Global()
         .counter("pjvm_client_reads",
                  {{"op", "range"}, {"tenant", tag->tenant}})
         ->Increment();
-  } else {
-    client_span.set_detail(table);
+  }
+  if (client_span.active()) {
+    client_span.set_detail(tag != nullptr ? table + " tenant=" + tag->tenant
+                                          : table);
   }
   PJVM_ASSIGN_OR_RETURN(const TableDef* def, catalog_.Get(table));
   PJVM_ASSIGN_OR_RETURN(int col, def->schema.ColumnIndex(column));
@@ -376,7 +408,7 @@ Result<std::vector<Row>> ParallelSystem::SelectRange(const std::string& table,
 Status ParallelSystem::Commit(uint64_t txn_id) {
   if (txn_id == kAutoCommitTxnId) return Status::OK();
   SpanGuard span("commit_2pc", "txn");
-  span.set_detail("txn " + std::to_string(txn_id));
+  if (span.active()) span.set_detail("txn " + std::to_string(txn_id));
   if (txns_.ShouldFailAt(FailurePoint::kBeforePrepare)) {
     Crash();
     return Status::Aborted("injected crash before prepare");
@@ -554,8 +586,10 @@ void ParallelSystem::PublishVersions(uint64_t txn_id, bool hook_pending,
                                      std::vector<TxnWrite>& writes) {
   if (writes.empty() && !hook_pending) return;
   SpanGuard span("mvcc_publish", "txn");
-  span.set_detail("txn " + std::to_string(txn_id) + ": " +
-                  std::to_string(writes.size()) + " ops");
+  if (span.active()) {
+    span.set_detail("txn " + std::to_string(txn_id) + ": " +
+                    std::to_string(writes.size()) + " ops");
+  }
   // One delta per written fragment, each preserving that fragment's op
   // execution order; all installed at a single epoch so the transaction
   // becomes visible atomically across nodes. Only the ops' rows move out:

@@ -206,18 +206,22 @@ class ParallelSystem {
   /// node i).
   Status Insert(const std::string& table, Row row,
                 uint64_t txn_id = kAutoCommitTxnId);
-  /// Batch insert: rows are validated and assigned their home nodes up
-  /// front (so round-robin placement matches per-row Insert calls exactly),
-  /// then each node's rows are inserted by one executor task, in batch
-  /// order. On any failure nothing further is guaranteed beyond per-node
-  /// prefix application; the first failing node's (in node order) status is
-  /// returned.
+  /// Batch insert, the engine's one bulk write path. Every row is validated
+  /// first, so an invalid row fails the call before anything is placed,
+  /// written or logged. Rows are then placed in batch order (round-robin
+  /// placement matches per-row Insert calls exactly), and each node's share
+  /// becomes one Node::InsertRun task, so per-node lrids, WAL records and
+  /// charges equal those of per-row Inserts. A failing run (a lock conflict
+  /// in an explicit transaction) does not undo the other nodes' runs; the
+  /// first failing node's status, in node order, is returned. With `gids`,
+  /// reports each row's global row id in input order.
+  Status InsertMany(const std::string& table, std::vector<Row>&& rows,
+                    uint64_t txn_id = kAutoCommitTxnId,
+                    std::vector<GlobalRowId>* gids = nullptr);
+  /// InsertMany for a caller that keeps its rows: inserts copies.
   Status InsertMany(const std::string& table, const std::vector<Row>& rows,
-                    uint64_t txn_id = kAutoCommitTxnId);
-  /// InsertMany that also reports each row's global row id, in input order.
-  Result<std::vector<GlobalRowId>> InsertManyReturningIds(
-      const std::string& table, const std::vector<Row>& rows,
-      uint64_t txn_id = kAutoCommitTxnId);
+                    uint64_t txn_id = kAutoCommitTxnId,
+                    std::vector<GlobalRowId>* gids = nullptr);
 
   /// Global row id of one row equal to `row`, without modifying anything
   /// (charges one SEARCH at each probed node).
@@ -235,6 +239,11 @@ class ParallelSystem {
 
   /// All rows of `table` across all nodes, uncharged.
   std::vector<Row> ScanAll(const std::string& table) const;
+  /// Visits ScanAll's rows in place, in the same order, on the calling
+  /// thread (uncharged): node by node under each node's shared latch, so
+  /// `fn` must not write to the system.
+  void ForEachRow(const std::string& table,
+                  const std::function<void(const Row&)>& fn) const;
   size_t RowCount(const std::string& table) const;
   /// Heap bytes of `table` plus any storage overlays registered against it
   /// (a view's merged co-clustered tree reports its bytes on the owning
@@ -327,6 +336,12 @@ class ParallelSystem {
   TxnHook* txn_hook() const { return txn_hook_; }
 
  private:
+  /// InsertMany's body: validates and places `rows`, then runs one
+  /// Node::InsertRun per home node on the executor; each node's task builds
+  /// its run with `take(i)` (a copy or a move of rows[i]).
+  Status InsertRuns(const std::string& table, const std::vector<Row>& rows,
+                    uint64_t txn_id, std::vector<GlobalRowId>* gids,
+                    const std::function<Row(size_t)>& take);
   /// Pins the image this call's reads see on every node (see ReadEpoch):
   /// the nodes hold the snapshot manager exactly when mvcc_reads is on.
   ReadEpoch PinReadEpoch() const;

@@ -17,17 +17,21 @@ size_t HopBytes(std::string_view table, std::span<const Row> rows,
 Network::Network(int num_nodes, CostTracker* tracker)
     : num_nodes_(num_nodes), tracker_(tracker) {}
 
-void Network::Account(int from, int to, size_t bytes, bool charge) {
-  total_messages_.fetch_add(1, std::memory_order_relaxed);
-  total_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+void Network::Account(int from, int first_to, int hops, size_t bytes,
+                      bool charge) {
+  const uint64_t n = static_cast<uint64_t>(hops);
+  total_messages_.fetch_add(n, std::memory_order_relaxed);
+  total_bytes_.fetch_add(bytes * n, std::memory_order_relaxed);
   if (CostTracker::TxnMeter* meter = CostTracker::ActiveMeter()) {
-    meter->Add(CostTracker::TxnMeter::kMessages);
-    meter->Add(CostTracker::TxnMeter::kBytesSent, bytes);
+    meter->Add(CostTracker::TxnMeter::kMessages, n);
+    meter->Add(CostTracker::TxnMeter::kBytesSent, bytes * n);
   }
-  if (charge && tracker_ != nullptr) tracker_->ChargeSend(from, bytes);
+  if (charge && tracker_ != nullptr) tracker_->ChargeSend(from, bytes, n);
   if (Tracer::Global().enabled()) {
-    TraceInstant("send", "net", from, bytes,
-                 std::to_string(from) + "->" + std::to_string(to));
+    for (int to = first_to; to < first_to + hops; ++to) {
+      TraceInstant("send", "net", from, bytes,
+                   std::to_string(from) + "->" + std::to_string(to));
+    }
   }
 }
 
@@ -40,7 +44,7 @@ Status Network::Send(int from, int to, size_t bytes) {
     return Status::InvalidArgument("network: bad destination node " +
                                    std::to_string(to));
   }
-  Account(from, to, bytes, /*charge=*/from != to);
+  Account(from, to, 1, bytes, /*charge=*/from != to);
   return Status::OK();
 }
 
@@ -49,10 +53,9 @@ Status Network::Broadcast(int from, size_t bytes) {
     return Status::InvalidArgument("network: bad broadcast source");
   }
   // The paper charges the naive method L*SEND for "sending tuple to each
-  // node", i.e. the self-copy is charged too.
-  for (int to = 0; to < num_nodes_; ++to) {
-    Account(from, to, bytes, /*charge=*/true);
-  }
+  // node", i.e. the self-copy is charged too. The L hops are accounted in
+  // one step.
+  Account(from, 0, num_nodes_, bytes, /*charge=*/true);
   return Status::OK();
 }
 

@@ -55,9 +55,11 @@ class Network {
 
  private:
   bool ValidNode(int node) const { return node >= 0 && node < num_nodes_; }
-  /// Counts (and, if `charge`, charges) one hop of `bytes` from -> to, in
-  /// the global counters and in the calling thread's active TxnMeter.
-  void Account(int from, int to, size_t bytes, bool charge);
+  /// Counts (and, if `charge`, charges) `hops` hops of `bytes` each from
+  /// `from` to nodes first_to, first_to + 1, ..., in the global counters and
+  /// in the calling thread's active TxnMeter: one add per counter however
+  /// many hops, plus one trace instant per hop when tracing is on.
+  void Account(int from, int first_to, int hops, size_t bytes, bool charge);
 
   const int num_nodes_;
   CostTracker* tracker_;

@@ -147,6 +147,9 @@ class SpanGuard {
 
   /// Attaches a free-form label to the span; no-op when tracing is off.
   void set_detail(std::string detail);
+  /// Whether the span records (tracing was on at construction). Guard any
+  /// detail that costs work to build.
+  bool active() const { return active_; }
 
  private:
   bool active_ = false;

@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -51,6 +52,68 @@ class BPlusTree {
   void Insert(const Value& key, const T& item) {
     InsertRec(root_.get(), key, item);
     if (NumKeys(root_.get()) > static_cast<size_t>(max_keys_)) SplitRoot();
+  }
+
+  /// Builds the tree bottom-up from `run`: (key, item) pairs sorted by key,
+  /// with equal keys in the order their items should take in the posting
+  /// list — the same tree contents as inserting the pairs one by one in that
+  /// order. Leaves are filled to `max_keys`, then each internal level is
+  /// laid over the one below. Precondition: the tree is empty.
+  void BulkLoad(const std::vector<std::pair<const Value*, T>>& run) {
+    const size_t fanout = static_cast<size_t>(max_keys_);
+    std::vector<std::unique_ptr<NodeBase>> level;
+    std::vector<const Value*> lows;  // smallest key under each level node
+    size_t distinct = 0;
+    for (size_t i = 0; i < run.size(); ++i) {
+      if (i == 0 || *run[i - 1].first != *run[i].first) ++distinct;
+    }
+    Leaf* prev = nullptr;
+    size_t at = 0;
+    for (size_t want : EvenChunks(distinct, fanout)) {
+      auto leaf = std::make_unique<Leaf>();
+      leaf->keys.reserve(want);
+      leaf->lists.reserve(want);
+      for (size_t k = 0; k < want; ++k) {
+        const Value& key = *run[at].first;
+        leaf->keys.push_back(key);
+        PostingList& list = leaf->lists.emplace_back();
+        for (; at < run.size() && *run[at].first == key; ++at) {
+          list.push_back(run[at].second);
+        }
+      }
+      leaf->prev = prev;
+      if (prev != nullptr) prev->next = leaf.get();
+      prev = leaf.get();
+      lows.push_back(&leaf->keys.front());
+      level.push_back(std::move(leaf));
+    }
+    key_count_ = distinct;
+    item_count_ = run.size();
+    if (level.empty()) {
+      root_ = NewLeaf();
+      first_leaf_ = static_cast<Leaf*>(root_.get());
+      return;
+    }
+    first_leaf_ = static_cast<Leaf*>(level.front().get());
+    while (level.size() > 1) {
+      std::vector<std::unique_ptr<NodeBase>> parents;
+      std::vector<const Value*> parent_lows;
+      size_t child = 0;
+      for (size_t want : EvenChunks(level.size(), fanout + 1)) {
+        auto in = std::make_unique<Internal>();
+        in->children.reserve(want);
+        in->keys.reserve(want - 1);
+        parent_lows.push_back(lows[child]);
+        for (size_t k = 0; k < want; ++k, ++child) {
+          if (k > 0) in->keys.push_back(*lows[child]);
+          in->children.push_back(std::move(level[child]));
+        }
+        parents.push_back(std::move(in));
+      }
+      level = std::move(parents);
+      lows = std::move(parent_lows);
+    }
+    root_ = std::move(level.front());
   }
 
   /// Removes one occurrence of `item` from `key`'s posting list. Returns
@@ -196,6 +259,17 @@ class BPlusTree {
   }
 
   static size_t NumKeys(const NodeBase* n) { return n->keys.size(); }
+
+  /// Sizes of the fewest chunks of at most `cap` that cover `total`, as
+  /// even as possible (so no chunk is starved next to full ones).
+  static std::vector<size_t> EvenChunks(size_t total, size_t cap) {
+    const size_t chunks = (total + cap - 1) / cap;
+    std::vector<size_t> sizes(chunks);
+    for (size_t i = 0; i < chunks; ++i) {
+      sizes[i] = total / chunks + (i < total % chunks ? 1 : 0);
+    }
+    return sizes;
+  }
 
   std::unique_ptr<NodeBase> NewLeaf() { return std::make_unique<Leaf>(); }
 

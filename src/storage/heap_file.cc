@@ -1,5 +1,7 @@
 #include "storage/heap_file.h"
 
+#include <algorithm>
+
 namespace pjvm {
 
 HeapFile::HeapFile(int rows_per_page) : rows_per_page_(rows_per_page) {}
@@ -15,6 +17,14 @@ LocalRowId HeapFile::Insert(Row row) {
   }
   slots_.push_back(std::move(row));
   return static_cast<LocalRowId>(slots_.size() - 1);
+}
+
+void HeapFile::Reserve(size_t rows) {
+  const size_t recycled = std::min(rows, free_list_.size());
+  const size_t needed = slots_.size() + rows - recycled;
+  if (needed > slots_.capacity()) {
+    slots_.reserve(std::max(needed, 2 * slots_.capacity()));
+  }
 }
 
 const Row* HeapFile::Get(LocalRowId lrid) const {

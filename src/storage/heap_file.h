@@ -26,6 +26,10 @@ class HeapFile {
   /// Inserts a row, returning its stable local row id.
   LocalRowId Insert(Row row);
 
+  /// Makes room for `rows` more inserts in one allocation (geometric growth
+  /// kept), so a bulk run does not grow the slot array row by row.
+  void Reserve(size_t rows);
+
   /// Row at `lrid`, or nullptr if the slot is empty/out of range.
   const Row* Get(LocalRowId lrid) const;
 

@@ -217,6 +217,13 @@ std::vector<Row> MvccAllRows(const MvccState& state, uint64_t epoch) {
   return rows;
 }
 
+void MvccForEachRow(const MvccState& state, uint64_t epoch,
+                    const std::function<void(const Row&)>& fn) {
+  for (const Row* row : VisibleRows(state, epoch)) {
+    if (row != nullptr) fn(*row);
+  }
+}
+
 size_t MvccChainLength(const MvccState& state) {
   size_t n = 0;
   for (const MvccDelta* d = state.head.get(); d != nullptr; d = d->prev.get()) {

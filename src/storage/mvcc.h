@@ -2,6 +2,7 @@
 #define PJVM_STORAGE_MVCC_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -131,6 +132,9 @@ size_t MvccScanRange(const MvccState& state, uint64_t epoch, int column,
 /// All rows visible at `epoch`, in composition order (base image order,
 /// then chain inserts in commit order).
 std::vector<Row> MvccAllRows(const MvccState& state, uint64_t epoch);
+/// Visits MvccAllRows' rows in place, in the same order.
+void MvccForEachRow(const MvccState& state, uint64_t epoch,
+                    const std::function<void(const Row&)>& fn);
 
 /// Number of deltas in the state's chain (metrics / tests).
 size_t MvccChainLength(const MvccState& state);

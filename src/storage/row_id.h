@@ -36,7 +36,14 @@ struct GlobalRowId {
   }
 
   std::string ToString() const {
-    return "(" + std::to_string(node) + ", " + std::to_string(lrid) + ")";
+    // Appended piecewise: `"(" + std::string&&` trips GCC 12's -Wrestrict
+    // false positive at -O3.
+    std::string out = "(";
+    out += std::to_string(node);
+    out += ", ";
+    out += std::to_string(lrid);
+    out += ")";
+    return out;
   }
 };
 

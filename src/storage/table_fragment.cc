@@ -21,11 +21,14 @@ Status TableFragment::CreateIndex(int column, bool clustered) {
         "at most one attribute");
   }
   auto index = std::make_unique<LocalIndex>(column, clustered);
-  // Backfill from existing rows.
-  heap_.ForEach([&](LocalRowId lrid, const Row& row) {
-    index->tree.Insert(row[column], lrid);
+  // Backfill from existing rows, in heap order.
+  std::vector<LocalRowId> lrids;
+  lrids.reserve(heap_.num_rows());
+  heap_.ForEach([&](LocalRowId lrid, const Row&) {
+    lrids.push_back(lrid);
     return true;
   });
+  BuildIndex(index.get(), lrids);
   if (clustered) has_clustered_ = true;
   indexes_.push_back(std::move(index));
   // FindExact probes the index from now on; free the hash's buckets too.
@@ -52,6 +55,41 @@ Result<LocalRowId> TableFragment::Insert(Row row) {
   LocalRowId lrid = heap_.Insert(std::move(row));
   IndexInsert(lrid, *heap_.Get(lrid));
   return lrid;
+}
+
+void TableFragment::InsertRun(
+    std::vector<Row> rows,
+    const std::function<void(LocalRowId, const Row&)>& on_row) {
+  // Only an empty fragment's indexes can be built from the run alone.
+  const bool bulk = has_indexes() && heap_.num_rows() == 0;
+  std::vector<LocalRowId> lrids;
+  if (bulk) lrids.reserve(rows.size());
+  heap_.Reserve(rows.size());
+  for (Row& row : rows) {
+    LocalRowId lrid = heap_.Insert(std::move(row));
+    const Row& stored = *heap_.Get(lrid);
+    if (bulk) {
+      lrids.push_back(lrid);
+    } else {
+      IndexInsert(lrid, stored);
+    }
+    on_row(lrid, stored);
+  }
+  if (!bulk) return;
+  for (auto& index : indexes_) BuildIndex(index.get(), lrids);
+}
+
+void TableFragment::BuildIndex(LocalIndex* index,
+                               const std::vector<LocalRowId>& lrids) {
+  std::vector<std::pair<const Value*, LocalRowId>> run;
+  run.reserve(lrids.size());
+  for (LocalRowId lrid : lrids) {
+    run.emplace_back(&(*heap_.Get(lrid))[index->column], lrid);
+  }
+  std::stable_sort(run.begin(), run.end(), [](const auto& a, const auto& b) {
+    return *a.first < *b.first;
+  });
+  index->tree.BulkLoad(run);
 }
 
 Status TableFragment::DeleteByRid(LocalRowId lrid, bool keep_slot) {

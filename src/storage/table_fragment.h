@@ -2,6 +2,7 @@
 #define PJVM_STORAGE_TABLE_FRAGMENT_H_
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -68,6 +69,14 @@ class TableFragment {
 
   /// Inserts a row (validated against the schema), maintaining all indexes.
   Result<LocalRowId> Insert(Row row);
+
+  /// Inserts `rows` in order, the caller having validated them against the
+  /// schema, and calls `on_row(lrid, stored row)` right after each heap
+  /// append (num_rows()/num_pages() then count that row). The heap and every
+  /// posting list end as after one Insert per row; into an empty fragment
+  /// each index is built bottom-up from the run instead of row by row.
+  void InsertRun(std::vector<Row> rows,
+                 const std::function<void(LocalRowId, const Row&)>& on_row);
 
   /// Deletes the row at `lrid`, maintaining all indexes. With `keep_slot`
   /// the heap slot stays reserved (see HeapFile::DeleteKeepSlot) so the row
@@ -158,6 +167,10 @@ class TableFragment {
 
  private:
   void IndexInsert(LocalRowId lrid, const Row& row);
+  /// Fills the empty `index` from the live rows at `lrids`: a stable sort
+  /// by key keeps each posting list in `lrids` order, as inserting them one
+  /// by one in that order would.
+  void BuildIndex(LocalIndex* index, const std::vector<LocalRowId>& lrids);
   Status IndexRemove(LocalRowId lrid, const Row& row);
 
   Schema schema_;

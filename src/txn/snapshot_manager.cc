@@ -70,7 +70,7 @@ SnapshotScope::SnapshotScope(SnapshotManager* mgr)
       epoch_(mgr->AcquireRead()),
       prev_(tl_active_scope),
       span_("snapshot_read", "txn") {
-  span_.set_detail("epoch=" + std::to_string(epoch_));
+  if (span_.active()) span_.set_detail("epoch=" + std::to_string(epoch_));
   tl_active_scope = this;
 }
 

@@ -1,5 +1,6 @@
 #include "txn/txn_manager.h"
 
+#include <iterator>
 #include <utility>
 
 namespace pjvm {
@@ -79,6 +80,18 @@ void TxnManager::RecordWrite(uint64_t txn_id, TxnWrite write) {
   if (it == records_.end()) return;
   it->second.write_set.participants.insert(write.node);
   it->second.write_set.writes.push_back(std::move(write));
+}
+
+void TxnManager::RecordWrites(uint64_t txn_id, std::vector<TxnWrite> writes) {
+  if (writes.empty()) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = records_.find(txn_id);
+  if (it == records_.end()) return;
+  TxnWriteSet& write_set = it->second.write_set;
+  write_set.participants.insert(writes.front().node);
+  write_set.writes.insert(write_set.writes.end(),
+                          std::make_move_iterator(writes.begin()),
+                          std::make_move_iterator(writes.end()));
 }
 
 void TxnManager::AddParticipant(uint64_t txn_id, int node) {

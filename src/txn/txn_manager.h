@@ -124,6 +124,8 @@ class TxnManager {
   /// participant. Safe from concurrent node workers. A transaction the
   /// coordinator no longer tracks (dropped by a crash) records nothing.
   void RecordWrite(uint64_t txn_id, TxnWrite write);
+  /// RecordWrite for one node's run of writes, in order, under one lock.
+  void RecordWrites(uint64_t txn_id, std::vector<TxnWrite> writes);
   /// Makes `node` a 2PC participant without a write (an escrow touch, whose
   /// journal owns its own undo and version ops).
   void AddParticipant(uint64_t txn_id, int node);

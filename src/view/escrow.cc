@@ -145,11 +145,14 @@ Result<bool> EscrowRegistry::Apply(uint64_t txn, int node_id,
       GroupState& gs = git->second;
       auto dit = gs.deltas.find(txn);
       if (dit == gs.deltas.end()) {
-        Row zero(contribution.begin(), contribution.begin() + width);
-        zero.push_back(Value{int64_t{0}});
+        // The contribution's own layout, [group..., __count, aggregates...],
+        // with the count and every aggregate zeroed.
+        Row zero = contribution;
+        zero[count_idx] = Value{int64_t{0}};
+        size_t at = static_cast<size_t>(count_idx) + 1;
         for (const auto& agg : bound->bound_aggregates()) {
-          zero.push_back(agg.type == ValueType::kDouble ? Value{0.0}
-                                                        : Value{int64_t{0}});
+          zero[at++] = agg.type == ValueType::kDouble ? Value{0.0}
+                                                      : Value{int64_t{0}};
         }
         dit = gs.deltas.emplace(txn, std::move(zero)).first;
       }

@@ -56,7 +56,7 @@ Result<std::vector<Maintainer::Partial>> Maintainer::GlobalIndexStep(
   {
   SpanGuard lookup_span("gi_lookup", "phase", -1, nullptr,
                         MaintenanceMethodToString(method()));
-  lookup_span.set_detail(gi_table);
+  if (lookup_span.active()) lookup_span.set_detail(gi_table);
   PJVM_RETURN_NOT_OK(
       sys_->executor().RunOnNodes(homes, [&](int gi_home) -> Status {
         SpanGuard span("gi_probe_node", "task", gi_home, &sys_->cost(),
@@ -131,7 +131,7 @@ Result<std::vector<Maintainer::Partial>> Maintainer::GlobalIndexStep(
   // Phase 2: every owning node fetches its rid lists on its own worker.
   SpanGuard fetch_span("gi_fetch", "phase", -1, nullptr,
                        MaintenanceMethodToString(method()));
-  fetch_span.set_detail(target_def.name);
+  if (fetch_span.active()) fetch_span.set_detail(target_def.name);
   PJVM_RETURN_NOT_OK(
       sys_->executor().RunOnNodes(owners, [&](int owner) -> Status {
         SpanGuard span("gi_fetch_node", "task", owner, &sys_->cost(),

@@ -348,7 +348,7 @@ Result<std::vector<Maintainer::Partial>> Maintainer::BroadcastStep(
   ProbeTarget target = BaseProbeTarget(step);
   SpanGuard phase_span("broadcast_step", "phase", -1, nullptr,
                        MaintenanceMethodToString(method()));
-  phase_span.set_detail(target.table);
+  if (phase_span.active()) phase_span.set_detail(target.table);
   PJVM_ASSIGN_OR_RETURN(int key_idx,
                         bound().WorkingIndex(step.source_base, step.source_col));
   // Every partial is shipped to every node: the paper's L*SEND per tuple.
@@ -385,7 +385,7 @@ Result<std::vector<Maintainer::Partial>> Maintainer::RoutedStep(
   SpanGuard phase_span(
       target.merged != nullptr ? "merged_routed_step" : "routed_step", "phase",
       -1, nullptr, MaintenanceMethodToString(method()));
-  phase_span.set_detail(target.table);
+  if (phase_span.active()) phase_span.set_detail(target.table);
   PJVM_ASSIGN_OR_RETURN(int key_idx,
                         bound().WorkingIndex(step.source_base, step.source_col));
   PJVM_ASSIGN_OR_RETURN(std::vector<std::vector<size_t>> at_home,

@@ -1,7 +1,11 @@
 #include "view/materialized_view.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <deque>
 #include <map>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "net/network.h"
 
@@ -215,27 +219,43 @@ Result<std::vector<Row>> EvaluateViewFromScratch(ParallelSystem* sys,
     }
   }
 
-  // Seed with base order[0]'s selection-filtered needed tuples.
-  std::vector<Row> partials;
+  // Each base is read in place (ParallelSystem::ForEachRow) and only the
+  // columns the view needs are copied out. Tuples are stored flat, `width`
+  // values per working tuple, so the join allocates no row until it emits
+  // an output row. The flat stores are deques: small blocks rather than one
+  // large buffer, because freeing a large (mmapped) buffer raises glibc's
+  // dynamic mmap and trim thresholds for the whole process, after which the
+  // executor workers' arenas keep their freed tops resident.
+  const size_t width = static_cast<size_t>(bound.working_width());
+  std::deque<Value> partials;
+  const int b0 = order[0];
   {
-    int b0 = order[0];
-    for (const Row& row : sys->ScanAll(bound.base_def(b0).name)) {
-      if (!bound.RowPassesSelections(b0, row)) continue;
-      Row working(bound.working_width());
-      Row part = bound.ProjectNeeded(b0, row);
-      for (size_t j = 0; j < part.size(); ++j) {
-        working[bound.needed_offset(b0) + j] = std::move(part[j]);
-      }
-      partials.push_back(std::move(working));
-    }
+    const std::vector<int>& cols = bound.needed_cols(b0);
+    const size_t offset = static_cast<size_t>(bound.needed_offset(b0));
+    sys->ForEachRow(bound.base_def(b0).name, [&](const Row& row) {
+      if (!bound.RowPassesSelections(b0, row)) return;
+      const size_t at = partials.size() + offset;
+      partials.resize(partials.size() + width);
+      for (size_t j = 0; j < cols.size(); ++j) partials[at + j] = row[cols[j]];
+    });
   }
 
+  std::vector<Row> outputs;
+  Row working;  // scratch for OutputRow
+  if (order.size() == 1) {
+    // A single-base view has no join step: its seed tuples are the output.
+    for (size_t p = 0; p < partials.size(); p += width) {
+      working.assign(partials.begin() + p, partials.begin() + p + width);
+      outputs.push_back(bound.OutputRow(working));
+    }
+  }
   std::fill(filled.begin(), filled.end(), false);
   filled[order[0]] = true;
   for (size_t step = 1; step < order.size(); ++step) {
-    int target = order[step];
+    const int target = order[step];
+    const bool last = step + 1 == order.size();
     // Edges between the target and filled bases; the first drives the hash
-    // join, the rest are residual filters.
+    // join, the rest are residual filters (as working-tuple index pairs).
     std::vector<BoundEdge> connecting;
     for (const BoundEdge& e : bound.bound_edges()) {
       if ((e.left_base == target && filled[e.right_base]) ||
@@ -246,55 +266,84 @@ Result<std::vector<Row>> EvaluateViewFromScratch(ParallelSystem* sys,
     if (connecting.empty()) {
       return Status::Internal("evaluate: disconnected join order");
     }
-    BoundEdge drive = connecting[0];
-    int target_col = drive.left_base == target ? drive.left_col : drive.right_col;
-    int source_base = drive.left_base == target ? drive.right_base : drive.left_base;
-    int source_col = drive.left_base == target ? drive.right_col : drive.left_col;
-
-    // Build a hash table over the target base's (filtered, needed) tuples.
-    std::unordered_map<Value, std::vector<Row>, ValueHash> table;
-    PJVM_ASSIGN_OR_RETURN(int key_pos, bound.NeededPos(target, target_col));
-    for (const Row& row : sys->ScanAll(bound.base_def(target).name)) {
-      if (!bound.RowPassesSelections(target, row)) continue;
-      Row part = bound.ProjectNeeded(target, row);
-      table[part[key_pos]].push_back(std::move(part));
+    std::vector<std::pair<int, int>> residuals;
+    for (size_t e = 1; e < connecting.size(); ++e) {
+      const BoundEdge& edge = connecting[e];
+      PJVM_ASSIGN_OR_RETURN(int li,
+                            bound.WorkingIndex(edge.left_base, edge.left_col));
+      PJVM_ASSIGN_OR_RETURN(int ri,
+                            bound.WorkingIndex(edge.right_base, edge.right_col));
+      residuals.emplace_back(li, ri);
     }
-
+    const BoundEdge& drive = connecting[0];
+    const bool target_left = drive.left_base == target;
+    const int target_col = target_left ? drive.left_col : drive.right_col;
+    const int source_base = target_left ? drive.right_base : drive.left_base;
+    const int source_col = target_left ? drive.right_col : drive.left_col;
     PJVM_ASSIGN_OR_RETURN(int probe_idx,
                           bound.WorkingIndex(source_base, source_col));
-    std::vector<Row> next;
-    for (const Row& working : partials) {
-      auto it = table.find(working[probe_idx]);
-      if (it == table.end()) continue;
-      for (const Row& part : it->second) {
-        Row extended = working;
-        for (size_t j = 0; j < part.size(); ++j) {
-          extended[bound.needed_offset(target) + j] = part[j];
-        }
-        // Residual edge checks.
+    PJVM_ASSIGN_OR_RETURN(int key_pos, bound.NeededPos(target, target_col));
+
+    // Build side: the target base's (filtered, needed) tuples, flat, with
+    // each key's hash. Tuples chain by hash bucket; the chains are linked
+    // back to front so a probe meets its matches in scan order.
+    const std::vector<int>& cols = bound.needed_cols(target);
+    const size_t part_width = cols.size();
+    const size_t offset = static_cast<size_t>(bound.needed_offset(target));
+    std::deque<Value> parts;
+    std::vector<uint64_t> hashes;
+    sys->ForEachRow(bound.base_def(target).name, [&](const Row& row) {
+      if (!bound.RowPassesSelections(target, row)) return;
+      for (int c : cols) parts.push_back(row[c]);
+      hashes.push_back(row[target_col].Hash());
+    });
+    constexpr uint32_t kEnd = UINT32_MAX;
+    size_t mask = 1;
+    while (mask < 2 * hashes.size()) mask <<= 1;
+    --mask;
+    std::vector<uint32_t> head(mask + 1, kEnd);
+    std::vector<uint32_t> next_match(hashes.size(), kEnd);
+    for (size_t i = hashes.size(); i-- > 0;) {
+      uint32_t& first = head[hashes[i] & mask];
+      next_match[i] = first;
+      first = static_cast<uint32_t>(i);
+    }
+
+    // Probe side, in partial order.
+    std::deque<Value> next;
+    for (size_t p = 0; p < partials.size(); p += width) {
+      const Value& key = partials[p + probe_idx];
+      const uint64_t hash = key.Hash();
+      for (uint32_t i = head[hash & mask]; i != kEnd; i = next_match[i]) {
+        auto part = parts.begin() + i * part_width;
+        if (hashes[i] != hash || part[key_pos] != key) continue;
+        auto value_at = [&](size_t idx) -> const Value& {
+          return idx >= offset && idx < offset + part_width
+                     ? part[idx - offset]
+                     : partials[p + idx];
+        };
         bool ok = true;
-        for (size_t e = 1; e < connecting.size() && ok; ++e) {
-          const BoundEdge& edge = connecting[e];
-          PJVM_ASSIGN_OR_RETURN(int li,
-                                bound.WorkingIndex(edge.left_base, edge.left_col));
-          PJVM_ASSIGN_OR_RETURN(
-              int ri, bound.WorkingIndex(edge.right_base, edge.right_col));
-          ok = extended[li] == extended[ri];
+        for (const auto& [li, ri] : residuals) {
+          ok = ok && value_at(li) == value_at(ri);
         }
-        if (ok) next.push_back(std::move(extended));
+        if (!ok) continue;
+        if (last) {
+          working.assign(partials.begin() + p, partials.begin() + p + width);
+          std::copy(part, part + part_width, working.begin() + offset);
+          outputs.push_back(bound.OutputRow(working));
+        } else {
+          next.insert(next.end(), partials.begin() + p,
+                      partials.begin() + p + width);
+          std::copy(part, part + part_width, next.end() - width + offset);
+        }
       }
     }
     partials = std::move(next);
     filled[target] = true;
   }
-
-  std::vector<Row> outputs;
-  outputs.reserve(partials.size());
-  for (const Row& working : partials) {
-    outputs.push_back(bound.OutputRow(working));
-  }
   // Aggregate views store folded group rows, not raw join tuples.
-  return bound.FoldAggregates(outputs);
+  if (bound.is_aggregate()) return bound.FoldAggregates(outputs);
+  return outputs;
 }
 
 }  // namespace pjvm

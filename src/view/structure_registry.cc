@@ -113,26 +113,21 @@ Status StructureRegistry::Build(Entry& entry) {
   def.indexes.push_back(IndexSpec{key_name, /*clustered=*/true});
   PJVM_RETURN_NOT_OK(sys_->CreateTable(def));
   // Backfill from the base table (bulk load; routed by hash, no maintenance
-  // metering intended — callers reset the cost tracker after setup).
+  // metering intended — callers reset the cost tracker after setup). Each
+  // node's rows are copied out under its own latch and inserted with every
+  // latch released: a structure row's home node latches itself, and holding
+  // one node's latch while taking another's would invert latch order.
+  std::vector<Row> rows;
   for (int i = 0; i < sys_->num_nodes(); ++i) {
-    // Copy the rows out under node i's latch, then insert with the latch
-    // released: Insert latches the structure row's *home* node, and holding
-    // one node's latch while taking another's would invert latch order.
-    std::vector<Row> rows;
-    {
-      NodeLatchGuard latch(*sys_->node(i), LatchMode::kShared);
-      sys_->node(i)->fragment(entry.base_table)->ForEach(
-          [&](LocalRowId lrid, const Row& row) {
-            std::optional<Row> out = RowFor(entry, row, GlobalRowId{i, lrid});
-            if (out.has_value()) rows.push_back(std::move(*out));
-            return true;
-          });
-    }
-    for (Row& row : rows) {
-      PJVM_RETURN_NOT_OK(sys_->Insert(entry.table, std::move(row)));
-    }
+    NodeLatchGuard latch(*sys_->node(i), LatchMode::kShared);
+    sys_->node(i)->fragment(entry.base_table)->ForEach(
+        [&](LocalRowId lrid, const Row& row) {
+          std::optional<Row> out = RowFor(entry, row, GlobalRowId{i, lrid});
+          if (out.has_value()) rows.push_back(std::move(*out));
+          return true;
+        });
   }
-  return Status::OK();
+  return sys_->InsertMany(entry.table, std::move(rows));
 }
 
 Status StructureRegistry::Release(MaintenanceMethod method,

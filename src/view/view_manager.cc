@@ -88,13 +88,14 @@ Status ViewManager::RegisterView(const JoinViewDef& def,
   reg.view = std::make_unique<MaterializedView>(std::move(mv));
   reg.maintainer = std::make_unique<Maintainer>(
       sys_, reg.view.get(), method, &structures_, store.get());
+  reg.maintain_ns = MetricsRegistry::Global().histogram(
+      std::string("pjvm_maintain_view_ns{method=\"") +
+      MaintenanceMethodToString(method) + "\"}");
 
-  // Backfill the view from the current base contents.
+  // Backfill the view from the current base contents, one run per node.
   PJVM_ASSIGN_OR_RETURN(std::vector<Row> rows,
                         EvaluateViewFromScratch(sys_, reg.bound));
-  for (Row& row : rows) {
-    PJVM_RETURN_NOT_OK(sys_->Insert(def.name, std::move(row)));
-  }
+  PJVM_RETURN_NOT_OK(sys_->InsertMany(def.name, std::move(rows)));
   if (merged) {
     // Loaded after the backfill so RebuildFromHeaps sees the full view; the
     // hook keeps the tree in step with every later ApplyOutputs, and the
@@ -179,9 +180,12 @@ Result<MaintenanceReport> ViewManager::ApplyDelta(DeltaBatch delta,
   // without a tenant parameter on this API.
   const WorkloadTag* tag = WorkloadTagScope::Current();
   SpanGuard txn_span("maintain_txn", "view");
-  txn_span.set_detail(delta.table + " +" + std::to_string(delta.inserts.size()) +
-                      "/-" + std::to_string(delta.deletes.size()) +
-                      (tag != nullptr ? " tenant=" + tag->tenant : ""));
+  if (txn_span.active()) {
+    txn_span.set_detail(
+        delta.table + " +" + std::to_string(delta.inserts.size()) + "/-" +
+        std::to_string(delta.deletes.size()) +
+        (tag != nullptr ? " tenant=" + tag->tenant : ""));
+  }
 
   // Rows the current attempt routed into a view's deferred buffer. Staging
   // is per attempt and flushed only after Commit, so a wait-die-aborted
@@ -218,9 +222,8 @@ Result<MaintenanceReport> ViewManager::ApplyDelta(DeltaBatch delta,
       if (!delta.inserts.empty()) {
         // Batch insert: rows are grouped by home node and applied by each
         // node's worker in parallel, with gids in delta order.
-        PJVM_ASSIGN_OR_RETURN(
-            delta.insert_gids,
-            sys_->InsertManyReturningIds(delta.table, delta.inserts, txn));
+        PJVM_RETURN_NOT_OK(sys_->InsertMany(delta.table, delta.inserts, txn,
+                                            &delta.insert_gids));
       }
     }
     {
@@ -297,15 +300,12 @@ Result<MaintenanceReport> ViewManager::ApplyDelta(DeltaBatch delta,
       if (meter != nullptr) view_before = meter->Snapshot();
       const uint64_t view_t0 = Tracer::NowNs();
       SpanGuard view_span("maintain_view", "view", -1, nullptr, method_str);
-      view_span.set_detail(name);
+      if (view_span.active()) view_span.set_detail(name);
       PJVM_ASSIGN_OR_RETURN(MaintenanceReport report,
                             reg.maintainer->ApplyDelta(txn, base_idx,
                                                        *effective));
       uint64_t view_ns = Tracer::NowNs() - view_t0;
-      MetricsRegistry::Global()
-          .histogram(std::string("pjvm_maintain_view_ns{method=\"") +
-                     method_str + "\"}")
-          ->Record(view_ns);
+      reg.maintain_ns->Record(view_ns);
       if (tag != nullptr) {
         // The updating tenant pays for maintaining every dependent view —
         // including other tenants' — so the labeled series carries both the
@@ -362,9 +362,13 @@ Result<MaintenanceReport> ViewManager::ApplyDelta(DeltaBatch delta,
     }
   }
 
+  static Counter* const txns_counter =
+      MetricsRegistry::Global().counter("pjvm_maintain_txns");
+  static LatencyHistogram* const txn_ns_histogram =
+      MetricsRegistry::Global().histogram("pjvm_maintain_txn_ns");
   const uint64_t txn_ns = Tracer::NowNs() - t0;
-  MetricsRegistry::Global().counter("pjvm_maintain_txns")->Increment();
-  MetricsRegistry::Global().histogram("pjvm_maintain_txn_ns")->Record(txn_ns);
+  txns_counter->Increment();
+  txn_ns_histogram->Record(txn_ns);
   if (tag != nullptr) {
     MetricsRegistry::Global()
         .histogram("pjvm_maintain_txn_ns", {{"tenant", tag->tenant}})
@@ -639,7 +643,9 @@ Status ViewManager::FoldViewLocked(const std::string& name,
       MetricsRegistry::Global().counter("pjvm_deferred_folds");
   SpanGuard span("deferred_fold", "view", -1, nullptr,
                  MaintenanceMethodToString(reg.method));
-  span.set_detail(name + " rows=" + std::to_string(buf->rows()));
+  if (span.active()) {
+    span.set_detail(name + " rows=" + std::to_string(buf->rows()));
+  }
 
   // The buffered rows' base and structure updates were applied eagerly when
   // they arrived, so the fold is pure view maintenance: the same

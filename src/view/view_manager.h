@@ -21,6 +21,8 @@
 
 namespace pjvm {
 
+class LatencyHistogram;
+
 /// \brief When a view's contents are brought up to date.
 enum class MaintenanceTiming {
   /// Inside every base-update transaction (the paper's setting).
@@ -42,6 +44,9 @@ struct ViewRegistration {
   bool stale = false;
   std::unique_ptr<MaterializedView> view;
   std::unique_ptr<Maintainer> maintainer;
+  /// The untagged `pjvm_maintain_view_ns{method=...}` series, resolved once
+  /// at registration rather than looked up per delta.
+  LatencyHistogram* maintain_ns = nullptr;
 };
 
 /// \brief The system's view-maintenance front end.

@@ -1,5 +1,7 @@
 #include "workload/tpcr.h"
 
+#include <utility>
+
 #include "common/rng.h"
 
 namespace pjvm {
@@ -80,13 +82,13 @@ TpcrData GenerateTpcr(const TpcrConfig& config) {
   return data;
 }
 
-Status LoadTpcr(ParallelSystem* sys, const TpcrData& data) {
+Status LoadTpcr(ParallelSystem* sys, TpcrData data) {
   PJVM_RETURN_NOT_OK(sys->CreateTable(CustomerTableDef()));
   PJVM_RETURN_NOT_OK(sys->CreateTable(OrdersTableDef()));
   PJVM_RETURN_NOT_OK(sys->CreateTable(LineitemTableDef()));
-  PJVM_RETURN_NOT_OK(sys->InsertMany("customer", data.customer));
-  PJVM_RETURN_NOT_OK(sys->InsertMany("orders", data.orders));
-  PJVM_RETURN_NOT_OK(sys->InsertMany("lineitem", data.lineitem));
+  PJVM_RETURN_NOT_OK(sys->InsertMany("customer", std::move(data.customer)));
+  PJVM_RETURN_NOT_OK(sys->InsertMany("orders", std::move(data.orders)));
+  PJVM_RETURN_NOT_OK(sys->InsertMany("lineitem", std::move(data.lineitem)));
   return Status::OK();
 }
 

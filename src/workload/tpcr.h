@@ -52,8 +52,9 @@ TableDef LineitemTableDef();
 
 TpcrData GenerateTpcr(const TpcrConfig& config);
 
-/// Creates the three tables in `sys` and loads `data`.
-Status LoadTpcr(ParallelSystem* sys, const TpcrData& data);
+/// Creates the three tables in `sys` and loads `data`, handing its rows
+/// over to the tables (one InsertMany per table).
+Status LoadTpcr(ParallelSystem* sys, TpcrData data);
 
 /// A fresh customer row whose custkey is `customers + i` — it matches the
 /// pre-generated orders for that key (the paper's delta tuples "each have

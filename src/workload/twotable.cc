@@ -20,15 +20,16 @@ Status LoadTwoTable(ParallelSystem* sys, const TwoTableConfig& config) {
   b.indexes.push_back(IndexSpec{"d", config.b_clustered_on_d});
   PJVM_RETURN_NOT_OK(sys->CreateTable(b));
 
+  std::vector<Row> rows;
+  rows.reserve(static_cast<size_t>(config.b_join_keys * config.fanout));
   int64_t bkey = 0;
   for (int64_t k = 0; k < config.b_join_keys; ++k) {
     for (int64_t r = 0; r < config.fanout; ++r) {
-      PJVM_RETURN_NOT_OK(
-          sys->Insert("B", {Value{bkey}, Value{k}, Value{bkey * 7}}));
+      rows.push_back({Value{bkey}, Value{k}, Value{bkey * 7}});
       ++bkey;
     }
   }
-  return Status::OK();
+  return sys->InsertMany("B", std::move(rows));
 }
 
 Row MakeDeltaA(const TwoTableConfig& config, int64_t i) {

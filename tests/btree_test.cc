@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -61,6 +63,58 @@ TEST(BTreeTest, ReverseInsertionOrder) {
   for (int64_t i = 499; i >= 0; --i) t.Insert(Value{i}, static_cast<uint64_t>(i));
   for (int64_t i = 0; i < 500; ++i) ASSERT_NE(t.Find(Value{i}), nullptr);
   EXPECT_TRUE(t.CheckInvariants().ok()) << t.CheckInvariants();
+}
+
+// Renders every (key, posting list) entry in key order.
+std::string Entries(const Tree& t) {
+  std::string out;
+  t.ForEachEntry([&](const Value& key, const std::vector<uint64_t>& items) {
+    out += key.ToString() + ":";
+    for (uint64_t item : items) out += std::to_string(item) + ",";
+    out += " ";
+    return true;
+  });
+  return out;
+}
+
+// A bottom-up build from a stable-sorted run holds what inserting the run
+// item by item holds — posting lists in run order — at every fanout and
+// size (empty, one leaf, exact multiples, several levels), and keeps taking
+// inserts and removes afterwards.
+TEST(BTreeTest, BulkLoadMatchesItemByItemInserts) {
+  for (int fanout : {3, 4, 64}) {
+    for (int n : {0, 1, 3, 4, 5, 64, 65, 300, 2000}) {
+      Rng rng(static_cast<uint64_t>(fanout * 7919 + n));
+      std::vector<Value> keys;
+      for (int i = 0; i < n; ++i) keys.push_back(Value{rng.UniformInt(0, n / 3)});
+      Tree inserted(fanout);
+      std::vector<std::pair<const Value*, uint64_t>> run;
+      for (int i = 0; i < n; ++i) {
+        inserted.Insert(keys[i], static_cast<uint64_t>(i));
+        run.emplace_back(&keys[i], static_cast<uint64_t>(i));
+      }
+      std::stable_sort(run.begin(), run.end(), [](const auto& a, const auto& b) {
+        return *a.first < *b.first;
+      });
+      Tree built(fanout);
+      built.BulkLoad(run);
+      ASSERT_TRUE(built.CheckInvariants().ok()) << built.CheckInvariants();
+      ASSERT_EQ(Entries(built), Entries(inserted)) << fanout << "/" << n;
+      ASSERT_EQ(built.num_keys(), inserted.num_keys());
+      ASSERT_EQ(built.num_items(), inserted.num_items());
+      for (int i = 0; i < n; i += 2) {
+        ASSERT_TRUE(built.Remove(keys[i], static_cast<uint64_t>(i)).ok());
+        ASSERT_TRUE(inserted.Remove(keys[i], static_cast<uint64_t>(i)).ok());
+      }
+      for (int i = 0; i < n / 2; ++i) {
+        const Value key{rng.UniformInt(0, n)};
+        built.Insert(key, static_cast<uint64_t>(n + i));
+        inserted.Insert(key, static_cast<uint64_t>(n + i));
+      }
+      ASSERT_TRUE(built.CheckInvariants().ok()) << built.CheckInvariants();
+      EXPECT_EQ(Entries(built), Entries(inserted)) << fanout << "/" << n;
+    }
+  }
 }
 
 TEST(BTreeTest, RemoveMissingKeyFails) {

@@ -184,7 +184,9 @@ TEST(LocalityTest, AuxSendsConstantInL) {
     fx.manager->InsertRow("A", fx.NextARow(5)).status().Check();
     uint64_t sends = fx.sys->cost().TotalSends();
     EXPECT_LE(sends, 3u) << "L=" << nodes;  // AR ship + join-result ship (+1 slack).
-    if (prev != 0) EXPECT_EQ(sends, prev);
+    if (prev != 0) {
+      EXPECT_EQ(sends, prev);
+    }
     prev = sends;
   }
 }

@@ -46,7 +46,9 @@ TEST(ArrivalScheduleTest, ArrivalsAreOrderedAndInsideTheHorizon) {
   ASSERT_FALSE(sched.empty());
   for (size_t i = 0; i < sched.size(); ++i) {
     EXPECT_LT(sched[i].at_ns, kHorizon);
-    if (i > 0) EXPECT_GE(sched[i].at_ns, sched[i - 1].at_ns);
+    if (i > 0) {
+      EXPECT_GE(sched[i].at_ns, sched[i - 1].at_ns);
+    }
   }
 }
 

@@ -279,7 +279,9 @@ TEST(FragmentTest, IndexedAndIndexlessTwinsPickTheSameVictim) {
       auto a = indexed.FindExact(probe);
       auto b = indexless.FindExact(probe);
       ASSERT_EQ(a.ok(), b.ok()) << "step " << step;
-      if (a.ok()) ASSERT_EQ(*a, *b) << "step " << step;
+      if (a.ok()) {
+        ASSERT_EQ(*a, *b) << "step " << step;
+      }
     }
   }
   EXPECT_EQ(indexed.num_rows(), live.size());
