@@ -18,15 +18,17 @@
 # suite (V-lock group increments, V->X upgrade deadlocks, and journal
 # rollback racing across writer threads), the deferred-refresh suite
 # (a refresh retrying past an older lock holder released from another
-# thread), and the transaction suites (2PC commit/abort over the write set,
-# plus four clients running randomized transactions on one system).
+# thread), the load-path suite (per-node insert runs on executor workers,
+# transactional runs under locking), and the transaction suites (2PC
+# commit/abort over the write set, plus four clients running randomized
+# transactions on one system).
 #
 # Usage: scripts/run_tsan.sh [extra ctest -R regex]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=build-tsan
-FILTER="${1:-NodeExecutor|ParallelEquivalence|NetworkTest|Maintenance|MethodEquivalence|Tracer|LatencyHistogram|CostTracker|TraceMaintenance|WaitDie|MaintenanceRetry|LockManager|EngineLocking|LockShard|NodeLatch|GroupCommit|MultiNodePrepare|LockEscalation|SnapshotIsolation|WindowedHistogram|OpenLoopDriver|HeavyLight|MergedStorage|Escrow|DeferredView|GiStaleEntryRace}"
+FILTER="${1:-NodeExecutor|ParallelEquivalence|NetworkTest|Maintenance|MethodEquivalence|Tracer|LatencyHistogram|CostTracker|TraceMaintenance|WaitDie|MaintenanceRetry|LockManager|EngineLocking|LockShard|NodeLatch|GroupCommit|MultiNodePrepare|LockEscalation|SnapshotIsolation|WindowedHistogram|OpenLoopDriver|HeavyLight|MergedStorage|Escrow|DeferredView|GiStaleEntryRace|LoadPath}"
 # An explicit regex replaces the default, transaction suites included.
 [ $# -gt 0 ] || FILTER="$FILTER|RandomTxn|SystemTxn"
 
@@ -34,7 +36,8 @@ cmake -B "$BUILD_DIR" -S . -G Ninja -DPJVM_SANITIZE=thread
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target executor_test maintenance_test obs_test trace_maintenance_test \
   lock_test txn_test net_test snapshot_isolation_test openloop_test \
-  heavy_light_test merged_storage_test escrow_view_test deferred_test
+  heavy_light_test merged_storage_test escrow_view_test deferred_test \
+  load_path_test
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   ctest --test-dir "$BUILD_DIR" -R "$FILTER" --output-on-failure
 echo "TSan run clean."
