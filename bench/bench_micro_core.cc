@@ -78,10 +78,15 @@ void BM_SortMergeJoin(benchmark::State& state) {
     def.name = table = "B_unindexed";
     def.indexes.clear();
     sys->CreateTable(def).Check();
-    for (Row& row : sys->node(0)->fragment("B")->AllRows()) {
-      sys->Insert(table, std::move(row)).Check();
-    }
+    std::vector<Row> rows;
+    sys->node(0)->fragment(sys->catalog().IdOf("B"))->ForEach(
+        [&](LocalRowId, const Row& row) {
+          rows.push_back(row);
+          return true;
+        });
+    for (Row& row : rows) sys->Insert(table, std::move(row)).Check();
   }
+  const TableId table_id = sys->catalog().IdOf(table);
   std::vector<Row> outer;
   for (int64_t i = 0; i < 100; ++i) {
     outer.push_back({Value{i}, Value{i % 1000}, Value{i}});
@@ -91,7 +96,8 @@ void BM_SortMergeJoin(benchmark::State& state) {
   for (auto _ : state) {
     NodeLatchGuard latch(*sys->node(0), LatchMode::kShared);
     auto result = SortMergeJoinFragment(
-        sys->node(0), table, 1, GroupOuterKeys(refs, 1), 100, &sys->cost());
+        sys->node(0), table_id, 1, GroupOuterKeys(refs, 1), 100,
+        &sys->cost());
     benchmark::DoNotOptimize(result->size());
   }
   state.SetItemsProcessed(state.iterations() * outer.size());
@@ -155,7 +161,7 @@ void BM_WalAppend(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        wal.Append(1, LogRecordType::kInsert, "lineitem", rows[i]));
+        wal.Append(1, LogRecordType::kInsert, /*table=*/0, rows[i]));
     if (++i == rows.size()) {
       wal.Clear();
       i = 0;

@@ -231,13 +231,6 @@ class CostTracker {
     }
     Stall(weights_.fetch * n);
   }
-  void ChargeInsert(int node, uint64_t n = 1) {
-    nodes_[node].inserts.fetch_add(n, std::memory_order_relaxed);
-    if (TxnMeter* m = active_meter_) {
-      m->nodes_[node].inserts.fetch_add(n, std::memory_order_relaxed);
-    }
-    Stall(weights_.insert * n);
-  }
   /// Charges `n` INSERT-weighted writes of one category.
   void ChargeWrite(int node, WriteKind kind, uint64_t n = 1) {
     std::atomic<uint64_t> AtomicCounters::*category =

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/value.h"
@@ -59,6 +60,12 @@ struct RowHash {
     return static_cast<size_t>(HashRow(row));
   }
 };
+
+/// Multiplicity of each row in a bag, keyed by value: RowHash and Value's
+/// ==, the equality content deletes use, so DOUBLEs differing in any digit
+/// are different rows. Consistency checks and delta matching compare bags
+/// of this type; RowToString is for diagnostic text only.
+using RowCounts = std::unordered_map<Row, int, RowHash>;
 
 /// Lexicographic comparison helpers for sorting rows by one key column.
 struct RowKeyLess {

@@ -56,7 +56,7 @@ Status Catalog::AddTable(TableDef def) {
   if (def.name.empty()) {
     return Status::InvalidArgument("table name must be non-empty");
   }
-  if (tables_.count(def.name) > 0) {
+  if (ids_.count(def.name) > 0) {
     return Status::AlreadyExists("table '" + def.name + "' already exists");
   }
   if (def.partition.is_hash() && !def.schema.HasColumn(def.partition.column)) {
@@ -77,16 +77,18 @@ Status Catalog::AddTable(TableDef def) {
         "' declares multiple clustered indexes; a relation can be clustered "
         "on at most one attribute");
   }
-  tables_.emplace(def.name, std::move(def));
+  def.id = NewId();
+  ids_.emplace(def.name, def.id);
+  tables_[def.id] = std::make_unique<TableDef>(std::move(def));
   return Status::OK();
 }
 
 Status Catalog::AddIndexToTable(const std::string& name, IndexSpec index) {
-  auto it = tables_.find(name);
-  if (it == tables_.end()) {
+  const TableId id = IdOf(name);
+  if (id == kNoTable) {
     return Status::NotFound("table '" + name + "' does not exist");
   }
-  TableDef& def = it->second;
+  TableDef& def = *tables_[id];
   if (!def.schema.HasColumn(index.column)) {
     return Status::InvalidArgument("index column '" + index.column +
                                    "' not in schema of '" + name + "'");
@@ -109,31 +111,39 @@ Status Catalog::AddIndexToTable(const std::string& name, IndexSpec index) {
 }
 
 Status Catalog::DropTable(const std::string& name) {
-  if (tables_.erase(name) == 0) {
+  auto it = ids_.find(name);
+  if (it == ids_.end()) {
     return Status::NotFound("table '" + name + "' does not exist");
   }
+  tables_[it->second].reset();
+  ids_.erase(it);
   return Status::OK();
 }
 
+TableId Catalog::IdOf(const std::string& name) const {
+  auto it = ids_.find(name);
+  return it == ids_.end() ? kNoTable : it->second;
+}
+
 Result<const TableDef*> Catalog::Get(const std::string& name) const {
-  auto it = tables_.find(name);
-  if (it == tables_.end()) {
+  const TableDef* def = Find(IdOf(name));
+  if (def == nullptr) {
     return Status::NotFound("table '" + name + "' does not exist");
   }
-  return &it->second;
+  return def;
 }
 
 std::vector<std::string> Catalog::ListNames() const {
   std::vector<std::string> names;
-  names.reserve(tables_.size());
-  for (const auto& [name, def] : tables_) names.push_back(name);
+  names.reserve(ids_.size());
+  for (const auto& [name, id] : ids_) names.push_back(name);
   return names;
 }
 
 std::vector<std::string> Catalog::ListNames(TableKind kind) const {
   std::vector<std::string> names;
-  for (const auto& [name, def] : tables_) {
-    if (def.kind == kind) names.push_back(name);
+  for (const auto& [name, id] : ids_) {
+    if (tables_[id]->kind == kind) names.push_back(name);
   }
   return names;
 }

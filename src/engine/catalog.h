@@ -2,11 +2,13 @@
 #define PJVM_ENGINE_CATALOG_H_
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/schema.h"
 #include "common/status.h"
+#include "storage/row_id.h"
 
 namespace pjvm {
 
@@ -59,6 +61,8 @@ struct PartitionSpec {
 /// \brief Complete definition of a (distributed) table.
 struct TableDef {
   std::string name;
+  /// Assigned by Catalog::AddTable (whatever the caller set is replaced).
+  TableId id = kNoTable;
   Schema schema;
   PartitionSpec partition = PartitionSpec::RoundRobin();
   std::vector<IndexSpec> indexes;
@@ -76,23 +80,38 @@ struct TableDef {
   std::string ToString() const;
 };
 
-/// \brief The system-wide name → table definition map.
+/// \brief The system-wide table definitions, by name and by id.
 class Catalog {
  public:
+  /// Registers `def` under a fresh id (NewId).
   Status AddTable(TableDef def);
   Status DropTable(const std::string& name);
   /// Adds a secondary index declaration to an existing table. Rejects
   /// duplicates and a second clustered index.
   Status AddIndexToTable(const std::string& name, IndexSpec index);
   Result<const TableDef*> Get(const std::string& name) const;
-  bool Has(const std::string& name) const { return tables_.count(name) > 0; }
+  bool Has(const std::string& name) const { return ids_.count(name) > 0; }
+  /// The id of table `name`, or kNoTable when there is none.
+  TableId IdOf(const std::string& name) const;
+  /// The live table with id `id`; nullptr once dropped or never registered.
+  const TableDef* Find(TableId id) const {
+    return id < tables_.size() ? tables_[id].get() : nullptr;
+  }
+  /// The next id of the never-reused sequence AddTable draws from, naming no
+  /// table: a lock identity of derived storage (view/merged_storage.h).
+  TableId NewId() {
+    tables_.emplace_back();
+    return static_cast<TableId>(tables_.size() - 1);
+  }
 
   /// Names of all tables, optionally restricted to one kind.
   std::vector<std::string> ListNames() const;
   std::vector<std::string> ListNames(TableKind kind) const;
 
  private:
-  std::map<std::string, TableDef> tables_;
+  std::map<std::string, TableId> ids_;
+  /// Indexed by id: null once dropped, and for an id from NewId.
+  std::vector<std::unique_ptr<TableDef>> tables_;
 };
 
 }  // namespace pjvm

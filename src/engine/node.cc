@@ -147,7 +147,9 @@ void NodeLatch::ReleaseExclusive() const {
 }
 
 Status Node::CreateFragment(const TableDef& def, int rows_per_page) {
-  if (fragments_.count(def.name) > 0) {
+  if (def.id >= slots_.size()) slots_.resize(def.id + 1);
+  TableSlot& slot = slots_[def.id];
+  if (slot.fragment != nullptr) {
     return Status::AlreadyExists("node " + std::to_string(id_) +
                                  " already has fragment '" + def.name + "'");
   }
@@ -157,15 +159,14 @@ Status Node::CreateFragment(const TableDef& def, int rows_per_page) {
     PJVM_RETURN_NOT_OK(frag->CreateIndex(col, idx.clustered));
   }
   if (snaps_ != nullptr) frag->EnableMvcc(snaps_->current_epoch());
-  fragments_.emplace(def.name, std::move(frag));
-  kinds_[def.name] = def.kind;
+  slot.fragment = std::move(frag);
+  slot.kind = def.kind;
+  slot.name = def.name;
   return Status::OK();
 }
 
-CostTracker::WriteKind Node::WriteKindOf(const std::string& table) const {
-  auto it = kinds_.find(table);
-  if (it == kinds_.end()) return CostTracker::WriteKind::kBase;
-  switch (it->second) {
+CostTracker::WriteKind Node::WriteKindOf(TableId table) const {
+  switch (slots_[table].kind) {
     case TableKind::kBase:
       return CostTracker::WriteKind::kBase;
     case TableKind::kAuxiliary:
@@ -177,9 +178,8 @@ CostTracker::WriteKind Node::WriteKindOf(const std::string& table) const {
   return CostTracker::WriteKind::kBase;
 }
 
-void Node::LogWrite(uint64_t txn_id, const std::string& table,
-                    TableFragment* frag, LocalRowId lrid, MvccOp::Kind kind,
-                    const Row& row) {
+void Node::LogWrite(uint64_t txn_id, TableId table, TableFragment* frag,
+                    LocalRowId lrid, MvccOp::Kind kind, const Row& row) {
   const bool transactional = txn_id != kAutoCommitTxnId;
   const bool versioned = snaps_ != nullptr && frag->mvcc_enabled();
   wal_.Append(txn_id,
@@ -217,33 +217,26 @@ void Node::PublishAutocommit(TableFragment* frag, std::vector<MvccOp> ops) {
       [&](uint64_t watermark) { MvccFoldBelowWatermark(frag, watermark); });
 }
 
-Status Node::DropFragment(const std::string& table) {
-  kinds_.erase(table);
-  auto it = fragments_.find(table);
-  if (it != fragments_.end() && snaps_ != nullptr) {
-    size_t dropped = it->second->MvccChainDeltas();
+Status Node::DropFragment(TableId table) {
+  TableFragment* frag = fragment(table);
+  if (frag == nullptr) return MissingFragment(table);
+  if (snaps_ != nullptr) {
+    size_t dropped = frag->MvccChainDeltas();
     if (dropped > 0) {
       MvccVersionsLiveGauge()->Add(-static_cast<double>(dropped));
     }
   }
-  if (fragments_.erase(table) == 0) {
-    return Status::NotFound("node " + std::to_string(id_) +
-                            " has no fragment '" + table + "'");
-  }
+  slots_[table] = TableSlot{};
   return Status::OK();
 }
 
-TableFragment* Node::fragment(const std::string& table) {
-  auto it = fragments_.find(table);
-  return it == fragments_.end() ? nullptr : it->second.get();
+Status Node::MissingFragment(TableId table) const {
+  return Status::NotFound("node " + std::to_string(id_) +
+                          " has no fragment of table " +
+                          std::to_string(table));
 }
 
-const TableFragment* Node::fragment(const std::string& table) const {
-  auto it = fragments_.find(table);
-  return it == fragments_.end() ? nullptr : it->second.get();
-}
-
-Status Node::LockForWrite(uint64_t txn_id, const std::string& table,
+Status Node::LockForWrite(uint64_t txn_id, TableId table,
                           const TableFragment& frag, const Row& row) {
   if (locks_ == nullptr || txn_id == kAutoCommitTxnId) return Status::OK();
   PJVM_RETURN_NOT_OK(locks_->Acquire(
@@ -256,13 +249,9 @@ Status Node::LockForWrite(uint64_t txn_id, const std::string& table,
   return Status::OK();
 }
 
-Result<LocalRowId> Node::Insert(uint64_t txn_id, const std::string& table,
-                                Row row) {
+Result<LocalRowId> Node::Insert(uint64_t txn_id, TableId table, Row row) {
   TableFragment* frag = fragment(table);
-  if (frag == nullptr) {
-    return Status::NotFound("node " + std::to_string(id_) +
-                            " has no fragment '" + table + "'");
-  }
+  if (frag == nullptr) return MissingFragment(table);
   // Transaction locks first — a blocking wait must never happen under the
   // latch (the lock holder may need the latch to make progress).
   PJVM_RETURN_NOT_OK(LockForWrite(txn_id, table, *frag, row));
@@ -279,13 +268,10 @@ Result<LocalRowId> Node::Insert(uint64_t txn_id, const std::string& table,
   return lrid;
 }
 
-Status Node::InsertRun(uint64_t txn_id, const std::string& table,
+Status Node::InsertRun(uint64_t txn_id, TableId table,
                        std::vector<Row> rows, std::vector<LocalRowId>* lrids) {
   TableFragment* frag = fragment(table);
-  if (frag == nullptr) {
-    return Status::NotFound("node " + std::to_string(id_) +
-                            " has no fragment '" + table + "'");
-  }
+  if (frag == nullptr) return MissingFragment(table);
   // Lock before latch (see Insert): every row's locks, in run order.
   for (const Row& row : rows) {
     PJVM_RETURN_NOT_OK(LockForWrite(txn_id, table, *frag, row));
@@ -321,13 +307,9 @@ Status Node::InsertRun(uint64_t txn_id, const std::string& table,
   return Status::OK();
 }
 
-Status Node::DeleteExact(uint64_t txn_id, const std::string& table,
-                         const Row& row) {
+Status Node::DeleteExact(uint64_t txn_id, TableId table, const Row& row) {
   TableFragment* frag = fragment(table);
-  if (frag == nullptr) {
-    return Status::NotFound("node " + std::to_string(id_) +
-                            " has no fragment '" + table + "'");
-  }
+  if (frag == nullptr) return MissingFragment(table);
   // Lock before latch (see Insert). The X locks cover the row whether or
   // not it turns out to exist, which also stabilizes the existence check
   // against a concurrent writer of the same row.
@@ -339,8 +321,9 @@ Status Node::DeleteExact(uint64_t txn_id, const std::string& table,
   // happened (replay must never fail).
   Result<LocalRowId> found = frag->FindExact(row);
   if (!found.ok()) {
-    return Status::NotFound("no row " + RowToString(row) + " in '" + table +
-                            "' at node " + std::to_string(id_));
+    return Status::NotFound("no row " + RowToString(row) + " in '" +
+                            slots_[table].name + "' at node " +
+                            std::to_string(id_));
   }
   LocalRowId lrid = *found;
   // A transactional delete keeps its slot reserved until the 2PC outcome:
@@ -357,13 +340,10 @@ Status Node::DeleteExact(uint64_t txn_id, const std::string& table,
   return Status::OK();
 }
 
-Result<ProbeResult> Node::IndexProbe(const std::string& table, int column,
+Result<ProbeResult> Node::IndexProbe(TableId table, int column,
                                      const Value& key, uint64_t txn_id) {
   TableFragment* frag = fragment(table);
-  if (frag == nullptr) {
-    return Status::NotFound("node " + std::to_string(id_) +
-                            " has no fragment '" + table + "'");
-  }
+  if (frag == nullptr) return MissingFragment(table);
   // Lock before latch: the S lock may block (wait-die) on a client thread;
   // under a latch or on a worker the lock manager aborts instead.
   if (locks_ != nullptr && txn_id != kAutoCommitTxnId) {
@@ -373,9 +353,9 @@ Result<ProbeResult> Node::IndexProbe(const std::string& table, int column,
   NodeLatchGuard latch(*this, LatchMode::kShared);
   const LocalIndex* index = frag->FindIndex(column);
   if (index == nullptr) {
-    return Status::InvalidArgument("no index on column " +
-                                   std::to_string(column) + " of '" + table +
-                                   "' at node " + std::to_string(id_));
+    return Status::InvalidArgument(
+        "no index on column " + std::to_string(column) + " of '" +
+        slots_[table].name + "' at node " + std::to_string(id_));
   }
   tracker_->ChargeSearch(id_);
   tracker_->ChargeDescent(id_);
@@ -386,14 +366,13 @@ Result<ProbeResult> Node::IndexProbe(const std::string& table, int column,
   return result;
 }
 
-Status Node::AcquireTableShared(uint64_t txn_id, const std::string& table) {
+Status Node::AcquireTableShared(uint64_t txn_id, TableId table) {
   if (locks_ == nullptr || txn_id == kAutoCommitTxnId) return Status::OK();
   return locks_->Acquire(txn_id, LockId::Table(id_, table), LockMode::kShared);
 }
 
-Status Node::SelectEq(const ReadEpoch& epoch, uint64_t txn_id,
-                      const std::string& table, int column, const Value& key,
-                      std::vector<Row>* out) {
+Status Node::SelectEq(const ReadEpoch& epoch, uint64_t txn_id, TableId table,
+                      int column, const Value& key, std::vector<Row>* out) {
   const TableFragment* frag = fragment(table);
   std::vector<Row> rows;
   if (!epoch.live()) {
@@ -425,7 +404,7 @@ Status Node::SelectEq(const ReadEpoch& epoch, uint64_t txn_id,
 }
 
 Status Node::SelectRange(const ReadEpoch& epoch, uint64_t txn_id,
-                         const std::string& table, int column, const Value& lo,
+                         TableId table, int column, const Value& lo,
                          const Value& hi, std::vector<Row>* out) {
   const TableFragment* frag = fragment(table);
   if (!epoch.live()) {
@@ -464,16 +443,7 @@ Status Node::SelectRange(const ReadEpoch& epoch, uint64_t txn_id,
   return Status::OK();
 }
 
-std::vector<Row> Node::AllRows(const ReadEpoch& epoch,
-                               const std::string& table) const {
-  const TableFragment* frag = fragment(table);
-  if (frag == nullptr) return {};
-  if (!epoch.live()) return MvccAllRows(*frag->MvccHead(), epoch.value());
-  NodeLatchGuard latch(*this, LatchMode::kShared);
-  return frag->AllRows();
-}
-
-void Node::ForEachRow(const ReadEpoch& epoch, const std::string& table,
+void Node::ForEachRow(const ReadEpoch& epoch, TableId table,
                       const std::function<void(const Row&)>& fn) const {
   const TableFragment* frag = fragment(table);
   if (frag == nullptr) return;
@@ -488,7 +458,7 @@ void Node::ForEachRow(const ReadEpoch& epoch, const std::string& table,
   });
 }
 
-size_t Node::RowCount(const ReadEpoch& epoch, const std::string& table) const {
+size_t Node::RowCount(const ReadEpoch& epoch, TableId table) const {
   const TableFragment* frag = fragment(table);
   if (frag == nullptr) return 0;
   if (!epoch.live()) return MvccNumRows(*frag->MvccHead(), epoch.value());
@@ -497,7 +467,7 @@ size_t Node::RowCount(const ReadEpoch& epoch, const std::string& table) const {
 }
 
 std::optional<size_t> Node::CountMatches(const ReadEpoch& epoch,
-                                         const std::string& table, int column,
+                                         TableId table, int column,
                                          const Value& key) const {
   const TableFragment* frag = fragment(table);
   if (frag == nullptr) return std::nullopt;
@@ -514,13 +484,12 @@ std::optional<size_t> Node::CountMatches(const ReadEpoch& epoch,
 }
 
 ColumnStats Node::ColumnStatsOf(const ReadEpoch& epoch,
-                                const std::string& table, int column) const {
+                                TableId table, int column) const {
   const TableFragment* frag = fragment(table);
   if (frag == nullptr) return {};
   if (!epoch.live()) {
-    std::vector<Row> rows = MvccAllRows(*frag->MvccHead(), epoch.value());
     return ScanColumnStats(column, [&](const auto& visit) {
-      for (const Row& row : rows) visit(row);
+      MvccForEachRow(*frag->MvccHead(), epoch.value(), visit);
     });
   }
   NodeLatchGuard latch(*this, LatchMode::kShared);
@@ -530,7 +499,8 @@ ColumnStats Node::ColumnStatsOf(const ReadEpoch& epoch,
 Status Node::ApplyUndo(const TxnWrite& write) {
   TableFragment* frag = fragment(write.table);
   if (frag == nullptr) {
-    return Status::Internal("abort: missing fragment '" + write.table + "'");
+    return Status::Internal("abort: missing fragment of table " +
+                            std::to_string(write.table));
   }
   NodeLatchGuard latch(*this);
   if (write.op.kind == MvccOp::Kind::kInsert) {
@@ -551,13 +521,9 @@ void Node::ReleaseReservedSlots(const std::vector<const TxnWrite*>& deletes) {
   }
 }
 
-Status Node::EscrowReplace(const std::string& table, LocalRowId lrid,
-                           Row row) {
+Status Node::EscrowReplace(TableId table, LocalRowId lrid, Row row) {
   TableFragment* frag = fragment(table);
-  if (frag == nullptr) {
-    return Status::NotFound("node " + std::to_string(id_) +
-                            " has no fragment '" + table + "'");
-  }
+  if (frag == nullptr) return MissingFragment(table);
   // Exclusive latch is re-entrant: the journal's caller already holds it
   // for the probe that produced `lrid`, so the row cannot have moved.
   NodeLatchGuard latch(*this);
@@ -571,10 +537,7 @@ Status Node::EscrowReplace(const std::string& table, LocalRowId lrid,
 
 Status Node::ApplyLogRecord(const LogRecord& record) {
   TableFragment* frag = fragment(record.table);
-  if (frag == nullptr) {
-    return Status::NotFound("recovery: node " + std::to_string(id_) +
-                            " has no fragment '" + record.table + "'");
-  }
+  if (frag == nullptr) return MissingFragment(record.table);
   switch (record.type) {
     case LogRecordType::kInsert:
       return frag->Insert(record.row).status();
@@ -600,7 +563,7 @@ Status Node::ApplyLogRecord(const LogRecord& record) {
       if (current == nullptr) {
         return Status::Internal("recovery: escrow delta for a missing group " +
                                 RowToString(record.row) + " in '" +
-                                record.table + "'");
+                                slots_[record.table].name + "'");
       }
       Row next = *current;
       for (size_t i = width; i < record.row.size(); ++i) {
@@ -615,18 +578,19 @@ Status Node::ApplyLogRecord(const LogRecord& record) {
 }
 
 void Node::WipeFragments() {
-  if (snaps_ != nullptr) {
-    double dropped = 0;
-    for (const auto& [name, frag] : fragments_) {
-      dropped += static_cast<double>(frag->MvccChainDeltas());
+  double dropped = 0;
+  for (TableSlot& slot : slots_) {
+    if (slot.fragment == nullptr) continue;
+    if (snaps_ != nullptr) {
+      dropped += static_cast<double>(slot.fragment->MvccChainDeltas());
     }
-    if (dropped > 0) MvccVersionsLiveGauge()->Add(-dropped);
+    slot.fragment.reset();
   }
-  fragments_.clear();
+  if (dropped > 0) MvccVersionsLiveGauge()->Add(-dropped);
 }
 
 Status Node::RecreateFragments(const Catalog& catalog, int rows_per_page) {
-  fragments_.clear();
+  for (TableSlot& slot : slots_) slot.fragment.reset();
   for (const std::string& name : catalog.ListNames()) {
     PJVM_ASSIGN_OR_RETURN(const TableDef* def, catalog.Get(name));
     PJVM_RETURN_NOT_OK(CreateFragment(*def, rows_per_page));
@@ -635,40 +599,39 @@ Status Node::RecreateFragments(const Catalog& catalog, int rows_per_page) {
 }
 
 void Node::Checkpoint() {
-  checkpoint_.clear();
-  for (const auto& [name, frag] : fragments_) {
+  for (TableSlot& slot : slots_) {
+    std::string& image = slot.checkpoint;
+    image.clear();
+    const TableFragment* frag = slot.fragment.get();
+    if (frag == nullptr) continue;
     // Sized first, so the image is one exact allocation.
     size_t bytes = 0;
     frag->ForEach([&](LocalRowId, const Row& row) {
       bytes += EncodedRowSize(row);
       return true;
     });
-    std::string& image = checkpoint_[name];
     image.reserve(bytes);
     frag->ForEach([&](LocalRowId, const Row& row) {
       AppendEncodedRow(row, &image);
       return true;
     });
   }
-  has_checkpoint_ = true;
   wal_.Clear();
 }
 
 Status Node::RestoreCheckpoint() {
-  if (!has_checkpoint_) return Status::OK();
   Row row;
-  for (const auto& [name, image] : checkpoint_) {
-    TableFragment* frag = fragment(name);
-    if (frag == nullptr) {
-      // The table was dropped after the checkpoint; its rows are obsolete.
-      continue;
-    }
+  for (TableSlot& slot : slots_) {
+    TableFragment* frag = slot.fragment.get();
+    if (frag == nullptr) continue;
+    const std::string& image = slot.checkpoint;
     const char* end = image.data() + image.size();
     for (const char* at = image.data(); at != end;) {
       at = DecodeRow(at, end, &row);
       if (at == nullptr) {
         return Status::Internal("recovery: corrupt checkpoint image of '" +
-                                name + "' at node " + std::to_string(id_));
+                                slot.name + "' at node " +
+                                std::to_string(id_));
       }
       PJVM_RETURN_NOT_OK(frag->Insert(row).status());
     }
@@ -677,11 +640,12 @@ Status Node::RestoreCheckpoint() {
 }
 
 Status Node::CheckInvariants() const {
-  for (const auto& [name, frag] : fragments_) {
-    Status st = frag->CheckInvariants();
+  for (const TableSlot& slot : slots_) {
+    if (slot.fragment == nullptr) continue;
+    Status st = slot.fragment->CheckInvariants();
     if (!st.ok()) {
       return Status::Internal("node " + std::to_string(id_) + " fragment '" +
-                              name + "': " + st.ToString());
+                              slot.name + "': " + st.ToString());
     }
   }
   return Status::OK();

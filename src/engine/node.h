@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -116,19 +115,24 @@ class Node {
   /// the thread's latch-depth context for the lock manager.
   NodeLatch& latch() const { return latch_; }
 
-  /// Creates this node's fragment of `def`, including its local indexes.
-  /// Content deletes find their row through the fragment's most selective
-  /// index, or a content hash on a fragment with no index.
+  /// Creates this node's fragment of `def` (slot `def.id`) with its local
+  /// indexes. Content deletes find their row through the fragment's most
+  /// selective index, or a content hash on a fragment with no index.
   Status CreateFragment(const TableDef& def, int rows_per_page);
-  Status DropFragment(const std::string& table);
+  /// Clears the table's slot: the fragment and its checkpoint image.
+  Status DropFragment(TableId table);
 
   /// The fragment, or nullptr if this node has none for `table`.
-  TableFragment* fragment(const std::string& table);
-  const TableFragment* fragment(const std::string& table) const;
+  TableFragment* fragment(TableId table) {
+    return table < slots_.size() ? slots_[table].fragment.get() : nullptr;
+  }
+  const TableFragment* fragment(TableId table) const {
+    return table < slots_.size() ? slots_[table].fragment.get() : nullptr;
+  }
 
   /// Inserts a row: charges INSERT, logs, records the write for explicit
   /// txns.
-  Result<LocalRowId> Insert(uint64_t txn_id, const std::string& table, Row row);
+  Result<LocalRowId> Insert(uint64_t txn_id, TableId table, Row row);
 
   /// Inserts `rows` in order, the caller having validated them against the
   /// table's schema (ParallelSystem::InsertMany does): the same INSERT and
@@ -136,25 +140,24 @@ class Node {
   /// per row. The run takes every row lock first, then one latch, and an
   /// autocommit run publishes its MVCC versions as one delta. Appends each
   /// row's lrid to `lrids` when non-null.
-  Status InsertRun(uint64_t txn_id, const std::string& table,
+  Status InsertRun(uint64_t txn_id, TableId table,
                    std::vector<Row> rows, std::vector<LocalRowId>* lrids);
 
   /// Deletes one row equal to `row`: charges a SEARCH (to locate it) plus
   /// INSERT-weighted write I/O, logs, records the write for explicit txns.
-  Status DeleteExact(uint64_t txn_id, const std::string& table, const Row& row);
+  Status DeleteExact(uint64_t txn_id, TableId table, const Row& row);
 
   /// Index probe on `column` = `key`. Charges one SEARCH; a non-clustered
   /// index additionally charges one FETCH per matching row, while a
   /// clustered index charges none (the paper's assumption 5/7: all matches
   /// sit on the reached leaf page). Under locking, an explicit transaction
   /// takes an S lock on the probed index key.
-  Result<ProbeResult> IndexProbe(const std::string& table, int column,
-                                 const Value& key,
+  Result<ProbeResult> IndexProbe(TableId table, int column, const Value& key,
                                  uint64_t txn_id = kAutoCommitTxnId);
 
   /// S-locks this node's whole fragment of `table` for a scanning read
   /// (sort-merge joins). No-op without locking or for autocommit.
-  Status AcquireTableShared(uint64_t txn_id, const std::string& table);
+  Status AcquireTableShared(uint64_t txn_id, TableId table);
 
   // --- Read primitives (client reads, planning estimates) ---
   //
@@ -172,31 +175,27 @@ class Node {
   /// live, an explicit transaction S-locks the probed key (see IndexProbe).
   /// Otherwise a full scan costs one FETCH per page; live, an explicit
   /// transaction S-locks the fragment.
-  Status SelectEq(const ReadEpoch& epoch, uint64_t txn_id,
-                  const std::string& table, int column, const Value& key,
-                  std::vector<Row>* out);
+  Status SelectEq(const ReadEpoch& epoch, uint64_t txn_id, TableId table,
+                  int column, const Value& key, std::vector<Row>* out);
   /// Appends rows with lo <= `column` <= hi: an index range scan (one
   /// SEARCH to seek, one FETCH per row delivered) or a full scan (one FETCH
   /// per page). Live, an explicit transaction S-locks the whole fragment —
   /// coarse, but phantom-safe.
   Status SelectRange(const ReadEpoch& epoch, uint64_t txn_id,
-                     const std::string& table, int column, const Value& lo,
+                     TableId table, int column, const Value& lo,
                      const Value& hi, std::vector<Row>* out);
-  /// All rows of `table` here (uncharged; empty without a fragment).
-  std::vector<Row> AllRows(const ReadEpoch& epoch,
-                           const std::string& table) const;
-  /// Visits AllRows' rows in place, in the same order (uncharged). Live,
-  /// `fn` runs under the shared latch and must not write to this node.
-  void ForEachRow(const ReadEpoch& epoch, const std::string& table,
+  /// Visits every row of `table` here in place, in heap order (uncharged;
+  /// none without a fragment). Live, `fn` runs under the shared latch and
+  /// must not write to this node.
+  void ForEachRow(const ReadEpoch& epoch, TableId table,
                   const std::function<void(const Row&)>& fn) const;
-  size_t RowCount(const ReadEpoch& epoch, const std::string& table) const;
+  size_t RowCount(const ReadEpoch& epoch, TableId table) const;
   /// Rows whose `column` equals `key`, counted from the index without
   /// copying a row; nullopt when `column` has no index here. Uncharged.
-  std::optional<size_t> CountMatches(const ReadEpoch& epoch,
-                                     const std::string& table, int column,
-                                     const Value& key) const;
+  std::optional<size_t> CountMatches(const ReadEpoch& epoch, TableId table,
+                                     int column, const Value& key) const;
   /// Exact stats of `column` in this node's fragment. Uncharged.
-  ColumnStats ColumnStatsOf(const ReadEpoch& epoch, const std::string& table,
+  ColumnStats ColumnStatsOf(const ReadEpoch& epoch, TableId table,
                             int column) const;
 
   /// Undoes one write of an aborting transaction (the abort walks the write
@@ -221,7 +220,7 @@ class Node {
   /// kEscrowDelta records at prepare, journal rollback on abort,
   /// committed-image version ops at publish). The caller must hold this
   /// node's exclusive latch and the group's V (or X) lock.
-  Status EscrowReplace(const std::string& table, LocalRowId lrid, Row row);
+  Status EscrowReplace(TableId table, LocalRowId lrid, Row row);
 
   /// Applies a WAL record during recovery: no logging, no cost charging.
   Status ApplyLogRecord(const LogRecord& record);
@@ -230,23 +229,25 @@ class Node {
   /// Fragment definitions (schemas/indexes) are re-created by the caller.
   void WipeFragments();
 
-  /// Re-creates an empty fragment set from catalog definitions (recovery).
+  /// Re-creates an empty fragment for every live catalog table (recovery).
   Status RecreateFragments(const Catalog& catalog, int rows_per_page);
 
   /// Takes a durable snapshot of every fragment's rows and truncates the
   /// WAL: recovery then restores the snapshot and replays only the log
   /// suffix. The caller guarantees no transaction is in flight.
   void Checkpoint();
-  /// Loads the last checkpoint's rows into the (recreated) fragments.
+  /// Loads each (recreated) fragment's checkpoint image. A dropped table's
+  /// slot holds neither, so its rows never reach a later table.
   Status RestoreCheckpoint();
 
   Status CheckInvariants() const;
 
  private:
-  CostTracker::WriteKind WriteKindOf(const std::string& table) const;
+  CostTracker::WriteKind WriteKindOf(TableId table) const;
+  Status MissingFragment(TableId table) const;
 
   /// X-locks the row's content identity and every indexed key it carries.
-  Status LockForWrite(uint64_t txn_id, const std::string& table,
+  Status LockForWrite(uint64_t txn_id, TableId table,
                       const TableFragment& frag, const Row& row);
 
   /// Logs one write that just changed the heap at `lrid` (under the node
@@ -258,9 +259,8 @@ class Node {
   /// alias a different row by publish time); the op's pages_after /
   /// rows_after capture the fragment's shape at this instant. The op copies
   /// `row` only for a delete (undo) or when snapshots are on (publish).
-  void LogWrite(uint64_t txn_id, const std::string& table,
-                TableFragment* frag, LocalRowId lrid, MvccOp::Kind kind,
-                const Row& row);
+  void LogWrite(uint64_t txn_id, TableId table, TableFragment* frag,
+                LocalRowId lrid, MvccOp::Kind kind, const Row& row);
   /// The version op LogWrite records for a write of `row` that just left
   /// `frag` in its current shape.
   MvccOp VersionOp(MvccOp::Kind kind, const Row& row,
@@ -278,12 +278,17 @@ class Node {
   SnapshotManager* snaps_;
   mutable NodeLatch latch_;
   Wal wal_;
-  std::map<std::string, std::unique_ptr<TableFragment>> fragments_;
-  std::map<std::string, TableKind> kinds_;
-  // Simulated durable checkpoint: survives Crash() like the WAL does.
-  bool has_checkpoint_ = false;
-  /// Each fragment's rows in the common row encoding (common/row.h).
-  std::map<std::string, std::string> checkpoint_;
+  /// One table's state on this node, at index TableId of `slots_`.
+  struct TableSlot {
+    /// Null once the table is dropped, and from a crash until recovery.
+    std::unique_ptr<TableFragment> fragment;
+    TableKind kind = TableKind::kBase;
+    std::string name;  // For error text.
+    /// Simulated durable checkpoint: the rows at the last Checkpoint in the
+    /// common row encoding (common/row.h). Survives Crash() like the WAL.
+    std::string checkpoint;
+  };
+  std::vector<TableSlot> slots_;
 };
 
 /// \brief RAII latch scope over one node: takes the node's latch in the

@@ -68,8 +68,9 @@ ParallelSystem::~ParallelSystem() {
 
 Status ParallelSystem::CreateTable(TableDef def) {
   PJVM_RETURN_NOT_OK(catalog_.AddTable(def));
+  const TableDef* stored = *catalog_.Get(def.name);
   for (auto& node : nodes_) {
-    Status st = node->CreateFragment(def, config_.rows_per_page);
+    Status st = node->CreateFragment(*stored, config_.rows_per_page);
     if (!st.ok()) {
       catalog_.DropTable(def.name).Check();
       return st;
@@ -79,13 +80,10 @@ Status ParallelSystem::CreateTable(TableDef def) {
 }
 
 Status ParallelSystem::DropTable(const std::string& name) {
+  const TableId id = catalog_.IdOf(name);
   PJVM_RETURN_NOT_OK(catalog_.DropTable(name));
   for (auto& node : nodes_) {
-    PJVM_RETURN_NOT_OK(node->DropFragment(name));
-  }
-  {
-    std::lock_guard<std::mutex> lock(round_robin_mu_);
-    round_robin_.erase(name);
+    PJVM_RETURN_NOT_OK(node->DropFragment(id));
   }
   return Status::OK();
 }
@@ -96,8 +94,8 @@ int ParallelSystem::HomeNodeForRow(const TableDef& def, const Row& row) {
     return HomeNodeForKey(row[col]);
   }
   std::lock_guard<std::mutex> lock(round_robin_mu_);
-  uint64_t& counter = round_robin_[def.name];
-  return static_cast<int>(counter++ % config_.num_nodes);
+  if (def.id >= round_robin_.size()) round_robin_.resize(def.id + 1);
+  return static_cast<int>(round_robin_[def.id]++ % config_.num_nodes);
 }
 
 Status ParallelSystem::Insert(const std::string& table, Row row,
@@ -105,7 +103,7 @@ Status ParallelSystem::Insert(const std::string& table, Row row,
   PJVM_ASSIGN_OR_RETURN(const TableDef* def, catalog_.Get(table));
   PJVM_RETURN_NOT_OK(def->schema.ValidateRow(row));
   int target = HomeNodeForRow(*def, row);
-  return nodes_[target]->Insert(txn_id, table, std::move(row)).status();
+  return nodes_[target]->Insert(txn_id, def->id, std::move(row)).status();
 }
 
 Result<GlobalRowId> ParallelSystem::LocateExact(const std::string& table,
@@ -113,7 +111,7 @@ Result<GlobalRowId> ParallelSystem::LocateExact(const std::string& table,
   PJVM_ASSIGN_OR_RETURN(const TableDef* def, catalog_.Get(table));
   auto try_node = [&](int i) -> Result<GlobalRowId> {
     NodeLatchGuard latch(*nodes_[i], LatchMode::kShared);
-    const TableFragment* frag = nodes_[i]->fragment(table);
+    const TableFragment* frag = nodes_[i]->fragment(def->id);
     cost_.ChargeSearch(i);
     PJVM_ASSIGN_OR_RETURN(LocalRowId lrid, frag->FindExact(row));
     return GlobalRowId{i, lrid};
@@ -139,7 +137,7 @@ Status ParallelSystem::CreateIndexOn(const std::string& table,
       catalog_.AddIndexToTable(table, IndexSpec{column, clustered}));
   PJVM_ASSIGN_OR_RETURN(int col, def->schema.ColumnIndex(column));
   for (auto& node : nodes_) {
-    PJVM_RETURN_NOT_OK(node->fragment(table)->CreateIndex(col, clustered));
+    PJVM_RETURN_NOT_OK(node->fragment(def->id)->CreateIndex(col, clustered));
   }
   // The snapshot base images carry index metadata; rebuild them so snapshot
   // reads pick the new access path (DDL is a quiescent point).
@@ -194,7 +192,7 @@ Status ParallelSystem::InsertRuns(const std::string& table,
     std::vector<Row> run;
     run.reserve(positions[n].size());
     for (size_t i : positions[n]) run.push_back(take(i));
-    return nodes_[n]->InsertRun(txn_id, table, std::move(run),
+    return nodes_[n]->InsertRun(txn_id, def->id, std::move(run),
                                 gids != nullptr ? &lrids[n] : nullptr);
   }));
   if (gids != nullptr) {
@@ -213,11 +211,11 @@ Status ParallelSystem::DeleteExact(const std::string& table, const Row& row,
   PJVM_ASSIGN_OR_RETURN(const TableDef* def, catalog_.Get(table));
   if (def->partition.is_hash()) {
     int target = HomeNodeForRow(*def, row);
-    return nodes_[target]->DeleteExact(txn_id, table, row);
+    return nodes_[target]->DeleteExact(txn_id, def->id, row);
   }
   // Round-robin table: the row can be anywhere; try each node.
   for (auto& node : nodes_) {
-    Status st = node->DeleteExact(txn_id, table, row);
+    Status st = node->DeleteExact(txn_id, def->id, row);
     if (st.ok()) return st;
     if (!st.IsNotFound()) return st;
   }
@@ -251,10 +249,12 @@ Status ParallelSystem::FanOutRead(const ReadEpoch& epoch, uint64_t txn_id,
 }
 
 std::vector<Row> ParallelSystem::ScanAll(const std::string& table) const {
+  const TableId id = catalog_.IdOf(table);
   ReadEpoch epoch = PinReadEpoch();
   std::vector<std::vector<Row>> per_node(config_.num_nodes);
   executor_->RunOnAllNodes([&](int i) {
-    per_node[i] = nodes_[i]->AllRows(epoch, table);
+    nodes_[i]->ForEachRow(epoch, id,
+                          [&](const Row& row) { per_node[i].push_back(row); });
     return Status::OK();
   }).Check();
   return ConcatInNodeOrder(per_node);
@@ -262,23 +262,26 @@ std::vector<Row> ParallelSystem::ScanAll(const std::string& table) const {
 
 void ParallelSystem::ForEachRow(
     const std::string& table, const std::function<void(const Row&)>& fn) const {
+  const TableId id = catalog_.IdOf(table);
   ReadEpoch epoch = PinReadEpoch();
-  for (const auto& node : nodes_) node->ForEachRow(epoch, table, fn);
+  for (const auto& node : nodes_) node->ForEachRow(epoch, id, fn);
 }
 
 size_t ParallelSystem::RowCount(const std::string& table) const {
+  const TableId id = catalog_.IdOf(table);
   ReadEpoch epoch = PinReadEpoch();
   size_t count = 0;
-  for (const auto& node : nodes_) count += node->RowCount(epoch, table);
+  for (const auto& node : nodes_) count += node->RowCount(epoch, id);
   return count;
 }
 
 double ParallelSystem::EstimateFanout(const std::string& table,
                                       int column) const {
+  const TableId id = catalog_.IdOf(table);
   ReadEpoch epoch = PinReadEpoch();
   ColumnStats stats;
   for (const auto& node : nodes_) {
-    stats += node->ColumnStatsOf(epoch, table, column);
+    stats += node->ColumnStatsOf(epoch, id, column);
   }
   double fanout = stats.AvgFanout();
   return fanout > 0.0 ? fanout : 1.0;
@@ -286,12 +289,12 @@ double ParallelSystem::EstimateFanout(const std::string& table,
 
 double ParallelSystem::EstimateKeyFanout(const std::string& table, int column,
                                          const Value& key) const {
+  const TableId id = catalog_.IdOf(table);
   ReadEpoch epoch = PinReadEpoch();
   double total = 0.0;
   bool any_index = false;
   for (const auto& node : nodes_) {
-    std::optional<size_t> matches =
-        node->CountMatches(epoch, table, column, key);
+    std::optional<size_t> matches = node->CountMatches(epoch, id, column, key);
     if (!matches.has_value()) continue;
     any_index = true;
     total += static_cast<double>(*matches);
@@ -300,10 +303,11 @@ double ParallelSystem::EstimateKeyFanout(const std::string& table, int column,
 }
 
 size_t ParallelSystem::TableBytes(const std::string& table) const {
+  const TableId id = catalog_.IdOf(table);
   size_t bytes = 0;
   for (const auto& node : nodes_) {
     NodeLatchGuard latch(*node, LatchMode::kShared);
-    const TableFragment* frag = node->fragment(table);
+    const TableFragment* frag = node->fragment(id);
     if (frag != nullptr) bytes += frag->byte_size();
   }
   std::function<size_t()> overlay;
@@ -330,10 +334,11 @@ void ParallelSystem::ClearStorageOverlay(const std::string& table) {
 }
 
 size_t ParallelSystem::TablePages(const std::string& table) const {
+  const TableId id = catalog_.IdOf(table);
   size_t pages = 0;
   for (const auto& node : nodes_) {
     NodeLatchGuard latch(*node, LatchMode::kShared);
-    const TableFragment* frag = node->fragment(table);
+    const TableFragment* frag = node->fragment(id);
     if (frag != nullptr) pages += frag->num_pages();
   }
   return pages;
@@ -364,12 +369,13 @@ Result<std::vector<Row>> ParallelSystem::SelectEq(const std::string& table,
   if (def->partition.is_hash() && def->partition.column == column) {
     std::vector<Row> out;
     PJVM_RETURN_NOT_OK(nodes_[HomeNodeForKey(key)]->SelectEq(
-        epoch, txn_id, table, col, key, &out));
+        epoch, txn_id, def->id, col, key, &out));
     return out;
   }
   std::vector<std::vector<Row>> per_node(config_.num_nodes);
   PJVM_RETURN_NOT_OK(FanOutRead(epoch, txn_id, "select_eq", [&](int i) {
-    return nodes_[i]->SelectEq(epoch, txn_id, table, col, key, &per_node[i]);
+    return nodes_[i]->SelectEq(epoch, txn_id, def->id, col, key,
+                               &per_node[i]);
   }));
   return ConcatInNodeOrder(per_node);
 }
@@ -399,7 +405,7 @@ Result<std::vector<Row>> ParallelSystem::SelectRange(const std::string& table,
   ReadEpoch epoch = PinReadEpoch();
   std::vector<std::vector<Row>> per_node(config_.num_nodes);
   PJVM_RETURN_NOT_OK(FanOutRead(epoch, txn_id, "select_range", [&](int i) {
-    return nodes_[i]->SelectRange(epoch, txn_id, table, col, lo, hi,
+    return nodes_[i]->SelectRange(epoch, txn_id, def->id, col, lo, hi,
                                   &per_node[i]);
   }));
   return ConcatInNodeOrder(per_node);
@@ -433,8 +439,8 @@ Status ParallelSystem::Commit(uint64_t txn_id) {
                                       write_set.participants.end());
   std::vector<uint64_t> prepare_lsns(config_.num_nodes, 0);
   for (int node_id : participants) {
-    prepare_lsns[node_id] =
-        nodes_[node_id]->wal().Append(txn_id, LogRecordType::kPrepare, "");
+    prepare_lsns[node_id] = nodes_[node_id]->wal().Append(
+        txn_id, LogRecordType::kPrepare, kNoTable);
   }
   auto force = [&](int node_id) {
     return nodes_[node_id]->wal().Force(prepare_lsns[node_id]);
@@ -469,7 +475,7 @@ Status ParallelSystem::Commit(uint64_t txn_id) {
   }
   // Phase 2: participants learn the outcome.
   for (int node_id : participants) {
-    nodes_[node_id]->wal().Append(txn_id, LogRecordType::kCommit, "");
+    nodes_[node_id]->wal().Append(txn_id, LogRecordType::kCommit, kNoTable);
   }
   // Version visibility follows the durable commit decision: a reader that
   // sees the new epoch sees only transactions recovery would also replay.
@@ -526,7 +532,7 @@ Status ParallelSystem::RollBack(uint64_t txn_id, const TxnWriteSet& write_set) {
     PJVM_RETURN_NOT_OK(nodes_[it->node]->ApplyUndo(*it));
   }
   for (int node_id : write_set.participants) {
-    nodes_[node_id]->wal().Append(txn_id, LogRecordType::kAbort, "");
+    nodes_[node_id]->wal().Append(txn_id, LogRecordType::kAbort, kNoTable);
   }
   locks_.ReleaseAll(txn_id);
   txns_.Forget(txn_id);
@@ -567,9 +573,9 @@ Status ParallelSystem::Recover() {
     node->wal().ReplayCommitted(
         [&](uint64_t txn_id) { return txns_.IsCommitted(txn_id); },
         [&](const LogRecord& rec) {
-          // Records for tables dropped after the write are obsolete: the
-          // drop discarded their data, so replay skips them.
-          if (!catalog_.Has(rec.table)) return;
+          // A dropped table's records are obsolete: the drop discarded its
+          // data, and a table re-created under its name has a new id.
+          if (catalog_.Find(rec.table) == nullptr) return;
           Status st = node->ApplyLogRecord(rec);
           if (!st.ok() && replay_status.ok()) replay_status = st;
         });
@@ -594,7 +600,7 @@ void ParallelSystem::PublishVersions(uint64_t txn_id, bool hook_pending,
   // execution order; all installed at a single epoch so the transaction
   // becomes visible atomically across nodes. Only the ops' rows move out:
   // each write's node, table, lrid and kind stay for the slot release.
-  std::map<std::pair<int, std::string>, std::vector<MvccOp>> by_frag;
+  std::map<std::pair<int, TableId>, std::vector<MvccOp>> by_frag;
   for (TxnWrite& write : writes) {
     by_frag[{write.node, write.table}].push_back(std::move(write.op));
   }
@@ -632,7 +638,7 @@ void ParallelSystem::ResetSnapshots(const std::vector<std::string>& tables) {
   snapshots_.Publish([&](uint64_t epoch) {
     for (auto& node : nodes_) {
       for (const std::string& name : tables) {
-        TableFragment* frag = node->fragment(name);
+        TableFragment* frag = node->fragment(catalog_.IdOf(name));
         if (frag != nullptr) {
           dropped += static_cast<double>(frag->MvccResetFromLive(epoch));
         }

@@ -333,7 +333,6 @@ class ParallelSystem {
   /// One hook at most; the escrow journal registers itself here. The owner
   /// must clear it before being destroyed.
   void SetTxnHook(TxnHook* hook) { txn_hook_ = hook; }
-  TxnHook* txn_hook() const { return txn_hook_; }
 
  private:
   /// InsertMany's body: validates and places `rows`, then runs one
@@ -375,11 +374,11 @@ class ParallelSystem {
   mutable SnapshotManager snapshots_;
   Network network_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  // Round-robin placement counters, bumped by every client thread routing a
-  // row — guarded, unlike the rest of the catalog, because placement happens
-  // on the hot write path.
+  // Round-robin placement counters by table id, bumped by every client
+  // thread routing a row — guarded, unlike the rest of the catalog, because
+  // placement happens on the hot write path.
   std::mutex round_robin_mu_;
-  std::map<std::string, uint64_t> round_robin_;
+  std::vector<uint64_t> round_robin_;
   // Storage overlays (table -> extra-bytes callback); guarded for the same
   // reason as round_robin_ — registration and reads can race.
   mutable std::mutex overlay_mu_;

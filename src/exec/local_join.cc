@@ -16,13 +16,14 @@ OuterKeyGroups GroupOuterKeys(std::span<const Row* const> outer,
 }
 
 Result<std::vector<LocalJoinMatch>> SortMergeJoinFragment(
-    Node* node, const std::string& table, int inner_col,
+    Node* node, TableId table, int inner_col,
     const OuterKeyGroups& outer, int memory_pages, CostTracker* tracker,
     uint64_t txn_id) {
   TableFragment* frag = node->fragment(table);
   if (frag == nullptr) {
     return Status::NotFound("sort-merge: node " + std::to_string(node->id()) +
-                            " has no fragment '" + table + "'");
+                            " has no fragment of table " +
+                            std::to_string(table));
   }
   // The join reads the whole fragment: one shared fragment lock. The lock
   // (which may block) comes before the physical latch that covers the reads

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -57,7 +56,7 @@ OuterKeyGroups GroupOuterKeys(std::span<const Row* const> outer,
 ///    (NodeLatchGuard, shared suffices) across this call and every use of the
 ///    result; any write to the fragment invalidates them.
 Result<std::vector<LocalJoinMatch>> SortMergeJoinFragment(
-    Node* node, const std::string& table, int inner_col,
+    Node* node, TableId table, int inner_col,
     const OuterKeyGroups& outer, int memory_pages, CostTracker* tracker,
     uint64_t txn_id = kAutoCommitTxnId);
 

@@ -207,16 +207,6 @@ size_t MvccScanRange(const MvccState& state, uint64_t epoch, int column,
   return delivered;
 }
 
-std::vector<Row> MvccAllRows(const MvccState& state, uint64_t epoch) {
-  std::vector<const Row*> live = VisibleRows(state, epoch);
-  std::vector<Row> rows;
-  rows.reserve(live.size());
-  for (const Row* row : live) {
-    if (row != nullptr) rows.push_back(*row);
-  }
-  return rows;
-}
-
 void MvccForEachRow(const MvccState& state, uint64_t epoch,
                     const std::function<void(const Row&)>& fn) {
   for (const Row* row : VisibleRows(state, epoch)) {

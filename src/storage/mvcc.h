@@ -129,10 +129,8 @@ size_t MvccProbeCount(const MvccState& state, uint64_t epoch, int column,
 size_t MvccScanRange(const MvccState& state, uint64_t epoch, int column,
                      const Value& lo, const Value& hi, std::vector<Row>* out);
 
-/// All rows visible at `epoch`, in composition order (base image order,
-/// then chain inserts in commit order).
-std::vector<Row> MvccAllRows(const MvccState& state, uint64_t epoch);
-/// Visits MvccAllRows' rows in place, in the same order.
+/// Visits every row visible at `epoch` in place, in composition order (base
+/// image order, then chain inserts in commit order).
 void MvccForEachRow(const MvccState& state, uint64_t epoch,
                     const std::function<void(const Row&)>& fn);
 

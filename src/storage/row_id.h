@@ -8,6 +8,16 @@
 
 namespace pjvm {
 
+/// \brief Identity of one table incarnation: dense, assigned by
+/// Catalog::AddTable and never reused, so a table dropped and re-created
+/// under the same name gets a new id. Below the name-taking API edge
+/// (ParallelSystem, ViewManager, SQL) every module names tables by id.
+using TableId = uint32_t;
+
+/// No table: what a name lookup of an absent table yields, and the table
+/// field of WAL control records (prepare, commit, abort).
+inline constexpr TableId kNoTable = UINT32_MAX;
+
 /// \brief Identifier of a row within one node's fragment of a table.
 ///
 /// Local row ids are stable for the lifetime of the row: they survive other

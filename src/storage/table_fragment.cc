@@ -166,16 +166,6 @@ ProbeResult TableFragment::ScanEq(int column, const Value& key) const {
   return out;
 }
 
-std::vector<Row> TableFragment::AllRows() const {
-  std::vector<Row> rows;
-  rows.reserve(heap_.num_rows());
-  heap_.ForEach([&](LocalRowId, const Row& row) {
-    rows.push_back(row);
-    return true;
-  });
-  return rows;
-}
-
 std::shared_ptr<const MvccBase> TableFragment::BuildBaseFromLive(
     uint64_t epoch) const {
   auto base = std::make_shared<MvccBase>();

@@ -116,9 +116,6 @@ class TableFragment {
     heap_.ForEach(fn);
   }
 
-  /// Copies out all live rows (test/utility convenience).
-  std::vector<Row> AllRows() const;
-
   size_t num_rows() const { return heap_.num_rows(); }
   size_t num_pages() const { return heap_.num_pages(); }
   size_t byte_size() const { return heap_.byte_size(); }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <optional>
 #include <vector>
@@ -28,7 +27,8 @@ const char* LockModeToString(LockMode mode) {
 }
 
 std::string LockId::ToString() const {
-  std::string out = "node" + std::to_string(node) + "/" + table;
+  std::string out =
+      "node" + std::to_string(node) + "/table" + std::to_string(table);
   if (whole_table) {
     out += "/*";
   } else {
@@ -40,10 +40,10 @@ std::string LockId::ToString() const {
 const LockManager::Shard& LockManager::ShardOf(const LockId& id) const {
   // Fragment-granular: every lock of one (node, table) pair maps to the same
   // shard, so table↔key coverage checks and release-wakeups stay single-shard.
-  uint64_t h = std::hash<std::string>{}(id.table);
-  h = h * 1099511628211ULL ^
-      (static_cast<uint64_t>(id.node) * 0x9e3779b97f4a7c15ULL);
-  return shards_[h % shards_.size()];
+  const uint64_t h = ((static_cast<uint64_t>(id.table) << 32) ^
+                      static_cast<uint32_t>(id.node)) *
+                     0x9e3779b97f4a7c15ULL;
+  return shards_[(h >> 32) % shards_.size()];
 }
 
 void LockManager::CollectConflicts(const Shard& shard, uint64_t txn_id,
@@ -377,9 +377,9 @@ void LockManager::ReleaseAll(uint64_t txn_id) {
     shard.by_txn.erase(it);
     shard.key_counts.erase(
         shard.key_counts.lower_bound(
-            FragKey{txn_id, std::numeric_limits<int>::min(), ""}),
+            FragKey{txn_id, std::numeric_limits<int>::min(), 0}),
         shard.key_counts.lower_bound(
-            FragKey{txn_id + 1, std::numeric_limits<int>::min(), ""}));
+            FragKey{txn_id + 1, std::numeric_limits<int>::min(), 0}));
   }
   std::lock_guard<std::mutex> ag(age_mu_);
   ages_.erase(txn_id);

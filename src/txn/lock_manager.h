@@ -14,6 +14,7 @@
 
 #include "common/status.h"
 #include "common/value.h"
+#include "storage/row_id.h"
 
 namespace pjvm {
 
@@ -28,23 +29,23 @@ const char* LockModeToString(LockMode mode);
 /// one node, or the whole fragment (key_hash absent).
 struct LockId {
   int node = -1;
-  std::string table;
+  TableId table = kNoTable;
   /// Hash of the locked key value; 0 + whole_table=true locks the fragment.
   uint64_t key_hash = 0;
   bool whole_table = false;
 
-  static LockId Key(int node, std::string table, const Value& key) {
-    return LockId{node, std::move(table), key.Hash(), false};
+  static LockId Key(int node, TableId table, const Value& key) {
+    return LockId{node, table, key.Hash(), false};
   }
   /// A key value within one indexed column (so probes of A.c = 5 conflict
   /// with writers of rows whose c = 5, but not with other columns' keys).
-  static LockId IndexKey(int node, std::string table, int column,
+  static LockId IndexKey(int node, TableId table, int column,
                          const Value& key) {
     uint64_t h = key.Hash() ^ (0x9e3779b97f4a7c15ULL * (column + 1));
-    return LockId{node, std::move(table), h, false};
+    return LockId{node, table, h, false};
   }
-  static LockId Table(int node, std::string table) {
-    return LockId{node, std::move(table), 0, true};
+  static LockId Table(int node, TableId table) {
+    return LockId{node, table, 0, true};
   }
 
   friend bool operator<(const LockId& a, const LockId& b) {
@@ -195,7 +196,7 @@ class LockManager {
 
   /// Key-lock footprint of one transaction on one (node, table) fragment —
   /// keyed txn-first so ReleaseAll can drop a transaction's range.
-  using FragKey = std::tuple<uint64_t, int, std::string>;
+  using FragKey = std::tuple<uint64_t, int, TableId>;
 
   /// One independent slice of the lock table. All entries of one
   /// (node, table) fragment live in the same shard (see class comment).

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <mutex>
 #include <set>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -57,7 +56,7 @@ enum class FailurePoint {
 /// reserves it (HeapFile::DeleteKeepSlot) until commit releases it.
 struct TxnWrite {
   int node = 0;
-  std::string table;
+  TableId table = kNoTable;
   LocalRowId lrid = 0;
   /// Kind, row (the inserted tuple or the delete victim) and the fragment's
   /// shape right after the write.

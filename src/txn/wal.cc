@@ -19,8 +19,8 @@ constexpr size_t kLsnAt = sizeof(uint32_t);
 constexpr size_t kTxnAt = kLsnAt + sizeof(uint64_t);
 constexpr size_t kTypeAt = kTxnAt + sizeof(uint64_t);
 constexpr size_t kAuxAt = kTypeAt + sizeof(uint8_t);
-constexpr size_t kTableLenAt = kAuxAt + sizeof(int32_t);
-constexpr size_t kHeaderBytes = kTableLenAt + sizeof(uint32_t);
+constexpr size_t kTableAt = kAuxAt + sizeof(int32_t);
+constexpr size_t kHeaderBytes = kTableAt + sizeof(TableId);
 
 template <typename T>
 T Load(const char* at) {
@@ -43,17 +43,15 @@ bool IsDataRecord(LogRecordType type) {
          type == LogRecordType::kEscrowDelta;
 }
 
-// Decodes one record into `out`, reusing its table and row storage.
+// Decodes one record into `out`, reusing its row storage.
 void DecodeRecord(const char* rec, LogRecord* out) {
   out->lsn = RecordLsn(rec);
   out->txn_id = Load<uint64_t>(rec + kTxnAt);
   out->type = static_cast<LogRecordType>(Load<uint8_t>(rec + kTypeAt));
   out->aux = Load<int32_t>(rec + kAuxAt);
-  const uint32_t table_len = Load<uint32_t>(rec + kTableLenAt);
-  const char* table = rec + kHeaderBytes;
-  out->table.assign(table, table_len);
+  out->table = Load<TableId>(rec + kTableAt);
   const char* end = rec + RecordSize(rec);
-  if (DecodeRow(table + table_len, end, &out->row) != end) {
+  if (DecodeRow(rec + kHeaderBytes, end, &out->row) != end) {
     std::fprintf(stderr, "PJVM fatal: corrupt WAL record at LSN %llu\n",
                  static_cast<unsigned long long>(out->lsn));
     std::abort();
@@ -62,10 +60,9 @@ void DecodeRecord(const char* rec, LogRecord* out) {
 
 }  // namespace
 
-uint64_t Wal::Append(uint64_t txn_id, LogRecordType type,
-                     std::string_view table, std::span<const Value> row,
-                     int aux) {
-  const size_t size = kHeaderBytes + table.size() + EncodedRowSize(row);
+uint64_t Wal::Append(uint64_t txn_id, LogRecordType type, TableId table,
+                     std::span<const Value> row, int aux) {
+  const size_t size = kHeaderBytes + EncodedRowSize(row);
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t lsn = next_lsn_++;
   char* out = Reserve(size, lsn);
@@ -74,9 +71,8 @@ uint64_t Wal::Append(uint64_t txn_id, LogRecordType type,
   out = Store(out, txn_id);
   out = Store(out, static_cast<uint8_t>(type));
   out = Store(out, static_cast<int32_t>(aux));
-  out = Store(out, static_cast<uint32_t>(table.size()));
-  if (!table.empty()) std::memcpy(out, table.data(), table.size());
-  EncodeRow(row, out + table.size());
+  out = Store(out, table);
+  EncodeRow(row, out);
   // Free forcing: appends are durable immediately (the original model).
   if (force_ns_ == 0) durable_lsn_ = lsn;
   return lsn;

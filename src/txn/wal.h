@@ -8,12 +8,11 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/row.h"
 #include "common/status.h"
+#include "storage/row_id.h"
 
 namespace pjvm {
 
@@ -41,7 +40,8 @@ struct LogRecord {
   uint64_t lsn = 0;
   uint64_t txn_id = 0;
   LogRecordType type = LogRecordType::kInsert;
-  std::string table;
+  /// The written table; kNoTable for control records.
+  TableId table = kNoTable;
   Row row;
   /// Record-type-specific extra: for kEscrowDelta, the group-prefix width
   /// (how many leading columns of `row` identify the group). 0 otherwise.
@@ -58,11 +58,11 @@ struct LogRecord {
 /// record at the end of the newest fixed-size block (`kBlockBytes`; a record
 /// larger than that gets a block of its own), so the log holds no Row and a
 /// growing log never copies what it already holds. A record is a u32 total
-/// length, the u64 LSN, the u64 txn id, a one-byte type, the i32 `aux`, a
-/// u32-length-prefixed table name, and the row in the common row encoding
-/// (common/row.h). Records never straddle blocks, so both truncations cut at
-/// record boundaries: Clear frees whole blocks of the checkpointed prefix,
-/// DiscardUnforced shortens the tail.
+/// length, the u64 LSN, the u64 txn id, a one-byte type, the i32 `aux`, the
+/// u32 table id (kNoTable for control records), and the row in the common
+/// row encoding (common/row.h). Records never straddle blocks, so both
+/// truncations cut at record boundaries: Clear frees whole blocks of the
+/// checkpointed prefix, DiscardUnforced shortens the tail.
 ///
 /// **LSN semantics: monotonic across the log's whole lifetime.** `Clear()`
 /// (checkpoint truncation) drops the records but never resets `next_lsn_`,
@@ -97,8 +97,9 @@ struct LogRecord {
 class Wal {
  public:
   /// Appends a record, assigning its LSN, and returns the LSN. `row` is
-  /// encoded straight into the log; control records pass none.
-  uint64_t Append(uint64_t txn_id, LogRecordType type, std::string_view table,
+  /// encoded straight into the log; control records pass kNoTable and no
+  /// row.
+  uint64_t Append(uint64_t txn_id, LogRecordType type, TableId table,
                   std::span<const Value> row = {}, int aux = 0);
 
   /// Simulated force cost per device write (`force_ns` of wall-clock sleep,

@@ -20,7 +20,7 @@ Counter* EscrowOpsCounter() {
 
 }  // namespace
 
-void EscrowRegistry::AddView(const std::string& name, const BoundView* bound) {
+void EscrowRegistry::AddView(TableId view, const BoundView* bound) {
   if (!bound->is_aggregate()) return;
   // The escrow lock identity is the partition-column index key — the one
   // the eager path X-locks and readers S-probe. A round-robin (global)
@@ -30,12 +30,12 @@ void EscrowRegistry::AddView(const std::string& name, const BoundView* bound) {
   const int pcol = bound->output_partition_col();
   if (pcol < 0 || pcol >= bound->StoredGroupWidth()) return;
   std::lock_guard<std::mutex> lock(mu_);
-  views_[name].bound = bound;
+  views_[view].bound = bound;
 }
 
-void EscrowRegistry::RemoveView(const std::string& name) {
+void EscrowRegistry::RemoveView(TableId view) {
   std::lock_guard<std::mutex> lock(mu_);
-  views_.erase(name);
+  views_.erase(view);
 }
 
 Row EscrowRegistry::FoldedRow(const BoundView& bound, const GroupState& gs) {
@@ -53,8 +53,8 @@ Row EscrowRegistry::FoldedRow(const BoundView& bound, const GroupState& gs) {
   return folded;
 }
 
-Status EscrowRegistry::RewriteHeapLocked(const std::string& view,
-                                         ViewState& vs, const GroupKey& key,
+Status EscrowRegistry::RewriteHeapLocked(TableId view, ViewState& vs,
+                                         const GroupKey& key,
                                          GroupState& gs) {
   Node* node = sys_->node(key.first);
   PJVM_RETURN_NOT_OK(
@@ -65,7 +65,7 @@ Status EscrowRegistry::RewriteHeapLocked(const std::string& view,
   return Status::OK();
 }
 
-void EscrowRegistry::MarkExclusiveLocked(uint64_t txn, const std::string& view,
+void EscrowRegistry::MarkExclusiveLocked(uint64_t txn, TableId view,
                                          const GroupKey& key) {
   txn_eager_[txn].insert({view, key});
   if (CostTracker::TxnMeter* meter = CostTracker::ActiveMeter()) {
@@ -73,8 +73,7 @@ void EscrowRegistry::MarkExclusiveLocked(uint64_t txn, const std::string& view,
   }
 }
 
-Result<bool> EscrowRegistry::Apply(uint64_t txn, int node_id,
-                                   const std::string& view,
+Result<bool> EscrowRegistry::Apply(uint64_t txn, int node_id, TableId view,
                                    const Row& contribution, bool is_delete) {
   if (txn == kAutoCommitTxnId) return false;
   const BoundView* bound = nullptr;
@@ -210,7 +209,7 @@ Result<bool> EscrowRegistry::Apply(uint64_t txn, int node_id,
 }
 
 Status EscrowRegistry::ApplyEagerSynthetic(uint64_t txn, int node_id,
-                                           const std::string& view,
+                                           TableId view,
                                            const BoundView& bound,
                                            const Row& synthetic) {
   // The escalated transaction's accumulated delta, replayed as one signed
@@ -234,7 +233,7 @@ Status EscrowRegistry::ApplyEagerSynthetic(uint64_t txn, int node_id,
     }
   }
   if (!found) {
-    return Status::Internal("escrow view '" + view +
+    return Status::Internal("escrow view '" + bound.def().name +
                             "': escalated group vanished under the X lock " +
                             RowToString(synthetic));
   }
@@ -245,7 +244,7 @@ Status EscrowRegistry::ApplyEagerSynthetic(uint64_t txn, int node_id,
   PJVM_RETURN_NOT_OK(node->DeleteExact(txn, view, old_row));
   const int64_t count = new_row[bound.StoredCountIndex()].AsInt64();
   if (count < 0) {
-    return Status::Internal("aggregate view '" + view +
+    return Status::Internal("aggregate view '" + bound.def().name +
                             "': negative group count");
   }
   if (count > 0) {
@@ -391,8 +390,8 @@ void EscrowRegistry::ClearTxnLocked(uint64_t txn_id) {
 
 void EscrowRegistry::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, vs] : views_) {
-    (void)name;
+  for (auto& [view, vs] : views_) {
+    (void)view;
     vs.groups.clear();
   }
   txn_refs_.clear();
@@ -401,10 +400,10 @@ void EscrowRegistry::Reset() {
 
 Status EscrowRegistry::CheckConsistent() const {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, vs] : views_) {
+  for (const auto& [view, vs] : views_) {
     if (!vs.groups.empty()) {
       return Status::Internal(
-          "escrow journal for view '" + name + "' holds " +
+          "escrow journal for view '" + vs.bound->def().name + "' holds " +
           std::to_string(vs.groups.size()) +
           " group(s) at a quiescent point (leaked in-flight state)");
     }

@@ -5,7 +5,6 @@
 #include <map>
 #include <mutex>
 #include <set>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -86,8 +85,8 @@ class EscrowRegistry : public TxnHook {
   /// group column (the partition index key is the escrow lock identity;
   /// round-robin global aggregates keep the eager path). Ineligible views
   /// are ignored.
-  void AddView(const std::string& name, const BoundView* bound);
-  void RemoveView(const std::string& name);
+  void AddView(TableId view, const BoundView* bound);
+  void RemoveView(TableId view);
 
   /// Routes one aggregate contribution (stored layout, produced by
   /// BoundView::OutputRow) destined for `node`. Returns true if the journal
@@ -95,7 +94,7 @@ class EscrowRegistry : public TxnHook {
   /// the eager path must run (view not registered, autocommit, or the
   /// group's birth/death edge, for which the group is already X-locked and
   /// marked eager-for-this-transaction on return).
-  Result<bool> Apply(uint64_t txn, int node, const std::string& view,
+  Result<bool> Apply(uint64_t txn, int node, TableId view,
                      const Row& contribution, bool is_delete);
 
   // TxnHook:
@@ -119,8 +118,8 @@ class EscrowRegistry : public TxnHook {
  private:
   /// (node, group-prefix values) — one journaled group row.
   using GroupKey = std::pair<int, Row>;
-  /// (view name, group key) — one transaction's touch of one group.
-  using GroupRef = std::pair<std::string, GroupKey>;
+  /// (view table, group key) — one transaction's touch of one group.
+  using GroupRef = std::pair<TableId, GroupKey>;
 
   struct GroupState {
     /// The group row as of the last commit that touched it (stored layout).
@@ -151,17 +150,15 @@ class EscrowRegistry : public TxnHook {
   static Row FoldedRow(const BoundView& bound, const GroupState& gs);
   /// Rewrites the group's heap row to FoldedRow and refreshes the captured
   /// fragment shape. Caller holds the node's exclusive latch and `mu_`.
-  Status RewriteHeapLocked(const std::string& view, ViewState& vs,
+  Status RewriteHeapLocked(TableId view, ViewState& vs,
                            const GroupKey& key, GroupState& gs);
   /// V→X escalation epilogue: marks the (txn, group) eager and tallies the
   /// upgrade in the active TxnMeter. `mu_` held.
-  void MarkExclusiveLocked(uint64_t txn, const std::string& view,
-                           const GroupKey& key);
+  void MarkExclusiveLocked(uint64_t txn, TableId view, const GroupKey& key);
   /// Replays a transaction's accumulated (signed) delta through the eager
   /// delete+insert path, under the group's X lock. No latch held on entry.
-  Status ApplyEagerSynthetic(uint64_t txn, int node_id,
-                             const std::string& view, const BoundView& bound,
-                             const Row& synthetic);
+  Status ApplyEagerSynthetic(uint64_t txn, int node_id, TableId view,
+                             const BoundView& bound, const Row& synthetic);
   /// Drops every per-transaction record (refs and eager marks).
   void ClearTxnLocked(uint64_t txn_id);
 
@@ -169,7 +166,7 @@ class EscrowRegistry : public TxnHook {
 
   /// Leaf mutex guarding all maps below (see the class comment).
   mutable std::mutex mu_;
-  std::map<std::string, ViewState> views_;
+  std::map<TableId, ViewState> views_;
   /// Groups each in-flight transaction has a resident delta or finalizing
   /// mark in.
   std::map<uint64_t, std::set<GroupRef>> txn_refs_;

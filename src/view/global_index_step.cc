@@ -21,9 +21,10 @@ constexpr int kGiLridCol = 2;
 }  // namespace
 
 Result<std::vector<Maintainer::Partial>> Maintainer::GlobalIndexStep(
-    uint64_t txn, const PlanStep& step, const std::string& gi_table,
+    uint64_t txn, const PlanStep& step, TableId gi_table,
     const std::vector<Partial>& in, MaintenanceReport* report) {
   std::vector<Partial> out;
+  const std::string& gi_name = sys_->catalog().Find(gi_table)->name;
   PJVM_ASSIGN_OR_RETURN(int key_idx,
                         bound().WorkingIndex(step.source_base, step.source_col));
   const TableDef& target_def = bound().base_def(step.target_base);
@@ -33,7 +34,7 @@ Result<std::vector<Maintainer::Partial>> Maintainer::GlobalIndexStep(
   // Phase 0 (coordinator): route each partial to its key's global-index home
   // node.
   PJVM_ASSIGN_OR_RETURN(std::vector<std::vector<size_t>> at_home,
-                        RouteToKeyHome(in, key_idx, gi_table));
+                        RouteToKeyHome(in, key_idx, gi_name));
 
   // A pending remote fetch: partial `partial_idx` matched `rids` at `owner`.
   struct FetchWork {
@@ -56,7 +57,7 @@ Result<std::vector<Maintainer::Partial>> Maintainer::GlobalIndexStep(
   {
   SpanGuard lookup_span("gi_lookup", "phase", -1, nullptr,
                         MaintenanceMethodToString(method()));
-  if (lookup_span.active()) lookup_span.set_detail(gi_table);
+  if (lookup_span.active()) lookup_span.set_detail(gi_name);
   PJVM_RETURN_NOT_OK(
       sys_->executor().RunOnNodes(homes, [&](int gi_home) -> Status {
         SpanGuard span("gi_probe_node", "task", gi_home, &sys_->cost(),
@@ -140,7 +141,7 @@ Result<std::vector<Maintainer::Partial>> Maintainer::GlobalIndexStep(
         // same node: hold its latch shared, as ProbeGroupAtNode does.
         Node* n = sys_->node(owner);
         NodeLatchGuard latch(*n, LatchMode::kShared);
-        TableFragment* frag = n->fragment(target_def.name);
+        TableFragment* frag = n->fragment(target_def.id);
         if (frag == nullptr) {
           return Status::NotFound("GI step: missing fragment '" +
                                   target_def.name + "'");

@@ -33,9 +33,10 @@ HeavyLightClassifier::ColumnStatsEntry& HeavyLightClassifier::StatsFor(
   if (it != stats_.end()) return it->second;
   ColumnStatsEntry entry;
   std::vector<ColumnStats> parts;
+  const TableId id = sys_->catalog().IdOf(table);
   for (int n = 0; n < sys_->num_nodes(); ++n) {
     Node* node = sys_->node(n);
-    const TableFragment* frag = node->fragment(table);
+    const TableFragment* frag = node->fragment(id);
     if (frag == nullptr) continue;
     // Statistics read the live fragment; the shared latch keeps concurrent
     // page writers out.
@@ -186,14 +187,12 @@ const DeferredDeltaStore::Buffer* DeferredDeltaStore::Find(
   return it == buffers_.end() ? nullptr : &it->second;
 }
 
-std::map<std::string, int> DeferredDeltaStore::SignedCounts(
-    const std::string& view, bool deletes) const {
-  std::map<std::string, int> counts;
+RowCounts DeferredDeltaStore::SignedCounts(const std::string& view,
+                                           bool deletes) const {
+  RowCounts counts;
   const Buffer* buf = Find(view);
   if (buf == nullptr) return counts;
-  for (const Row& row : deletes ? buf->deletes : buf->inserts) {
-    ++counts[RowToString(row)];
-  }
+  for (const Row& row : deletes ? buf->deletes : buf->inserts) ++counts[row];
   return counts;
 }
 

@@ -123,10 +123,9 @@ class DeferredDeltaStore {
   /// nullptr when the view has no (possibly empty) buffer.
   const Buffer* Find(const std::string& view) const;
 
-  /// Rendered-content -> multiplicity of the view's buffered rows of one
-  /// sign; used by the router to match deletes against buffered inserts.
-  std::map<std::string, int> SignedCounts(const std::string& view,
-                                          bool deletes) const;
+  /// Multiplicity of the view's buffered rows of one sign; used by the
+  /// router to match deletes against buffered inserts.
+  RowCounts SignedCounts(const std::string& view, bool deletes) const;
 
   size_t rows(const std::string& view) const;
   size_t total_rows() const;

@@ -118,6 +118,7 @@ Result<std::vector<Maintainer::Partial>> Maintainer::StepFor(
                               bound().base_preds(step.target_base)));
       ProbeTarget target;
       target.table = ar.table;
+      target.id = ar.id;
       target.probe_col = ar.probe_col;
       target.needed_map = ar.needed_pos;
       target.preds = ar.residual_preds;
@@ -133,7 +134,7 @@ Result<std::vector<Maintainer::Partial>> Maintainer::StepFor(
       // attribute ("distributed clustered") and one I/O per matching row
       // otherwise.
       PJVM_ASSIGN_OR_RETURN(
-          std::string gi_table,
+          TableId gi_table,
           structures_->GlobalIndex(target_def.name, step.target_col));
       // Large-batch crossover: when per-node scan beats the few-node index
       // plan, fall back to the broadcast sort-merge join (Figure 11's
@@ -248,6 +249,7 @@ Status Maintainer::Extend(const PlanStep& step, const Row& working,
 Maintainer::ProbeTarget Maintainer::BaseProbeTarget(const PlanStep& step) const {
   ProbeTarget target;
   target.table = bound().base_def(step.target_base).name;
+  target.id = bound().base_def(step.target_base).id;
   target.probe_col = step.target_col;
   target.needed_map = bound().needed_cols(step.target_base);
   target.preds = bound().base_preds(step.target_base);
@@ -268,7 +270,7 @@ Status Maintainer::ProbeGroupAtNode(uint64_t txn, const PlanStep& step,
   // SortMergeJoinFragment latches on the same node are fine. Holding it
   // across the join also keeps the matched rows' pointers valid.
   NodeLatchGuard latch(*n, LatchMode::kShared);
-  TableFragment* frag = n->fragment(target.table);
+  TableFragment* frag = n->fragment(target.id);
   if (frag == nullptr) {
     return Status::NotFound("maintenance: node " + std::to_string(node) +
                             " has no fragment '" + target.table + "'");
@@ -308,13 +310,13 @@ Status Maintainer::ProbeGroupAtNode(uint64_t txn, const PlanStep& step,
         if (missing) {
           PJVM_ASSIGN_OR_RETURN(
               it->second,
-              n->IndexProbe(target.table, target.probe_col, key, txn));
+              n->IndexProbe(target.id, target.probe_col, key, txn));
           ++report->probes;
         }
         probe = &it->second;
       } else {
         PJVM_ASSIGN_OR_RETURN(
-            fresh, n->IndexProbe(target.table, target.probe_col, key, txn));
+            fresh, n->IndexProbe(target.id, target.probe_col, key, txn));
         ++report->probes;
         probe = &fresh;
       }
@@ -330,7 +332,7 @@ Status Maintainer::ProbeGroupAtNode(uint64_t txn, const PlanStep& step,
     }
     PJVM_ASSIGN_OR_RETURN(
         std::vector<LocalJoinMatch> matches,
-        SortMergeJoinFragment(n, target.table, target.probe_col, *keys,
+        SortMergeJoinFragment(n, target.id, target.probe_col, *keys,
                               sys_->config().sort_memory_pages, &sys_->cost(),
                               txn));
     ++report->probes;

@@ -178,7 +178,9 @@ class Maintainer {
   /// Describes what a plan step probes at a node: which table, which of its
   /// columns, and how a probed row maps to the target base's needed tuple.
   struct ProbeTarget {
+    /// The probed table's name (hop bytes, trace details) and id.
     std::string table;
+    TableId id = kNoTable;
     /// Column to probe, in the probed table's schema.
     int probe_col = -1;
     /// Position in the probed row of each needed column of the target base
@@ -189,7 +191,7 @@ class Maintainer {
     /// positions within the probed row.
     std::vector<BoundPred> preds;
     /// When set, the step probes the view's merged co-clustered tree (named
-    /// `table`) instead: one range descent per (txn, node, key), every
+    /// `table`, no id) instead: one range descent per (txn, node, key), every
     /// further in-range operation free, zero per-row fetches.
     MergedViewStorage* merged = nullptr;
   };
@@ -232,7 +234,7 @@ class Maintainer {
   /// and fans the probe out to the K owning nodes.
   Result<std::vector<Partial>> GlobalIndexStep(uint64_t txn,
                                                const PlanStep& step,
-                                               const std::string& gi_table,
+                                               TableId gi_table,
                                                const std::vector<Partial>& in,
                                                MaintenanceReport* report);
 

@@ -32,7 +32,8 @@ Result<MaterializedView> MaterializedView::Create(ParallelSystem* sys,
     def.partition = PartitionSpec::RoundRobin();
   }
   PJVM_RETURN_NOT_OK(sys->CreateTable(def));
-  return MaterializedView(sys, std::move(bound));
+  const TableId id = sys->catalog().IdOf(def.name);
+  return MaterializedView(sys, std::move(bound), id);
 }
 
 int MaterializedView::DestinationOf(const Row& output_row) {
@@ -41,8 +42,7 @@ int MaterializedView::DestinationOf(const Row& output_row) {
   }
   // A global aggregate (no GROUP BY) keeps its single row at node 0.
   if (bound_.is_aggregate()) return 0;
-  const TableDef* def = *sys_->catalog().Get(table_name());
-  return sys_->HomeNodeForRow(*def, output_row);
+  return sys_->HomeNodeForRow(*sys_->catalog().Find(table_id_), output_row);
 }
 
 Status MaterializedView::ApplyOutputs(uint64_t txn, int source_node,
@@ -60,7 +60,7 @@ Status MaterializedView::ApplyOutputs(uint64_t txn, int source_node,
       int found = -1;
       for (int i = 0; i < sys_->num_nodes(); ++i) {
         NodeLatchGuard latch(*sys_->node(i), LatchMode::kShared);
-        const TableFragment* frag = sys_->node(i)->fragment(table_name());
+        const TableFragment* frag = sys_->node(i)->fragment(table_id_);
         sys_->cost().ChargeSearch(i);
         if (frag->FindExact(row).ok()) {
           found = i;
@@ -83,7 +83,7 @@ Status MaterializedView::ApplyOutputs(uint64_t txn, int source_node,
         source_node, dest, HopBytes(table_name(), dest_rows)));
     for (Row& row : dest_rows) {
       if (is_delete) {
-        PJVM_RETURN_NOT_OK(sys_->node(dest)->DeleteExact(txn, table_name(), row));
+        PJVM_RETURN_NOT_OK(sys_->node(dest)->DeleteExact(txn, table_id_, row));
         if (merged_hook_) {
           PJVM_RETURN_NOT_OK(merged_hook_(txn, dest, row, /*is_delete=*/true));
         }
@@ -92,7 +92,7 @@ Status MaterializedView::ApplyOutputs(uint64_t txn, int source_node,
           PJVM_RETURN_NOT_OK(merged_hook_(txn, dest, row, /*is_delete=*/false));
         }
         PJVM_RETURN_NOT_OK(
-            sys_->node(dest)->Insert(txn, table_name(), std::move(row)).status());
+            sys_->node(dest)->Insert(txn, table_id_, std::move(row)).status());
       }
       ++*applied;
     }
@@ -112,7 +112,7 @@ Status MaterializedView::ApplyAggregateContributions(uint64_t txn,
     PJVM_RETURN_NOT_OK(sys_->network().Send(
         source_node, dest, HopBytes(table_name(), dest_rows)));
     Node* node = sys_->node(dest);
-    TableFragment* frag = node->fragment(table_name());
+    TableFragment* frag = node->fragment(table_id_);
     for (Row& contribution : dest_rows) {
       if (escrow_hook_) {
         PJVM_ASSIGN_OR_RETURN(bool handled,
@@ -134,9 +134,9 @@ Status MaterializedView::ApplyAggregateContributions(uint64_t txn,
         LockId group_lock =
             bound_.output_partition_col() >= 0
                 ? LockId::IndexKey(
-                      dest, table_name(), bound_.output_partition_col(),
+                      dest, table_id_, bound_.output_partition_col(),
                       contribution[bound_.output_partition_col()])
-                : LockId::Table(dest, table_name());
+                : LockId::Table(dest, table_id_);
         PJVM_RETURN_NOT_OK(
             sys_->locks().Acquire(txn, group_lock, LockMode::kExclusive));
       }
@@ -148,7 +148,7 @@ Status MaterializedView::ApplyAggregateContributions(uint64_t txn,
         // then filter by the full group prefix.
         PJVM_ASSIGN_OR_RETURN(
             ProbeResult probe,
-            node->IndexProbe(table_name(), bound_.output_partition_col(),
+            node->IndexProbe(table_id_, bound_.output_partition_col(),
                              contribution[bound_.output_partition_col()]));
         for (Row& candidate : probe.rows) {
           if (std::equal(candidate.begin(), candidate.begin() + width,
@@ -175,7 +175,7 @@ Status MaterializedView::ApplyAggregateContributions(uint64_t txn,
                                   RowToString(contribution));
         }
         PJVM_RETURN_NOT_OK(
-            node->Insert(txn, table_name(), std::move(contribution)).status());
+            node->Insert(txn, table_id_, std::move(contribution)).status());
         ++*applied;
         continue;
       }
@@ -183,7 +183,7 @@ Status MaterializedView::ApplyAggregateContributions(uint64_t txn,
       for (size_t i = width; i < contribution.size(); ++i) {
         new_row[i] = AddValues(new_row[i], contribution[i], is_delete);
       }
-      PJVM_RETURN_NOT_OK(node->DeleteExact(txn, table_name(), old_row));
+      PJVM_RETURN_NOT_OK(node->DeleteExact(txn, table_id_, old_row));
       int64_t count = new_row[bound_.StoredCountIndex()].AsInt64();
       if (count < 0) {
         return Status::Internal("aggregate view '" + table_name() +
@@ -191,7 +191,7 @@ Status MaterializedView::ApplyAggregateContributions(uint64_t txn,
       }
       if (count > 0) {
         PJVM_RETURN_NOT_OK(
-            node->Insert(txn, table_name(), std::move(new_row)).status());
+            node->Insert(txn, table_id_, std::move(new_row)).status());
       }
       ++*applied;
     }

@@ -29,6 +29,7 @@ class MaterializedView {
 
   const BoundView& bound() const { return bound_; }
   const std::string& table_name() const { return bound_.def().name; }
+  TableId table_id() const { return table_id_; }
 
   /// Destination node of one output row.
   int DestinationOf(const Row& output_row);
@@ -66,8 +67,8 @@ class MaterializedView {
   void set_escrow_hook(EscrowHook hook) { escrow_hook_ = std::move(hook); }
 
  private:
-  MaterializedView(ParallelSystem* sys, BoundView bound)
-      : sys_(sys), bound_(std::move(bound)) {}
+  MaterializedView(ParallelSystem* sys, BoundView bound, TableId table_id)
+      : sys_(sys), bound_(std::move(bound)), table_id_(table_id) {}
 
   /// Aggregate-view path of ApplyOutputs: folds contribution rows into the
   /// stored group rows ([group..., __count, aggregates...]), creating,
@@ -78,6 +79,7 @@ class MaterializedView {
 
   ParallelSystem* sys_;
   BoundView bound_;
+  TableId table_id_;
   MergedHook merged_hook_;
   EscrowHook escrow_hook_;
 };

@@ -51,6 +51,7 @@ MergedViewStorage::MergedViewStorage(ParallelSystem* sys,
     : sys_(sys),
       view_name_(bound.def().name),
       lock_table_("__merged_" + bound.def().name),
+      lock_id_(sys->catalog().NewId()),
       view_pcol_(bound.output_partition_col()) {
   // The partitioning attribute as a working-row index.
   const int pw = bound.output_indices()[bound.output_partition_col()];
@@ -76,6 +77,7 @@ MergedViewStorage::MergedViewStorage(ParallelSystem* sys,
     Member m;
     m.base_idx = base;
     m.source_table = bound.base_def(base).name;
+    m.source_id = bound.base_def(base).id;
     m.col = col;
     m.preds = bound.base_preds(base);
     std::set<int> cols(bound.needed_cols(base).begin(),
@@ -118,7 +120,7 @@ Status MergedViewStorage::EnsureRange(uint64_t txn, int node,
   // avoids the forbidden shared->exclusive upgrade.
   if (sys_->config().enable_locking) {
     PJVM_RETURN_NOT_OK(sys_->locks().Acquire(
-        txn, LockId::IndexKey(node, lock_table_, 0, key),
+        txn, LockId::IndexKey(node, lock_id_, 0, key),
         LockMode::kExclusive));
   }
   sys_->cost().ChargeSearch(node);
@@ -251,6 +253,7 @@ Status MergedViewStorage::RebuildFromHeaps() {
     std::lock_guard<std::mutex> lock(mu_);
     txns_.clear();
   }
+  view_id_ = sys_->catalog().IdOf(view_name_);
   const int n = sys_->num_nodes();
   // Stage (dest, key, tag, row) entries source node by source node — member
   // rows live at their base's partition home, not the join key's — then load
@@ -265,7 +268,7 @@ Status MergedViewStorage::RebuildFromHeaps() {
   for (const Member& m : members_) {
     for (int i = 0; i < n; ++i) {
       NodeLatchGuard latch(*sys_->node(i), LatchMode::kShared);
-      const TableFragment* frag = sys_->node(i)->fragment(m.source_table);
+      const TableFragment* frag = sys_->node(i)->fragment(m.source_id);
       if (frag == nullptr) continue;
       frag->ForEach([&](LocalRowId, const Row& row) {
         if (!RowPassesPreds(row, m.preds)) return true;
@@ -278,7 +281,7 @@ Status MergedViewStorage::RebuildFromHeaps() {
   }
   for (int i = 0; i < n; ++i) {
     NodeLatchGuard latch(*sys_->node(i), LatchMode::kShared);
-    const TableFragment* frag = sys_->node(i)->fragment(view_name_);
+    const TableFragment* frag = sys_->node(i)->fragment(view_id_);
     if (frag == nullptr) continue;
     frag->ForEach([&](LocalRowId, const Row& row) {
       staged[sys_->HomeNodeForKey(row[view_pcol_])].push_back(
@@ -302,45 +305,46 @@ Status MergedViewStorage::RebuildFromHeaps() {
 
 Status MergedViewStorage::CheckConsistent() const {
   const int n = sys_->num_nodes();
-  // Expected per node: the multiset of (tag, row) entries the heaps imply.
-  std::vector<std::map<std::pair<int, std::string>, int>> expected(n);
+  // Expected per node: the bag of each tag's rows the heaps imply.
+  std::vector<std::map<int, RowCounts>> expected(n);
   for (const Member& m : members_) {
     for (int i = 0; i < n; ++i) {
       NodeLatchGuard latch(*sys_->node(i), LatchMode::kShared);
-      const TableFragment* frag = sys_->node(i)->fragment(m.source_table);
+      const TableFragment* frag = sys_->node(i)->fragment(m.source_id);
       if (frag == nullptr) continue;
       frag->ForEach([&](LocalRowId, const Row& row) {
         if (!RowPassesPreds(row, m.preds)) return true;
-        expected[sys_->HomeNodeForKey(row[m.col])]
-                [{m.tag, RowToString(ProjectRow(row, m.cols))}]++;
+        expected[sys_->HomeNodeForKey(row[m.col])][m.tag]
+                [ProjectRow(row, m.cols)]++;
         return true;
       });
     }
   }
   for (int i = 0; i < n; ++i) {
     NodeLatchGuard latch(*sys_->node(i), LatchMode::kShared);
-    const TableFragment* frag = sys_->node(i)->fragment(view_name_);
+    const TableFragment* frag = sys_->node(i)->fragment(view_id_);
     if (frag == nullptr) continue;
     frag->ForEach([&](LocalRowId, const Row& row) {
-      expected[sys_->HomeNodeForKey(row[view_pcol_])]
-              [{mergedkey::kViewTag, RowToString(row)}]++;
+      expected[sys_->HomeNodeForKey(row[view_pcol_])][mergedkey::kViewTag]
+              [row]++;
       return true;
     });
   }
   for (int i = 0; i < n; ++i) {
-    std::map<std::pair<int, std::string>, int> actual;
+    std::map<int, RowCounts> actual;
     NodeLatchGuard latch(*sys_->node(i), LatchMode::kShared);
     PJVM_RETURN_NOT_OK(trees_[i]->CheckInvariants());
+    size_t entries = 0;
     trees_[i]->ForEach([&](uint8_t tag, const Row& row) {
-      actual[{tag, RowToString(row)}]++;
+      actual[tag][row]++;
+      ++entries;
       return true;
     });
     if (actual != expected[i]) {
-      return Status::Internal(
-          "merged storage '" + lock_table_ + "' node " + std::to_string(i) +
-          " diverged from heap contents (" + std::to_string(actual.size()) +
-          " distinct entries vs " + std::to_string(expected[i].size()) +
-          " expected)");
+      return Status::Internal("merged storage '" + lock_table_ + "' node " +
+                              std::to_string(i) +
+                              " diverged from heap contents (" +
+                              std::to_string(entries) + " entries)");
     }
   }
   return Status::OK();

@@ -57,10 +57,12 @@ enum class MaintenanceTiming;
 /// (exclusive / shared), like every other per-node structure. Transactions
 /// serialize per key range: the first merged operation of a transaction on
 /// one (node, join key) range takes an EXCLUSIVE range lock —
-/// LockId::IndexKey(node, "__merged_<view>", 0, key) — composing with lock
-/// escalation and the wait-die retry loop like any other key lock; later
-/// operations of the same transaction on that range are free. Edits are
-/// applied eagerly and journaled: commit forgets the journal, abort applies
+/// LockId::IndexKey(node, lock_id_, 0, key), an id of the catalog's
+/// never-reused sequence that names no table, so it never collides with
+/// the view's key locks — composing with lock escalation and the wait-die
+/// retry loop like any other key lock; later operations of the same
+/// transaction on that range are free. Edits are applied eagerly and
+/// journaled: commit forgets the journal, abort applies
 /// the inverse edits in reverse *before* the lock release, so no successor
 /// can acquire the range and observe a half-rolled-back tree (strict 2PL).
 ///
@@ -77,6 +79,7 @@ class MergedViewStorage {
   struct Member {
     int base_idx = -1;         ///< Index within the view's bases.
     std::string source_table;  ///< Base table the member mirrors.
+    TableId source_id = kNoTable;
     int col = -1;              ///< Full-schema join column (cluster attr).
     /// Ascending full-schema columns stored (needed + col + pred columns).
     std::vector<int> cols;
@@ -98,8 +101,7 @@ class MergedViewStorage {
   /// RebuildFromHeaps() once the view table is backfilled.
   MergedViewStorage(ParallelSystem* sys, const BoundView& bound);
 
-  const std::string& view_name() const { return view_name_; }
-  /// The pseudo-table name range locks are taken under.
+  /// The pseudo-table name of the merged tree (hop bytes, trace details).
   const std::string& lock_table() const { return lock_table_; }
   const std::vector<Member>& members() const { return members_; }
 
@@ -133,8 +135,9 @@ class MergedViewStorage {
   void OnAbort(uint64_t txn);
 
   /// Drops and rebuilds every node's tree from the current heap contents
-  /// (registration backfill; crash recovery). Also clears any in-flight
-  /// transaction state. Charges nothing.
+  /// (registration backfill, which first resolves the view table's id;
+  /// crash recovery). Also clears any in-flight transaction state. Charges
+  /// nothing.
   Status RebuildFromHeaps();
 
   /// Verifies invariant 10: each node's tree holds exactly the member and
@@ -169,7 +172,11 @@ class MergedViewStorage {
 
   ParallelSystem* sys_;
   std::string view_name_;
+  /// The view table's id, resolved once it exists (RebuildFromHeaps).
+  TableId view_id_ = kNoTable;
   std::string lock_table_;
+  /// The range locks' own id (see the class comment).
+  TableId lock_id_;
   int view_pcol_ = -1;  ///< Output-row column the composite key comes from.
   std::vector<Member> members_;
   /// One tree per node, index == node id. Guarded by the node's latch.

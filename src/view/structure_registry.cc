@@ -112,6 +112,8 @@ Status StructureRegistry::Build(Entry& entry) {
   // lives together too: probing it is one SEARCH with no per-item fetches.
   def.indexes.push_back(IndexSpec{key_name, /*clustered=*/true});
   PJVM_RETURN_NOT_OK(sys_->CreateTable(def));
+  entry.id = sys_->catalog().IdOf(entry.table);
+  entry.base_id = base->id;
   // Backfill from the base table (bulk load; routed by hash, no maintenance
   // metering intended — callers reset the cost tracker after setup). Each
   // node's rows are copied out under its own latch and inserted with every
@@ -120,7 +122,7 @@ Status StructureRegistry::Build(Entry& entry) {
   std::vector<Row> rows;
   for (int i = 0; i < sys_->num_nodes(); ++i) {
     NodeLatchGuard latch(*sys_->node(i), LatchMode::kShared);
-    sys_->node(i)->fragment(entry.base_table)->ForEach(
+    sys_->node(i)->fragment(entry.base_id)->ForEach(
         [&](LocalRowId lrid, const Row& row) {
           std::optional<Row> out = RowFor(entry, row, GlobalRowId{i, lrid});
           if (out.has_value()) rows.push_back(std::move(*out));
@@ -166,6 +168,7 @@ Result<ArAccess> StructureRegistry::Access(
   };
   ArAccess access;
   access.table = entry.table;
+  access.id = entry.id;
   access.probe_col = entry.key_pos;
   for (int c : needed_cols) {
     int p = pos_of(c);
@@ -193,14 +196,14 @@ Result<ArAccess> StructureRegistry::Access(
   return access;
 }
 
-Result<std::string> StructureRegistry::GlobalIndex(const std::string& table,
-                                                   int col) const {
+Result<TableId> StructureRegistry::GlobalIndex(const std::string& table,
+                                               int col) const {
   auto it = entries_.find({MaintenanceMethod::kGlobalIndex, table, col});
   if (it == entries_.end()) {
     return Status::NotFound("no global index for " + table + " column " +
                             std::to_string(col));
   }
-  return it->second.table;
+  return it->second.id;
 }
 
 Result<size_t> StructureRegistry::ApplyDelta(uint64_t txn,
@@ -229,10 +232,10 @@ Result<size_t> StructureRegistry::ApplyDelta(uint64_t txn,
         }
         Node* node = sys_->node(dest);
         if (is_delete) {
-          PJVM_RETURN_NOT_OK(node->DeleteExact(txn, entry.table, *row));
+          PJVM_RETURN_NOT_OK(node->DeleteExact(txn, entry.id, *row));
         } else {
           PJVM_RETURN_NOT_OK(
-              node->Insert(txn, entry.table, std::move(*row)).status());
+              node->Insert(txn, entry.id, std::move(*row)).status());
         }
         ++writes;
       }
@@ -283,20 +286,20 @@ std::vector<std::string> StructureRegistry::TableNames(
 Status StructureRegistry::CheckConsistent() const {
   for (const auto& [key, entry] : entries_) {
     // Expected contents: RowFor of every live base row at its (node, lrid).
-    std::map<std::string, int> expected;
-    std::map<std::string, int> actual;
+    RowCounts expected;
+    RowCounts actual;
     size_t misplaced = 0;
     for (int i = 0; i < sys_->num_nodes(); ++i) {
       const Node& node = *sys_->node(i);
       NodeLatchGuard latch(node, LatchMode::kShared);
-      node.fragment(entry.base_table)
+      node.fragment(entry.base_id)
           ->ForEach([&](LocalRowId lrid, const Row& row) {
             std::optional<Row> out = RowFor(entry, row, GlobalRowId{i, lrid});
-            if (out.has_value()) expected[RowToString(*out)]++;
+            if (out.has_value()) expected[*out]++;
             return true;
           });
-      node.fragment(entry.table)->ForEach([&](LocalRowId, const Row& row) {
-        actual[RowToString(row)]++;
+      node.fragment(entry.id)->ForEach([&](LocalRowId, const Row& row) {
+        actual[row]++;
         if (sys_->HomeNodeForKey(row[entry.key_pos]) != i) ++misplaced;
         return true;
       });

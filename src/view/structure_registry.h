@@ -15,9 +15,10 @@ namespace pjvm {
 
 /// \brief Access descriptor for probing an auxiliary relation.
 struct ArAccess {
-  /// Name of the AR table ("partitioned on the join attribute, with a
-  /// clustered index on it").
+  /// Name (hop bytes, trace details) and id of the AR table ("partitioned on
+  /// the join attribute, with a clustered index on it").
   std::string table;
+  TableId id = kNoTable;
   /// Position of the join attribute inside the AR's schema.
   int probe_col = -1;
   /// For each needed column of the underlying base (in needed order), its
@@ -77,8 +78,8 @@ class StructureRegistry {
                           const std::vector<int>& needed_cols,
                           const std::vector<BoundPred>& preds) const;
 
-  /// Name of the GI table for (table, col); NotFound if absent.
-  Result<std::string> GlobalIndex(const std::string& table, int col) const;
+  /// Id of the GI table for (table, col); NotFound if absent.
+  Result<TableId> GlobalIndex(const std::string& table, int col) const;
 
   /// Propagates one base-table delta into every structure of that table,
   /// deletes first: each structure row ships from its base row's node (the
@@ -89,7 +90,7 @@ class StructureRegistry {
   Result<size_t> ApplyDelta(uint64_t txn, const DeltaBatch& delta);
 
   /// Drops and rebuilds every GI from the current base tables (run after
-  /// crash recovery).
+  /// crash recovery); each gets a new table id.
   Status RebuildGlobalIndexes();
 
   /// Total bytes across `method`'s structures (its storage overhead).
@@ -107,8 +108,10 @@ class StructureRegistry {
  private:
   struct Entry {
     MaintenanceMethod method = MaintenanceMethod::kAuxRelation;
-    std::string table;  // The structure table.
+    std::string table;  // The structure table, and its id.
+    TableId id = kNoTable;
     std::string base_table;
+    TableId base_id = kNoTable;
     int col = -1;      // Full-schema base column the table is keyed on.
     int key_pos = -1;  // Position of that key in the structure's rows.
     // AR only: ascending full-schema columns stored, and the predicates the
@@ -125,7 +128,8 @@ class StructureRegistry {
   /// structure does not hold it.
   static std::optional<Row> RowFor(const Entry& entry, const Row& base_row,
                                    GlobalRowId gid);
-  /// Creates the structure's table and backfills it from the base.
+  /// Creates the structure's table (setting the entry's ids) and backfills
+  /// it from the base.
   Status Build(Entry& entry);
 
   ParallelSystem* sys_;

@@ -122,13 +122,12 @@ Status ViewManager::RegisterView(const JoinViewDef& def,
       vit->second.timing == MaintenanceTiming::kImmediate &&
       vit->second.bound.is_aggregate()) {
     ViewRegistration& stored = vit->second;
-    escrow_->AddView(def.name, &stored.bound);
+    const TableId view = stored.view->table_id();
+    escrow_->AddView(view, &stored.bound);
     EscrowRegistry* esc = escrow_.get();
-    const std::string view_name = def.name;
     stored.view->set_escrow_hook(
-        [esc, view_name](uint64_t txn, int node, const Row& row,
-                         bool is_delete) {
-          return esc->Apply(txn, node, view_name, row, is_delete);
+        [esc, view](uint64_t txn, int node, const Row& row, bool is_delete) {
+          return esc->Apply(txn, node, view, row, is_delete);
         });
   }
   return Status::OK();
@@ -257,23 +256,19 @@ Result<MaintenanceReport> ViewManager::ApplyDelta(DeltaBatch delta,
       DeltaBatch light;
       if (hl) {
         light.table = delta.table;
-        std::map<std::string, int> avail_ins =
-            deferred_.SignedCounts(name, /*deletes=*/false);
-        std::map<std::string, int> avail_del =
-            deferred_.SignedCounts(name, /*deletes=*/true);
+        RowCounts avail_ins = deferred_.SignedCounts(name, /*deletes=*/false);
+        RowCounts avail_del = deferred_.SignedCounts(name, /*deletes=*/true);
         auto route = [&](bool is_delete, const Row& row,
                          GlobalRowId gid) -> bool {
-          std::map<std::string, int>& opposite =
-              is_delete ? avail_ins : avail_del;
-          std::map<std::string, int>& same = is_delete ? avail_del : avail_ins;
-          std::string rendered = RowToString(row);
-          auto match = opposite.find(rendered);
+          RowCounts& opposite = is_delete ? avail_ins : avail_del;
+          RowCounts& same = is_delete ? avail_del : avail_ins;
+          auto match = opposite.find(row);
           bool buffer = false;
           if (match != opposite.end() && match->second > 0) {
             --match->second;  // Annihilates when the attempt commits.
             buffer = true;
           } else if (classifier_->IsHeavy(reg.bound, base_idx, row)) {
-            ++same[rendered];
+            ++same[row];
             buffer = true;
           }
           if (buffer) {
@@ -494,7 +489,7 @@ Status ViewManager::RunMaintenanceTxn(
   }
 }
 
-Status ViewManager::LockViewFragments(uint64_t txn, const std::string& view) {
+Status ViewManager::LockViewFragments(uint64_t txn, TableId view) {
   if (!sys_->config().enable_locking) return Status::OK();
   // One fragment-granularity X lock per node on the view table up front: a
   // fold or refresh rewrites many rows of the view, so per-key locks would
@@ -530,7 +525,7 @@ Status ViewManager::UnregisterView(const std::string& name) {
     sys_->ClearStorageOverlay(name);
     merged_.erase(name);
   }
-  if (escrow_ != nullptr) escrow_->RemoveView(name);
+  if (escrow_ != nullptr) escrow_->RemoveView(reg.view->table_id());
   PJVM_RETURN_NOT_OK(sys_->DropTable(name));
   views_.erase(it);
   return Status::OK();
@@ -557,12 +552,12 @@ Status ViewManager::RecomputeAndDiff(const std::string& name,
     // locks: no other transaction writes the view between the diff and its
     // application, and a retried attempt diffs afresh instead of applying
     // the difference a killed attempt computed.
-    PJVM_RETURN_NOT_OK(LockViewFragments(txn, name));
+    PJVM_RETURN_NOT_OK(LockViewFragments(txn, reg.view->table_id()));
     // Charge what the recomputation reads: a full scan of every base
     // relation's fragments (sort/hash join passes are subsumed by the
     // engine's memory budget at these scales; a refresh is scan-dominated).
     for (int i = 0; i < reg.bound.num_bases(); ++i) {
-      const std::string& table = reg.bound.base_def(i).name;
+      const TableId table = reg.bound.base_def(i).id;
       for (int n = 0; n < sys_->num_nodes(); ++n) {
         const TableFragment* frag = sys_->node(n)->fragment(table);
         if (frag != nullptr) sys_->cost().ChargeIOPages(n, frag->num_pages());
@@ -570,27 +565,21 @@ Status ViewManager::RecomputeAndDiff(const std::string& name,
     }
     PJVM_ASSIGN_OR_RETURN(std::vector<Row> expected,
                           EvaluateViewFromScratch(sys_, reg.bound));
-    // Diff against stored contents (bag semantics) and apply the difference.
-    std::map<std::string, std::pair<int, Row>> delta;  // rendered -> (count, row)
-    for (Row& row : expected) {
-      auto [entry, inserted] =
-          delta.try_emplace(RowToString(row), 0, std::move(row));
-      entry->second.first += 1;
-      (void)inserted;
-    }
-    for (Row& row : sys_->ScanAll(name)) {
-      auto [entry, inserted] =
-          delta.try_emplace(RowToString(row), 0, std::move(row));
-      entry->second.first -= 1;
-      (void)inserted;
-    }
-    for (auto& [key, counted] : delta) {
-      auto& [count, row] = counted;
-      for (; count > 0; --count) {
-        PJVM_RETURN_NOT_OK(sys_->Insert(name, row, txn));
-      }
-      for (; count < 0; ++count) {
+    // Diff against stored contents (bag semantics) and apply the difference:
+    // surplus stored rows are deleted in scan order, then missing rows are
+    // inserted in evaluation order.
+    const std::vector<Row> stored = sys_->ScanAll(name);
+    RowCounts delta;  // expected minus stored multiplicity
+    for (const Row& row : expected) ++delta[row];
+    for (const Row& row : stored) --delta[row];
+    for (const Row& row : stored) {
+      for (int& count = delta[row]; count < 0; ++count) {
         PJVM_RETURN_NOT_OK(sys_->DeleteExact(name, row, txn));
+      }
+    }
+    for (const Row& row : expected) {
+      for (int& count = delta[row]; count > 0; --count) {
+        PJVM_RETURN_NOT_OK(sys_->Insert(name, row, txn));
       }
     }
     return Status::OK();
@@ -662,7 +651,7 @@ Status ViewManager::FoldViewLocked(const std::string& name,
   // runner backs off and re-runs it under a fresh transaction id with its
   // lineage's age.
   auto body = [&](uint64_t txn) -> Status {
-    PJVM_RETURN_NOT_OK(LockViewFragments(txn, name));
+    PJVM_RETURN_NOT_OK(LockViewFragments(txn, reg.view->table_id()));
     reg.maintainer->set_fold_mode(true);
     Result<MaintenanceReport> rep =
         reg.maintainer->ApplyDelta(txn, updated_base, batch);
@@ -739,22 +728,23 @@ Status ViewManager::CheckAllConsistent() {
     PJVM_ASSIGN_OR_RETURN(std::vector<Row> expected,
                           EvaluateViewFromScratch(sys_, reg.bound));
     std::vector<Row> actual = reg.view->Contents();
-    std::map<std::string, int> want, got;
-    for (const Row& r : expected) want[RowToString(r)]++;
-    for (const Row& r : actual) got[RowToString(r)]++;
+    RowCounts want, got;
+    for (const Row& r : expected) want[r]++;
+    for (const Row& r : actual) got[r]++;
     if (want != got) {
       std::string detail;
       for (const auto& [row, count] : want) {
         auto it = got.find(row);
         int have = it == got.end() ? 0 : it->second;
         if (have != count) {
-          detail += " expected " + std::to_string(count) + "x" + row + " got " +
-                    std::to_string(have) + ";";
+          detail += " expected " + std::to_string(count) + "x" +
+                    RowToString(row) + " got " + std::to_string(have) + ";";
         }
       }
       for (const auto& [row, count] : got) {
         if (want.count(row) == 0) {
-          detail += " unexpected " + std::to_string(count) + "x" + row + ";";
+          detail += " unexpected " + std::to_string(count) + "x" +
+                    RowToString(row) + ";";
         }
       }
       return Status::Internal("view '" + name +

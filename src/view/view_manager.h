@@ -205,7 +205,7 @@ class ViewManager {
                            MaintenanceAnalysis* analysis = nullptr);
   /// X-locks every node's fragment of `view` for `txn` (no-op without
   /// locking): the whole-view footprint of folds and refreshes.
-  Status LockViewFragments(uint64_t txn, const std::string& view);
+  Status LockViewFragments(uint64_t txn, TableId view);
   /// Recomputes `name` from scratch and applies the bag difference to the
   /// stored contents in one maintenance transaction (the deferred-refresh /
   /// recovery reconciliation primitive).

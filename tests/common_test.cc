@@ -296,7 +296,7 @@ TEST(MetricsTest, ChargesAccumulatePerNode) {
   CostTracker t(3);
   t.ChargeSearch(0);
   t.ChargeFetch(0, 4);
-  t.ChargeInsert(1);
+  t.ChargeWrite(1, CostTracker::WriteKind::kBase);
   t.ChargeSend(2, 100);
   EXPECT_EQ(t.node(0).searches, 1u);
   EXPECT_EQ(t.node(0).fetches, 4u);
@@ -309,7 +309,7 @@ TEST(MetricsTest, PaperWeightsByDefault) {
   CostTracker t(2);
   t.ChargeSearch(0);      // 1 I/O
   t.ChargeFetch(0, 2);    // 2 I/O
-  t.ChargeInsert(1);      // 2 I/O
+  t.ChargeWrite(1, CostTracker::WriteKind::kBase);  // 2 I/O
   t.ChargeSend(1, 10);    // 0 I/O with default weights
   EXPECT_DOUBLE_EQ(t.TotalWorkload(), 5.0);
   EXPECT_DOUBLE_EQ(t.ResponseTime(), 3.0);  // Node 0 carries 3 I/Os.
@@ -325,7 +325,7 @@ TEST(MetricsTest, NodesTouchedCountsActiveNodes) {
 
 TEST(MetricsTest, ResetClears) {
   CostTracker t(2);
-  t.ChargeInsert(0, 5);
+  t.ChargeWrite(0, CostTracker::WriteKind::kView, 5);
   t.Reset();
   EXPECT_DOUBLE_EQ(t.TotalWorkload(), 0.0);
   EXPECT_EQ(t.NodesTouched(), 0);
@@ -336,7 +336,7 @@ TEST(MetricsTest, SnapshotDiffIsolatesPhases) {
   t.ChargeSearch(0, 3);
   auto before = t.Snapshot();
   t.ChargeSearch(0, 2);
-  t.ChargeInsert(1, 1);
+  t.ChargeWrite(1, CostTracker::WriteKind::kStructure, 1);
   NodeCounters d0 = t.node(0) - before[0];
   NodeCounters d1 = t.node(1) - before[1];
   EXPECT_EQ(d0.searches, 2u);

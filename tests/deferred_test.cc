@@ -63,6 +63,46 @@ TEST(DeferredViewTest, RefreshHandlesInsertsDeletesUpdates) {
       << fx.manager->CheckAllConsistent();
 }
 
+TEST(DeferredViewTest, RefreshSeesEverySignificantDigit) {
+  // Two DOUBLEs equal to six significant digits: the refresh diff and the
+  // consistency oracle must tell them apart.
+  ParallelSystem sys(TwoTableFixture::Config(4));
+  TableDef p = MakeTableDef("P", Schema({{"p", ValueType::kInt64},
+                                         {"k", ValueType::kInt64},
+                                         {"x", ValueType::kDouble}}),
+                            "p");
+  TableDef q = MakeTableDef("Q", Schema({{"q", ValueType::kInt64},
+                                         {"k", ValueType::kInt64}}),
+                            "q");
+  ASSERT_TRUE(sys.CreateTable(p).ok());
+  ASSERT_TRUE(sys.CreateTable(q).ok());
+  ASSERT_TRUE(sys.Insert("Q", {Value{1}, Value{7}}).ok());
+  ViewManager manager(&sys);
+  const Row before = {Value{1}, Value{7}, Value{1.0000001}};
+  const Row after = {Value{1}, Value{7}, Value{1.0000002}};
+  ASSERT_TRUE(manager.InsertRow("P", before).ok());
+  JoinViewDef def;
+  def.name = "PQ";
+  def.bases = {{"P", "P"}, {"Q", "Q"}};
+  def.edges = {{{"P", "k"}, {"Q", "k"}}};
+  def.projection = {{"P", "p"}, {"P", "x"}};
+  ASSERT_TRUE(manager
+                  .RegisterView(def, MaintenanceMethod::kNaive,
+                                MaintenanceTiming::kDeferred)
+                  .ok());
+  ASSERT_TRUE(manager.UpdateRow("P", before, after).ok());
+  EXPECT_TRUE(manager.IsStale("PQ"));
+  ASSERT_TRUE(manager.RefreshView("PQ").ok());
+  EXPECT_EQ(manager.view("PQ")->Contents(),
+            (std::vector<Row>{{Value{1}, Value{1.0000002}}}));
+  Status st = manager.CheckAllConsistent();
+  EXPECT_TRUE(st.ok()) << st;
+  // The oracle itself sees the seventh digit.
+  ASSERT_TRUE(sys.DeleteExact("PQ", {Value{1}, Value{1.0000002}}).ok());
+  ASSERT_TRUE(sys.Insert("PQ", {Value{1}, Value{1.0000001}}).ok());
+  EXPECT_FALSE(manager.CheckAllConsistent().ok());
+}
+
 TEST(DeferredViewTest, RefreshOfFreshViewIsNoOp) {
   TwoTableFixture fx(2, 5, 1);
   ASSERT_TRUE(fx.manager
@@ -161,7 +201,8 @@ struct BlockedRefresh {
     holder = fx.sys->Begin();
     for (int n = 0; n < fx.sys->num_nodes(); ++n) {
       fx.sys->locks()
-          .Acquire(holder, LockId::Table(n, "JV"), LockMode::kExclusive)
+          .Acquire(holder, LockId::Table(n, fx.sys->catalog().IdOf("JV")),
+                   LockMode::kExclusive)
           .Check();
     }
   }

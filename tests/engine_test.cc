@@ -84,6 +84,26 @@ TEST(CatalogTest, DropTable) {
   EXPECT_TRUE(cat.DropTable("A").IsNotFound());
 }
 
+TEST(CatalogTest, IdsAreNeverReused) {
+  Catalog cat;
+  ASSERT_TRUE(cat.AddTable(HashTableDef("A", "a")).ok());
+  const TableId first = cat.IdOf("A");
+  ASSERT_NE(first, kNoTable);
+  EXPECT_EQ(cat.Find(first)->name, "A");
+  ASSERT_TRUE(cat.DropTable("A").ok());
+  EXPECT_EQ(cat.IdOf("A"), kNoTable);
+  EXPECT_EQ(cat.Find(first), nullptr);
+  // An id taken for derived storage names no table and is skipped too.
+  const TableId reserved = cat.NewId();
+  EXPECT_EQ(cat.Find(reserved), nullptr);
+  ASSERT_TRUE(cat.AddTable(HashTableDef("A", "a")).ok());
+  const TableId second = cat.IdOf("A");
+  EXPECT_NE(second, first);
+  EXPECT_NE(second, reserved);
+  EXPECT_EQ((*cat.Get("A"))->id, second);
+  EXPECT_EQ(cat.Find(second)->name, "A");
+}
+
 // ------------------------------------------------------------- Partitioner
 
 TEST(PartitionerTest, DeterministicAndInRange) {
@@ -114,7 +134,7 @@ TEST(SystemTest, CreateTableOnAllNodes) {
   ParallelSystem sys(SmallConfig());
   ASSERT_TRUE(sys.CreateTable(HashTableDef("A", "a")).ok());
   for (int i = 0; i < 4; ++i) {
-    EXPECT_NE(sys.node(i)->fragment("A"), nullptr);
+    EXPECT_NE(sys.node(i)->fragment(sys.catalog().IdOf("A")), nullptr);
   }
 }
 
@@ -126,8 +146,9 @@ TEST(SystemTest, HashInsertRoutesToHomeNode) {
   }
   EXPECT_EQ(sys.RowCount("A"), 40u);
   // Every row is on its hash home node.
+  const TableId a = sys.catalog().IdOf("A");
   for (int i = 0; i < 4; ++i) {
-    sys.node(i)->fragment("A")->ForEach([&](LocalRowId, const Row& row) {
+    sys.node(i)->fragment(a)->ForEach([&](LocalRowId, const Row& row) {
       EXPECT_EQ(NodeForKey(row[0], 4), i) << RowToString(row);
       return true;
     });
@@ -145,7 +166,7 @@ TEST(SystemTest, RoundRobinSpreadsEvenly) {
     ASSERT_TRUE(sys.Insert("V", {Value{k}, Value{k}}).ok());
   }
   for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(sys.node(i)->fragment("V")->num_rows(), 5u);
+    EXPECT_EQ(sys.node(i)->fragment(sys.catalog().IdOf("V"))->num_rows(), 5u);
   }
 }
 
@@ -238,11 +259,13 @@ TEST(SystemTest, IndexProbeChargesFetchesOnlyWhenNonClustered) {
   }
   int c_col = 1;
   sys.cost().Reset();
-  ASSERT_TRUE(sys.node(0)->IndexProbe("B", c_col, Value{1}).ok());
+  ASSERT_TRUE(
+      sys.node(0)->IndexProbe(sys.catalog().IdOf("B"), c_col, Value{1}).ok());
   // Non-clustered: 1 search + 6 fetches = 7 I/Os.
   EXPECT_DOUBLE_EQ(sys.cost().TotalWorkload(), 7.0);
   sys.cost().Reset();
-  ASSERT_TRUE(sys.node(0)->IndexProbe("Bc", c_col, Value{1}).ok());
+  ASSERT_TRUE(
+      sys.node(0)->IndexProbe(sys.catalog().IdOf("Bc"), c_col, Value{1}).ok());
   // Clustered: 1 search, matches ride along on the leaf page.
   EXPECT_DOUBLE_EQ(sys.cost().TotalWorkload(), 1.0);
 }
@@ -271,8 +294,9 @@ TEST(SystemTest, CheckInvariantsPasses) {
 TEST(SystemTest, DropTableRemovesFragments) {
   ParallelSystem sys(SmallConfig());
   ASSERT_TRUE(sys.CreateTable(HashTableDef("A", "a")).ok());
+  const TableId id = sys.catalog().IdOf("A");
   ASSERT_TRUE(sys.DropTable("A").ok());
-  EXPECT_EQ(sys.node(0)->fragment("A"), nullptr);
+  EXPECT_EQ(sys.node(0)->fragment(id), nullptr);
   EXPECT_FALSE(sys.catalog().Has("A"));
 }
 

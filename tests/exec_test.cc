@@ -132,8 +132,10 @@ class LocalJoinTest : public ::testing::Test {
                                          const std::vector<Row>& outer) {
     std::vector<JoinRow> out;
     for (size_t i = 0; i < outer.size(); ++i) {
-      PJVM_ASSIGN_OR_RETURN(ProbeResult probe,
-                            sys_->node(0)->IndexProbe(table, 1, outer[i][1]));
+      PJVM_ASSIGN_OR_RETURN(
+          ProbeResult probe,
+          sys_->node(0)->IndexProbe(sys_->catalog().IdOf(table), 1,
+                                    outer[i][1]));
       for (Row& match : probe.rows) {
         out.push_back(JoinRow{i, std::move(match)});
       }
@@ -152,8 +154,9 @@ class LocalJoinTest : public ::testing::Test {
     NodeLatchGuard latch(*sys_->node(0), LatchMode::kShared);
     PJVM_ASSIGN_OR_RETURN(
         std::vector<LocalJoinMatch> matches,
-        SortMergeJoinFragment(sys_->node(0), table, 1, GroupOuterKeys(refs, 1),
-                              memory_pages, &sys_->cost(), txn));
+        SortMergeJoinFragment(sys_->node(0), sys_->catalog().IdOf(table), 1,
+                              GroupOuterKeys(refs, 1), memory_pages,
+                              &sys_->cost(), txn));
     std::vector<std::tuple<uint32_t, LocalRowId, Row>> out;
     for (const LocalJoinMatch& m : matches) {
       out.emplace_back(m.outer, m.inner_rid, *m.inner);

@@ -96,7 +96,7 @@ TEST(NodeExecutorTest, CallerRunTaskNeverParksOnALock) {
   NodeExecutor exec(4);
   LockManager lm;
   lm.set_wait_timeout_ms(10000);  // would hang the test if it parked
-  const LockId key = LockId::Key(0, "T", Value{7});
+  const LockId key = LockId::Key(0, /*table=*/0, Value{7});
   ASSERT_TRUE(lm.Acquire(2, key, LockMode::kExclusive).ok());
   ASSERT_FALSE(WorkerContext::MustNotBlock());
   bool must_not_block = false;

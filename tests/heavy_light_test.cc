@@ -188,8 +188,8 @@ TEST(HeavyLightStoreTest, AppendCancelsOppositeSignChurn) {
 
 // Runs one skewed update stream (hot inserts, hot churn, light traffic)
 // under the given settings and returns the view's settled content bag.
-std::map<std::string, int> RunStream(bool heavy_light, MaintenanceMethod method,
-                                     bool mvcc, size_t* deferred_peak) {
+RowCounts RunStream(bool heavy_light, MaintenanceMethod method, bool mvcc,
+                    size_t* deferred_peak) {
   SystemConfig cfg;
   cfg.num_nodes = 4;
   cfg.heavy_light = heavy_light;
@@ -229,9 +229,9 @@ TEST(HeavyLightFoldTest, FoldEqualsEagerByteForByteAllMethods) {
       SCOPED_TRACE(std::string(MaintenanceMethodToString(method)) +
                    (mvcc ? "+mvcc" : ""));
       size_t deferred_peak = 0;
-      std::map<std::string, int> deferred =
+      RowCounts deferred =
           RunStream(/*heavy_light=*/true, method, mvcc, &deferred_peak);
-      std::map<std::string, int> eager =
+      RowCounts eager =
           RunStream(/*heavy_light=*/false, method, mvcc, nullptr);
       // Something was actually deferred (the hot rows minus cancelled
       // churn), and the folded contents match eager maintenance exactly.
@@ -293,8 +293,9 @@ TEST(HeavyLightFoldTest, FoldRetriesAsWaitDieVictimWithoutLossOrDuplication) {
   // An older transaction holds the view fragment the fold X-locks up front,
   // so every fold attempt is the wait-die victim until the blocker commits.
   uint64_t blocker = fx.sys->Begin();
+  const LockId view_fragment = LockId::Table(0, fx.sys->catalog().IdOf("V"));
   ASSERT_TRUE(fx.sys->locks()
-                  .Acquire(blocker, LockId::Table(0, "V"), LockMode::kExclusive)
+                  .Acquire(blocker, view_fragment, LockMode::kExclusive)
                   .ok());
   std::thread release([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));

@@ -83,7 +83,8 @@ std::vector<Row> BareRows(Rng* rng, int n) {
 std::string Storage(const ParallelSystem& sys, const std::string& table) {
   std::string out;
   for (int n = 0; n < sys.num_nodes(); ++n) {
-    const TableFragment* frag = sys.node(n)->fragment(table);
+    const TableFragment* frag =
+        sys.node(n)->fragment(sys.catalog().IdOf(table));
     out += "node " + std::to_string(n) + ":";
     frag->ForEach([&](LocalRowId lrid, const Row& row) {
       out += " " + std::to_string(lrid) + "=" + RowToString(row);
@@ -110,8 +111,8 @@ std::string WalOf(const ParallelSystem& sys) {
     for (const LogRecord& rec : sys.node(n)->wal().records()) {
       out += std::to_string(n) + "/" + std::to_string(rec.lsn) + " t" +
              std::to_string(rec.txn_id) + " " +
-             std::to_string(static_cast<int>(rec.type)) + " " + rec.table +
-             " " + RowToString(rec.row) + "\n";
+             std::to_string(static_cast<int>(rec.type)) + " " +
+             std::to_string(rec.table) + " " + RowToString(rec.row) + "\n";
     }
   }
   return out;
@@ -263,7 +264,9 @@ TEST_P(LoadPathTest, InvalidRowInsertsNothing) {
   EXPECT_EQ(CountersOf(*twin.sys), CountersOf(*fresh.sys));
   // Round-robin placement starts over at node 0.
   ASSERT_TRUE(twin.sys->InsertMany("R", {{Value{1}, Value{1.0}}}).ok());
-  EXPECT_EQ(twin.sys->node(0)->fragment("R")->num_rows(), 1u);
+  EXPECT_EQ(twin.sys->node(0)->fragment(twin.sys->catalog().IdOf("R"))
+                ->num_rows(),
+            1u);
 }
 
 // The returned global row ids follow input order and resolve to the rows.
@@ -275,7 +278,8 @@ TEST_P(LoadPathTest, GidsFollowInputOrder) {
   ASSERT_TRUE(twin.sys->InsertMany("H", batch, kAutoCommitTxnId, &gids).ok());
   ASSERT_EQ(gids.size(), batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
-    const TableFragment* frag = twin.sys->node(gids[i].node)->fragment("H");
+    const TableFragment* frag =
+        twin.sys->node(gids[i].node)->fragment(twin.sys->catalog().IdOf("H"));
     ASSERT_NE(frag->Get(gids[i].lrid), nullptr);
     EXPECT_EQ(*frag->Get(gids[i].lrid), batch[i]);
   }

@@ -19,11 +19,15 @@
 namespace pjvm {
 namespace {
 
+// Table ids for the tests that drive a LockManager alone: it takes any id.
+constexpr TableId kT = 0;
+constexpr TableId kU = 1;
+
 // ------------------------------------------------------------ LockManager
 
 TEST(LockManagerTest, SharedLocksAreCompatible) {
   LockManager lm;
-  LockId id = LockId::Key(0, "T", Value{5});
+  LockId id = LockId::Key(0, kT, Value{5});
   EXPECT_TRUE(lm.Acquire(1, id, LockMode::kShared).ok());
   EXPECT_TRUE(lm.Acquire(2, id, LockMode::kShared).ok());
   EXPECT_EQ(lm.TotalLocks(), 2u);
@@ -31,18 +35,18 @@ TEST(LockManagerTest, SharedLocksAreCompatible) {
 
 TEST(LockManagerTest, ExclusiveConflictsAbortImmediately) {
   LockManager lm;
-  LockId id = LockId::Key(0, "T", Value{5});
+  LockId id = LockId::Key(0, kT, Value{5});
   ASSERT_TRUE(lm.Acquire(1, id, LockMode::kExclusive).ok());
   EXPECT_TRUE(lm.Acquire(2, id, LockMode::kExclusive).IsAborted());
   EXPECT_TRUE(lm.Acquire(2, id, LockMode::kShared).IsAborted());
   // Different keys do not conflict.
-  EXPECT_TRUE(lm.Acquire(2, LockId::Key(0, "T", Value{6}), LockMode::kExclusive)
+  EXPECT_TRUE(lm.Acquire(2, LockId::Key(0, kT, Value{6}), LockMode::kExclusive)
                   .ok());
 }
 
 TEST(LockManagerTest, ReacquisitionAndUpgrade) {
   LockManager lm;
-  LockId id = LockId::Key(0, "T", Value{5});
+  LockId id = LockId::Key(0, kT, Value{5});
   ASSERT_TRUE(lm.Acquire(1, id, LockMode::kShared).ok());
   // Reacquire and upgrade by the sole holder are fine.
   EXPECT_TRUE(lm.Acquire(1, id, LockMode::kShared).ok());
@@ -54,7 +58,7 @@ TEST(LockManagerTest, ReacquisitionAndUpgrade) {
 
 TEST(LockManagerTest, UpgradeBlockedByOtherReaders) {
   LockManager lm;
-  LockId id = LockId::Key(0, "T", Value{5});
+  LockId id = LockId::Key(0, kT, Value{5});
   ASSERT_TRUE(lm.Acquire(1, id, LockMode::kShared).ok());
   ASSERT_TRUE(lm.Acquire(2, id, LockMode::kShared).ok());
   // The younger reader's upgrade conflicts with the older reader: it dies.
@@ -63,8 +67,8 @@ TEST(LockManagerTest, UpgradeBlockedByOtherReaders) {
 
 TEST(LockManagerTest, ReleaseAllFreesEverything) {
   LockManager lm;
-  LockId a = LockId::Key(0, "T", Value{1});
-  LockId b = LockId::Key(1, "T", Value{2});
+  LockId a = LockId::Key(0, kT, Value{1});
+  LockId b = LockId::Key(1, kT, Value{2});
   ASSERT_TRUE(lm.Acquire(1, a, LockMode::kExclusive).ok());
   ASSERT_TRUE(lm.Acquire(1, b, LockMode::kExclusive).ok());
   EXPECT_EQ(lm.HeldCount(1), 2u);
@@ -76,8 +80,8 @@ TEST(LockManagerTest, ReleaseAllFreesEverything) {
 
 TEST(LockManagerTest, TableLockCoversKeys) {
   LockManager lm;
-  LockId table = LockId::Table(0, "T");
-  LockId key = LockId::Key(0, "T", Value{5});
+  LockId table = LockId::Table(0, kT);
+  LockId key = LockId::Key(0, kT, Value{5});
   // Writer holds a key; a scanner's table-S lock conflicts.
   ASSERT_TRUE(lm.Acquire(1, key, LockMode::kExclusive).ok());
   EXPECT_TRUE(lm.Acquire(2, table, LockMode::kShared).IsAborted());
@@ -92,15 +96,15 @@ TEST(LockManagerTest, TableLockCoversKeys) {
 TEST(LockManagerTest, DifferentTablesAndNodesIndependent) {
   LockManager lm;
   ASSERT_TRUE(
-      lm.Acquire(1, LockId::Table(0, "T"), LockMode::kExclusive).ok());
-  EXPECT_TRUE(lm.Acquire(2, LockId::Table(0, "U"), LockMode::kExclusive).ok());
-  EXPECT_TRUE(lm.Acquire(3, LockId::Table(1, "T"), LockMode::kExclusive).ok());
+      lm.Acquire(1, LockId::Table(0, kT), LockMode::kExclusive).ok());
+  EXPECT_TRUE(lm.Acquire(2, LockId::Table(0, kU), LockMode::kExclusive).ok());
+  EXPECT_TRUE(lm.Acquire(3, LockId::Table(1, kT), LockMode::kExclusive).ok());
 }
 
 TEST(LockManagerTest, IndexKeyLocksDistinguishColumns) {
   LockManager lm;
-  LockId c0 = LockId::IndexKey(0, "T", 0, Value{5});
-  LockId c1 = LockId::IndexKey(0, "T", 1, Value{5});
+  LockId c0 = LockId::IndexKey(0, kT, 0, Value{5});
+  LockId c1 = LockId::IndexKey(0, kT, 1, Value{5});
   ASSERT_TRUE(lm.Acquire(1, c0, LockMode::kExclusive).ok());
   EXPECT_TRUE(lm.Acquire(2, c1, LockMode::kExclusive).ok());
 }
@@ -146,7 +150,8 @@ TEST(EngineLockingTest, ReaderBlocksWriterOnSameIndexKey) {
   ASSERT_TRUE(sys.Insert("T", {Value{7}, Value{1}}).ok());
   uint64_t reader = sys.Begin();
   int home = sys.HomeNodeForKey(Value{7});
-  ASSERT_TRUE(sys.node(home)->IndexProbe("T", 0, Value{7}, reader).ok());
+  const TableId t = sys.catalog().IdOf("T");
+  ASSERT_TRUE(sys.node(home)->IndexProbe(t, 0, Value{7}, reader).ok());
   uint64_t writer = sys.Begin();
   EXPECT_TRUE(sys.Insert("T", {Value{7}, Value{2}}, writer).IsAborted());
   // Wait-die killed the younger writer: it rolls back (releasing any locks
@@ -154,7 +159,7 @@ TEST(EngineLockingTest, ReaderBlocksWriterOnSameIndexKey) {
   ASSERT_TRUE(sys.Abort(writer).ok());
   // Readers of the same key coexist.
   uint64_t reader2 = sys.Begin();
-  EXPECT_TRUE(sys.node(home)->IndexProbe("T", 0, Value{7}, reader2).ok());
+  EXPECT_TRUE(sys.node(home)->IndexProbe(t, 0, Value{7}, reader2).ok());
   ASSERT_TRUE(sys.Commit(reader).ok());
   ASSERT_TRUE(sys.Commit(reader2).ok());
   // Now the writer (a fresh txn; the old one aborted its statement) may go.
@@ -215,7 +220,7 @@ TEST(EngineLockingTest, MaintenanceTransactionsSerializeOnConflicts) {
 TEST(WaitDieTest, YoungerRequesterDiesImmediately) {
   LockManager lm;
   lm.set_wait_timeout_ms(5000);
-  LockId id = LockId::Key(0, "T", Value{5});
+  LockId id = LockId::Key(0, kT, Value{5});
   ASSERT_TRUE(lm.Acquire(1, id, LockMode::kExclusive).ok());
   // txn 2 is younger than the holder: killed without parking (the 5 s
   // timeout would hang the test if it waited).
@@ -226,7 +231,7 @@ TEST(WaitDieTest, YoungerRequesterDiesImmediately) {
 TEST(WaitDieTest, OlderRequesterWaitsUntilRelease) {
   LockManager lm;
   lm.set_wait_timeout_ms(10000);
-  LockId id = LockId::Key(0, "T", Value{5});
+  LockId id = LockId::Key(0, kT, Value{5});
   ASSERT_TRUE(lm.Acquire(2, id, LockMode::kExclusive).ok());
   std::atomic<bool> acquired{false};
   std::thread older([&] {
@@ -247,7 +252,7 @@ TEST(WaitDieTest, OlderRequesterWaitsUntilRelease) {
 TEST(WaitDieTest, WaitTimesOutWhenHolderNeverReleases) {
   LockManager lm;
   lm.set_wait_timeout_ms(30);
-  LockId id = LockId::Key(0, "T", Value{5});
+  LockId id = LockId::Key(0, kT, Value{5});
   ASSERT_TRUE(lm.Acquire(2, id, LockMode::kExclusive).ok());
   // Older waiter, but the holder never releases: bounded by the timeout.
   EXPECT_TRUE(lm.Acquire(1, id, LockMode::kExclusive).IsAborted());
@@ -259,7 +264,7 @@ TEST(WaitDieTest, ZeroTimeoutAbortsOlderRequesterImmediately) {
   // requester, which wait-die would park, aborts at once without waiting.
   LockManager lm;
   lm.set_wait_timeout_ms(0);
-  LockId id = LockId::Key(0, "T", Value{5});
+  LockId id = LockId::Key(0, kT, Value{5});
   ASSERT_TRUE(lm.Acquire(2, id, LockMode::kExclusive).ok());
   Counter* waits = MetricsRegistry::Global().counter("pjvm_lock_waits");
   const uint64_t waits_before = waits->value();
@@ -279,8 +284,8 @@ TEST(WaitDieTest, OppositeOrderAcquisitionTerminates) {
   // younger and let the older proceed, in bounded time.
   LockManager lm;
   lm.set_wait_timeout_ms(10000);
-  LockId a = LockId::Key(0, "T", Value{1});
-  LockId b = LockId::Key(0, "T", Value{2});
+  LockId a = LockId::Key(0, kT, Value{1});
+  LockId b = LockId::Key(0, kT, Value{2});
   ASSERT_TRUE(lm.Acquire(1, a, LockMode::kExclusive).ok());
   ASSERT_TRUE(lm.Acquire(2, b, LockMode::kExclusive).ok());
   Status st1;
@@ -317,7 +322,7 @@ TEST(WaitDieTest, MultiThreadStressTerminatesAndReleases) {
         uint64_t txn = next_txn.fetch_add(1);
         bool ok = true;
         for (int j = 0; j < 2 && ok; ++j) {
-          LockId id = LockId::Key(0, "T", Value{rng.UniformInt(0, kKeys - 1)});
+          LockId id = LockId::Key(0, kT, Value{rng.UniformInt(0, kKeys - 1)});
           LockMode mode =
               rng.Bernoulli(0.5) ? LockMode::kShared : LockMode::kExclusive;
           ok = lm.Acquire(txn, id, mode).ok();
@@ -410,9 +415,9 @@ TEST(LockShardTest, BookkeepingSpansShards) {
   // shards; the aggregate views and ReleaseAll must stitch them together.
   LockManager lm;
   uint64_t txn = 1;
-  const char* tables[] = {"A", "B", "C", "D"};
+  const TableId tables[] = {0, 1, 2, 3};
   for (int node = 0; node < 8; ++node) {
-    for (const char* table : tables) {
+    for (TableId table : tables) {
       ASSERT_TRUE(
           lm.Acquire(txn, LockId::Key(node, table, Value{node}), LockMode::kExclusive)
               .ok());
@@ -420,7 +425,8 @@ TEST(LockShardTest, BookkeepingSpansShards) {
   }
   EXPECT_EQ(lm.HeldCount(txn), 32u);
   EXPECT_EQ(lm.TotalLocks(), 32u);
-  EXPECT_TRUE(lm.Holds(txn, LockId::Key(3, "B", Value{3}), LockMode::kExclusive));
+  EXPECT_TRUE(
+      lm.Holds(txn, LockId::Key(3, tables[1], Value{3}), LockMode::kExclusive));
   lm.ReleaseAll(txn);
   EXPECT_EQ(lm.HeldCount(txn), 0u);
   EXPECT_EQ(lm.TotalLocks(), 0u);
@@ -431,11 +437,11 @@ TEST(LockShardTest, TableCoverageStaysWithinOneShard) {
   // locks of one (node, table) fragment share a shard by construction.
   LockManager lm;
   ASSERT_TRUE(
-      lm.Acquire(1, LockId::Key(0, "T", Value{7}), LockMode::kExclusive).ok());
+      lm.Acquire(1, LockId::Key(0, kT, Value{7}), LockMode::kExclusive).ok());
   EXPECT_TRUE(
-      lm.Acquire(2, LockId::Table(0, "T"), LockMode::kExclusive).IsAborted());
+      lm.Acquire(2, LockId::Table(0, kT), LockMode::kExclusive).IsAborted());
   EXPECT_TRUE(
-      lm.Acquire(2, LockId::Key(1, "T", Value{7}), LockMode::kExclusive).ok());
+      lm.Acquire(2, LockId::Key(1, kT, Value{7}), LockMode::kExclusive).ok());
   lm.ReleaseAll(1);
   lm.ReleaseAll(2);
   EXPECT_EQ(lm.TotalLocks(), 0u);
@@ -449,7 +455,7 @@ TEST(LockShardTest, MultiThreadStressAcrossShards) {
   constexpr int kThreads = 8;
   constexpr int kItersPerThread = 100;
   constexpr int64_t kKeys = 4;
-  const char* tables[] = {"A", "B", "C", "D"};
+  const TableId tables[] = {0, 1, 2, 3};
   std::atomic<uint64_t> next_txn{1};
   std::atomic<uint64_t> commits{0};
   std::vector<std::thread> threads;
@@ -495,25 +501,25 @@ TEST(LockEscalationTest, KeyLocksCollapseIntoFragmentLock) {
   std::optional<CostTracker::MeterScope> scope(std::in_place, &meter);
   for (int64_t k = 0; k < 3; ++k) {
     ASSERT_TRUE(
-        lm.Acquire(1, LockId::Key(0, "T", Value{k}), LockMode::kExclusive)
+        lm.Acquire(1, LockId::Key(0, kT, Value{k}), LockMode::kExclusive)
             .ok());
   }
   EXPECT_EQ(lm.TotalLocks(), 3u);
   // The threshold-crossing grant swaps the key entries for one fragment lock.
   ASSERT_TRUE(
-      lm.Acquire(1, LockId::Key(0, "T", Value{3}), LockMode::kExclusive).ok());
+      lm.Acquire(1, LockId::Key(0, kT, Value{3}), LockMode::kExclusive).ok());
   EXPECT_EQ(lm.TotalLocks(), 1u);
   EXPECT_EQ(lm.HeldCount(1), 1u);
-  EXPECT_TRUE(lm.Holds(1, LockId::Table(0, "T"), LockMode::kExclusive));
+  EXPECT_TRUE(lm.Holds(1, LockId::Table(0, kT), LockMode::kExclusive));
   // Coverage: the reclaimed keys still count as held...
   for (int64_t k = 0; k < 4; ++k) {
-    EXPECT_TRUE(lm.Holds(1, LockId::Key(0, "T", Value{k}), LockMode::kExclusive))
+    EXPECT_TRUE(lm.Holds(1, LockId::Key(0, kT, Value{k}), LockMode::kExclusive))
         << k;
   }
   // ...and later key acquires are answered by the fragment lock without
   // creating new entries.
   ASSERT_TRUE(
-      lm.Acquire(1, LockId::Key(0, "T", Value{99}), LockMode::kExclusive).ok());
+      lm.Acquire(1, LockId::Key(0, kT, Value{99}), LockMode::kExclusive).ok());
   EXPECT_EQ(lm.TotalLocks(), 1u);
   EXPECT_EQ(escalations->value() - esc0, 1u);
   EXPECT_EQ(reclaimed->value() - rec0, 4u);
@@ -527,7 +533,7 @@ TEST(LockEscalationTest, KeyLocksCollapseIntoFragmentLock) {
   CostTracker::TxnMeter fresh(1);
   CostTracker::MeterScope fresh_scope(&fresh);
   EXPECT_TRUE(
-      lm.Acquire(2, LockId::Key(0, "T", Value{0}), LockMode::kExclusive).ok());
+      lm.Acquire(2, LockId::Key(0, kT, Value{0}), LockMode::kExclusive).ok());
   EXPECT_EQ(fresh.Get(CostTracker::TxnMeter::kEscalations), 0u);
   EXPECT_EQ(fresh.Get(CostTracker::TxnMeter::kLockEntriesReclaimed), 0u);
 }
@@ -538,7 +544,7 @@ TEST(LockEscalationTest, ThresholdZeroDisablesEscalation) {
   CostTracker::MeterScope scope(&meter);
   for (int64_t k = 0; k < 32; ++k) {
     ASSERT_TRUE(
-        lm.Acquire(1, LockId::Key(0, "T", Value{k}), LockMode::kExclusive)
+        lm.Acquire(1, LockId::Key(0, kT, Value{k}), LockMode::kExclusive)
             .ok());
   }
   EXPECT_EQ(lm.TotalLocks(), 32u);
@@ -556,7 +562,7 @@ TEST(LockEscalationTest, ReacquisitionDoesNotInflateTheCount) {
   CostTracker::MeterScope scope(&meter);
   for (int i = 0; i < 16; ++i) {
     ASSERT_TRUE(
-        lm.Acquire(1, LockId::Key(0, "T", Value{0}), LockMode::kExclusive)
+        lm.Acquire(1, LockId::Key(0, kT, Value{0}), LockMode::kExclusive)
             .ok());
   }
   EXPECT_EQ(lm.TotalLocks(), 1u);
@@ -571,14 +577,14 @@ TEST(LockEscalationTest, EscalatedModeMatchesStrongestKeyLock) {
   lm.set_escalation_threshold(4);
   for (int64_t k = 0; k < 4; ++k) {
     ASSERT_TRUE(
-        lm.Acquire(1, LockId::Key(0, "T", Value{k}), LockMode::kShared).ok());
+        lm.Acquire(1, LockId::Key(0, kT, Value{k}), LockMode::kShared).ok());
   }
   EXPECT_EQ(lm.TotalLocks(), 1u);
-  EXPECT_TRUE(lm.Holds(1, LockId::Table(0, "T"), LockMode::kShared));
-  EXPECT_FALSE(lm.Holds(1, LockId::Table(0, "T"), LockMode::kExclusive));
+  EXPECT_TRUE(lm.Holds(1, LockId::Table(0, kT), LockMode::kShared));
+  EXPECT_FALSE(lm.Holds(1, LockId::Table(0, kT), LockMode::kExclusive));
   EXPECT_TRUE(
-      lm.Acquire(2, LockId::Key(0, "T", Value{50}), LockMode::kShared).ok());
-  EXPECT_TRUE(lm.Acquire(3, LockId::Key(0, "T", Value{51}), LockMode::kExclusive)
+      lm.Acquire(2, LockId::Key(0, kT, Value{50}), LockMode::kShared).ok());
+  EXPECT_TRUE(lm.Acquire(3, LockId::Key(0, kT, Value{51}), LockMode::kExclusive)
                   .IsAborted());
   lm.ReleaseAll(1);
   lm.ReleaseAll(2);
@@ -587,14 +593,14 @@ TEST(LockEscalationTest, EscalatedModeMatchesStrongestKeyLock) {
   LockManager lm2;
   lm2.set_escalation_threshold(4);
   ASSERT_TRUE(
-      lm2.Acquire(1, LockId::Key(0, "T", Value{0}), LockMode::kExclusive).ok());
+      lm2.Acquire(1, LockId::Key(0, kT, Value{0}), LockMode::kExclusive).ok());
   for (int64_t k = 1; k < 4; ++k) {
     ASSERT_TRUE(
-        lm2.Acquire(1, LockId::Key(0, "T", Value{k}), LockMode::kShared).ok());
+        lm2.Acquire(1, LockId::Key(0, kT, Value{k}), LockMode::kShared).ok());
   }
-  EXPECT_TRUE(lm2.Holds(1, LockId::Table(0, "T"), LockMode::kExclusive));
+  EXPECT_TRUE(lm2.Holds(1, LockId::Table(0, kT), LockMode::kExclusive));
   EXPECT_TRUE(
-      lm2.Acquire(2, LockId::Key(0, "T", Value{50}), LockMode::kShared)
+      lm2.Acquire(2, LockId::Key(0, kT, Value{50}), LockMode::kShared)
           .IsAborted());
   lm2.ReleaseAll(1);
 }
@@ -604,24 +610,24 @@ TEST(LockEscalationTest, FragmentsCountIndependently) {
   lm.set_escalation_threshold(4);
   for (int64_t k = 0; k < 3; ++k) {
     ASSERT_TRUE(
-        lm.Acquire(1, LockId::Key(0, "T", Value{k}), LockMode::kExclusive)
+        lm.Acquire(1, LockId::Key(0, kT, Value{k}), LockMode::kExclusive)
             .ok());
     ASSERT_TRUE(
-        lm.Acquire(1, LockId::Key(1, "T", Value{k}), LockMode::kExclusive)
+        lm.Acquire(1, LockId::Key(1, kT, Value{k}), LockMode::kExclusive)
             .ok());
     ASSERT_TRUE(
-        lm.Acquire(1, LockId::Key(0, "U", Value{k}), LockMode::kExclusive)
+        lm.Acquire(1, LockId::Key(0, kU, Value{k}), LockMode::kExclusive)
             .ok());
   }
   // 3 keys on each of three fragments: below threshold everywhere.
   EXPECT_EQ(lm.TotalLocks(), 9u);
   // Crossing on (node 0, T) escalates only that fragment.
   ASSERT_TRUE(
-      lm.Acquire(1, LockId::Key(0, "T", Value{3}), LockMode::kExclusive).ok());
+      lm.Acquire(1, LockId::Key(0, kT, Value{3}), LockMode::kExclusive).ok());
   EXPECT_EQ(lm.TotalLocks(), 7u);  // 1 fragment lock + 3 + 3 key locks
-  EXPECT_TRUE(lm.Holds(1, LockId::Table(0, "T"), LockMode::kExclusive));
-  EXPECT_FALSE(lm.Holds(1, LockId::Table(1, "T"), LockMode::kShared));
-  EXPECT_FALSE(lm.Holds(1, LockId::Table(0, "U"), LockMode::kShared));
+  EXPECT_TRUE(lm.Holds(1, LockId::Table(0, kT), LockMode::kExclusive));
+  EXPECT_FALSE(lm.Holds(1, LockId::Table(1, kT), LockMode::kShared));
+  EXPECT_FALSE(lm.Holds(1, LockId::Table(0, kU), LockMode::kShared));
   lm.ReleaseAll(1);
   EXPECT_EQ(lm.TotalLocks(), 0u);
 }
@@ -634,22 +640,22 @@ TEST(LockEscalationTest, FailedEscalationAbortsTriggeringAcquire) {
   LockManager lm;
   lm.set_escalation_threshold(4);
   ASSERT_TRUE(
-      lm.Acquire(1, LockId::Key(0, "T", Value{99}), LockMode::kShared).ok());
+      lm.Acquire(1, LockId::Key(0, kT, Value{99}), LockMode::kShared).ok());
   CostTracker::TxnMeter meter(1);
   CostTracker::MeterScope scope(&meter);
   for (int64_t k = 0; k < 3; ++k) {
     ASSERT_TRUE(
-        lm.Acquire(2, LockId::Key(0, "T", Value{k}), LockMode::kExclusive)
+        lm.Acquire(2, LockId::Key(0, kT, Value{k}), LockMode::kExclusive)
             .ok());
   }
-  Status st = lm.Acquire(2, LockId::Key(0, "T", Value{3}), LockMode::kExclusive);
+  Status st = lm.Acquire(2, LockId::Key(0, kT, Value{3}), LockMode::kExclusive);
   EXPECT_TRUE(st.IsAborted()) << st;
   EXPECT_EQ(meter.Get(CostTracker::TxnMeter::kEscalations), 0u);
   // The key locks (including the just-granted trigger) stay intact until the
   // caller rolls back — the transaction never loses coverage mid-flight.
   EXPECT_EQ(lm.HeldCount(2), 4u);
   lm.ReleaseAll(2);
-  EXPECT_TRUE(lm.Holds(1, LockId::Key(0, "T", Value{99}), LockMode::kShared));
+  EXPECT_TRUE(lm.Holds(1, LockId::Key(0, kT, Value{99}), LockMode::kShared));
   lm.ReleaseAll(1);
   EXPECT_EQ(lm.TotalLocks(), 0u);
 }
@@ -662,17 +668,17 @@ TEST(LockEscalationTest, EscalationDegradesToAbortWhenItMustNotBlock) {
   lm.set_wait_timeout_ms(10000);  // would hang the test if it parked
   lm.set_escalation_threshold(4);
   ASSERT_TRUE(
-      lm.Acquire(2, LockId::Key(0, "T", Value{99}), LockMode::kExclusive).ok());
+      lm.Acquire(2, LockId::Key(0, kT, Value{99}), LockMode::kExclusive).ok());
   CostTracker::TxnMeter meter(1);
   CostTracker::MeterScope scope(&meter);
   for (int64_t k = 0; k < 3; ++k) {
     ASSERT_TRUE(
-        lm.Acquire(1, LockId::Key(0, "T", Value{k}), LockMode::kExclusive)
+        lm.Acquire(1, LockId::Key(0, kT, Value{k}), LockMode::kExclusive)
             .ok());
   }
   // txn 1 is older than the holder, so wait-die would normally park it.
   WorkerContext::is_executor_worker = true;
-  Status st = lm.Acquire(1, LockId::Key(0, "T", Value{3}), LockMode::kExclusive);
+  Status st = lm.Acquire(1, LockId::Key(0, kT, Value{3}), LockMode::kExclusive);
   WorkerContext::is_executor_worker = false;
   EXPECT_TRUE(st.IsAborted()) << st;
   EXPECT_NE(st.ToString().find("non-blocking"), std::string::npos) << st;
@@ -686,7 +692,7 @@ TEST(LockEscalationTest, WaitDieReclaimWakesParkedWaiterOntoFragmentLock) {
   LockManager lm;
   lm.set_wait_timeout_ms(10000);
   lm.set_escalation_threshold(4);
-  LockId contested = LockId::Key(0, "T", Value{0});
+  LockId contested = LockId::Key(0, kT, Value{0});
   // Younger txn 2 holds the contested key; older txn 1 parks on it.
   ASSERT_TRUE(lm.Acquire(2, contested, LockMode::kExclusive).ok());
   std::atomic<bool> granted{false};
@@ -705,12 +711,12 @@ TEST(LockEscalationTest, WaitDieReclaimWakesParkedWaiterOntoFragmentLock) {
     CostTracker::MeterScope scope(&meter);
     for (int64_t k = 1; k < 4; ++k) {
       ASSERT_TRUE(
-          lm.Acquire(2, LockId::Key(0, "T", Value{k}), LockMode::kExclusive)
+          lm.Acquire(2, LockId::Key(0, kT, Value{k}), LockMode::kExclusive)
               .ok());
     }
   }
   EXPECT_EQ(meter.Get(CostTracker::TxnMeter::kEscalations), 1u);
-  EXPECT_TRUE(lm.Holds(2, LockId::Table(0, "T"), LockMode::kExclusive));
+  EXPECT_TRUE(lm.Holds(2, LockId::Table(0, kT), LockMode::kExclusive));
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(granted.load());
   // The escalated holder finishing hands the key to the waiter.
@@ -726,7 +732,7 @@ TEST(LockEscalationTest, PeakShardEntriesTracksHighWaterMark) {
   LockManager lm;  // one fragment: every entry lands in the same shard
   for (int64_t k = 0; k < 10; ++k) {
     ASSERT_TRUE(
-        lm.Acquire(1, LockId::Key(0, "T", Value{k}), LockMode::kExclusive)
+        lm.Acquire(1, LockId::Key(0, kT, Value{k}), LockMode::kExclusive)
             .ok());
   }
   EXPECT_EQ(lm.PeakShardEntries(), 10u);
@@ -739,7 +745,7 @@ TEST(LockEscalationTest, PeakShardEntriesTracksHighWaterMark) {
   lm.set_escalation_threshold(4);
   for (int64_t k = 0; k < 10; ++k) {
     ASSERT_TRUE(
-        lm.Acquire(2, LockId::Key(0, "T", Value{k}), LockMode::kExclusive)
+        lm.Acquire(2, LockId::Key(0, kT, Value{k}), LockMode::kExclusive)
             .ok());
   }
   EXPECT_EQ(lm.PeakShardEntries(), 5u);

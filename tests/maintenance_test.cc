@@ -105,7 +105,7 @@ INSTANTIATE_TEST_SUITE_P(AllMethods, BothSidesTest,
 
 // All three methods must produce byte-identical view contents.
 TEST(MethodEquivalenceTest, IdenticalContentsForIdenticalStreams) {
-  std::vector<std::map<std::string, int>> bags;
+  std::vector<RowCounts> bags;
   for (MaintenanceMethod method :
        {MaintenanceMethod::kNaive, MaintenanceMethod::kAuxRelation,
         MaintenanceMethod::kGlobalIndex}) {
@@ -383,11 +383,16 @@ TEST(MixedMethodsTest, DifferentViewsDifferentMethodsCoexist) {
     EXPECT_TRUE(st.ok()) << st;
   };
   for (const std::string structure : {"__ar_B_d", "__gi_B_d"}) {
+    const TableId id = fx.sys->catalog().IdOf(structure);
     int home = 0;
-    while (fx.sys->node(home)->fragment(structure)->num_rows() == 0) ++home;
-    TableFragment* frag = fx.sys->node(home)->fragment(structure);
-    TableFragment* other = fx.sys->node((home + 1) % 4)->fragment(structure);
-    const Row row = frag->AllRows().front();
+    while (fx.sys->node(home)->fragment(id)->num_rows() == 0) ++home;
+    TableFragment* frag = fx.sys->node(home)->fragment(id);
+    TableFragment* other = fx.sys->node((home + 1) % 4)->fragment(id);
+    Row row;
+    frag->ForEach([&](LocalRowId, const Row& first) {
+      row = first;
+      return false;
+    });
     ASSERT_TRUE(frag->DeleteExact(row).ok());
     expect_drift(structure);
     ASSERT_TRUE(other->Insert(row).ok());  // Present, but off its home.
@@ -406,7 +411,8 @@ TEST(MixedMethodsTest, DifferentViewsDifferentMethodsCoexist) {
   }
   const std::string gi = "__gi_A_c";
   TableFragment* gi_frag =
-      fx.sys->node(fx.sys->HomeNodeForKey(Value{8}))->fragment(gi);
+      fx.sys->node(fx.sys->HomeNodeForKey(Value{8}))
+          ->fragment(fx.sys->catalog().IdOf(gi));
   std::map<int64_t, Row> first_on_node;
   Row entry, twin;
   gi_frag->ForEach([&](LocalRowId, const Row& row) {

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -75,7 +74,7 @@ struct MergedFixture {
     return {Value{k}, Value{join_key}, Value{k * 10}};
   }
 
-  std::map<std::string, int> ViewBag(const std::string& name = "V") {
+  RowCounts ViewBag(const std::string& name = "V") {
     return RowBag(manager->view(name)->Contents());
   }
 
@@ -265,7 +264,7 @@ TEST(MergedStorageTest, CrashRecoveryRebuildsTrees) {
                                  MaintenanceMethod::kAuxRelation)
                   .ok());
   RunChurn(fx);
-  std::map<std::string, int> before = fx.ViewBag();
+  RowCounts before = fx.ViewBag();
   fx.sys->Crash();
   ASSERT_TRUE(fx.sys->Recover().ok());
   ASSERT_TRUE(fx.manager->RecoverViews().ok());

@@ -168,7 +168,12 @@ TEST(FragmentTest, DeleteExactWorksWithoutIndex) {
   auto gone = frag.DeleteExact({Value{1}, Value{"a"}});
   ASSERT_TRUE(gone.ok());
   EXPECT_EQ(*gone, 0u);
-  EXPECT_EQ(frag.AllRows(), (std::vector<Row>{{Value{1}, Value{"b"}}}));
+  std::vector<Row> rows;
+  frag.ForEach([&](LocalRowId, const Row& row) {
+    rows.push_back(row);
+    return true;
+  });
+  EXPECT_EQ(rows, (std::vector<Row>{{Value{1}, Value{"b"}}}));
   EXPECT_TRUE(frag.CheckInvariants().ok()) << frag.CheckInvariants();
 }
 
@@ -285,7 +290,15 @@ TEST(FragmentTest, IndexedAndIndexlessTwinsPickTheSameVictim) {
     }
   }
   EXPECT_EQ(indexed.num_rows(), live.size());
-  EXPECT_EQ(indexed.AllRows(), indexless.AllRows());
+  auto rows_of = [](const TableFragment& frag) {
+    std::vector<Row> rows;
+    frag.ForEach([&](LocalRowId, const Row& row) {
+      rows.push_back(row);
+      return true;
+    });
+    return rows;
+  };
+  EXPECT_EQ(rows_of(indexed), rows_of(indexless));
   ASSERT_TRUE(indexed.CheckInvariants().ok()) << indexed.CheckInvariants();
   ASSERT_TRUE(indexless.CheckInvariants().ok()) << indexless.CheckInvariants();
 }

@@ -20,6 +20,10 @@
 namespace pjvm {
 namespace {
 
+// Table ids for the tests that drive a Wal or TxnManager alone.
+constexpr TableId kT = 0;
+constexpr TableId kV = 1;
+
 Schema AbSchema() {
   return Schema({{"a", ValueType::kInt64}, {"c", ValueType::kInt64}});
 }
@@ -50,17 +54,17 @@ std::vector<Row> Sorted(std::vector<Row> rows) {
 
 TEST(WalTest, AppendsAssignIncreasingLsns) {
   Wal wal;
-  uint64_t a = wal.Append(1, LogRecordType::kInsert, "T", Row{Value{1}});
-  uint64_t b = wal.Append(1, LogRecordType::kCommit, "");
+  uint64_t a = wal.Append(1, LogRecordType::kInsert, kT, Row{Value{1}});
+  uint64_t b = wal.Append(1, LogRecordType::kCommit, kNoTable);
   EXPECT_LT(a, b);
   EXPECT_EQ(wal.size(), 2u);
 }
 
 TEST(WalTest, ReplaySkipsUncommittedAndControl) {
   Wal wal;
-  wal.Append(1, LogRecordType::kInsert, "T", Row{Value{1}});
-  wal.Append(2, LogRecordType::kInsert, "T", Row{Value{2}});
-  wal.Append(1, LogRecordType::kCommit, "");
+  wal.Append(1, LogRecordType::kInsert, kT, Row{Value{1}});
+  wal.Append(2, LogRecordType::kInsert, kT, Row{Value{2}});
+  wal.Append(1, LogRecordType::kCommit, kNoTable);
   std::vector<int64_t> applied;
   wal.ReplayCommitted([](uint64_t txn) { return txn == 1; },
                       [&](const LogRecord& rec) {
@@ -71,8 +75,8 @@ TEST(WalTest, ReplaySkipsUncommittedAndControl) {
 
 TEST(WalTest, ClearKeepsLsnsMonotonic) {
   Wal wal;
-  uint64_t a = wal.Append(1, LogRecordType::kInsert, "T", Row{Value{1}});
-  uint64_t b = wal.Append(1, LogRecordType::kCommit, "");
+  uint64_t a = wal.Append(1, LogRecordType::kInsert, kT, Row{Value{1}});
+  uint64_t b = wal.Append(1, LogRecordType::kCommit, kNoTable);
   ASSERT_LT(a, b);
   const uint64_t next_before = wal.next_lsn();
   wal.Clear();
@@ -80,7 +84,7 @@ TEST(WalTest, ClearKeepsLsnsMonotonic) {
   // identifies one append forever.
   EXPECT_EQ(wal.size(), 0u);
   EXPECT_EQ(wal.next_lsn(), next_before);
-  uint64_t c = wal.Append(2, LogRecordType::kInsert, "T", Row{Value{3}});
+  uint64_t c = wal.Append(2, LogRecordType::kInsert, kT, Row{Value{3}});
   EXPECT_GT(c, b);
 }
 
@@ -115,18 +119,18 @@ TEST(WalTest, RecordsRoundTripEveryValueType) {
   const Row escrow = {Value{int64_t{7}}, Value{"g"}, Value{int64_t{-3}},
                       Value{2.5}};
   Wal wal;
-  const uint64_t a = wal.Append(11, LogRecordType::kInsert, "T", data);
-  const uint64_t b = wal.Append(11, LogRecordType::kDelete, "T", Row{});
+  const uint64_t a = wal.Append(11, LogRecordType::kInsert, kT, data);
+  const uint64_t b = wal.Append(11, LogRecordType::kDelete, kT, Row{});
   const uint64_t c =
-      wal.Append(12, LogRecordType::kEscrowDelta, "V", escrow, /*aux=*/2);
-  const uint64_t d = wal.Append(11, LogRecordType::kCommit, "");
+      wal.Append(12, LogRecordType::kEscrowDelta, kV, escrow, /*aux=*/2);
+  const uint64_t d = wal.Append(11, LogRecordType::kCommit, kNoTable);
 
   const std::vector<LogRecord> recs = wal.records();
   ASSERT_EQ(recs.size(), 4u);
   EXPECT_EQ(recs[0].lsn, a);
   EXPECT_EQ(recs[0].txn_id, 11u);
   EXPECT_EQ(recs[0].type, LogRecordType::kInsert);
-  EXPECT_EQ(recs[0].table, "T");
+  EXPECT_EQ(recs[0].table, kT);
   EXPECT_EQ(recs[0].aux, 0);
   ExpectSameBits(data, recs[0].row);
   EXPECT_EQ(recs[0].row[8].AsString().size(), 3u);  // the NUL survives
@@ -136,12 +140,12 @@ TEST(WalTest, RecordsRoundTripEveryValueType) {
   EXPECT_EQ(recs[2].lsn, c);
   EXPECT_EQ(recs[2].txn_id, 12u);
   EXPECT_EQ(recs[2].type, LogRecordType::kEscrowDelta);
-  EXPECT_EQ(recs[2].table, "V");
+  EXPECT_EQ(recs[2].table, kV);
   EXPECT_EQ(recs[2].aux, 2);
   ExpectSameBits(escrow, recs[2].row);
   EXPECT_EQ(recs[3].lsn, d);
   EXPECT_EQ(recs[3].type, LogRecordType::kCommit);
-  EXPECT_TRUE(recs[3].table.empty());
+  EXPECT_EQ(recs[3].table, kNoTable);
   EXPECT_TRUE(recs[3].row.empty());
 
   // Replay decodes the same bytes through one reused record: a shorter row
@@ -182,14 +186,14 @@ TEST(WalTest, ClearAndDiscardCutAtRecordBoundaries) {
     for (int i = 0; i < n; ++i) {
       const uint64_t lsn = wal.next_lsn();
       lsns->push_back(
-          wal.Append(1, LogRecordType::kInsert, "T", WideRow(lsn)));
+          wal.Append(1, LogRecordType::kInsert, kT, WideRow(lsn)));
       ASSERT_EQ(lsns->back(), lsn);
     }
   };
   std::vector<uint64_t> lsns;
   append(1500, &lsns);
   const uint64_t big =
-      wal.Append(1, LogRecordType::kInsert, "T",
+      wal.Append(1, LogRecordType::kInsert, kT,
                  Row{Value{std::string(100'000, 'x')}});
   append(500, &lsns);
   // A force covers everything appended so far.
@@ -259,7 +263,7 @@ TEST(GroupCommitTest, FreeForcingKeepsDurableOnAppendSemantics) {
   // The default (force_ns == 0): every append is durable immediately and a
   // crash loses nothing from the log — the pre-group-commit model.
   Wal wal;
-  uint64_t a = wal.Append(1, LogRecordType::kInsert, "T", Row{Value{1}});
+  uint64_t a = wal.Append(1, LogRecordType::kInsert, kT, Row{Value{1}});
   EXPECT_EQ(wal.durable_lsn(), a);
   ASSERT_TRUE(wal.Force(a).ok());
   wal.DiscardUnforced();
@@ -282,8 +286,8 @@ TEST(GroupCommitTest, LeaderBatchesConcurrentForces) {
   const auto t0 = std::chrono::steady_clock::now();
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      uint64_t lsn =
-          wal.Append(static_cast<uint64_t>(t + 1), LogRecordType::kPrepare, "");
+      uint64_t lsn = wal.Append(static_cast<uint64_t>(t + 1),
+                                LogRecordType::kPrepare, kNoTable);
       ready.fetch_add(1);
       EXPECT_TRUE(wal.Force(lsn).ok());
       EXPECT_GE(wal.durable_lsn(), lsn);
@@ -321,9 +325,9 @@ TEST(GroupCommitTest, WindowFlushCoversAppendsThatJoinTheRound) {
   uint64_t lsn2 = 0;
   wal.set_window_hook([&] {
     // Runs on the leader thread with its window open and the log unlocked.
-    lsn2 = wal.Append(2, LogRecordType::kPrepare, "");
+    lsn2 = wal.Append(2, LogRecordType::kPrepare, kNoTable);
   });
-  uint64_t lsn1 = wal.Append(1, LogRecordType::kPrepare, "");
+  uint64_t lsn1 = wal.Append(1, LogRecordType::kPrepare, kNoTable);
   ASSERT_TRUE(wal.Force(lsn1).ok());
   wal.set_window_hook(nullptr);
   ASSERT_NE(lsn2, 0u);
@@ -336,20 +340,20 @@ TEST(GroupCommitTest, WindowFlushCoversAppendsThatJoinTheRound) {
 TEST(GroupCommitTest, LsnsMonotonicAcrossClearAndDiscard) {
   Wal wal;
   wal.ConfigureForce(/*force_ns=*/100'000, /*window_us=*/0);
-  uint64_t a = wal.Append(1, LogRecordType::kInsert, "T", Row{Value{1}});
+  uint64_t a = wal.Append(1, LogRecordType::kInsert, kT, Row{Value{1}});
   ASSERT_TRUE(wal.Force(a).ok());
   wal.Clear();  // checkpoint truncation: durable by definition
   EXPECT_EQ(wal.size(), 0u);
   EXPECT_EQ(wal.durable_lsn(), a);
-  uint64_t b = wal.Append(2, LogRecordType::kInsert, "T", Row{Value{2}});
+  uint64_t b = wal.Append(2, LogRecordType::kInsert, kT, Row{Value{2}});
   EXPECT_GT(b, a);
   ASSERT_TRUE(wal.Force(b).ok());
   // An unforced tail append is lost by a crash; LSNs never rewind anyway.
-  uint64_t c = wal.Append(3, LogRecordType::kInsert, "T", Row{Value{3}});
+  uint64_t c = wal.Append(3, LogRecordType::kInsert, kT, Row{Value{3}});
   wal.DiscardUnforced();
   EXPECT_EQ(wal.size(), 1u);  // b survives, c is gone
   EXPECT_EQ(wal.records().back().lsn, b);
-  uint64_t d = wal.Append(4, LogRecordType::kInsert, "T", Row{Value{4}});
+  uint64_t d = wal.Append(4, LogRecordType::kInsert, kT, Row{Value{4}});
   EXPECT_GT(d, c);
 }
 
@@ -392,8 +396,8 @@ TEST(GroupCommitTest, CheckpointForcesUnforcedTailBeforeTruncation) {
   Counter* forces =
       MetricsRegistry::Global().counter("pjvm_wal_checkpoint_forces");
   const uint64_t before = forces->value();
-  wal.Append(1, LogRecordType::kInsert, "T", Row{Value{1}});
-  uint64_t b = wal.Append(1, LogRecordType::kCommit, "");
+  wal.Append(1, LogRecordType::kInsert, kT, Row{Value{1}});
+  uint64_t b = wal.Append(1, LogRecordType::kCommit, kNoTable);
   ASSERT_LT(wal.durable_lsn(), b);  // tail is unforced
   wal.Clear();
   // The checkpoint paid the device write instead of lying about durability.
@@ -402,12 +406,12 @@ TEST(GroupCommitTest, CheckpointForcesUnforcedTailBeforeTruncation) {
   EXPECT_EQ(wal.size(), 0u);
   // Crash semantics stay honest after the checkpoint: a fresh unforced
   // append is above the watermark and a crash discard drops it.
-  uint64_t c = wal.Append(2, LogRecordType::kInsert, "T", Row{Value{2}});
+  uint64_t c = wal.Append(2, LogRecordType::kInsert, kT, Row{Value{2}});
   EXPECT_GT(c, wal.durable_lsn());
   wal.DiscardUnforced();
   EXPECT_EQ(wal.size(), 0u);
   // An already-durable checkpoint costs nothing.
-  uint64_t d = wal.Append(3, LogRecordType::kInsert, "T", Row{Value{3}});
+  uint64_t d = wal.Append(3, LogRecordType::kInsert, kT, Row{Value{3}});
   ASSERT_TRUE(wal.Force(d).ok());
   wal.Clear();
   EXPECT_EQ(forces->value(), before + 1);
@@ -423,7 +427,7 @@ TEST(GroupCommitTest, CheckpointRidesOutInFlightForceRound) {
   Counter* forces =
       MetricsRegistry::Global().counter("pjvm_wal_checkpoint_forces");
   const uint64_t before = forces->value();
-  uint64_t lsn1 = wal.Append(1, LogRecordType::kPrepare, "");
+  uint64_t lsn1 = wal.Append(1, LogRecordType::kPrepare, kNoTable);
   uint64_t lsn2 = 0;
   std::thread checkpointer;
   // The window hook replaces the old sleep-into-the-window choreography
@@ -433,7 +437,7 @@ TEST(GroupCommitTest, CheckpointRidesOutInFlightForceRound) {
   // round or arrives just after it closed, the round's force covers lsn2
   // and the checkpoint never pays a device write of its own.
   wal.set_window_hook([&] {
-    lsn2 = wal.Append(2, LogRecordType::kPrepare, "");
+    lsn2 = wal.Append(2, LogRecordType::kPrepare, kNoTable);
     checkpointer = std::thread([&] { wal.Clear(); });
   });
   ASSERT_TRUE(wal.Force(lsn1).ok());
@@ -480,7 +484,7 @@ TEST(TxnManagerTest, CannotCommitAborted) {
 TxnWrite InsertWrite(int node, int64_t v) {
   TxnWrite w;
   w.node = node;
-  w.table = "T";
+  w.table = kT;
   w.op.kind = MvccOp::Kind::kInsert;
   w.op.row = {Value{v}};
   return w;
@@ -652,10 +656,11 @@ TEST(SystemTxnTest, AbortRestoresDeletedRowAtOriginalLrid) {
   ASSERT_TRUE(sys.CreateTable(HashTableDef("A", "a")).ok());
   Row victim = {Value{7}, Value{77}};
   ASSERT_TRUE(sys.Insert("A", victim).ok());
+  const TableId a = sys.catalog().IdOf("A");
   int home = -1;
   LocalRowId original_lrid = 0;
   for (int i = 0; i < SmallConfig().num_nodes; ++i) {
-    auto found = sys.node(i)->fragment("A")->FindExact(victim);
+    auto found = sys.node(i)->fragment(a)->FindExact(victim);
     if (found.ok()) {
       home = i;
       original_lrid = *found;
@@ -671,11 +676,11 @@ TEST(SystemTxnTest, AbortRestoresDeletedRowAtOriginalLrid) {
   for (int64_t k = 1000; k < 1064; ++k) {
     ASSERT_TRUE(sys.Insert("A", {Value{k}, Value{k}}).ok());
   }
-  EXPECT_EQ(sys.node(home)->fragment("A")->Get(original_lrid), nullptr)
+  EXPECT_EQ(sys.node(home)->fragment(a)->Get(original_lrid), nullptr)
       << "reserved slot must stay empty until the transaction resolves";
   ASSERT_TRUE(sys.Abort(t).ok());
 
-  auto restored = sys.node(home)->fragment("A")->FindExact(victim);
+  auto restored = sys.node(home)->fragment(a)->FindExact(victim);
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(*restored, original_lrid);
   EXPECT_TRUE(sys.CheckInvariants().ok());
@@ -689,7 +694,8 @@ TEST(SystemTxnTest, CommitRecyclesDeferredDeleteSlots) {
   ASSERT_TRUE(sys.CreateTable(HashTableDef("A", "a")).ok());
   Row row = {Value{1}, Value{11}};
   ASSERT_TRUE(sys.Insert("A", row).ok());
-  auto found = sys.node(0)->fragment("A")->FindExact(row);
+  const TableId a = sys.catalog().IdOf("A");
+  auto found = sys.node(0)->fragment(a)->FindExact(row);
   ASSERT_TRUE(found.ok());
   LocalRowId freed_lrid = *found;
 
@@ -699,7 +705,7 @@ TEST(SystemTxnTest, CommitRecyclesDeferredDeleteSlots) {
 
   // Single node: the next insert must recycle the released slot.
   ASSERT_TRUE(sys.Insert("A", {Value{2}, Value{22}}).ok());
-  auto reused = sys.node(0)->fragment("A")->FindExact({Value{2}, Value{22}});
+  auto reused = sys.node(0)->fragment(a)->FindExact({Value{2}, Value{22}});
   ASSERT_TRUE(reused.ok());
   EXPECT_EQ(*reused, freed_lrid);
   EXPECT_TRUE(sys.CheckInvariants().ok());
@@ -716,7 +722,8 @@ TEST(SystemTxnTest, CommitReleasesSlotsOnlyOnDeleteNodes) {
     if (key_on[node] < 0) key_on[node] = k;
   }
   auto lrid_of = [&](int node, const Row& row) {
-    auto found = sys.node(node)->fragment("A")->FindExact(row);
+    auto found =
+        sys.node(node)->fragment(sys.catalog().IdOf("A"))->FindExact(row);
     EXPECT_TRUE(found.ok()) << RowToString(row);
     return found.ok() ? *found : LocalRowId{0};
   };
@@ -894,7 +901,7 @@ TEST(SystemTxnTest, FailedNodeInsertLeavesNoLogRecord) {
   ASSERT_TRUE(sys.CreateTable(HashTableDef("A", "a")).ok());
   uint64_t t = sys.Begin();
   EXPECT_TRUE(sys.node(0)
-                  ->Insert(t, "A", {Value{"x"}, Value{1}})
+                  ->Insert(t, sys.catalog().IdOf("A"), {Value{"x"}, Value{1}})
                   .status()
                   .IsInvalidArgument());
   ASSERT_TRUE(sys.Insert("A", {Value{1}, Value{1}}, t).ok());

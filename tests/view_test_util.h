@@ -2,7 +2,6 @@
 #define PJVM_TESTS_VIEW_TEST_UTIL_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -16,10 +15,10 @@
 
 namespace pjvm {
 
-/// Multiset fingerprint of rows for bag-semantics comparison.
-inline std::map<std::string, int> RowBag(const std::vector<Row>& rows) {
-  std::map<std::string, int> bag;
-  for (const Row& row : rows) bag[RowToString(row)]++;
+/// Multiset of rows for bag-semantics comparison, keyed by value.
+inline RowCounts RowBag(const std::vector<Row>& rows) {
+  RowCounts bag;
+  for (const Row& row : rows) bag[row]++;
   return bag;
 }
 
